@@ -150,7 +150,7 @@ def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
         mapping.update(schema)
 
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read input file {path}: {exc}") from exc
 

@@ -1,15 +1,23 @@
 """Co-authorship graph, edge betweenness and community detection.
 
 The divisive community algorithm repeatedly removes the edge carrying
-the most shortest-path traffic (Brandes accumulation, hop-count paths,
-recomputed after every removal) and records a partition each time the
-component count grows.  Modularity of every recorded partition is taken
-against the original graph, and the best partition is the modularity
-maximum over the whole dendrogram.
+the most shortest-path traffic (Brandes accumulation over hop-count
+paths) and records a partition each time the component count grows.
+A cut changes shortest paths only inside the component that held the
+edge, so after each removal betweenness is recomputed only within the
+one or two components that contain the cut edge's endpoints; every
+other edge keeps its value.  Modularity of every recorded partition is
+taken against the original graph, and the best partition is the
+modularity maximum over the whole dendrogram.
 
-Determinism: node and neighbour iteration is lexicographic everywhere,
-and betweenness ties are broken toward the lexicographically smallest
-edge, so equal inputs give byte-equal outputs.
+Determinism: node and neighbour iteration is lexicographic everywhere
+(neighbours are kept in sorted lists, never sets), so the accumulation
+order, and with it every betweenness value, does not depend on the
+interpreter's hash seed.  Each recomputed value is bit-identical to a
+whole-graph recompute, because sources outside a component add nothing
+to its edges and sources inside it are still visited in sorted order.
+Betweenness ties are broken toward the lexicographically smallest
+edge, so equal inputs give byte-equal outputs in every process.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ def build_graph(edge_rows) -> CollabGraph:
 def read_edge_list(path, delimiter: str = ",") -> list:
     """Read a CSV edge list with header author_a,author_b[,weight]."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
     with handle:
@@ -288,14 +296,13 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
             f"girvan_newman: target_communities must be in 1..{g.n_nodes}, "
             f"got {target_communities}"
         )
-    adj = {n: set(g.adjacency[n]) for n in g.nodes}
+    adj = {n: list(g.adjacency[n]) for n in g.nodes}
     comps = _components(g.nodes, adj)
     dendrogram = [_partition_of(g, comps, step=0, removed_edge=None)]
     count = len(comps)
     step = 0
-    remaining = g.n_edges
-    while remaining > 0 and (target_communities is None or count < target_communities):
-        btw = _brandes(g.nodes, adj)
+    btw = _brandes(g.nodes, adj)
+    while btw and (target_communities is None or count < target_communities):
         best_edge = None
         best_score = -1.0
         for edge in sorted(btw):
@@ -303,12 +310,17 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
                 best_score = btw[edge]
                 best_edge = edge
         u, v = best_edge
-        adj[u].discard(v)
-        adj[v].discard(u)
-        remaining -= 1
+        adj[u].remove(v)
+        adj[v].remove(u)
+        del btw[best_edge]
         step += 1
-        comps = _components(g.nodes, adj)
-        if len(comps) > count:
+        # Shortest paths change only inside the component that held the
+        # cut edge, so only its one or two pieces are recomputed.
+        touched = _components([u, v], adj)
+        for comp in touched:
+            btw.update(_brandes(comp, adj))
+        if len(touched) > 1:
+            comps = _components(g.nodes, adj)
             count = len(comps)
             dendrogram.append(
                 _partition_of(g, comps, step=step, removed_edge=best_edge)

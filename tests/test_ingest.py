@@ -179,6 +179,15 @@ class TestParse:
         with pytest.raises(DataError, match="unknown columns"):
             parse_dataset(path, schema={"bogus": "x"})
 
+    def test_utf8_bom_header_accepted(self, tmp_path, scholar_csv):
+        # spreadsheet CSV exports often start with a byte order mark
+        path = tmp_path / "bom.csv"
+        with open(scholar_csv, encoding="utf-8", newline="") as handle:
+            path.write_text("\ufeff" + handle.read(), encoding="utf-8", newline="")
+        bom, plain = parse_dataset(str(path)), parse_dataset(scholar_csv)
+        assert bom.records == plain.records
+        assert bom.provenance.rows_read == plain.provenance.rows_read
+
 
 class TestFilterAndRoundTrip:
     def test_filter_eligible_requires_both_flags(self, tmp_path):

@@ -3,6 +3,10 @@ community detection, all checked against brute-force oracles."""
 
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
@@ -17,6 +21,9 @@ from stratlogit.errors import (
 )
 from stratlogit.network import (
     Partition,
+    _brandes,
+    _components,
+    _partition_of,
     build_graph,
     core_authors,
     edge_betweenness,
@@ -79,6 +86,66 @@ def random_graph(seed, max_nodes=12):
     if not rows:
         rows = [(names[0], names[1])]
     return build_graph(rows)
+
+
+def reference_girvan_newman(g):
+    """Whole-graph recompute after every cut: the reference the
+    incremental loop must match bit for bit.
+
+    Returns the dendrogram and, per cut, the top betweenness score's
+    relative margin over the runner-up (inf when one edge is left)."""
+    adj = {n: list(g.adjacency[n]) for n in g.nodes}
+    comps = _components(g.nodes, adj)
+    dendrogram = [_partition_of(g, comps, step=0, removed_edge=None)]
+    margins = []
+    for step in range(1, g.n_edges + 1):
+        btw = _brandes(g.nodes, adj)
+        best_edge = None
+        best_score = -1.0
+        for edge in sorted(btw):
+            if btw[edge] > best_score:
+                best_score = btw[edge]
+                best_edge = edge
+        scores = sorted(btw.values(), reverse=True)
+        margins.append(
+            (scores[0] - scores[1]) / scores[0] if len(scores) > 1 else float("inf")
+        )
+        u, v = best_edge
+        adj[u].remove(v)
+        adj[v].remove(u)
+        comps = _components(g.nodes, adj)
+        if len(comps) > dendrogram[-1].n_communities:
+            dendrogram.append(
+                _partition_of(g, comps, step=step, removed_edge=best_edge)
+            )
+    return dendrogram, margins
+
+
+def hypercube_rows(dim):
+    return [
+        (format(i, f"0{dim}b"), format(i ^ (1 << b), f"0{dim}b"))
+        for i in range(2**dim)
+        for b in range(dim)
+        if i < i ^ (1 << b)
+    ]
+
+
+def grid_rows(side):
+    rows = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                rows.append((f"r{r}c{c}", f"r{r}c{c + 1}"))
+            if r + 1 < side:
+                rows.append((f"r{r}c{c}", f"r{r + 1}c{c}"))
+    return rows
+
+
+def petersen_rows():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    return outer + spokes + inner
 
 
 def two_triangles_with_bridge():
@@ -281,12 +348,126 @@ class TestGirvanNewman:
         assert prefixes == [["a"], ["b"], ["c"]]
         assert best.modularity > 0.3
 
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            pytest.param(lambda seed=seed: random_graph(seed, max_nodes=24), id=f"random{seed}")
+            for seed in range(100, 148)
+        ]
+        + [
+            pytest.param(lambda: build_graph(hypercube_rows(4)), id="hypercube4"),
+            pytest.param(lambda: build_graph(grid_rows(6)), id="grid6x6"),
+            pytest.param(lambda: build_graph(petersen_rows()), id="petersen"),
+            pytest.param(
+                lambda: build_graph(
+                    make_coauthor_edges(
+                        seed=7, community_sizes=(30, 30, 30, 30), p_in=0.3, bridges=2
+                    )
+                ),
+                id="planted4x30",
+            ),
+        ],
+    )
+    def test_matches_whole_graph_recompute(self, make_graph):
+        g = make_graph()
+        fast, _ = girvan_newman(g)
+        slow, _ = reference_girvan_newman(g)
+        assert [
+            (p.step, p.removed_edge, p.n_communities, p.modularity.hex())
+            for p in fast
+        ] == [
+            (p.step, p.removed_edge, p.n_communities, p.modularity.hex())
+            for p in slow
+        ]
+        assert [p.assignment for p in fast] == [p.assignment for p in slow]
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # Brandes accumulation must not follow hash order: walking
+        # neighbour sets moves the 4-cube's step-8 cut with PYTHONHASHSEED
+        edges = tmp_path / "cube.csv"
+        edges.write_text(
+            "author_a,author_b\n"
+            + "".join(f"{a},{b}\n" for a, b in hypercube_rows(4)),
+            encoding="utf-8",
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("0", "4"):
+            out = tmp_path / f"out{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "stratlogit.cli", "communities",
+                 "--coauthor-edges", str(edges), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(
+                ((out / "dendrogram.json").read_bytes(),
+                 (out / "partition.csv").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
+
     def test_deterministic(self):
         g = random_graph(21)
         d1, b1 = girvan_newman(g)
         d2, b2 = girvan_newman(g)
         assert [p.removed_edge for p in d1] == [p.removed_edge for p in d2]
         assert b1.assignment == b2.assignment
+
+
+class TestNetworkxDifferential:
+    def test_edge_betweenness_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for seed in range(200, 230):
+            g = random_graph(seed, max_nodes=24)
+            ours = edge_betweenness(g)
+            graph = nx.Graph([(u, v) for u, v, _ in g.edges])
+            theirs = {
+                tuple(sorted(edge)): value
+                for edge, value in nx.edge_betweenness_centrality(
+                    graph, normalized=False
+                ).items()
+            }
+            assert set(ours) == set(theirs)
+            for edge in ours:
+                assert_allclose(ours[edge], theirs[edge], rtol=1e-12, atol=0)
+
+    def test_partitions_match_networkx(self):
+        # networkx breaks betweenness ties by dict order, so a split is
+        # compared only while every cut up to it had a unique top score;
+        # graphs where that prefix stops short of the best split are skipped
+        nx = pytest.importorskip("networkx")
+        compared = []
+        for seed in range(20):
+            g = build_graph(
+                make_coauthor_edges(
+                    seed=seed, community_sizes=(6, 8, 10, 12), p_in=0.3, bridges=2
+                )
+            )
+            dendrogram, best = girvan_newman(g)
+            _, margins = reference_girvan_newman(g)
+            unique = 0
+            while unique < len(margins) and margins[unique] > 1e-9:
+                unique += 1
+            if best.step > unique:
+                continue
+            ours = {
+                p.n_communities: {frozenset(c) for c in p.communities()}
+                for p in dendrogram[1:]
+                if p.step <= unique
+            }
+            theirs = {
+                len(split): {frozenset(c) for c in split}
+                for split in itertools.takewhile(
+                    lambda split: len(split) <= max(ours),
+                    nx.community.girvan_newman(nx.Graph([(u, v) for u, v, _ in g.edges])),
+                )
+            }
+            assert theirs == ours
+            compared.extend(ours)
+        assert compared.count(4) >= 5 and max(compared) > 4
 
 
 class TestCoreAuthors:
@@ -342,6 +523,12 @@ class TestEdgeListIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_edge_list(tmp_path / "nope.csv")
+
+    def test_utf8_bom_header_accepted(self, tmp_path, edges_csv):
+        text = pathlib.Path(edges_csv).read_text(encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_edge_list(bom) == read_edge_list(edges_csv)
 
 
 class TestWriters:
