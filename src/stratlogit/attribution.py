@@ -6,10 +6,7 @@ Shapley values have a closed form:
 
     phi_ij = beta_j * (x_ij - mu_j),        base = beta_0 + beta . mu
 
-with mu the background feature means.  ``kernel_shap`` recomputes the
-same quantities for one row by enumerating all feature coalitions and
-applying the Shapley kernel weights; it exists as an independent route
-to cross-check the closed form, not as an approximation (no sampling).
+with mu the background feature means.
 
 ``lowess`` smooths attribution-versus-feature scatters into trend
 curves: tricube-weighted local linear regression over the r nearest
@@ -78,7 +75,9 @@ def linear_shap(fit: LogitFit, X, background, model_id: str = "model") -> ShapMa
     if not np.all(np.isfinite(X)):
         raise DataError("linear_shap: non-finite features")
     beta = fit.coef[1:]
-    values = (X - mu) * beta
+    # C order whatever the layout of X, so reductions over rows (as in
+    # mean_abs_importance) sum in one order and give the same bits.
+    values = np.ascontiguousarray((X - mu) * beta)
     base = float(fit.coef[0] + beta @ mu)
     return ShapMatrix(
         model_id=model_id,
@@ -86,46 +85,6 @@ def linear_shap(fit: LogitFit, X, background, model_id: str = "model") -> ShapMa
         values=values,
         base_value=base,
     )
-
-
-def kernel_shap(fit: LogitFit, x_row, background, max_features: int = 12) -> np.ndarray:
-    """Shapley values of one row by full coalition enumeration.
-
-    v(S) evaluates the log-odds with features outside S pinned to the
-    background means; each feature's attribution is the kernel-weighted
-    sum of its marginal contributions over all 2^(p-1) coalitions.
-    Exponential cost, so refuses more than ``max_features`` features.
-    """
-    mu = _check_background(fit, background)
-    x = np.asarray(x_row, dtype=float)
-    if x.shape != mu.shape:
-        raise DataError(f"kernel_shap: row shape {x.shape} does not match background")
-    if not np.all(np.isfinite(x)):
-        raise DataError("kernel_shap: non-finite features")
-    p = len(fit.feature_names)
-    if p > max_features:
-        raise ConfigError(
-            f"kernel_shap: {p} features means {2 ** p} coalitions; "
-            f"limit is {max_features}"
-        )
-    beta = fit.coef[1:]
-    delta = (x - mu) * beta
-    # v[mask] = log-odds with the masked features taken from x.
-    v = np.empty(2 ** p)
-    v[0] = float(fit.coef[0] + beta @ mu)
-    for mask in range(1, 2 ** p):
-        low = mask & -mask
-        v[mask] = v[mask ^ low] + delta[low.bit_length() - 1]
-    fact = [math.factorial(i) for i in range(p + 1)]
-    weight = [fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)]
-    phi = np.zeros(p)
-    for mask in range(2 ** p):
-        s = bin(mask).count("1")
-        for j in range(p):
-            bit = 1 << j
-            if not mask & bit:
-                phi[j] += weight[s] * (v[mask | bit] - v[mask])
-    return phi
 
 
 @dataclass(frozen=True)

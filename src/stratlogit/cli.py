@@ -1,15 +1,21 @@
 """Command line front end.
 
-Subcommands mirror the pipeline stages so partial runs compose:
+Each analysis subcommand runs the report's stages that its own stage
+needs, through the same ``stratlogit.pipeline`` functions as
+``report``, and writes that stage's files in the report's formats:
 
-    ingest       validate + normalize the scholar CSV
-    describe     indicator table, descriptive stats, correlations, VIF
-    fit          logistic fit of one feature subset on the train split
-    select       subset search (exhaustive or backward stepwise)
-    evaluate     confusion matrix, metrics and ROC on the validation split
-    attribute    per-row attributions, importance ranking, trend curves
-    communities  co-authorship graph communities by divisive clustering
-    report       full pipeline, one JSON report plus CSV side files
+    ingest       normalized.csv
+    describe     features.csv, descriptive_stats.csv, correlation.csv, vif.csv
+    fit          inference.csv, fit.json
+    select       comparison.csv, selection.json
+    evaluate     confusion.csv, metrics.csv, roc.csv
+    attribute    shap_values.csv, importance.csv, trend_<feature>.csv
+    communities  partition.csv, dendrogram.json of the co-author graph
+    report       report.json plus the CSV side files of every stage
+
+``fit``, ``evaluate`` and ``attribute`` use the ``--features`` subset
+(default all) where the report uses the selected model.  Flag values
+are validated as one RunConfig before any input is read.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 5 internal invariant breach.
@@ -21,30 +27,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .attribution import linear_shap, lowess, mean_abs_importance
 from .errors import ConfigError, PipelineError, StratLogitError
-from .evaluate import (
-    ConfusionMatrix,
-    classify,
-    make_split,
-    metrics,
-    predict_prob,
-    roc_auc,
-)
-from .indicators import FEATURE_COLUMNS, CompositeWeights, build_feature_matrix
-from .ingest import filter_eligible, parse_dataset, write_dataset_csv
-from .logit import DesignMatrix, fit_logistic, inference_table, verify_fit_identities
-from .model_select import (
-    backward_stepwise,
-    comparison_to_dicts,
-    enumerate_subsets,
-    fit_all,
-    write_comparison_csv,
-)
+from .indicators import FEATURE_COLUMNS
+from .ingest import write_dataset_csv
 from .network import (
     build_graph,
     girvan_newman,
@@ -54,26 +44,32 @@ from .network import (
 )
 from .pipeline import (
     RunConfig,
-    _model_summary,
+    attribute_fit,
+    build_indicators,
+    describe_indicators,
+    evaluate_fit,
+    fit_features,
+    load_dataset,
+    model_summary,
     run_pipeline,
-    write_confusion_csv,
-    write_correlation_csv,
-    write_descriptive_csv,
+    select_model,
+    selection_summary,
+    split_rows,
+    training_means,
+    trend_curves,
+    write_describe_files,
+    write_evaluate_files,
     write_importance_csv,
     write_inference_csv,
-    write_metrics_csv,
     write_report_files,
-    write_roc_csv,
+    write_select_files,
     write_shap_values_csv,
     write_trend_csv,
-    write_vif_csv,
 )
-from .stats_core import describe, pearson_matrix, vif
-from .indicators import write_feature_matrix_csv
 
 
 def _add_input_args(p):
-    p.add_argument("--input", required=True, help="scholar activity CSV")
+    p.add_argument("--input", dest="input_path", required=True, help="scholar activity CSV")
     p.add_argument("--delimiter", default=",", help="CSV delimiter (default ,)")
 
 
@@ -84,14 +80,39 @@ def _add_weight_args(p):
 
 def _add_model_args(p):
     _add_weight_args(p)
-    p.add_argument("--train-frac", type=float, default=0.7, help="training fraction (default 0.7)")
+    p.add_argument(
+        "--train-frac",
+        dest="train_fraction",
+        type=float,
+        default=0.7,
+        help="training fraction (default 0.7)",
+    )
     p.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     p.add_argument("--max-iter", type=int, default=1000, help="solver iteration cap")
     p.add_argument("--tol", type=float, default=1e-8, help="gradient convergence tolerance")
 
 
+def _add_select_arg(p):
+    p.add_argument(
+        "--select",
+        dest="selection",
+        choices=["enumerate", "stepwise"],
+        default="enumerate",
+        help="search strategy (default enumerate)",
+    )
+
+
+def _add_lowess_arg(p):
+    p.add_argument(
+        "--lowess-frac",
+        type=float,
+        default=2.0 / 3.0,
+        help="LOWESS neighbourhood fraction (default 2/3)",
+    )
+
+
 def _add_out_arg(p):
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
 
 def _add_features_arg(p):
@@ -118,25 +139,34 @@ def _parse_features(raw):
     return names
 
 
-def _prepare(args):
-    """Shared front half: parse, screen, derive features, split."""
-    raw = parse_dataset(args.input, delimiter=args.delimiter)
-    ds = filter_eligible(raw)
-    fm = build_feature_matrix(ds, CompositeWeights(args.alpha, args.beta))
-    split = make_split(fm.n_rows, args.train_frac, args.seed)
-    return raw, ds, fm, split
-
-
-def _fit_subset(fm, split, features, args):
-    design = DesignMatrix.from_features(
-        fm, features, rows=np.asarray(split.train_indices, dtype=int)
+def _config(args) -> RunConfig:
+    """The validated RunConfig of a subcommand's flags; a field the
+    subcommand has no flag for keeps its default."""
+    cfg = RunConfig(
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
-    return fit_logistic(design, max_iter=args.max_iter, tol=args.tol)
+    cfg.validate()
+    return cfg
 
 
-def _out(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _split(cfg):
+    """Ingest, indicators and split: what every model stage starts from."""
+    _, dataset = load_dataset(cfg)
+    fm = build_indicators(cfg, dataset)
+    return fm, split_rows(cfg, fm)
+
+
+def _fit(args):
+    """Stages up to fit, for the ``--features`` subset."""
+    features = _parse_features(args.features)
+    cfg = _config(args)
+    fm, split = _split(cfg)
+    return cfg, fm, split, fit_features(cfg, fm, split, features)
+
+
+def _out(out_dir, name):
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _dump_json(payload, path):
@@ -146,126 +176,75 @@ def _dump_json(payload, path):
 
 
 def cmd_ingest(args) -> int:
-    raw = parse_dataset(args.input, delimiter=args.delimiter)
-    kept = raw if args.keep_ineligible else filter_eligible(raw)
-    path = _out(args, "normalized.csv")
+    cfg = _config(args)
+    raw, eligible = load_dataset(cfg)
+    kept = raw if args.keep_ineligible else eligible
+    path = _out(cfg.out_dir, "normalized.csv")
     write_dataset_csv(kept, path)
     print(f"read {raw.provenance.rows_read} rows, kept {len(kept.records)}, wrote {path}")
     return 0
 
 
 def cmd_describe(args) -> int:
-    raw = parse_dataset(args.input, delimiter=args.delimiter)
-    ds = filter_eligible(raw)
-    fm = build_feature_matrix(ds, CompositeWeights(args.alpha, args.beta))
-    stats = [
-        {"variable": name, **describe(fm.column(name)).__dict__}
-        for name in fm.column_names
-    ]
-    corr = pearson_matrix(fm)
-    vifs = vif(fm)
-    write_feature_matrix_csv(fm, _out(args, "features.csv"))
-    write_descriptive_csv(stats, _out(args, "descriptive_stats.csv"))
-    write_correlation_csv(corr.names, corr.r, _out(args, "correlation.csv"))
-    write_vif_csv(fm.column_names, vifs, _out(args, "vif.csv"))
+    cfg = _config(args)
+    _, dataset = load_dataset(cfg)
+    fm = build_indicators(cfg, dataset)
+    description = describe_indicators(fm)
+    write_describe_files(cfg.out_dir, fm, description)
     print(
         f"described {len(fm.column_names)} variables over {fm.n_rows} rows "
-        f"(mean VIF {float(np.mean(vifs))!r})"
+        f"(mean VIF {float(np.mean(description[2]))!r})"
     )
     return 0
 
 
 def cmd_fit(args) -> int:
-    features = _parse_features(args.features)
-    _, _, fm, split = _prepare(args)
-    fit = _fit_subset(fm, split, features, args)
-    verify_fit_identities(fit)
-    write_inference_csv(inference_table(fit), _out(args, "inference.csv"))
-    _dump_json(_model_summary(fit, "fit"), _out(args, "fit.json"))
+    cfg, _, _, fit = _fit(args)
+    write_inference_csv(fit, _out(cfg.out_dir, "inference.csv"))
+    _dump_json(model_summary(fit, "fit"), _out(cfg.out_dir, "fit.json"))
     print(
-        f"fit {'+'.join(features)} on {fit.n_obs} rows: converged={fit.converged} "
+        f"fit {'+'.join(fit.feature_names)} on {fit.n_obs} rows: converged={fit.converged} "
         f"iterations={fit.iterations} loglik={fit.log_lik!r} aic={fit.aic!r}"
     )
     return 0
 
 
 def cmd_select(args) -> int:
-    _, _, fm, split = _prepare(args)
-    if args.select == "enumerate":
-        specs = enumerate_subsets(fm.column_names)
-        table = fit_all(fm, specs, split, max_iter=args.max_iter, tol=args.tol)
-        ordered = table.sorted_by_aic()
-        best = table.best_row()
-    else:
-        result = backward_stepwise(fm, split, max_iter=args.max_iter, tol=args.tol)
-        ordered = result.path
-        best = result.path.rows[-1]
-    write_comparison_csv(ordered, _out(args, "comparison.csv"))
-    _dump_json(
-        {
-            "mode": args.select,
-            "n_models": len(ordered.rows),
-            "best": {
-                "model_id": best.model_id,
-                "features": list(best.spec.features),
-                "aic": best.aic,
-                "bic": best.bic,
-            },
-            "table": comparison_to_dicts(ordered),
-        },
-        _out(args, "selection.json"),
-    )
+    cfg = _config(args)
+    fm, split = _split(cfg)
+    table, best_row, _ = select_model(cfg, fm, split)
+    write_select_files(cfg.out_dir, table)
+    payload = selection_summary(cfg, table, best_row)
+    payload["best"]["bic"] = best_row.bic
+    _dump_json(payload, _out(cfg.out_dir, "selection.json"))
     print(
-        f"searched {len(ordered.rows)} models ({args.select}); "
-        f"best {'+'.join(best.spec.features)} aic={best.aic!r}"
+        f"searched {len(table.rows)} models ({cfg.selection}); "
+        f"best {'+'.join(best_row.spec.features)} aic={best_row.aic!r}"
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    features = _parse_features(args.features)
-    _, _, fm, split = _prepare(args)
-    fit = _fit_subset(fm, split, features, args)
-    val_idx = np.asarray(split.val_indices, dtype=int)
-    block = np.column_stack([fm.column(name)[val_idx] for name in features])
-    probs = predict_prob(fit, block)
-    y_val = fm.target[val_idx]
-    cm = ConfusionMatrix.from_predictions(y_val, classify(probs))
-    mets = metrics(cm)
-    curve = roc_auc(probs, y_val)
-    write_confusion_csv(cm, _out(args, "confusion.csv"))
-    write_metrics_csv(mets, _out(args, "metrics.csv"))
-    write_roc_csv(curve, _out(args, "roc.csv"))
+    cfg, fm, split, fit = _fit(args)
+    cm, mets, roc = evaluate_fit(fm, split, fit)
+    write_evaluate_files(cfg.out_dir, cm, mets, roc)
     print(
-        f"evaluated {'+'.join(features)} on {split.n_val} held-out rows: "
-        f"accuracy={mets.accuracy!r} auc={curve.auc!r}"
+        f"evaluated {'+'.join(fit.feature_names)} on {split.n_val} held-out rows: "
+        f"accuracy={mets.accuracy!r} auc={roc.auc!r}"
     )
     return 0
 
 
 def cmd_attribute(args) -> int:
-    features = _parse_features(args.features)
-    _, _, fm, split = _prepare(args)
-    fit = _fit_subset(fm, split, features, args)
-    train_idx = np.asarray(split.train_indices, dtype=int)
-    cols = [fm.column_names.index(name) for name in features]
-    background = np.mean(fm.values[np.ix_(train_idx, cols)], axis=0)
-    shap = linear_shap(fit, fm.values[:, cols], background, model_id="attributed")
-    ranking = mean_abs_importance(shap)
-    write_shap_values_csv(shap, fm.row_ids, _out(args, "shap_values.csv"))
-    write_importance_csv(ranking, _out(args, "importance.csv"))
-    for name in features:
-        curve = lowess(
-            fm.column(name),
-            shap.column(name),
-            frac=args.lowess_frac,
-            feature=name,
-            model_id="attributed",
-        )
-        write_trend_csv(curve, _out(args, f"trend_{name}.csv"))
+    cfg, fm, split, fit = _fit(args)
+    shap, ranking = attribute_fit(fm, training_means(fm, split), fit, "attributed")
+    write_shap_values_csv(shap, fm.row_ids, _out(cfg.out_dir, "shap_values.csv"))
+    write_importance_csv(ranking, _out(cfg.out_dir, "importance.csv"))
+    for name, curve in trend_curves(fm, shap, cfg.lowess_frac).items():
+        write_trend_csv({"smoothed": curve}, _out(cfg.out_dir, f"trend_{name}.csv"))
     top = ranking.entries[0]
     print(
-        f"attributed {len(features)} features over {fm.n_rows} rows; "
+        f"attributed {len(fit.feature_names)} features over {fm.n_rows} rows; "
         f"top importance {top[0]}={top[1]!r}"
     )
     return 0
@@ -275,8 +254,8 @@ def cmd_communities(args) -> int:
     edges = read_edge_list(args.coauthor_edges, delimiter=args.delimiter)
     graph = build_graph(edges)
     dendrogram, best = girvan_newman(graph, target_communities=args.target_communities)
-    write_partition_csv(best, _out(args, "partition.csv"))
-    write_dendrogram_json(dendrogram, _out(args, "dendrogram.json"))
+    write_partition_csv(best, _out(args.out_dir, "partition.csv"))
+    write_dendrogram_json(dendrogram, _out(args.out_dir, "dendrogram.json"))
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges "
         f"({graph.self_loops_dropped} self-loops dropped); "
@@ -287,25 +266,12 @@ def cmd_communities(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = RunConfig(
-        input_path=args.input,
-        out_dir=args.out,
-        coauthor_edges=None,
-        alpha=args.alpha,
-        beta=args.beta,
-        train_fraction=args.train_frac,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        selection=args.select,
-        lowess_frac=args.lowess_frac,
-        delimiter=args.delimiter,
-    )
+    cfg = _config(args)
     report = run_pipeline(cfg)
-    written = write_report_files(report, args.out)
+    written = write_report_files(report, cfg.out_dir)
     best = report.selection["best"]
     print(
-        f"wrote {len(written)} files to {args.out}; best model "
+        f"wrote {len(written)} files to {cfg.out_dir}; best model "
         f"{'+'.join(best['features'])} aic={best['aic']!r}"
     )
     return 0
@@ -345,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="search feature subsets by AIC")
     _add_input_args(p)
     _add_model_args(p)
-    p.add_argument(
-        "--select",
-        choices=["enumerate", "stepwise"],
-        default="enumerate",
-        help="search strategy (default enumerate)",
-    )
+    _add_select_arg(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_select)
 
@@ -365,12 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_model_args(p)
     _add_features_arg(p)
-    p.add_argument(
-        "--lowess-frac",
-        type=float,
-        default=2.0 / 3.0,
-        help="LOWESS neighbourhood fraction (default 2/3)",
-    )
+    _add_lowess_arg(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_attribute)
 
@@ -389,18 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full pipeline with JSON + CSV emission")
     _add_input_args(p)
     _add_model_args(p)
-    p.add_argument(
-        "--select",
-        choices=["enumerate", "stepwise"],
-        default="enumerate",
-        help="search strategy (default enumerate)",
-    )
-    p.add_argument(
-        "--lowess-frac",
-        type=float,
-        default=2.0 / 3.0,
-        help="LOWESS neighbourhood fraction (default 2/3)",
-    )
+    _add_select_arg(p)
+    _add_lowess_arg(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_report)
 

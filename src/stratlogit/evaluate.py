@@ -3,18 +3,17 @@
 Deterministic splitting, probability prediction, confusion matrices,
 threshold metrics with explicit undefined handling (a precision with an
 empty denominator is None, never silently 0), ROC curves with
-trapezoidal AUC, and seeded k-fold cross-validation.
+trapezoidal AUC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
-from .logit import DesignMatrix, LogitFit, fit_logistic, sigmoid
+from .logit import LogitFit, sigmoid
 
 _PROB_FLOOR = 1e-300
 _PROB_CEIL = 1.0 - 1e-16
@@ -207,99 +206,3 @@ def roc_auc(scores, labels) -> RocCurve:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
     return RocCurve(points=tuple(points), thresholds=tuple(thresholds), auc=auc)
-
-
-@dataclass(frozen=True)
-class FoldMetrics:
-    fold: int
-    n_val: int
-    accuracy: float
-    precision: Optional[float]
-    recall: Optional[float]
-    f1: Optional[float]
-    auc: float
-
-
-@dataclass(frozen=True)
-class CvResult:
-    folds: tuple
-    mean: dict
-    std: dict
-    k: int
-    seed: int
-    resample_attempts: int
-
-
-def k_fold_cv(
-    m,
-    features=None,
-    k: int = 5,
-    seed: int = 0,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-) -> CvResult:
-    """Seeded k-fold cross-validation of one feature subset.
-
-    Fold sizes differ by at most one.  If any fold is missing a class
-    the assignment is reshuffled (up to 100 deterministic attempts,
-    seeds seed, seed+1, ...) so every training complement and every
-    validation fold can be scored.  Mean/std (ddof=1) are taken over
-    folds where the metric is defined; std is None with fewer than two
-    defined values.
-    """
-    n = m.n_rows
-    if not (2 <= k <= n):
-        raise DegenerateInputError(f"k_fold_cv: need 2 <= k <= n, got k={k}, n={n}")
-    y = np.asarray(m.target)
-    folds = None
-    attempts = 0
-    for attempt in range(100):
-        attempts = attempt + 1
-        perm = np.random.Generator(np.random.PCG64(seed + attempt)).permutation(n)
-        candidate = np.array_split(perm, k)
-        if all(len(np.unique(y[f])) == 2 for f in candidate):
-            folds = candidate
-            break
-    if folds is None:
-        raise DegenerateInputError(
-            "k_fold_cv: could not build folds containing both classes in 100 attempts"
-        )
-    names = tuple(m.column_names if features is None else features)
-    results = []
-    for i, fold in enumerate(folds):
-        val_idx = np.sort(fold)
-        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
-        fit = fit_logistic(
-            DesignMatrix.from_features(m, names, rows=train_idx),
-            max_iter=max_iter,
-            tol=tol,
-        )
-        block = np.column_stack([m.column(name)[val_idx] for name in names])
-        probs = predict_prob(fit, block)
-        y_val = y[val_idx]
-        mets = metrics(ConfusionMatrix.from_predictions(y_val, classify(probs)))
-        curve = roc_auc(probs, y_val)
-        results.append(
-            FoldMetrics(
-                fold=i,
-                n_val=len(val_idx),
-                accuracy=mets.accuracy,
-                precision=mets.precision,
-                recall=mets.recall,
-                f1=mets.f1,
-                auc=curve.auc,
-            )
-        )
-    mean, std = {}, {}
-    for name in ("accuracy", "precision", "recall", "f1", "auc"):
-        defined = [getattr(f, name) for f in results if getattr(f, name) is not None]
-        mean[name] = float(np.mean(defined)) if defined else None
-        std[name] = float(np.std(defined, ddof=1)) if len(defined) >= 2 else None
-    return CvResult(
-        folds=tuple(results),
-        mean=mean,
-        std=std,
-        k=k,
-        seed=seed,
-        resample_attempts=attempts,
-    )

@@ -183,7 +183,7 @@ def enumerate_subsets(column_names, max_p: int = 15) -> list:
     if p > max_p:
         raise ConfigError(
             f"enumerate_subsets: {p} columns means {2 ** p - 1} subsets; "
-            f"limit is {max_p} (use stepwise search or sample_subsets)"
+            f"limit is {max_p} (use stepwise search)"
         )
     specs = []
     for mask in range(1, 2 ** p):
@@ -191,33 +191,6 @@ def enumerate_subsets(column_names, max_p: int = 15) -> list:
             ModelSpec(features=tuple(names[j] for j in range(p) if mask >> j & 1))
         )
     return specs
-
-
-def sample_subsets(column_names, count: int, seed: int = 0) -> list:
-    """``count`` distinct random non-empty subsets, seeded."""
-    names = tuple(column_names)
-    p = len(names)
-    if p == 0 or p > 62:
-        raise ConfigError(f"sample_subsets: column count {p} outside 1..62")
-    total = 2 ** p - 1
-    if count < 1 or count > total:
-        raise ConfigError(f"sample_subsets: count {count} outside 1..{total}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    seen = []
-    seen_set = set()
-    attempts = 0
-    while len(seen) < count:
-        attempts += 1
-        if attempts > 1000 * count:
-            raise ConfigError("sample_subsets: sampling stalled; lower count")
-        mask = int(rng.integers(1, total + 1))
-        if mask not in seen_set:
-            seen_set.add(mask)
-            seen.append(mask)
-    return [
-        ModelSpec(features=tuple(names[j] for j in range(p) if mask >> j & 1))
-        for mask in seen
-    ]
 
 
 def fit_all(

@@ -106,6 +106,8 @@ def build_graph(edge_rows) -> CollabGraph:
 
 def read_edge_list(path, delimiter: str = ",") -> list:
     """Read a CSV edge list with header author_a,author_b[,weight]."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -330,23 +332,6 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
         if p.modularity > best.modularity:
             best = p
     return dendrogram, best
-
-
-def core_authors(p: Partition, corresponding_map) -> tuple:
-    """Corresponding authors per community, deduplicated.
-
-    Communities are visited in ascending id, nodes alphabetically; a
-    node missing from the map is an error rather than assumed either
-    way.
-    """
-    out = []
-    for comp in p.communities():
-        for node in comp:
-            if node not in corresponding_map:
-                raise DataError(f"core_authors: node {node!r} missing from map")
-            if corresponding_map[node] and node not in out:
-                out.append(node)
-    return tuple(out)
 
 
 def write_partition_csv(p: Partition, path, delimiter: str = ",") -> None:

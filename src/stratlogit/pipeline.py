@@ -1,16 +1,29 @@
-"""End-to-end analysis pipeline and report emission.
+"""The analysis stages, the end-to-end pipeline and its file emission.
 
-One call runs ingest, indicator construction, descriptive statistics,
-the train/validation split, the full-model fit, subset selection,
-validation scoring and attribution, then assembles everything into an
-AnalysisReport.  Emission is deterministic: the JSON serialisation uses
-sorted keys and full-precision float repr, so two runs over the same
-input and configuration produce byte-identical report files.
+Each stage is one function, shared by ``run_pipeline`` and the CLI
+subcommands:
 
-Any stage failure is re-raised as PipelineError carrying the stage
-name, the machine-readable error code of the underlying failure and a
-flag saying whether earlier stages had completed (a partial result
-existed).  Nothing is written for a failed run.
+    ingest      load_dataset         parse the CSV, keep eligible records
+    indicators  build_indicators     nine feature columns and the target
+    describe    describe_indicators  descriptive stats, correlations, VIF
+    split       split_rows           seeded train/validation partition
+    fit         fit_features         one feature subset on the training rows
+    select      select_model         AIC subset search plus the best-row refit
+    evaluate    evaluate_fit         one fit scored on the validation rows
+    attribute   attribute_fit        one fit's attributions and their ranking
+
+``run_pipeline`` runs them for the full and the selected model and
+assembles an AnalysisReport; ``write_report_files`` writes it with the
+per-stage writers the subcommands use, so each file has one format.
+Emission is deterministic: the JSON serialisation uses sorted keys and
+full-precision float repr, so two runs over the same input and
+configuration produce byte-identical report files.
+
+Any stage failure in ``run_pipeline`` is re-raised as PipelineError
+carrying the stage name, the machine-readable error code of the
+underlying failure and a flag saying whether earlier stages had
+completed (a partial result existed).  Nothing is written for a failed
+run.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from . import __version__
 from .attribution import (
     ImportanceRanking,
     ShapMatrix,
-    TrendComparison,
     linear_shap,
+    lowess,
     mean_abs_importance,
     trend_compare,
 )
@@ -50,7 +63,12 @@ from .evaluate import (
     predict_prob,
     roc_auc,
 )
-from .indicators import CompositeWeights, build_feature_matrix, write_feature_matrix_csv
+from .indicators import (
+    CompositeWeights,
+    FeatureMatrix,
+    build_feature_matrix,
+    write_feature_matrix_csv,
+)
 from .ingest import filter_eligible, parse_dataset
 from .logit import (
     DesignMatrix,
@@ -78,7 +96,6 @@ class RunConfig:
 
     input_path: str
     out_dir: Optional[str] = None
-    coauthor_edges: Optional[str] = None
     alpha: float = 1.0
     beta: float = 1.0
     train_fraction: float = 0.7
@@ -130,6 +147,7 @@ class RunArtifacts:
     dataset_raw: object
     dataset: object
     feature_matrix: object
+    description: tuple
     split: Split
     full_fit: LogitFit
     best_fit: LogitFit
@@ -194,7 +212,8 @@ def _py(obj):
     return obj
 
 
-def _model_summary(fit: LogitFit, model_id: str) -> dict:
+def model_summary(fit: LogitFit, model_id: str) -> dict:
+    """Coefficients, inference rows and fit statistics of one model."""
     rows = inference_table(fit)
     coefficients = {"intercept": float(fit.coef[0])}
     std_err = {"intercept": float(fit.std_err[0])}
@@ -233,9 +252,8 @@ def _model_summary(fit: LogitFit, model_id: str) -> dict:
 
 
 def _verify_report(artifacts: RunArtifacts) -> None:
-    """Cross-quantity identities re-checked before anything is written."""
-    verify_fit_identities(artifacts.full_fit)
-    verify_fit_identities(artifacts.best_fit)
+    """Cross-stage identities re-checked before anything is written; each
+    fit's own identities were checked by its fit stage."""
     fm = artifacts.feature_matrix
     for shap, fit in (
         (artifacts.full_shap, artifacts.full_fit),
@@ -266,6 +284,119 @@ def _verify_report(artifacts: RunArtifacts) -> None:
             raise InvariantBreachError(f"classification metric outside [0, 1]: {v}")
 
 
+def load_dataset(cfg: RunConfig) -> tuple:
+    """Ingest stage: the parsed CSV and its eligible records."""
+    raw = parse_dataset(cfg.input_path, delimiter=cfg.delimiter)
+    return raw, filter_eligible(raw)
+
+
+def build_indicators(cfg: RunConfig, dataset) -> FeatureMatrix:
+    """Indicators stage: the nine feature columns and the target."""
+    return build_feature_matrix(dataset, CompositeWeights(cfg.alpha, cfg.beta))
+
+
+def describe_indicators(fm: FeatureMatrix) -> tuple:
+    """Describe stage: (per-variable stat dicts, correlation matrix, VIFs)."""
+    stats = [
+        {"variable": name, **describe(fm.column(name)).__dict__}
+        for name in fm.column_names
+    ]
+    return stats, pearson_matrix(fm), vif(fm)
+
+
+def split_rows(cfg: RunConfig, fm: FeatureMatrix) -> Split:
+    """Split stage: the seeded train/validation partition of the rows."""
+    return make_split(fm.n_rows, cfg.train_fraction, cfg.seed)
+
+
+def _rows(indices) -> np.ndarray:
+    return np.asarray(indices, dtype=int)
+
+
+def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None) -> LogitFit:
+    """Fit stage: ``features`` (default every column) on the training
+    rows, with the fit's cross-quantity identities re-checked."""
+    fit = fit_logistic(
+        DesignMatrix.from_features(fm, features, rows=_rows(split.train_indices)),
+        max_iter=cfg.max_iter,
+        tol=cfg.tol,
+    )
+    verify_fit_identities(fit)
+    return fit
+
+
+def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
+    """Select stage: (table in report order, best row, best-row refit).
+
+    The refit must reproduce its table row's AIC.
+    """
+    if cfg.selection == "enumerate":
+        table = fit_all(
+            fm,
+            enumerate_subsets(fm.column_names),
+            split,
+            max_iter=cfg.max_iter,
+            tol=cfg.tol,
+            threads=cfg.threads,
+        )
+        ordered, best_row = table.sorted_by_aic(), table.best_row()
+    else:
+        ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol).path
+        best_row = ordered.rows[-1]
+    best_fit = fit_features(cfg, fm, split, best_row.spec.features)
+    if abs(best_fit.aic - best_row.aic) > 1e-9 * max(1.0, abs(best_row.aic)):
+        raise InvariantBreachError("best-model refit disagrees with its table row")
+    return ordered, best_row, best_fit
+
+
+def selection_summary(cfg: RunConfig, table: ComparisonTable, best_row) -> dict:
+    """The report's selection section."""
+    return {
+        "mode": cfg.selection,
+        "n_models": len(table.rows),
+        "best": {
+            "model_id": best_row.model_id,
+            "features": list(best_row.spec.features),
+            "aic": best_row.aic,
+        },
+        "table": comparison_to_dicts(table),
+    }
+
+
+def evaluate_fit(fm: FeatureMatrix, split: Split, fit: LogitFit) -> tuple:
+    """Evaluate stage: (confusion matrix, metrics, ROC curve) of ``fit``
+    on the validation rows."""
+    val_idx = _rows(split.val_indices)
+    block = np.column_stack([fm.column(name)[val_idx] for name in fit.feature_names])
+    probs = predict_prob(fit, block)
+    y_val = fm.target[val_idx]
+    cm = ConfusionMatrix.from_predictions(y_val, classify(probs))
+    return cm, metrics(cm), roc_auc(probs, y_val)
+
+
+def training_means(fm: FeatureMatrix, split: Split) -> np.ndarray:
+    """Mean of every column over the training rows: the attribution background."""
+    return np.mean(fm.values[_rows(split.train_indices)], axis=0)
+
+
+def attribute_fit(fm: FeatureMatrix, background, fit: LogitFit, model_id: str) -> tuple:
+    """Attribute stage: (attributions of every row, importance ranking)
+    of ``fit``; ``background`` holds one mean per feature-matrix column."""
+    cols = [fm.column_names.index(name) for name in fit.feature_names]
+    shap = linear_shap(fit, fm.values[:, cols], background[cols], model_id=model_id)
+    return shap, mean_abs_importance(shap)
+
+
+def trend_curves(fm: FeatureMatrix, shap: ShapMatrix, frac: float) -> dict:
+    """LOWESS trend of each attribution column of one model against its feature."""
+    return {
+        name: lowess(
+            fm.column(name), shap.column(name), frac=frac, feature=name, model_id=shap.model_id
+        )
+        for name in shap.feature_names
+    }
+
+
 def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     """Execute every stage and assemble the report.
 
@@ -273,108 +404,44 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     the underlying error is preserved for the command line front end.
     """
     cfg.validate()
-    state = {}
     completed = []
 
-    def stage(name, fn):
+    def stage(name, fn, *args):
         try:
-            result = fn()
+            result = fn(*args)
         except StratLogitError as exc:
             raise PipelineError(name, exc, partial_report=bool(completed)) from exc
         completed.append(name)
         return result
 
-    def _ingest():
-        raw = parse_dataset(cfg.input_path, delimiter=cfg.delimiter)
-        return raw, filter_eligible(raw)
-
-    dataset_raw, dataset = stage("ingest", _ingest)
-    fm = stage(
-        "indicators",
-        lambda: build_feature_matrix(dataset, CompositeWeights(cfg.alpha, cfg.beta)),
-    )
-
-    def _describe():
-        stats = [
-            {"variable": name, **describe(fm.column(name)).__dict__}
-            for name in fm.column_names
-        ]
-        corr = pearson_matrix(fm)
-        vifs = vif(fm)
-        return stats, corr, vifs
-
-    stats, corr, vifs = stage("describe", _describe)
-    split = stage("split", lambda: make_split(fm.n_rows, cfg.train_fraction, cfg.seed))
-    train_idx = np.asarray(split.train_indices, dtype=int)
-    val_idx = np.asarray(split.val_indices, dtype=int)
-
-    full_fit = stage(
-        "fit",
-        lambda: fit_logistic(
-            DesignMatrix.from_features(fm, rows=train_idx),
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        ),
-    )
-
-    def _select():
-        if cfg.selection == "enumerate":
-            specs = enumerate_subsets(fm.column_names)
-            table = fit_all(
-                fm, specs, split, max_iter=cfg.max_iter, tol=cfg.tol, threads=cfg.threads
-            )
-            ordered = table.sorted_by_aic()
-            best_row = table.best_row()
-        else:
-            result = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol)
-            ordered = result.path
-            best_row = result.path.rows[-1]
-        best_fit = fit_logistic(
-            DesignMatrix.from_features(fm, best_row.spec.features, rows=train_idx),
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
-        if abs(best_fit.aic - best_row.aic) > 1e-9 * max(1.0, abs(best_row.aic)):
-            raise InvariantBreachError("best-model refit disagrees with its table row")
-        return ordered, best_row, best_fit
-
-    comparison, best_row, best_fit = stage("select", _select)
-
-    def _evaluate():
-        block = np.column_stack(
-            [fm.column(name)[val_idx] for name in best_fit.feature_names]
-        )
-        probs = predict_prob(best_fit, block)
-        y_val = fm.target[val_idx]
-        cm = ConfusionMatrix.from_predictions(y_val, classify(probs))
-        return cm, metrics(cm), roc_auc(probs, y_val)
-
-    cm, mets, roc = stage("evaluate", _evaluate)
+    dataset_raw, dataset = stage("ingest", load_dataset, cfg)
+    fm = stage("indicators", build_indicators, cfg, dataset)
+    description = stage("describe", describe_indicators, fm)
+    split = stage("split", split_rows, cfg, fm)
+    full_fit = stage("fit", fit_features, cfg, fm, split)
+    comparison, best_row, best_fit = stage("select", select_model, cfg, fm, split)
+    cm, mets, roc = stage("evaluate", evaluate_fit, fm, split, best_fit)
 
     def _attribute():
-        background = np.mean(fm.values[train_idx], axis=0)
-        full_shap = linear_shap(full_fit, fm.values, background, model_id="full")
-        opt_cols = [fm.column_names.index(name) for name in best_fit.feature_names]
-        opt_shap = linear_shap(
-            best_fit,
-            fm.values[:, opt_cols],
-            background[opt_cols],
-            model_id="optimized",
-        )
-        trends = {}
-        for name in fm.column_names:
-            trends[name] = trend_compare(
-                full_shap, opt_shap, name, fm.column(name), frac=cfg.lowess_frac
-            )
-        return background, full_shap, opt_shap, trends
+        background = training_means(fm, split)
+        full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
+        opt_shap, opt_rank = attribute_fit(fm, background, best_fit, "optimized")
+        trends = {
+            name: trend_compare(full_shap, opt_shap, name, fm.column(name), frac=cfg.lowess_frac)
+            for name in fm.column_names
+        }
+        return background, full_shap, full_rank, opt_shap, opt_rank, trends
 
-    background, full_shap, opt_shap, trends = stage("attribute", _attribute)
+    background, full_shap, full_rank, opt_shap, opt_rank, trends = stage(
+        "attribute", _attribute
+    )
 
     def _assemble():
         artifacts = RunArtifacts(
             dataset_raw=dataset_raw,
             dataset=dataset,
             feature_matrix=fm,
+            description=description,
             split=split,
             full_fit=full_fit,
             best_fit=best_fit,
@@ -384,8 +451,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
             roc=roc,
             full_shap=full_shap,
             optimized_shap=opt_shap,
-            full_importance=mean_abs_importance(full_shap),
-            optimized_importance=mean_abs_importance(opt_shap),
+            full_importance=full_rank,
+            optimized_importance=opt_rank,
             trends=trends,
         )
         _verify_report(artifacts)
@@ -398,6 +465,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
                 "missing_from": list(tc.missing_from),
             }
             trend_json[name] = entry
+        stats, corr, vifs = description
         report = AnalysisReport(
             tool={"name": "stratlogit", "version": __version__},
             config=cfg.echo(),
@@ -419,17 +487,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
                 "n_train": split.n_train,
                 "n_val": split.n_val,
             },
-            full_model=_model_summary(full_fit, "full"),
-            selection={
-                "mode": cfg.selection,
-                "n_models": len(comparison.rows),
-                "best": {
-                    "model_id": best_row.model_id,
-                    "features": list(best_row.spec.features),
-                    "aic": best_row.aic,
-                },
-                "table": comparison_to_dicts(comparison),
-            },
+            full_model=model_summary(full_fit, "full"),
+            selection=selection_summary(cfg, comparison, best_row),
             evaluation={
                 "model_id": "optimized",
                 "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
@@ -452,13 +511,11 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
                 },
                 "full": {
                     "base_value": full_shap.base_value,
-                    "importance": [list(e) for e in artifacts.full_importance.entries],
+                    "importance": [list(e) for e in full_rank.entries],
                 },
                 "optimized": {
                     "base_value": opt_shap.base_value,
-                    "importance": [
-                        list(e) for e in artifacts.optimized_importance.entries
-                    ],
+                    "importance": [list(e) for e in opt_rank.entries],
                 },
                 "trends": trend_json,
             },
@@ -473,9 +530,9 @@ def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(report.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_rows(path, header, rows, delimiter=","):
+def _write_rows(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
+        writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -488,46 +545,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_descriptive_csv(stat_rows, path) -> None:
-    """``stat_rows``: dicts with variable plus the DescriptiveStats fields."""
-    _write_rows(
-        path,
-        ["variable", "n", "mean", "std_dev", "minimum", "median", "maximum", "skewness"],
-        [
-            [
-                row["variable"],
-                row["n"],
-                repr(row["mean"]),
-                repr(row["std_dev"]),
-                repr(row["minimum"]),
-                repr(row["median"]),
-                repr(row["maximum"]),
-                repr(row["skewness"]),
-            ]
-            for row in stat_rows
-        ],
-    )
-
-
-def write_correlation_csv(names, r, path) -> None:
-    names = list(names)
-    r = np.asarray(r, dtype=float)
-    _write_rows(
-        path,
-        ["variable"] + names,
-        [[name] + [repr(float(v)) for v in r[i]] for i, name in enumerate(names)],
-    )
-
-
-def write_vif_csv(names, values, path) -> None:
-    _write_rows(
-        path,
-        ["variable", "vif"],
-        [[name, repr(float(v))] for name, v in zip(names, values)],
-    )
-
-
-def write_inference_csv(rows, path) -> None:
+def write_inference_csv(fit: LogitFit, path) -> None:
+    """Per-feature inference rows of a converged fit."""
     _write_rows(
         path,
         ["feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald"],
@@ -541,34 +560,7 @@ def write_inference_csv(rows, path) -> None:
                 repr(r.exp_b),
                 repr(r.wald),
             ]
-            for r in rows
-        ],
-    )
-
-
-def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
-    _write_rows(path, ["tp", "fp", "tn", "fn"], [[cm.tp, cm.fp, cm.tn, cm.fn]])
-
-
-def write_metrics_csv(mets: ClassificationMetrics, path) -> None:
-    """Undefined metrics are written as the literal word ``undefined``."""
-    _write_rows(
-        path,
-        ["metric", "value"],
-        [
-            [name, _fmt(getattr(mets, name))]
-            for name in ("accuracy", "precision", "recall", "f1")
-        ],
-    )
-
-
-def write_roc_csv(roc: RocCurve, path) -> None:
-    _write_rows(
-        path,
-        ["fpr", "tpr", "threshold"],
-        [
-            [repr(pt[0]), repr(pt[1]), "" if t is None else repr(t)]
-            for pt, t in zip(roc.points, roc.thresholds)
+            for r in inference_table(fit)
         ],
     )
 
@@ -592,33 +584,80 @@ def write_importance_csv(ranking: ImportanceRanking, path) -> None:
     )
 
 
-def write_trend_comparison_csv(tc: TrendComparison, path) -> None:
-    """Two-model trend file; the optimized column is empty when the
-    optimized model does not use the feature."""
-    full = tc.full_curve
-    opt = tc.optimized_curve
-    rows = []
-    for i in range(full.x.size):
-        rows.append(
-            [
-                repr(float(full.x[i])),
-                repr(float(full.y[i])),
-                repr(float(opt.y[i])) if opt is not None else "",
-            ]
-        )
-    _write_rows(path, ["x", "smoothed_full", "smoothed_optimized"], rows)
+def write_trend_csv(curves: dict, path) -> None:
+    """Trend file: the x sites, then one smoothed column per named curve.
 
-
-def write_trend_csv(curve, path) -> None:
-    """Single-model trend file."""
+    The curves of one feature share their x sites; a None curve (a model
+    without the feature) leaves its column empty.
+    """
+    x = next(c.x for c in curves.values() if c is not None)
     _write_rows(
         path,
-        ["x", "smoothed"],
+        ["x"] + list(curves),
         [
-            [repr(float(curve.x[i])), repr(float(curve.y[i]))]
-            for i in range(curve.x.size)
+            [repr(float(x[i]))]
+            + ["" if c is None else repr(float(c.y[i])) for c in curves.values()]
+            for i in range(x.size)
         ],
     )
+
+
+def _targets(out_dir, *names) -> list:
+    os.makedirs(out_dir, exist_ok=True)
+    return [os.path.join(out_dir, name) for name in names]
+
+
+def write_describe_files(out_dir, fm: FeatureMatrix, description) -> list:
+    """The describe stage's files; ``description`` is what
+    ``describe_indicators`` returned.  Returns the paths written."""
+    stats, corr, vifs = description
+    paths = _targets(out_dir, "features.csv", "descriptive_stats.csv", "correlation.csv", "vif.csv")
+    write_feature_matrix_csv(fm, paths[0])
+    fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
+    _write_rows(
+        paths[1],
+        ["variable", "n", *fields],
+        [[row["variable"], row["n"]] + [repr(row[f]) for f in fields] for row in stats],
+    )
+    _write_rows(
+        paths[2],
+        ["variable"] + list(corr.names),
+        [[name] + [repr(float(v)) for v in corr.r[i]] for i, name in enumerate(corr.names)],
+    )
+    _write_rows(
+        paths[3],
+        ["variable", "vif"],
+        [[name, repr(float(v))] for name, v in zip(fm.column_names, vifs)],
+    )
+    return paths
+
+
+def write_select_files(out_dir, table: ComparisonTable) -> list:
+    """The select stage's candidate table, one column per model."""
+    paths = _targets(out_dir, "comparison.csv")
+    write_comparison_csv(table, paths[0])
+    return paths
+
+
+def write_evaluate_files(out_dir, cm: ConfusionMatrix, mets: ClassificationMetrics, roc: RocCurve) -> list:
+    """The evaluate stage's files, undefined metrics written as the
+    literal word ``undefined``.  Returns the paths written."""
+    paths = _targets(out_dir, "confusion.csv", "metrics.csv", "roc.csv")
+    _write_rows(paths[0], ["tp", "fp", "tn", "fn"], [[cm.tp, cm.fp, cm.tn, cm.fn]])
+    _write_rows(
+        paths[1],
+        ["metric", "value"],
+        [[name, _fmt(getattr(mets, name))] for name in ("accuracy", "precision", "recall", "f1")],
+    )
+    _write_rows(
+        paths[2],
+        ["fpr", "tpr", "threshold"],
+        [
+            [repr(pt[0]), repr(pt[1]), "" if t is None else repr(t)]
+            for pt, t in zip(roc.points, roc.thresholds)
+        ],
+    )
+    return paths
 
 
 def write_report_files(report: AnalysisReport, out_dir) -> list:
@@ -626,40 +665,26 @@ def write_report_files(report: AnalysisReport, out_dir) -> list:
     artifacts = report.artifacts
     if artifacts is None:
         raise ConfigError("report has no artifacts attached; run the pipeline first")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def target(name):
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        return path
-
-    with open(target("report.json"), "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
-
     fm = artifacts.feature_matrix
-    write_feature_matrix_csv(fm, target("features.csv"))
-    write_descriptive_csv(report.descriptive_stats, target("descriptive_stats.csv"))
-    write_correlation_csv(
-        report.correlation["names"], report.correlation["r"], target("correlation.csv")
-    )
-    write_vif_csv(report.vif["names"], report.vif["values"], target("vif.csv"))
-    for key, fit in (("full", artifacts.full_fit), ("optimized", artifacts.best_fit)):
-        write_inference_csv(inference_table(fit), target(f"inference_{key}.csv"))
-    write_comparison_csv(artifacts.comparison, target("comparison.csv"))
-    write_confusion_csv(artifacts.confusion, target("confusion.csv"))
-    write_metrics_csv(artifacts.metrics, target("metrics.csv"))
-    write_roc_csv(artifacts.roc, target("roc.csv"))
-    for key, shap in (
-        ("full", artifacts.full_shap),
-        ("optimized", artifacts.optimized_shap),
+    written = _targets(out_dir, "report.json")
+    with open(written[0], "w", encoding="utf-8") as handle:
+        handle.write(report_to_json(report))
+    written += write_describe_files(out_dir, fm, artifacts.description)
+    written += write_select_files(out_dir, artifacts.comparison)
+    written += write_evaluate_files(out_dir, artifacts.confusion, artifacts.metrics, artifacts.roc)
+    for key, fit, shap, ranking in (
+        ("full", artifacts.full_fit, artifacts.full_shap, artifacts.full_importance),
+        ("optimized", artifacts.best_fit, artifacts.optimized_shap, artifacts.optimized_importance),
     ):
-        write_shap_values_csv(shap, fm.row_ids, target(f"shap_{key}.csv"))
-    for key, ranking in (
-        ("full", artifacts.full_importance),
-        ("optimized", artifacts.optimized_importance),
-    ):
-        write_importance_csv(ranking, target(f"importance_{key}.csv"))
+        paths = _targets(out_dir, f"inference_{key}.csv", f"shap_{key}.csv", f"importance_{key}.csv")
+        write_inference_csv(fit, paths[0])
+        write_shap_values_csv(shap, fm.row_ids, paths[1])
+        write_importance_csv(ranking, paths[2])
+        written += paths
     for name, tc in artifacts.trends.items():
-        write_trend_comparison_csv(tc, target(f"trend_{name}.csv"))
+        path = os.path.join(out_dir, f"trend_{name}.csv")
+        write_trend_csv(
+            {"smoothed_full": tc.full_curve, "smoothed_optimized": tc.optimized_curve}, path
+        )
+        written.append(path)
     return written

@@ -1,10 +1,12 @@
 """Shared fixtures and generators for the test suite."""
 
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from stratlogit.errors import ConfigError, DataError
 from stratlogit.evaluate import make_split
 from stratlogit.indicators import build_feature_matrix
 from stratlogit.ingest import filter_eligible, parse_dataset
@@ -73,3 +75,41 @@ def make_problem(seed, n=300, p=4, beta_scale=1.0):
             )
             return design, beta
     raise AssertionError("could not generate a two-class problem")
+
+
+def kernel_shap(fit, x_row, background, max_features=12):
+    """Shapley values of one row by full coalition enumeration: the
+    oracle for the closed form in ``linear_shap``.
+
+    v(S) evaluates the log-odds with features outside S pinned to the
+    background means; each feature's attribution is the kernel-weighted
+    sum of its marginal contributions over all 2^(p-1) coalitions.
+    Exponential cost, so refuses more than ``max_features`` features.
+    """
+    p = len(fit.feature_names)
+    mu = np.asarray(background, dtype=float)
+    x = np.asarray(x_row, dtype=float)
+    if mu.shape != (p,) or x.shape != (p,):
+        raise DataError(f"kernel_shap: row {x.shape} / background {mu.shape}, want ({p},)")
+    if p > max_features:
+        raise ConfigError(
+            f"kernel_shap: {p} features means {2 ** p} coalitions; limit is {max_features}"
+        )
+    beta = fit.coef[1:]
+    delta = (x - mu) * beta
+    # v[mask] = log-odds with the masked features taken from x.
+    v = np.empty(2 ** p)
+    v[0] = float(fit.coef[0] + beta @ mu)
+    for mask in range(1, 2 ** p):
+        low = mask & -mask
+        v[mask] = v[mask ^ low] + delta[low.bit_length() - 1]
+    fact = [math.factorial(i) for i in range(p + 1)]
+    weight = [fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)]
+    phi = np.zeros(p)
+    for mask in range(2 ** p):
+        s = bin(mask).count("1")
+        for j in range(p):
+            bit = 1 << j
+            if not mask & bit:
+                phi[j] += weight[s] * (v[mask | bit] - v[mask])
+    return phi

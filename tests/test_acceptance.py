@@ -14,8 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import DATA, make_problem, sigmoid_ref
-from stratlogit.attribution import kernel_shap, linear_shap, lowess
+from conftest import DATA, kernel_shap, make_problem, sigmoid_ref
+from stratlogit.attribution import linear_shap, lowess
 from stratlogit.errors import (
     DegenerateInputError,
     SeparationError,

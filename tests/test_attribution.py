@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_problem
+from conftest import kernel_shap, make_problem
 from stratlogit.attribution import (
     ShapMatrix,
-    kernel_shap,
     linear_shap,
     lowess,
     mean_abs_importance,
@@ -156,6 +155,15 @@ class TestImportance:
         )
         with pytest.raises(DegenerateInputError):
             mean_abs_importance(s)
+
+    def test_bits_independent_of_feature_layout(self):
+        design, _ = make_problem(53, n=459, p=6)
+        fit = fit_logistic(design)
+        X = np.ascontiguousarray(design.X[:, 1:])
+        mu = X.mean(axis=0)
+        by_row = mean_abs_importance(linear_shap(fit, X, mu))
+        by_column = mean_abs_importance(linear_shap(fit, np.asfortranarray(X), mu))
+        assert by_column.entries == by_row.entries
 
 
 class TestLowess:

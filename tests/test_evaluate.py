@@ -1,4 +1,4 @@
-"""Split, prediction, confusion metrics, ROC/AUC, and k-fold CV."""
+"""Split, prediction, confusion metrics and ROC/AUC."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,12 @@ from stratlogit.errors import ConfigError, DataError, DegenerateInputError
 from stratlogit.evaluate import (
     ConfusionMatrix,
     classify,
-    k_fold_cv,
     make_split,
     metrics,
     predict_prob,
     roc_auc,
 )
-from stratlogit.indicators import FeatureMatrix
 from stratlogit.logit import fit_logistic
-
-
-def _matrix(n, p=3, seed=0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    values = rng.normal(size=(n, p))
-    target = (rng.random(n) < 0.5).astype(np.int64)
-    target[0], target[1] = 0, 1
-    return FeatureMatrix(
-        column_names=tuple(f"x{j}" for j in range(p)),
-        values=values,
-        target=target,
-        row_ids=tuple(f"r{i:04d}" for i in range(n)),
-    )
 
 
 def pair_count_auc(scores, y):
@@ -193,72 +178,3 @@ class TestRoc:
             roc_auc(np.linspace(0, 1, 5), np.ones(5, dtype=np.int64))
         with pytest.raises(DataError):
             roc_auc(np.array([0.1, 0.2, 0.3]), np.array([0, 1]))
-
-
-class TestKFold:
-    def test_shapes_and_determinism(self):
-        m = _matrix(120, p=3, seed=5)
-        a = k_fold_cv(m, k=5, seed=2)
-        b = k_fold_cv(m, k=5, seed=2)
-        assert a.k == 5 and len(a.folds) == 5
-        assert [f.accuracy for f in a.folds] == [f.accuracy for f in b.folds]
-        assert a.mean == b.mean and a.std == b.std
-        assert set(a.mean) == {"accuracy", "precision", "recall", "f1", "auc"}
-
-    def test_fold_sizes_differ_by_at_most_one(self):
-        m = _matrix(101, p=2, seed=6)
-        res = k_fold_cv(m, k=4, seed=0)
-        sizes = sorted(f.n_val for f in res.folds)
-        assert sizes == [25, 25, 25, 26]
-        assert [f.fold for f in res.folds] == [0, 1, 2, 3]
-
-    def test_mean_and_std_definition(self):
-        m = _matrix(150, p=3, seed=7)
-        res = k_fold_cv(m, k=3, seed=1)
-        accs = [f.accuracy for f in res.folds]
-        assert_allclose(res.mean["accuracy"], np.mean(accs), rtol=1e-15)
-        assert_allclose(res.std["accuracy"], np.std(accs, ddof=1), rtol=1e-12)
-        aucs = [f.auc for f in res.folds]
-        assert_allclose(res.mean["auc"], np.mean(aucs), rtol=1e-15)
-
-    def test_feature_subset_respected(self):
-        m = _matrix(90, p=4, seed=9)
-        res = k_fold_cv(m, features=("x1", "x3"), k=3, seed=0)
-        assert len(res.folds) == 3
-
-    def test_reshuffles_until_every_fold_has_both_classes(self):
-        # sparse positives interleaved along one axis: no fold assignment
-        # risks separation, but many shuffles strand all positives in one
-        # fold, so the retry loop has to do real work
-        x = np.linspace(0.0, 1.0, 30)
-        target = np.zeros(30, dtype=np.int64)
-        target[[6, 15, 24]] = 1
-        m = FeatureMatrix(
-            column_names=("x",),
-            values=x[:, None],
-            target=target,
-            row_ids=tuple(f"r{i}" for i in range(30)),
-        )
-        res = k_fold_cv(m, k=3, seed=0)
-        assert res.resample_attempts >= 1
-        for f in res.folds:
-            assert f.accuracy is not None
-
-    def test_unsatisfiable_class_spread_fails_typed(self):
-        values = np.arange(12.0).reshape(6, 2)
-        target = np.array([1, 0, 0, 0, 0, 0])
-        m = FeatureMatrix(
-            column_names=("a", "b"),
-            values=values,
-            target=target,
-            row_ids=tuple(f"r{i}" for i in range(6)),
-        )
-        with pytest.raises(DegenerateInputError):
-            k_fold_cv(m, k=3, seed=0)
-
-    def test_k_validation(self):
-        m = _matrix(40)
-        with pytest.raises(DegenerateInputError):
-            k_fold_cv(m, k=1, seed=0)
-        with pytest.raises(DegenerateInputError):
-            k_fold_cv(m, k=41, seed=0)

@@ -51,11 +51,11 @@ GOLDEN = {
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
         "importance_full.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
-        "importance_optimized.csv": "88ad9a71bee6db898d3e227e332643b31739a1ea4d0134bc02625aba9df3e0b3",
+        "importance_optimized.csv": "a4f7aeaf52356204a3c684507e659c4bdae7c6466ab5e1be93ce1b0a63141eda",
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "e803f85e7ac8d9b3903156f41d636c5d23580d76bec822106ec41020c53ddc34",
+        "report.json": "eabec7dbca4b277bae9bf8b654b0a4b65fe5b513b1de03a6b2f3d7bd5eb85f4e",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
@@ -77,11 +77,11 @@ GOLDEN = {
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
         "importance_full.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
-        "importance_optimized.csv": "88ad9a71bee6db898d3e227e332643b31739a1ea4d0134bc02625aba9df3e0b3",
+        "importance_optimized.csv": "a4f7aeaf52356204a3c684507e659c4bdae7c6466ab5e1be93ce1b0a63141eda",
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "ac5916299901b8398cfeeec7bb136389a1e10bc026cdffa854dfad472f2255ac",
+        "report.json": "dd8d85be3c25fd3c92e609588f53f012f498a3161c571d63188f7841d8b13ac1",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
@@ -127,14 +127,14 @@ GOLDEN = {
         "roc.csv": "affcbf1f8304f5cfaff60dbb61ddd912705f74ceaa28cec09c66030e82108c86",
     },
     "attribute-subset": {
-        "importance.csv": "4bdb1f3995ca79cd897406fb9670db205324c73d6fc4f18552aebf0488700790",
+        "importance.csv": "4c136f681167bdcaf241b0101f905c6fb73d4bc593d8e70a374a15874a5bec27",
         "shap_values.csv": "f4d1284046a3867fdc882c4a44aed9b9c2865ffcdd7a8524728d5fe882b9aafb",
         "trend_AW.csv": "e743c22ecc0f20c9e9d10a8044fb176b439bb6e392987e25774acf1e55acf248",
         "trend_CA.csv": "1b0b11213470f7ddbbcac2c2520dd371a66ab82f4e561bfe11f9f5172ceb6083",
         "trend_FR.csv": "f9ddddacbe8f32f76a15f51f100c4efa1c511964099f0ec6c9de9b6396c9cf98",
     },
     "attribute-all": {
-        "importance.csv": "3fa1c6c2e47cdd899757ae00b180e1b2fba30be4dfec9ab968cfdcaaf340558e",
+        "importance.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
         "shap_values.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "trend_AD.csv": "5a0c72c2a55d2283ba7d0c7c54b842ca68baea4e3cb73e24648de3d76483aa06",
         "trend_AW.csv": "37e7c377a05af41ea9b7dfed0fbf7996b4d03e21c5fce745f5c6e8aba38787d2",

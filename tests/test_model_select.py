@@ -15,7 +15,6 @@ from stratlogit.model_select import (
     comparison_to_dicts,
     enumerate_subsets,
     fit_all,
-    sample_subsets,
     write_comparison_csv,
 )
 
@@ -60,21 +59,6 @@ class TestEnumeration:
             enumerate_subsets(tuple(f"c{i}" for i in range(16)))
         with pytest.raises(ConfigError):
             enumerate_subsets(())
-
-    def test_sampling_distinct_and_seeded(self):
-        names = tuple(f"c{i}" for i in range(20))
-        a = sample_subsets(names, 40, seed=5)
-        b = sample_subsets(names, 40, seed=5)
-        assert [s.features for s in a] == [s.features for s in b]
-        assert len({s.features for s in a}) == 40
-        c = sample_subsets(names, 40, seed=6)
-        assert [s.features for s in a] != [s.features for s in c]
-
-    def test_sampling_bounds(self):
-        with pytest.raises(ConfigError):
-            sample_subsets(("a",), 2, seed=0)
-        with pytest.raises(ConfigError):
-            sample_subsets(("a", "b"), 0, seed=0)
 
 
 class TestModelSpec:

@@ -25,7 +25,6 @@ from stratlogit.network import (
     _components,
     _partition_of,
     build_graph,
-    core_authors,
     edge_betweenness,
     girvan_newman,
     modularity,
@@ -468,22 +467,6 @@ class TestNetworkxDifferential:
             assert theirs == ours
             compared.extend(ours)
         assert compared.count(4) >= 5 and max(compared) > 4
-
-
-class TestCoreAuthors:
-    def test_selection_order_and_dedup(self):
-        p = Partition(
-            assignment={"a": 0, "b": 0, "c": 1, "d": 1},
-            n_communities=2,
-            modularity=0.0,
-        )
-        flags = {"a": True, "b": False, "c": True, "d": True}
-        assert core_authors(p, flags) == ("a", "c", "d")
-
-    def test_missing_node_rejected(self):
-        p = Partition(assignment={"a": 0}, n_communities=1, modularity=0.0)
-        with pytest.raises(DataError):
-            core_authors(p, {})
 
 
 class TestEdgeListIo:

@@ -229,6 +229,30 @@ class TestCliReport:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("ingest", ["--delimiter", ";;"]),
+            ("describe", ["--delimiter", ";;"]),
+            ("fit", ["--delimiter", ";;"]),
+            ("communities", ["--delimiter", ";;"]),
+            ("fit", ["--max-iter", "0"]),
+            ("fit", ["--tol", "-1"]),
+            ("evaluate", ["--max-iter", "0"]),
+            ("evaluate", ["--tol", "-1"]),
+            ("select", ["--tol", "0"]),
+            ("attribute", ["--lowess-frac", "0"]),
+            ("report", ["--train-frac", "1"]),
+        ],
+    )
+    def test_bad_flag_exit_2_before_reading_input(self, command, flags, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        source = ["--coauthor-edges" if command == "communities" else "--input", missing]
+        rc = main([command, *source, *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config_error]") and "Traceback" not in err
+
     def test_missing_input_exit_3_with_stage(self, capsys):
         rc = main(["report", "--input", "/nonexistent.csv", "--out", "/tmp/x"])
         assert rc == 3
@@ -321,6 +345,16 @@ class TestCliSubcommands:
         assert (tmp_path / "shap_values.csv").exists()
         assert (tmp_path / "importance.csv").exists()
         assert (tmp_path / "trend_FR.csv").exists()
+
+    def test_attribute_importance_equals_report(self, tmp_path, stepwise_report):
+        # One model, two paths: the same importance bits.
+        report_files = tmp_path / "report"
+        write_report_files(stepwise_report, report_files)
+        rc = main(["attribute", "--input", SCHOLARS, "--out", str(tmp_path / "attribute")])
+        assert rc == 0
+        assert (tmp_path / "attribute" / "importance.csv").read_bytes() == (
+            report_files / "importance_full.csv"
+        ).read_bytes()
 
     def test_communities(self, tmp_path, capsys):
         rc = main(
