@@ -15,7 +15,9 @@ needs, through the same ``stratlogit.pipeline`` functions as
 
 ``fit``, ``evaluate`` and ``attribute`` use the ``--features`` subset
 (default all) where the report uses the selected model.  Flag values
-are validated as one RunConfig before any input is read.
+are validated as one RunConfig before any input is read.  This module
+parses arguments and builds the small ``fit.json``/``selection.json``
+payloads; every file is written by ``stratlogit.emit``.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 5 internal invariant breach.
@@ -24,8 +26,6 @@ Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import fields
 
@@ -34,14 +34,22 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, PipelineError, StratLogitError
 from .indicators import FEATURE_COLUMNS
-from .ingest import write_dataset_csv
-from .network import (
-    build_graph,
-    girvan_newman,
-    read_edge_list,
+from .emit import (
+    out_path,
+    write_comparison_csv,
     write_dendrogram_json,
+    write_describe_files,
+    write_evaluate_files,
+    write_importance_csv,
+    write_inference_csv,
+    write_json,
     write_partition_csv,
+    write_report_files,
+    write_shap_values_csv,
+    write_trend_csv,
 )
+from .ingest import write_dataset_csv
+from .network import build_graph, girvan_newman, read_edge_list
 from .pipeline import (
     RunConfig,
     attribute_fit,
@@ -57,14 +65,6 @@ from .pipeline import (
     split_rows,
     training_means,
     trend_curves,
-    write_describe_files,
-    write_evaluate_files,
-    write_importance_csv,
-    write_inference_csv,
-    write_report_files,
-    write_select_files,
-    write_shap_values_csv,
-    write_trend_csv,
 )
 
 
@@ -164,22 +164,11 @@ def _fit(args):
     return cfg, fm, split, fit_features(cfg, fm, split, features)
 
 
-def _out(out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _dump_json(payload, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False)
-        handle.write("\n")
-
-
 def cmd_ingest(args) -> int:
     cfg = _config(args)
     raw, eligible = load_dataset(cfg)
     kept = raw if args.keep_ineligible else eligible
-    path = _out(cfg.out_dir, "normalized.csv")
+    path = out_path(cfg.out_dir, "normalized.csv")
     write_dataset_csv(kept, path)
     print(f"read {raw.provenance.rows_read} rows, kept {len(kept.records)}, wrote {path}")
     return 0
@@ -200,8 +189,8 @@ def cmd_describe(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, _, _, fit = _fit(args)
-    write_inference_csv(fit, _out(cfg.out_dir, "inference.csv"))
-    _dump_json(model_summary(fit, "fit"), _out(cfg.out_dir, "fit.json"))
+    write_inference_csv(fit, out_path(cfg.out_dir, "inference.csv"))
+    write_json(model_summary(fit, "fit"), out_path(cfg.out_dir, "fit.json"))
     print(
         f"fit {'+'.join(fit.feature_names)} on {fit.n_obs} rows: converged={fit.converged} "
         f"iterations={fit.iterations} loglik={fit.log_lik!r} aic={fit.aic!r}"
@@ -213,10 +202,10 @@ def cmd_select(args) -> int:
     cfg = _config(args)
     fm, split = _split(cfg)
     table, best_row, _ = select_model(cfg, fm, split)
-    write_select_files(cfg.out_dir, table)
+    write_comparison_csv(table, out_path(cfg.out_dir, "comparison.csv"))
     payload = selection_summary(cfg, table, best_row)
     payload["best"]["bic"] = best_row.bic
-    _dump_json(payload, _out(cfg.out_dir, "selection.json"))
+    write_json(payload, out_path(cfg.out_dir, "selection.json"))
     print(
         f"searched {len(table.rows)} models ({cfg.selection}); "
         f"best {'+'.join(best_row.spec.features)} aic={best_row.aic!r}"
@@ -238,10 +227,10 @@ def cmd_evaluate(args) -> int:
 def cmd_attribute(args) -> int:
     cfg, fm, split, fit = _fit(args)
     shap, ranking = attribute_fit(fm, training_means(fm, split), fit, "attributed")
-    write_shap_values_csv(shap, fm.row_ids, _out(cfg.out_dir, "shap_values.csv"))
-    write_importance_csv(ranking, _out(cfg.out_dir, "importance.csv"))
+    write_shap_values_csv(shap, fm.row_ids, out_path(cfg.out_dir, "shap_values.csv"))
+    write_importance_csv(ranking, out_path(cfg.out_dir, "importance.csv"))
     for name, curve in trend_curves(fm, shap, cfg.lowess_frac).items():
-        write_trend_csv({"smoothed": curve}, _out(cfg.out_dir, f"trend_{name}.csv"))
+        write_trend_csv({"smoothed": curve}, out_path(cfg.out_dir, f"trend_{name}.csv"))
     top = ranking.entries[0]
     print(
         f"attributed {len(fit.feature_names)} features over {fm.n_rows} rows; "
@@ -254,8 +243,8 @@ def cmd_communities(args) -> int:
     edges = read_edge_list(args.coauthor_edges, delimiter=args.delimiter)
     graph = build_graph(edges)
     dendrogram, best = girvan_newman(graph, target_communities=args.target_communities)
-    write_partition_csv(best, _out(args.out_dir, "partition.csv"))
-    write_dendrogram_json(dendrogram, _out(args.out_dir, "dendrogram.json"))
+    write_partition_csv(best, out_path(args.out_dir, "partition.csv"))
+    write_dendrogram_json(dendrogram, out_path(args.out_dir, "dendrogram.json"))
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges "
         f"({graph.self_loops_dropped} self-loops dropped); "

@@ -21,7 +21,6 @@ target definition only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -189,12 +188,3 @@ def build_feature_matrix(d, weights: CompositeWeights | None = None) -> FeatureM
         target=target,
         row_ids=tuple(r.scholar_id for r in records),
     )
-
-
-def write_feature_matrix_csv(m: FeatureMatrix, path, delimiter: str = ",") -> None:
-    """Audit dump: one row per scholar, feature columns plus target."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(list(m.column_names) + ["target"])
-        for i in range(m.n_rows):
-            writer.writerow([repr(float(v)) for v in m.values[i]] + [int(m.target[i])])

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from .emit import write_csv
 from .errors import (
     CellParseError,
     DataError,
@@ -239,19 +240,6 @@ def filter_eligible(d: Dataset) -> Dataset:
     return Dataset(records=kept, provenance=d.provenance)
 
 
-def write_dataset_csv(d: Dataset, path, delimiter: str = ",") -> None:
+def write_dataset_csv(d: Dataset, path) -> None:
     """Write the normalized canonical CSV; parse(write(d)) reproduces d."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(COLUMNS)
-        for r in d.records:
-            row = []
-            for f in fields(ScholarRecord):
-                value = getattr(r, f.name)
-                if isinstance(value, bool):
-                    row.append("1" if value else "0")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+    write_csv(path, COLUMNS, ([getattr(r, name) for name in COLUMNS] for r in d.records))

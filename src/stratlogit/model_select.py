@@ -16,7 +16,6 @@ independent of the thread count.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,7 +27,7 @@ from .errors import ConfigError, DataError, DegenerateInputError, StratLogitErro
 from .evaluate import ConfusionMatrix, Split, classify, metrics, predict_prob
 from .logit import DesignMatrix, fit_logistic
 
-_METRIC_FIELDS = (
+METRIC_FIELDS = (
     "log_lik",
     "log_lik_null",
     "pseudo_r2",
@@ -132,7 +131,7 @@ def _fit_one(m, spec, split, max_iter, tol, model_id) -> ModelRow:
         failed=True,
         failure=None,
         coefficients=None,
-        **{f: None for f in _METRIC_FIELDS},
+        **{f: None for f in METRIC_FIELDS},
     )
     try:
         fit = fit_logistic(
@@ -272,46 +271,6 @@ def backward_stepwise(
     return StepwiseResult(path=ComparisonTable(rows=tuple(path)), best=current)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_comparison_csv(table: ComparisonTable, path, delimiter: str = ",") -> None:
-    """Wide export: one column per model, rows for coefficients and
-    performance metrics."""
-    rows = table.rows
-    coef_names = ["intercept"]
-    for r in rows:
-        for name in r.spec.features:
-            if name not in coef_names:
-                coef_names.append(name)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(["row"] + [r.model_id for r in rows])
-        writer.writerow(["features"] + ["+".join(r.spec.features) for r in rows])
-        writer.writerow(["n_train"] + [_cell(r.n_train) for r in rows])
-        writer.writerow(["k_params"] + [_cell(r.k_params) for r in rows])
-        writer.writerow(["converged"] + [_cell(r.converged) for r in rows])
-        writer.writerow(["failed"] + [_cell(r.failed) for r in rows])
-        writer.writerow(["failure"] + [_cell(r.failure) for r in rows])
-        for name in coef_names:
-            writer.writerow(
-                [f"coef_{name}"]
-                + [
-                    _cell(r.coefficients.get(name)) if r.coefficients else ""
-                    for r in rows
-                ]
-            )
-        for field in _METRIC_FIELDS:
-            writer.writerow([field] + [_cell(getattr(r, field)) for r in rows])
-
-
 def comparison_to_dicts(table: ComparisonTable) -> list:
     """JSON-friendly row dicts, in table order."""
     out = []
@@ -327,7 +286,7 @@ def comparison_to_dicts(table: ComparisonTable) -> list:
                 "failed": r.failed,
                 "failure": r.failure,
                 "coefficients": dict(r.coefficients) if r.coefficients else None,
-                **{f: getattr(r, f) for f in _METRIC_FIELDS},
+                **{f: getattr(r, f) for f in METRIC_FIELDS},
             }
         )
     return out

@@ -23,7 +23,6 @@ edge, so equal inputs give byte-equal outputs in every process.
 from __future__ import annotations
 
 import csv
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -332,28 +331,3 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
         if p.modularity > best.modularity:
             best = p
     return dendrogram, best
-
-
-def write_partition_csv(p: Partition, path, delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(["author", "community_id"])
-        for node in sorted(p.assignment):
-            writer.writerow([node, p.assignment[node]])
-
-
-def write_dendrogram_json(dendrogram, path) -> None:
-    """Summary of every recorded split: step, cut edge, component count
-    and modularity."""
-    payload = [
-        {
-            "step": p.step,
-            "removed_edge": list(p.removed_edge) if p.removed_edge else None,
-            "communities": p.n_communities,
-            "modularity": p.modularity,
-        }
-        for p in dendrogram
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False)
-        handle.write("\n")

@@ -1,4 +1,4 @@
-"""The analysis stages, the end-to-end pipeline and its file emission.
+"""The analysis stages and the end-to-end pipeline.
 
 Each stage is one function, shared by ``run_pipeline`` and the CLI
 subcommands:
@@ -13,25 +13,19 @@ subcommands:
     attribute   attribute_fit        one fit's attributions and their ranking
 
 ``run_pipeline`` runs them for the full and the selected model and
-assembles an AnalysisReport; ``write_report_files`` writes it with the
-per-stage writers the subcommands use, so each file has one format.
-Emission is deterministic: the JSON serialisation uses sorted keys and
-full-precision float repr, so two runs over the same input and
-configuration produce byte-identical report files.
+assembles an AnalysisReport.  This module writes no file: ``emit``
+owns every output format, and ``emit.write_report_files`` writes a
+report with the per-stage writers the subcommands use.
 
 Any stage failure in ``run_pipeline`` is re-raised as PipelineError
 carrying the stage name, the machine-readable error code of the
 underlying failure and a flag saying whether earlier stages had
-completed (a partial result existed).  Nothing is written for a failed
-run.
+completed (a partial result existed).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -46,6 +40,7 @@ from .attribution import (
     mean_abs_importance,
     trend_compare,
 )
+from .emit import jsonable
 from .errors import (
     ConfigError,
     InvariantBreachError,
@@ -63,12 +58,7 @@ from .evaluate import (
     predict_prob,
     roc_auc,
 )
-from .indicators import (
-    CompositeWeights,
-    FeatureMatrix,
-    build_feature_matrix,
-    write_feature_matrix_csv,
-)
+from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix
 from .ingest import filter_eligible, parse_dataset
 from .logit import (
     DesignMatrix,
@@ -83,7 +73,6 @@ from .model_select import (
     comparison_to_dicts,
     enumerate_subsets,
     fit_all,
-    write_comparison_csv,
 )
 from .stats_core import describe, pearson_matrix, vif
 
@@ -178,7 +167,7 @@ class AnalysisReport:
     artifacts: RunArtifacts = field(repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
-        return _py(
+        return jsonable(
             {
                 "tool": self.tool,
                 "config": self.config,
@@ -193,23 +182,6 @@ class AnalysisReport:
                 "attribution": self.attribution,
             }
         )
-
-
-def _py(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def model_summary(fit: LogitFit, model_id: str) -> dict:
@@ -524,167 +496,3 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         return report
 
     return stage("report", _assemble)
-
-
-def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_inference_csv(fit: LogitFit, path) -> None:
-    """Per-feature inference rows of a converged fit."""
-    _write_rows(
-        path,
-        ["feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald"],
-        [
-            [
-                r.feature,
-                repr(r.coef),
-                repr(r.std_err),
-                repr(r.z),
-                repr(r.p_two_sided),
-                repr(r.exp_b),
-                repr(r.wald),
-            ]
-            for r in inference_table(fit)
-        ],
-    )
-
-
-def write_shap_values_csv(shap: ShapMatrix, row_ids, path) -> None:
-    _write_rows(
-        path,
-        ["scholar_id"] + list(shap.feature_names),
-        [
-            [row_ids[i]] + [repr(float(v)) for v in shap.values[i]]
-            for i in range(shap.values.shape[0])
-        ],
-    )
-
-
-def write_importance_csv(ranking: ImportanceRanking, path) -> None:
-    _write_rows(
-        path,
-        ["feature", "mean_abs_shap"],
-        [[name, repr(score)] for name, score in ranking.entries],
-    )
-
-
-def write_trend_csv(curves: dict, path) -> None:
-    """Trend file: the x sites, then one smoothed column per named curve.
-
-    The curves of one feature share their x sites; a None curve (a model
-    without the feature) leaves its column empty.
-    """
-    x = next(c.x for c in curves.values() if c is not None)
-    _write_rows(
-        path,
-        ["x"] + list(curves),
-        [
-            [repr(float(x[i]))]
-            + ["" if c is None else repr(float(c.y[i])) for c in curves.values()]
-            for i in range(x.size)
-        ],
-    )
-
-
-def _targets(out_dir, *names) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    return [os.path.join(out_dir, name) for name in names]
-
-
-def write_describe_files(out_dir, fm: FeatureMatrix, description) -> list:
-    """The describe stage's files; ``description`` is what
-    ``describe_indicators`` returned.  Returns the paths written."""
-    stats, corr, vifs = description
-    paths = _targets(out_dir, "features.csv", "descriptive_stats.csv", "correlation.csv", "vif.csv")
-    write_feature_matrix_csv(fm, paths[0])
-    fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
-    _write_rows(
-        paths[1],
-        ["variable", "n", *fields],
-        [[row["variable"], row["n"]] + [repr(row[f]) for f in fields] for row in stats],
-    )
-    _write_rows(
-        paths[2],
-        ["variable"] + list(corr.names),
-        [[name] + [repr(float(v)) for v in corr.r[i]] for i, name in enumerate(corr.names)],
-    )
-    _write_rows(
-        paths[3],
-        ["variable", "vif"],
-        [[name, repr(float(v))] for name, v in zip(fm.column_names, vifs)],
-    )
-    return paths
-
-
-def write_select_files(out_dir, table: ComparisonTable) -> list:
-    """The select stage's candidate table, one column per model."""
-    paths = _targets(out_dir, "comparison.csv")
-    write_comparison_csv(table, paths[0])
-    return paths
-
-
-def write_evaluate_files(out_dir, cm: ConfusionMatrix, mets: ClassificationMetrics, roc: RocCurve) -> list:
-    """The evaluate stage's files, undefined metrics written as the
-    literal word ``undefined``.  Returns the paths written."""
-    paths = _targets(out_dir, "confusion.csv", "metrics.csv", "roc.csv")
-    _write_rows(paths[0], ["tp", "fp", "tn", "fn"], [[cm.tp, cm.fp, cm.tn, cm.fn]])
-    _write_rows(
-        paths[1],
-        ["metric", "value"],
-        [[name, _fmt(getattr(mets, name))] for name in ("accuracy", "precision", "recall", "f1")],
-    )
-    _write_rows(
-        paths[2],
-        ["fpr", "tpr", "threshold"],
-        [
-            [repr(pt[0]), repr(pt[1]), "" if t is None else repr(t)]
-            for pt, t in zip(roc.points, roc.thresholds)
-        ],
-    )
-    return paths
-
-
-def write_report_files(report: AnalysisReport, out_dir) -> list:
-    """Write report.json and the CSV side files; returns the paths."""
-    artifacts = report.artifacts
-    if artifacts is None:
-        raise ConfigError("report has no artifacts attached; run the pipeline first")
-    fm = artifacts.feature_matrix
-    written = _targets(out_dir, "report.json")
-    with open(written[0], "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
-    written += write_describe_files(out_dir, fm, artifacts.description)
-    written += write_select_files(out_dir, artifacts.comparison)
-    written += write_evaluate_files(out_dir, artifacts.confusion, artifacts.metrics, artifacts.roc)
-    for key, fit, shap, ranking in (
-        ("full", artifacts.full_fit, artifacts.full_shap, artifacts.full_importance),
-        ("optimized", artifacts.best_fit, artifacts.optimized_shap, artifacts.optimized_importance),
-    ):
-        paths = _targets(out_dir, f"inference_{key}.csv", f"shap_{key}.csv", f"importance_{key}.csv")
-        write_inference_csv(fit, paths[0])
-        write_shap_values_csv(shap, fm.row_ids, paths[1])
-        write_importance_csv(ranking, paths[2])
-        written += paths
-    for name, tc in artifacts.trends.items():
-        path = os.path.join(out_dir, f"trend_{name}.csv")
-        write_trend_csv(
-            {"smoothed_full": tc.full_curve, "smoothed_optimized": tc.optimized_curve}, path
-        )
-        written.append(path)
-    return written

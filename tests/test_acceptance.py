@@ -43,7 +43,8 @@ from stratlogit.network import (
     girvan_newman,
     modularity,
 )
-from stratlogit.pipeline import RunConfig, report_to_json, run_pipeline
+from stratlogit.emit import report_to_json
+from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.stats_core import two_sided_p, vif
 
 SCHOLARS = str(DATA / "synthetic_scholars.csv")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stratlogit.emit import write_feature_matrix_csv
 from stratlogit.errors import ConfigError, DataError, DegenerateInputError
 from stratlogit.indicators import (
     FEATURE_COLUMNS,
@@ -16,7 +17,6 @@ from stratlogit.indicators import (
     mobility_label,
     percentile_rank,
     post_density,
-    write_feature_matrix_csv,
 )
 from stratlogit.ingest import Dataset, Provenance, ScholarRecord
 

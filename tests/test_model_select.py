@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from stratlogit.emit import write_comparison_csv
 from stratlogit.errors import ConfigError, DataError, DegenerateInputError
 from stratlogit.evaluate import make_split
 from stratlogit.indicators import FeatureMatrix
@@ -15,7 +16,6 @@ from stratlogit.model_select import (
     comparison_to_dicts,
     enumerate_subsets,
     fit_all,
-    write_comparison_csv,
 )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stratlogit.emit import write_dendrogram_json, write_partition_csv
 from stratlogit.errors import (
     CellParseError,
     ConfigError,
@@ -29,8 +30,6 @@ from stratlogit.network import (
     girvan_newman,
     modularity,
     read_edge_list,
-    write_dendrogram_json,
-    write_partition_csv,
 )
 from stratlogit.synth import make_coauthor_edges
 

@@ -10,7 +10,8 @@ from conftest import DATA
 from stratlogit.cli import main
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.ingest import parse_dataset
-from stratlogit.pipeline import RunConfig, report_to_json, run_pipeline, write_report_files
+from stratlogit.emit import report_to_json, write_report_files
+from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
 SCHOLARS = str(DATA / "synthetic_scholars.csv")
