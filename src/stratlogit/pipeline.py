@@ -93,7 +93,6 @@ class RunConfig:
     tol: float = 1e-8
     selection: str = "enumerate"
     lowess_frac: float = 2.0 / 3.0
-    threads: Optional[int] = None
     delimiter: str = ","
 
     def validate(self) -> None:
@@ -117,8 +116,6 @@ class RunConfig:
             )
         if not (0.0 < self.lowess_frac <= 1.0):
             raise ConfigError(f"lowess_frac must be in (0, 1], got {self.lowess_frac}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
 
@@ -309,7 +306,6 @@ def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
             split,
             max_iter=cfg.max_iter,
             tol=cfg.tol,
-            threads=cfg.threads,
         )
         ordered, best_row = table.sorted_by_aic(), table.best_row()
     else:

@@ -55,7 +55,7 @@ GOLDEN = {
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "eabec7dbca4b277bae9bf8b654b0a4b65fe5b513b1de03a6b2f3d7bd5eb85f4e",
+        "report.json": "35891bf8c37aaff2842f93d270823173bf9109311495485cac66d2ad68e508d4",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
@@ -81,7 +81,7 @@ GOLDEN = {
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "dd8d85be3c25fd3c92e609588f53f012f498a3161c571d63188f7841d8b13ac1",
+        "report.json": "1c60ec3432e3dc3a12086b427e150c402ccae50fa470e76acdad24f3f8cecc68",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",

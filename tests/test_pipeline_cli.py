@@ -8,9 +8,9 @@ import pytest
 
 from conftest import DATA
 from stratlogit.cli import main
+from stratlogit.emit import report_to_json, write_report_files
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.ingest import parse_dataset
-from stratlogit.emit import report_to_json, write_report_files
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
@@ -136,6 +136,10 @@ class TestDeterminism:
             RunConfig(input_path=SCHOLARS, selection="stepwise", out_dir="/tmp/b")
         )
         assert report_to_json(a) == report_to_json(b)
+
+    def test_config_echo_has_no_thread_count(self, stepwise_report):
+        # STRAT_THREADS never changes the output, so the report echoes no thread count.
+        assert "threads" not in stepwise_report.to_json_dict()["config"]
 
     def test_normalized_roundtrip_preserves_analysis(self, tmp_path, stepwise_report):
         rc = main(["ingest", "--input", SCHOLARS, "--out", str(tmp_path)])
