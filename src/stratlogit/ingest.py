@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .emit import write_csv
 from .errors import (
     CellParseError,
+    ConfigError,
     DataError,
     DuplicateIdError,
     MissingColumnError,
@@ -143,6 +144,8 @@ def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
 
     Data rows are numbered from 1 in every error message.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     mapping = {name: name for name in COLUMNS}
     if schema:
         unknown = set(schema) - set(COLUMNS)

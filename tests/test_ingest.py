@@ -4,6 +4,7 @@ import pytest
 
 from stratlogit.errors import (
     CellParseError,
+    ConfigError,
     DataError,
     DuplicateIdError,
     MissingColumnError,
@@ -178,6 +179,12 @@ class TestParse:
         path = write_csv(tmp_path, [row()])
         with pytest.raises(DataError, match="unknown columns"):
             parse_dataset(path, schema={"bogus": "x"})
+
+    def test_delimiter_must_be_one_character(self, tmp_path):
+        path = write_csv(tmp_path, [row()])
+        for bad in (";;", ""):
+            with pytest.raises(ConfigError, match="single character"):
+                parse_dataset(path, delimiter=bad)
 
     def test_utf8_bom_header_accepted(self, tmp_path, scholar_csv):
         # spreadsheet CSV exports often start with a byte order mark
