@@ -277,6 +277,50 @@ class TestExports:
         got = [float(v) for v in by_label["aic"]]
         assert got == [r.aic for r in table.rows]
 
+    def test_undefined_metric_and_failed_fit_cells(self, tmp_path):
+        from stratlogit.model_select import ModelRow
+
+        scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
+        fitted = ModelRow(
+            model_id="model_001",
+            spec=ModelSpec(features=("a",)),
+            n_train=10,
+            k_params=2,
+            converged=True,
+            iterations=4,
+            failed=False,
+            failure=None,
+            coefficients={"intercept": 0.25, "a": -1.5},
+            precision=None,
+            recall=None,
+            f1=None,
+            **dict.fromkeys(scores, 0.5),
+        )
+        failed = ModelRow(
+            model_id="model_002",
+            spec=ModelSpec(features=("a", "b")),
+            n_train=10,
+            k_params=None,
+            converged=False,
+            iterations=None,
+            failed=True,
+            failure="separation: boom",
+            coefficients=None,
+            **dict.fromkeys(scores + ("precision", "recall", "f1")),
+        )
+        out = tmp_path / "comparison.csv"
+        write_comparison_csv(ComparisonTable(rows=(fitted, failed)), out)
+        with open(out, newline="") as handle:
+            by_label = {r[0]: r[1:] for r in csv.reader(handle)}
+        # empty denominator on a fitted candidate: undefined; fit raised: empty
+        for name in ("precision", "recall", "f1"):
+            assert by_label[name] == ["undefined", ""]
+        assert by_label["accuracy"] == ["0.5", ""]
+        assert by_label["k_params"] == ["2", ""]
+        assert by_label["failure"] == ["", "separation: boom"]
+        assert by_label["coef_a"] == ["-1.5", ""]
+        assert by_label["coef_b"] == ["", ""]
+
     def test_dict_export_matches_rows(self):
         m, names = planted_matrix(n=120)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
