@@ -10,10 +10,9 @@ with mu the background feature means.
 
 ``lowess`` smooths attribution-versus-feature scatters into trend
 curves: tricube-weighted local linear regression over the r nearest
-neighbours, r = ceil(frac * n), with optional bisquare robustness
-iterations.  The local problem is solved in shifted coordinates
-(y values relative to an in-window data value) so a constant input is
-reproduced exactly, not merely to round-off.
+neighbours, r = ceil(frac * n).  The local problem is solved in
+shifted coordinates (y values relative to an in-window data value) so
+a constant input is reproduced exactly, not merely to round-off.
 """
 
 from __future__ import annotations
@@ -121,17 +120,14 @@ class TrendCurve:
             raise DataError("trend curve contains non-finite values")
 
 
-def _local_fit(x, y, delta, x0, r) -> float:
+def _local_fit(x, y, x0, r) -> float:
     d = np.abs(x - x0)
     h = np.partition(d, r - 1)[r - 1]
     if h == 0.0:
-        w = np.where(d == 0.0, delta, 0.0)
+        w = np.where(d == 0.0, 1.0, 0.0)
     else:
         u = d / h
-        tri = np.where(u < 1.0, (1.0 - u ** 3) ** 3, 0.0)
-        w = tri * delta
-        if float(np.sum(w)) <= 0.0:
-            w = tri  # every in-window point downweighted to zero: drop robustness
+        w = np.where(u < 1.0, (1.0 - u ** 3) ** 3, 0.0)
     sw = float(np.sum(w))
     if sw <= 0.0:
         return float(np.mean(y[d == 0.0]))
@@ -152,7 +148,6 @@ def lowess(
     x,
     y,
     frac: float = 2.0 / 3.0,
-    robust_iters: int = 0,
     feature: str = "",
     model_id: str = "",
 ) -> TrendCurve:
@@ -160,10 +155,8 @@ def lowess(
 
     Neighbourhood: the r = ceil(frac * n) nearest points by |x - x0|
     (at least 2), weighted by tricube(d / d_(r)).  A local weighted
-    linear fit supplies the smoothed value; ``robust_iters`` extra
-    passes reweight by the bisquare of scaled residuals to resist
-    outliers.  Smoothed values are reported at the sorted distinct x
-    sites.
+    linear fit supplies the smoothed value.  Smoothed values are
+    reported at the sorted distinct x sites.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -176,24 +169,11 @@ def lowess(
         raise DataError("lowess: non-finite input")
     if not (0.0 < frac <= 1.0):
         raise ConfigError(f"lowess: frac must be in (0, 1], got {frac}")
-    if robust_iters < 0:
-        raise ConfigError(f"lowess: robust_iters must be >= 0, got {robust_iters}")
     sites = np.unique(x)
     if sites.size < 2:
         raise DegenerateInputError("lowess: need at least 2 distinct x values")
     r = min(n, max(2, math.ceil(frac * n)))
-    site_of = np.searchsorted(sites, x)
-    delta = np.ones(n)
-    smoothed = np.empty(sites.size)
-    for _ in range(robust_iters + 1):
-        for i, x0 in enumerate(sites):
-            smoothed[i] = _local_fit(x, y, delta, x0, r)
-        resid = y - smoothed[site_of]
-        scale = float(np.median(np.abs(resid)))
-        if scale <= 0.0:
-            break
-        u = resid / (6.0 * scale)
-        delta = np.where(np.abs(u) < 1.0, (1.0 - u ** 2) ** 2, 0.0)
+    smoothed = np.array([_local_fit(x, y, x0, r) for x0 in sites])
     return TrendCurve(feature=feature, model_id=model_id, frac=frac, x=sites, y=smoothed)
 
 
