@@ -9,6 +9,7 @@ trapezoidal AUC.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
