@@ -32,8 +32,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PipelineError, StratLogitError
-from .indicators import FEATURE_COLUMNS
 from .emit import (
     out_path,
     write_comparison_csv,
@@ -48,6 +46,8 @@ from .emit import (
     write_shap_values_csv,
     write_trend_csv,
 )
+from .errors import ConfigError, PipelineError, StratLogitError
+from .indicators import FEATURE_COLUMNS
 from .ingest import write_dataset_csv
 from .network import build_graph, girvan_newman, read_edge_list
 from .pipeline import (

@@ -90,12 +90,8 @@ def _floats(values) -> list:
 
 
 def _metric(value):
-    """A metric cell: None, a metric whose denominator is empty, reads ``undefined``."""
+    """A metric's cell: None, an empty denominator, reads ``undefined``."""
     return UNDEFINED if value is None else value
-
-
-def report_to_json(report) -> str:
-    return to_json(report.to_json_dict())
 
 
 def write_feature_matrix_csv(m, path) -> None:
@@ -195,7 +191,10 @@ def write_evaluate_files(out_dir, cm, mets, roc) -> list:
     write_csv(
         paths[1],
         ["metric", "value"],
-        ([name, _metric(getattr(mets, name))] for name in ("accuracy", "precision", "recall", "f1")),
+        (
+            [name, _metric(getattr(mets, name))]
+            for name in ("accuracy", "precision", "recall", "f1")
+        ),
     )
     write_csv(
         paths[2],
@@ -238,7 +237,9 @@ def write_report_files(report, out_dir) -> list:
 
 
 def write_partition_csv(p, path) -> None:
-    write_csv(path, ["author", "community_id"], ((n, p.assignment[n]) for n in sorted(p.assignment)))
+    write_csv(
+        path, ["author", "community_id"], ((n, p.assignment[n]) for n in sorted(p.assignment))
+    )
 
 
 def write_dendrogram_json(dendrogram, path) -> None:

@@ -43,7 +43,7 @@ from stratlogit.network import (
     girvan_newman,
     modularity,
 )
-from stratlogit.emit import report_to_json
+from stratlogit.emit import to_json
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.stats_core import two_sided_p, vif
 
@@ -421,8 +421,8 @@ def test_11_end_to_end_determinism():
         cfg = RunConfig(input_path=SCHOLARS)
         first = run_pipeline(cfg)
         second = run_pipeline(cfg)
-        a = report_to_json(first)
-        b = report_to_json(second)
+        a = to_json(first.to_json_dict())
+        b = to_json(second.to_json_dict())
         check(f, a == b, "rerun JSON differs")
         check(
             f,

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DATA
 from stratlogit.cli import main
-from stratlogit.emit import report_to_json, write_report_files
+from stratlogit.emit import to_json, write_report_files
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.ingest import parse_dataset
 from stratlogit.pipeline import RunConfig, run_pipeline
@@ -124,8 +124,8 @@ class TestRunPipeline:
 class TestDeterminism:
     def test_byte_identical_json(self):
         cfg = RunConfig(input_path=SCHOLARS, selection="stepwise", seed=3)
-        a = report_to_json(run_pipeline(cfg))
-        b = report_to_json(run_pipeline(cfg))
+        a = to_json(run_pipeline(cfg).to_json_dict())
+        b = to_json(run_pipeline(cfg).to_json_dict())
         assert a == b
 
     def test_out_dir_does_not_leak_into_report(self):
@@ -135,7 +135,7 @@ class TestDeterminism:
         b = run_pipeline(
             RunConfig(input_path=SCHOLARS, selection="stepwise", out_dir="/tmp/b")
         )
-        assert report_to_json(a) == report_to_json(b)
+        assert to_json(a.to_json_dict()) == to_json(b.to_json_dict())
 
     def test_config_echo_has_no_thread_count(self, stepwise_report):
         # STRAT_THREADS never changes the output, so the report echoes no thread count.
