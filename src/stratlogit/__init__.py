@@ -12,6 +12,7 @@ reports.
 
 __version__ = "0.1.0"
 
+from .emit import write_report_files  # noqa: F401
 from .errors import (  # noqa: F401
     CellParseError,
     ConfigError,
@@ -31,5 +32,4 @@ from .errors import (  # noqa: F401
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix  # noqa: F401
 from .ingest import Dataset, ScholarRecord, filter_eligible, parse_dataset  # noqa: F401
 from .logit import DesignMatrix, LogitFit, fit_logistic, inference_table  # noqa: F401
-from .emit import write_report_files  # noqa: F401
 from .pipeline import AnalysisReport, RunConfig, run_pipeline  # noqa: F401
