@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError
 from .logit import inference_table
 from .model_select import METRIC_FIELDS, comparison_to_dicts
 
@@ -114,6 +114,8 @@ def write_comparison_csv(table, path) -> None:
     empty reads ``undefined``.
     """
     models = comparison_to_dicts(table)
+    if not models:
+        raise DegenerateInputError("comparison table has no rows to write")
     fitted = [m["coefficients"] is not None for m in models]
     coef_names = dict.fromkeys(["intercept"] + [f for m in models for f in m["features"]])
     rows = []

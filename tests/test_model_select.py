@@ -321,6 +321,10 @@ class TestExports:
         assert by_label["coef_a"] == ["-1.5", ""]
         assert by_label["coef_b"] == ["", ""]
 
+    def test_empty_table_rejected(self, tmp_path):
+        with pytest.raises(DegenerateInputError):
+            write_comparison_csv(ComparisonTable(rows=()), tmp_path / "comparison.csv")
+
     def test_dict_export_matches_rows(self):
         m, names = planted_matrix(n=120)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
