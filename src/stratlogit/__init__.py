@@ -4,7 +4,7 @@ Turns a CSV of scholar social-media records into derived activity
 indicators and a stratification mobility label, fits and selects
 logistic regression models by information criteria, scores them on a
 held-out partition, explains them with exact additive attributions and
-smoothed trend curves, and detects collaboration communities by
+attribution trend curves, and detects collaboration communities by
 betweenness-based graph division.  A single deterministic pipeline (and
 a matching CLI) wires the stages together and emits machine-readable
 reports.

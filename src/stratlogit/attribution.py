@@ -1,4 +1,4 @@
-"""Exact additive feature attributions and trend smoothing.
+"""Exact additive feature attributions and their trend curves.
 
 For a fitted logistic model the attribution of feature j on row i is
 computed on the log-odds scale, where the model is exactly linear, so
@@ -6,13 +6,10 @@ Shapley values have a closed form:
 
     phi_ij = beta_j * (x_ij - mu_j),        base = beta_0 + beta . mu
 
-with mu the background feature means.
-
-``lowess`` smooths attribution-versus-feature scatters into trend
-curves: tricube-weighted local linear regression over the r nearest
-neighbours, r = ceil(frac * n).  The local problem is solved in
-shifted coordinates (y values relative to an in-window data value) so
-a constant input is reproduced exactly, not merely to round-off.
+with mu the background feature means.  As phi_ij depends on x_ij
+alone, the trend curve of feature j is phi at its sorted distinct
+values.  ``lowess``, a local-linear smoother that returns the same
+line, is kept only as the tests' oracle; nothing here calls it.
 """
 
 from __future__ import annotations
@@ -109,7 +106,6 @@ def mean_abs_importance(s: ShapMatrix) -> ImportanceRanking:
 class TrendCurve:
     feature: str
     model_id: str
-    frac: float
     x: np.ndarray
     y: np.ndarray
 
@@ -118,6 +114,25 @@ class TrendCurve:
             raise DataError("trend curve x/y must be matching 1-D arrays")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
             raise DataError("trend curve contains non-finite values")
+
+
+def attribution_trend(x, phi, feature: str = "", model_id: str = "") -> TrendCurve:
+    """The attribution ``phi`` at each sorted distinct ``x``; DataError
+    if rows with equal ``x`` carry different ``phi``."""
+    # + 0.0 turns -0.0 into 0.0, so the row that supplies a site cannot
+    # change the bits written for it.
+    x = np.asarray(x, dtype=float) + 0.0
+    phi = np.asarray(phi, dtype=float) + 0.0
+    if x.shape != phi.shape or x.ndim != 1:
+        raise DataError("attribution_trend: x and phi must be matching 1-D arrays")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(phi)):
+        raise DataError("attribution_trend: non-finite input")
+    sites, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    if sites.size < 2:
+        raise DegenerateInputError("attribution_trend: need at least 2 distinct x values")
+    if not np.array_equal(phi[first][inverse], phi):
+        raise DataError(f"attribution_trend: {feature or 'phi'} is not a function of x")
+    return TrendCurve(feature=feature, model_id=model_id, x=sites, y=phi[first])
 
 
 def _local_fit(x, y, x0, r) -> float:
@@ -174,12 +189,12 @@ def lowess(
         raise DegenerateInputError("lowess: need at least 2 distinct x values")
     r = min(n, max(2, math.ceil(frac * n)))
     smoothed = np.array([_local_fit(x, y, x0, r) for x0 in sites])
-    return TrendCurve(feature=feature, model_id=model_id, frac=frac, x=sites, y=smoothed)
+    return TrendCurve(feature=feature, model_id=model_id, x=sites, y=smoothed)
 
 
 @dataclass(frozen=True)
 class TrendComparison:
-    """Smoothed attribution trends of one feature under two models.
+    """Attribution trends of one feature under two models.
 
     A model that does not use the feature contributes no curve; its id
     is listed in ``missing_from`` so reports can say why one line is
@@ -197,22 +212,16 @@ def trend_compare(
     optimized: ShapMatrix,
     feature: str,
     feature_values,
-    frac: float = 2.0 / 3.0,
 ) -> TrendComparison:
-    """LOWESS trend of attribution against feature value, per model."""
-    fx = np.asarray(feature_values, dtype=float)
+    """Trend of attribution against feature value, per model."""
     if full.model_id == optimized.model_id:
         raise DataError("trend_compare: the two models need distinct model_ids")
     curves = {}
     missing = []
     for s in (full, optimized):
         if feature in s.feature_names:
-            if fx.shape != (s.values.shape[0],):
-                raise DataError(
-                    "trend_compare: feature_values length does not match shap rows"
-                )
-            curves[s.model_id] = lowess(
-                fx, s.column(feature), frac=frac, feature=feature, model_id=s.model_id
+            curves[s.model_id] = attribution_trend(
+                feature_values, s.column(feature), feature=feature, model_id=s.model_id
             )
         else:
             missing.append(s.model_id)

@@ -102,15 +102,6 @@ def _add_select_arg(p):
     )
 
 
-def _add_lowess_arg(p):
-    p.add_argument(
-        "--lowess-frac",
-        type=float,
-        default=2.0 / 3.0,
-        help="LOWESS neighbourhood fraction (default 2/3)",
-    )
-
-
 def _add_out_arg(p):
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
@@ -229,7 +220,7 @@ def cmd_attribute(args) -> int:
     shap, ranking = attribute_fit(fm, training_means(fm, split), fit, "attributed")
     write_shap_values_csv(shap, fm.row_ids, out_path(cfg.out_dir, "shap_values.csv"))
     write_importance_csv(ranking, out_path(cfg.out_dir, "importance.csv"))
-    for name, curve in trend_curves(fm, shap, cfg.lowess_frac).items():
+    for name, curve in trend_curves(fm, shap).items():
         write_trend_csv({"smoothed": curve}, out_path(cfg.out_dir, f"trend_{name}.csv"))
     top = ranking.entries[0]
     print(
@@ -315,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_model_args(p)
     _add_features_arg(p)
-    _add_lowess_arg(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_attribute)
 
@@ -335,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_model_args(p)
     _add_select_arg(p)
-    _add_lowess_arg(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_report)
 

@@ -152,7 +152,7 @@ def write_importance_csv(ranking, path) -> None:
 
 
 def write_trend_csv(curves: dict, path) -> None:
-    """Trend file: the x sites, then one smoothed column per named curve.
+    """Trend file: the x sites, then one attribution column per named curve.
 
     The curves of one feature share their x sites; a None curve (a model
     without the feature) leaves its column empty.

@@ -35,8 +35,8 @@ from . import __version__
 from .attribution import (
     ImportanceRanking,
     ShapMatrix,
+    attribution_trend,
     linear_shap,
-    lowess,
     mean_abs_importance,
     trend_compare,
 )
@@ -92,7 +92,6 @@ class RunConfig:
     max_iter: int = 1000
     tol: float = 1e-8
     selection: str = "enumerate"
-    lowess_frac: float = 2.0 / 3.0
     delimiter: str = ","
 
     def validate(self) -> None:
@@ -114,8 +113,6 @@ class RunConfig:
             raise ConfigError(
                 f"selection must be one of {SELECTION_MODES}, got {self.selection!r}"
             )
-        if not (0.0 < self.lowess_frac <= 1.0):
-            raise ConfigError(f"lowess_frac must be in (0, 1], got {self.lowess_frac}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
 
@@ -355,11 +352,11 @@ def attribute_fit(fm: FeatureMatrix, background, fit: LogitFit, model_id: str) -
     return shap, mean_abs_importance(shap)
 
 
-def trend_curves(fm: FeatureMatrix, shap: ShapMatrix, frac: float) -> dict:
-    """LOWESS trend of each attribution column of one model against its feature."""
+def trend_curves(fm: FeatureMatrix, shap: ShapMatrix) -> dict:
+    """Trend of each attribution column of one model against its feature."""
     return {
-        name: lowess(
-            fm.column(name), shap.column(name), frac=frac, feature=name, model_id=shap.model_id
+        name: attribution_trend(
+            fm.column(name), shap.column(name), feature=name, model_id=shap.model_id
         )
         for name in shap.feature_names
     }
@@ -395,7 +392,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
         opt_shap, opt_rank = attribute_fit(fm, background, best_fit, "optimized")
         trends = {
-            name: trend_compare(full_shap, opt_shap, name, fm.column(name), frac=cfg.lowess_frac)
+            name: trend_compare(full_shap, opt_shap, name, fm.column(name))
             for name in fm.column_names
         }
         return background, full_shap, full_rank, opt_shap, opt_rank, trends

@@ -1,15 +1,18 @@
-"""Additive attributions (closed form vs coalition enumeration) and
-LOWESS trend smoothing against an independent reference."""
+"""Additive attributions (closed form vs coalition enumeration), their
+trend curves, and the LOWESS oracle against an independent reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import kernel_shap, make_problem
 from stratlogit.attribution import (
     ShapMatrix,
+    attribution_trend,
     linear_shap,
     lowess,
     mean_abs_importance,
@@ -240,12 +243,11 @@ class TestTrendCompare:
     def test_shared_feature_yields_two_curves(self):
         design, full, optimized = self._two_models()
         feature = design.feature_names[0]
-        cmp = trend_compare(full, optimized, feature, design.X[:, 1], frac=0.5)
+        cmp = trend_compare(full, optimized, feature, design.X[:, 1])
         assert cmp.full_curve is not None
         assert cmp.optimized_curve is not None
         assert cmp.missing_from == ()
         assert cmp.full_curve.model_id == "full"
-        assert cmp.optimized_curve.frac == 0.5
 
     def test_feature_dropped_from_one_model(self):
         design, full, optimized = self._two_models()
@@ -269,3 +271,58 @@ class TestTrendCompare:
         design, full, optimized = self._two_models()
         with pytest.raises(DataError):
             trend_compare(full, optimized, design.feature_names[0], np.zeros(3))
+
+
+class TestAttributionTrend:
+    def test_attribution_at_sorted_distinct_sites(self):
+        x = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
+        curve = attribution_trend(x, 2.0 * (x - 2.0), feature="f", model_id="m")
+        assert curve.x.tolist() == [1.0, 2.0, 3.0]
+        assert curve.y.tolist() == [-2.0, 0.0, 2.0]
+        assert (curve.feature, curve.model_id) == ("f", "m")
+
+    def test_attributions_not_a_function_of_x_rejected(self):
+        values = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, -0.5]])
+        full = ShapMatrix("full", ("a", "b"), values, 0.0)
+        optimized = ShapMatrix("optimized", ("b",), values[:, 1:], 0.0)
+        x = np.array([1.0, 1.0, 2.0])
+        with pytest.raises(DataError):
+            trend_compare(full, optimized, "a", x)
+        # Column b is a function of the same x, so it is accepted.
+        cmp = trend_compare(full, optimized, "b", x)
+        assert cmp.full_curve.y.tolist() == [0.5, -0.5]
+
+    def test_validation(self):
+        x = np.linspace(0, 1, 10)
+        with pytest.raises(DataError):
+            attribution_trend(x, x[:-1])
+        with pytest.raises(DataError):
+            attribution_trend(x.reshape(2, 5), x.reshape(2, 5))
+        with pytest.raises(DataError):
+            attribution_trend(x, np.concatenate([x[:-1], [np.nan]]))
+        with pytest.raises(DataError):
+            attribution_trend(np.concatenate([x[:-1], [np.inf]]), x)
+        with pytest.raises(DegenerateInputError):
+            attribution_trend(np.ones(5), np.zeros(5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pool=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+            min_size=2,
+            max_size=8,
+        ),
+        picks=st.lists(st.integers(0, 7), min_size=2, max_size=60),
+        beta=st.floats(-50.0, 50.0, allow_nan=False),
+        mu=st.floats(-1e3, 1e3, allow_nan=False) | st.just(0.0),
+        data=st.data(),
+    )
+    def test_row_order_does_not_move_bits(self, pool, picks, beta, mu, data):
+        x = np.array([pool[i % len(pool)] for i in picks])
+        assume(np.unique(x).size >= 2)
+        phi = (x - mu) * beta
+        order = np.array(data.draw(st.permutations(range(x.size))))
+        ref = attribution_trend(x, phi)
+        got = attribution_trend(x[order], phi[order])
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.y.tobytes() == ref.y.tobytes()

@@ -55,19 +55,19 @@ GOLDEN = {
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "35891bf8c37aaff2842f93d270823173bf9109311495485cac66d2ad68e508d4",
+        "report.json": "0c57db2e7e445a5edcb96eebd3e88b26c9bb32eaaab6fcf03a07dadfc7e888ec",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "9f5bb89f963d957fb67875410a33d39fb731ff53986ab99a499677c3b25f54be",
-        "trend_AW.csv": "c0ad6a50d2bb6a137a291cb02a9c4d2000d934e871a1c51985289a047f6db9fe",
-        "trend_C.csv": "c22b25c114c81a271fd1cd457ff747c3572de4a63a7bcb5130cd498f009b2484",
-        "trend_CA.csv": "f0ff84cb8ea93cadfce218e895f0326b7671597fccde3fedbf21fee929c08f9c",
-        "trend_FGR.csv": "14ecfb7a42860d7e6f0a37dbefc84d150fc5a71c22064a01c66079dff3301d38",
-        "trend_FR.csv": "9bb21fe0f972f66e3de81f8b2b145e8a110ee61e989dcf170e72d82ebe38b0e2",
-        "trend_P.csv": "8baa8a3950f6daf66a7344577ef6edc89acd1331752a745ace443de9a8fed9f3",
-        "trend_PC.csv": "8d965cf649e520eafce5db283ba1fe524bc4efadffcac1b92948264b5bc28894",
-        "trend_TD.csv": "94ed3bb2ad8c853955175b640ea2fc7263539e5ff6610a3b6844c196fe1ef945",
+        "trend_AD.csv": "c3ff1599395184229f9a7166d4019e4b0fc3e4e2c38076a7f581ba1a97f65968",
+        "trend_AW.csv": "7be91748795cb298ebe92c9ec95003babf71a8c844462e0e90f4a52c1a706916",
+        "trend_C.csv": "df49a8c73bc0a7fc816ba5b0527a376fe6e186482caba2e540ead2b857864a09",
+        "trend_CA.csv": "c3435f28476ac9ed99cb20fd4df7b7fd36ca8964a54dcba55eb32a2dbbb0616d",
+        "trend_FGR.csv": "f7cb69189717b1c5318f731f9223ecb3c6c8bb2cbe79c93a8c80a0f746da1cb2",
+        "trend_FR.csv": "1edffb0f011d4d05d7f8aa2316166c66434841eb09ae7a4fdb50ecc50966e974",
+        "trend_P.csv": "4bb72d136fe9d050c337647a2e3bee5a1df117cf317cb51acd92ebbbb15fa2f6",
+        "trend_PC.csv": "7f3fa5082ecff3433c79bee4cb0dec4fc898d797e66b06da8105f4df18b370a0",
+        "trend_TD.csv": "be3e4c12eea892d25b9c55f34502c4bf61b70d721d134725c17eca7396898e50",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "report-stepwise": {
@@ -81,19 +81,19 @@ GOLDEN = {
         "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
         "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "1c60ec3432e3dc3a12086b427e150c402ccae50fa470e76acdad24f3f8cecc68",
+        "report.json": "f233a8432330535cd1c010ab4a01128f63eac5208e071323b5186d502cdd7c9c",
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "9f5bb89f963d957fb67875410a33d39fb731ff53986ab99a499677c3b25f54be",
-        "trend_AW.csv": "c0ad6a50d2bb6a137a291cb02a9c4d2000d934e871a1c51985289a047f6db9fe",
-        "trend_C.csv": "c22b25c114c81a271fd1cd457ff747c3572de4a63a7bcb5130cd498f009b2484",
-        "trend_CA.csv": "f0ff84cb8ea93cadfce218e895f0326b7671597fccde3fedbf21fee929c08f9c",
-        "trend_FGR.csv": "14ecfb7a42860d7e6f0a37dbefc84d150fc5a71c22064a01c66079dff3301d38",
-        "trend_FR.csv": "9bb21fe0f972f66e3de81f8b2b145e8a110ee61e989dcf170e72d82ebe38b0e2",
-        "trend_P.csv": "8baa8a3950f6daf66a7344577ef6edc89acd1331752a745ace443de9a8fed9f3",
-        "trend_PC.csv": "8d965cf649e520eafce5db283ba1fe524bc4efadffcac1b92948264b5bc28894",
-        "trend_TD.csv": "94ed3bb2ad8c853955175b640ea2fc7263539e5ff6610a3b6844c196fe1ef945",
+        "trend_AD.csv": "c3ff1599395184229f9a7166d4019e4b0fc3e4e2c38076a7f581ba1a97f65968",
+        "trend_AW.csv": "7be91748795cb298ebe92c9ec95003babf71a8c844462e0e90f4a52c1a706916",
+        "trend_C.csv": "df49a8c73bc0a7fc816ba5b0527a376fe6e186482caba2e540ead2b857864a09",
+        "trend_CA.csv": "c3435f28476ac9ed99cb20fd4df7b7fd36ca8964a54dcba55eb32a2dbbb0616d",
+        "trend_FGR.csv": "f7cb69189717b1c5318f731f9223ecb3c6c8bb2cbe79c93a8c80a0f746da1cb2",
+        "trend_FR.csv": "1edffb0f011d4d05d7f8aa2316166c66434841eb09ae7a4fdb50ecc50966e974",
+        "trend_P.csv": "4bb72d136fe9d050c337647a2e3bee5a1df117cf317cb51acd92ebbbb15fa2f6",
+        "trend_PC.csv": "7f3fa5082ecff3433c79bee4cb0dec4fc898d797e66b06da8105f4df18b370a0",
+        "trend_TD.csv": "be3e4c12eea892d25b9c55f34502c4bf61b70d721d134725c17eca7396898e50",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "ingest": {
@@ -129,22 +129,22 @@ GOLDEN = {
     "attribute-subset": {
         "importance.csv": "4c136f681167bdcaf241b0101f905c6fb73d4bc593d8e70a374a15874a5bec27",
         "shap_values.csv": "f4d1284046a3867fdc882c4a44aed9b9c2865ffcdd7a8524728d5fe882b9aafb",
-        "trend_AW.csv": "e743c22ecc0f20c9e9d10a8044fb176b439bb6e392987e25774acf1e55acf248",
-        "trend_CA.csv": "1b0b11213470f7ddbbcac2c2520dd371a66ab82f4e561bfe11f9f5172ceb6083",
-        "trend_FR.csv": "f9ddddacbe8f32f76a15f51f100c4efa1c511964099f0ec6c9de9b6396c9cf98",
+        "trend_AW.csv": "0e22ad5ed35df29a5ac89dd67728e28844aa26671becd4de56c58d25f2a4c4c0",
+        "trend_CA.csv": "4f4004128d4b1c67c3bdaa1f2eda8a84e56470d0da41c566c6d762a54ffc365f",
+        "trend_FR.csv": "5a311e05babf617c7b402771a2efeb47ce09f4e28c9d710d9edb3c668dd2d3bb",
     },
     "attribute-all": {
         "importance.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
         "shap_values.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
-        "trend_AD.csv": "5a0c72c2a55d2283ba7d0c7c54b842ca68baea4e3cb73e24648de3d76483aa06",
-        "trend_AW.csv": "37e7c377a05af41ea9b7dfed0fbf7996b4d03e21c5fce745f5c6e8aba38787d2",
-        "trend_C.csv": "7d2237eaff0630e4672ce91e828d50a17240cfbf49a8900be72732be8e11db4c",
-        "trend_CA.csv": "945b6c360835967ce2205b341b6ddd508fd1de60e7cb8633032e07c024c197da",
-        "trend_FGR.csv": "60adcf6904ae823706f36269e6e11d3ae2e8075b6ac982655b83145916f2d008",
-        "trend_FR.csv": "d33c3c3e02a04d98106f849f7e641d3cc494f21df6a0650969b836eb3b6be246",
-        "trend_P.csv": "4e05d0ef0936b13a8f9ac10990a6b099d8f4b3194474142f67f02710ebb98d5c",
-        "trend_PC.csv": "40387126c3b4c6c24d1c8fc4a5de8d762f3eb67888f63722408be6aacefb6587",
-        "trend_TD.csv": "c77d9c86a0252b83467cffcaeba58a69fb1087a39374730793f655bbbb097189",
+        "trend_AD.csv": "55d802559659f7cb0179b00d2fd35293b6abc920495d9f1b31939a3ac166973d",
+        "trend_AW.csv": "1a043a8f967478c37972175e9ccaee15009182a9f377b342158d94b485a290a2",
+        "trend_C.csv": "cd82add7f6f788cc9dd82df894d4326749bfa7857e89f923c398ae7f730f247b",
+        "trend_CA.csv": "d5c62a443781d26456864b77b4fdacdb75b0799e8d2de6855ec071c69e7cafa5",
+        "trend_FGR.csv": "1fcf691f3a53706ed02abcb15e5f9b6416e5eb83a3bbb7e1afbd7eccfd62ad8b",
+        "trend_FR.csv": "1081ed96dc6ef55f45382d6ac36580ed4b4a2f8a585be68ceeba96ccee6a4d10",
+        "trend_P.csv": "286ed08328c5a211b11de08aff6467f97abb0d3952124a5530a5333c729f3995",
+        "trend_PC.csv": "82f398291f47dfbb4eba2ade0653631d52c8818fdddf692c94d74ea03b789e8a",
+        "trend_TD.csv": "3e7457637a5baff4140c8d22bbfe8eef429e6187cf0922923a2447193968e440",
     },
     "communities": {
         "dendrogram.json": "7b3ce8f2b33e9da51932985a33104fb0f89de97974e56411bb93f2c1a4699435",

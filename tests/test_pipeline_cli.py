@@ -1,16 +1,20 @@
 """End-to-end pipeline runs, deterministic emission, and the command
 line front end (exit codes, file outputs, error formatting)."""
 
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import DATA
+from stratlogit.attribution import lowess
 from stratlogit.cli import main
 from stratlogit.emit import to_json, write_report_files
 from stratlogit.errors import ConfigError, PipelineError
-from stratlogit.ingest import parse_dataset
+from stratlogit.indicators import FEATURE_COLUMNS
+from stratlogit.ingest import parse_dataset, write_dataset_csv
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
@@ -27,6 +31,13 @@ HEADER = (
 @pytest.fixture(scope="module")
 def stepwise_report():
     return run_pipeline(RunConfig(input_path=SCHOLARS, selection="stepwise"))
+
+
+def _csv_columns(path):
+    """{header: tuple of that column's cells} of a written CSV file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    return dict(zip(rows[0], zip(*rows[1:])))
 
 
 class TestRunPipeline:
@@ -246,7 +257,7 @@ class TestCliErrors:
             ("evaluate", ["--max-iter", "0"]),
             ("evaluate", ["--tol", "-1"]),
             ("select", ["--tol", "0"]),
-            ("attribute", ["--lowess-frac", "0"]),
+            ("attribute", ["--max-iter", "0"]),
             ("report", ["--train-frac", "1"]),
         ],
     )
@@ -352,7 +363,7 @@ class TestCliSubcommands:
         assert (tmp_path / "trend_FR.csv").exists()
 
     def test_attribute_importance_equals_report(self, tmp_path, stepwise_report):
-        # One model, two paths: the same importance bits.
+        # One model, two paths: the same importance and trend bits.
         report_files = tmp_path / "report"
         write_report_files(stepwise_report, report_files)
         rc = main(["attribute", "--input", SCHOLARS, "--out", str(tmp_path / "attribute")])
@@ -360,6 +371,11 @@ class TestCliSubcommands:
         assert (tmp_path / "attribute" / "importance.csv").read_bytes() == (
             report_files / "importance_full.csv"
         ).read_bytes()
+        for name in FEATURE_COLUMNS:
+            attributed = _csv_columns(tmp_path / "attribute" / f"trend_{name}.csv")
+            reported = _csv_columns(report_files / f"trend_{name}.csv")
+            assert attributed["x"] == reported["x"]
+            assert attributed["smoothed"] == reported["smoothed_full"]
 
     def test_communities(self, tmp_path, capsys):
         rc = main(
@@ -376,3 +392,56 @@ class TestCliSubcommands:
         bare = dataclasses.replace(stepwise_report, artifacts=None)
         with pytest.raises(ConfigError):
             write_report_files(bare, tmp_path)
+
+
+# (seed of a 2000-row synthetic set, or None for the fixture; selection mode)
+TREND_SOURCES = [(None, "enumerate"), (None, "stepwise")] + [
+    (seed, "stepwise") for seed in (1, 2, 3)
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=TREND_SOURCES,
+    ids=lambda p: f"{'fixture' if p[0] is None else f'synth2000-seed{p[0]}'}-{p[1]}",
+)
+def trend_report(request, tmp_path_factory):
+    seed, selection = request.param
+    path = SCHOLARS
+    if seed is not None:
+        path = str(tmp_path_factory.mktemp("synth") / "scholars.csv")
+        write_dataset_csv(make_scholar_dataset(n=2000, seed=seed, target_increase=None), path)
+    return run_pipeline(RunConfig(input_path=path, selection=selection))
+
+
+class TestTrendCurves:
+    def test_closed_form_matches_lowess(self, trend_report):
+        art = trend_report.artifacts
+        for name, tc in art.trends.items():
+            for curve, shap in (
+                (tc.full_curve, art.full_shap),
+                (tc.optimized_curve, art.optimized_shap),
+            ):
+                if curve is None:
+                    continue
+                oracle = lowess(art.feature_matrix.column(name), shap.column(name), frac=2.0 / 3.0)
+                assert np.array_equal(curve.x, oracle.x)
+                # Relative to the curve's size: a pointwise relative gap
+                # blows up where the curve crosses zero.
+                gap = float(np.max(np.abs(curve.y - oracle.y)))
+                scale = float(np.max(np.abs(oracle.y)))
+                assert gap <= 1e-12 * scale, (name, shap.model_id, gap / scale)
+
+    def test_curve_values_are_shap_csv_cells(self, trend_report, tmp_path):
+        write_report_files(trend_report, tmp_path)
+        features = _csv_columns(tmp_path / "features.csv")
+        for key in ("full", "optimized"):
+            shap = _csv_columns(tmp_path / f"shap_{key}.csv")
+            for name in shap.keys() - {"scholar_id"}:
+                cells = {}
+                for x, phi in zip(features[name], shap[name]):
+                    cells.setdefault(float(x), set()).add(phi)
+                trend = _csv_columns(tmp_path / f"trend_{name}.csv")
+                assert [float(x) for x in trend["x"]] == sorted(cells)
+                for x, y in zip(trend["x"], trend[f"smoothed_{key}"]):
+                    assert cells[float(x)] == {y}, (key, name, x)
