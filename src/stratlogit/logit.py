@@ -151,18 +151,19 @@ class LogitFit:
 
 
 def sigmoid(eta) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-eta) for eta >= 0,
+    e^eta / (1 + e^eta) below, from one exp(-|eta|) that cannot overflow."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def log_likelihood(beta, X, y) -> float:
-    eta = X @ beta
+    return _log_likelihood_eta(X @ beta, y)
+
+
+def _log_likelihood_eta(eta, y) -> float:
+    """The one ll expression, shared by the solver and ``log_likelihood``."""
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
@@ -279,12 +280,14 @@ def fit_logistic(
         return SingularMatrixError(f"fit_logistic: {exc}")
 
     beta = np.zeros(k)
-    ll = log_likelihood(beta, X, y)
+    # eta = X @ beta is carried from the accepted line-search candidate.
+    eta = X @ beta
+    ll = _log_likelihood_eta(eta, y)
     path = [ll]
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        p = sigmoid(X @ beta)
+        p = sigmoid(eta)
         grad = X.T @ (y - p)
         if float(np.max(np.abs(grad))) <= tol:
             converged = True
@@ -299,7 +302,8 @@ def fit_logistic(
         accepted = False
         for _ in range(60):
             cand = beta + lam * step
-            ll_cand = log_likelihood(cand, X, y)
+            eta_cand = X @ cand
+            ll_cand = _log_likelihood_eta(eta_cand, y)
             if ll_cand >= ll:
                 accepted = True
                 break
@@ -309,7 +313,7 @@ def fit_logistic(
             # likelihood is stationary to machine precision.
             converged = True
             break
-        beta = cand
+        beta, eta = cand, eta_cand
         iterations += 1
         path.append(ll_cand)
         if float(np.max(np.abs(beta))) > coef_bound:
@@ -324,7 +328,7 @@ def fit_logistic(
             break
         ll = ll_cand
 
-    p = sigmoid(X @ beta)
+    p = sigmoid(eta)
     w = p * (1.0 - p)
     hessian = X.T @ (X * w[:, None])
     try:

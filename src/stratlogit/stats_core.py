@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaincc
 
 from .errors import DataError, DegenerateInputError, SingularMatrixError
@@ -166,8 +166,10 @@ def vif(m, names=None) -> np.ndarray:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
-    Uses a Cholesky factorisation and two triangular solves.  Raises
-    SingularMatrixError when the factorisation fails, which callers
+    Uses a Cholesky factorisation and two triangular solves: the LAPACK
+    ``dtrtrs`` calls ``scipy.linalg.solve_triangular`` makes on the
+    Fortran-ordered factor ``chol.T``, without its per-call input checks.
+    Raises SingularMatrixError when the factorisation fails, which callers
     interpret as collinearity (or separation, higher up).
     """
     a = np.asarray(a, dtype=float)
@@ -182,8 +184,14 @@ def solve_spd(a, b) -> np.ndarray:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"solve_spd: not positive definite ({exc})") from exc
-    y = solve_triangular(chol, b, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
+    if b.size == 0:  # LAPACK refuses a 0-by-0 system
+        return np.empty_like(b)
+    upper = chol.T
+    y, info_y = dtrtrs(upper, b, lower=0, trans=1)
+    x, info_x = dtrtrs(upper, y, lower=0, trans=0)
+    if info_y or info_x:
+        raise SingularMatrixError(f"solve_spd: dtrtrs info {info_y}, {info_x}")
+    return x
 
 
 def normal_cdf(z: float) -> float:

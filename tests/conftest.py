@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from stratlogit.errors import ConfigError, DataError
 from stratlogit.evaluate import make_split
@@ -46,6 +47,7 @@ def fixture_split(fixture_matrix):
 
 
 def sigmoid_ref(eta):
+    """Masked two-branch logistic: the bit-exact oracle for ``sigmoid``."""
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
     pos = eta >= 0
@@ -53,6 +55,14 @@ def sigmoid_ref(eta):
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def solve_spd_ref(a, b):
+    """Cholesky and two ``solve_triangular`` calls: the bit-exact oracle
+    for ``solve_spd``, which makes the same LAPACK calls directly."""
+    chol = np.linalg.cholesky(a)
+    y = solve_triangular(chol, b, lower=True)
+    return solve_triangular(chol.T, y, lower=False)
 
 
 def make_problem(seed, n=300, p=4, beta_scale=1.0):

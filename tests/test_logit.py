@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import optimize
 
@@ -78,6 +81,18 @@ class TestSolver:
             design, _ = make_problem(seed, n=200, p=4)
             fit = fit_logistic(design)
             assert np.all(np.diff(np.array(fit.loglik_path)) >= 0)
+
+    def test_log_lik_is_fresh_log_likelihood(self, fixture_matrix, fixture_split):
+        # The solver carries eta = X @ beta between steps; the reported
+        # log-likelihood must still be the bits a fresh X @ coef gives.
+        names = fixture_matrix.column_names
+        for features in [names] + [(name,) for name in names]:
+            design = DesignMatrix.from_features(
+                fixture_matrix, features, rows=fixture_split.train_indices
+            )
+            fit = fit_logistic(design)
+            assert fit.log_lik == log_likelihood(fit.coef, design.X, design.y)
+            assert fit.loglik_path[-1] == fit.log_lik
 
     def test_intercept_only_balanced(self):
         y = np.array([1.0, 0.0] * 10)
@@ -206,6 +221,31 @@ class TestSigmoid:
     def test_symmetry(self):
         for eta in np.linspace(-30, 30, 13):
             assert_allclose(sigmoid(eta) + sigmoid(-eta), 1.0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
+            elements=st.one_of(
+                st.floats(-1e3, 1e3),
+                st.sampled_from(
+                    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e3, -1e3, 745.2, -745.2]
+                ),
+            ),
+        )
+    )
+    @example(np.array(-0.0))
+    @example(np.array(np.nan))
+    @example(np.empty(0))
+    @example(np.empty((3, 0)))
+    def test_bits_equal_masked_form(self, eta):
+        got, want = np.asarray(sigmoid(eta)), sigmoid_ref(eta)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        # Bit for bit (a signed zero would show), except NaN payloads.
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestInferenceIdentities:

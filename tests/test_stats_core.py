@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
+
+from conftest import solve_spd_ref
+from stratlogit import stats_core
 
 from stratlogit.errors import (
     DataError,
@@ -164,6 +169,48 @@ class TestSolveSpd:
             solve_spd(np.ones((2, 3)), np.ones(2))
         with pytest.raises(DataError):
             solve_spd(np.eye(2), np.ones(3))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        log_cond=st.floats(0.0, 12.0),
+        kind=st.sampled_from(["information", "spectrum"]),
+        rhs=st.sampled_from(["vector", "matrix", "eye"]),
+    )
+    def test_bits_equal_two_call_solve_triangular(self, k, seed, log_cond, kind, rhs):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if kind == "information":
+            # X'WX on columns whose scales span 10^(log_cond / 2), as an
+            # unscaled design's Newton step sees it.
+            n = k + 10
+            scale = rng.permutation(np.logspace(0.0, log_cond / 2.0, k))
+            x = rng.normal(size=(n, k)) * scale
+            w = rng.uniform(0.01, 0.25, n)
+            a = x.T @ (x * w[:, None])
+        else:
+            # Condition number 10^log_cond by construction.
+            q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+            a = (q * np.logspace(0.0, -log_cond, k)) @ q.T
+            a = (a + a.T) / 2.0
+        if rhs == "vector":
+            b = rng.normal(size=k)
+        elif rhs == "matrix":
+            b = rng.normal(size=(k, int(rng.integers(1, 5))))
+        else:
+            b = np.eye(k)
+        got, want = solve_spd(a, b), solve_spd_ref(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_empty_system(self):
+        got = solve_spd(np.empty((0, 0)), np.empty(0))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_failed_triangular_solve_is_singular(self, monkeypatch):
+        monkeypatch.setattr(stats_core, "dtrtrs", lambda a, b, lower, trans: (b, 1))
+        with pytest.raises(SingularMatrixError):
+            solve_spd(np.eye(2), np.ones(2))
 
 
 class TestTails:
