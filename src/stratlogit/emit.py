@@ -232,7 +232,7 @@ def write_report_files(report, out_dir) -> list:
     for name, tc in artifacts.trends.items():
         written.append(out_path(out_dir, f"trend_{name}.csv"))
         write_trend_csv(
-            {"smoothed_full": tc.full_curve, "smoothed_optimized": tc.optimized_curve},
+            {"attribution_full": tc.full_curve, "attribution_optimized": tc.optimized_curve},
             written[-1],
         )
     return written

@@ -59,15 +59,15 @@ GOLDEN = {
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "c3ff1599395184229f9a7166d4019e4b0fc3e4e2c38076a7f581ba1a97f65968",
-        "trend_AW.csv": "7be91748795cb298ebe92c9ec95003babf71a8c844462e0e90f4a52c1a706916",
-        "trend_C.csv": "df49a8c73bc0a7fc816ba5b0527a376fe6e186482caba2e540ead2b857864a09",
-        "trend_CA.csv": "c3435f28476ac9ed99cb20fd4df7b7fd36ca8964a54dcba55eb32a2dbbb0616d",
-        "trend_FGR.csv": "f7cb69189717b1c5318f731f9223ecb3c6c8bb2cbe79c93a8c80a0f746da1cb2",
-        "trend_FR.csv": "1edffb0f011d4d05d7f8aa2316166c66434841eb09ae7a4fdb50ecc50966e974",
-        "trend_P.csv": "4bb72d136fe9d050c337647a2e3bee5a1df117cf317cb51acd92ebbbb15fa2f6",
-        "trend_PC.csv": "7f3fa5082ecff3433c79bee4cb0dec4fc898d797e66b06da8105f4df18b370a0",
-        "trend_TD.csv": "be3e4c12eea892d25b9c55f34502c4bf61b70d721d134725c17eca7396898e50",
+        "trend_AD.csv": "80f90386bd26b0d4defd89fbb43bbbff5eaa4e287e247b2864be87eb8abd3ed2",
+        "trend_AW.csv": "502e31a6cf5d0ab43bddbf38f5791b07fa683b08ed84d0fbcfe4f0ebc4dad9b3",
+        "trend_C.csv": "91f68497f99300003ec2666a7f827ea5eb69a0258cef5de4f265f6e2c383367c",
+        "trend_CA.csv": "44ed6b22eea01dfc8b70c545c5449da93bf2b26633898ab441fe1f081a130e87",
+        "trend_FGR.csv": "8f0c15ef45f0100747ebf004e2ee01b5d0c231628b5d85091ef82a0321c648e9",
+        "trend_FR.csv": "1a0bb61144379eca99d23fafbd759cdce3b036a2b38c7c79c7975d82c844c6f5",
+        "trend_P.csv": "24176773cbee5d3004cba26c5cbe3f08c495dcae0f0ab94d16db26350d119958",
+        "trend_PC.csv": "763d3306dcea93ecece5ec24e846e4a6202189d1a984303c488f9405f6da9569",
+        "trend_TD.csv": "d7b4dee3388675f392fdaf11c97986f288784f6a08427c247e08e8a9f2ef3452",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "report-stepwise": {
@@ -85,15 +85,15 @@ GOLDEN = {
         "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
         "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
         "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "c3ff1599395184229f9a7166d4019e4b0fc3e4e2c38076a7f581ba1a97f65968",
-        "trend_AW.csv": "7be91748795cb298ebe92c9ec95003babf71a8c844462e0e90f4a52c1a706916",
-        "trend_C.csv": "df49a8c73bc0a7fc816ba5b0527a376fe6e186482caba2e540ead2b857864a09",
-        "trend_CA.csv": "c3435f28476ac9ed99cb20fd4df7b7fd36ca8964a54dcba55eb32a2dbbb0616d",
-        "trend_FGR.csv": "f7cb69189717b1c5318f731f9223ecb3c6c8bb2cbe79c93a8c80a0f746da1cb2",
-        "trend_FR.csv": "1edffb0f011d4d05d7f8aa2316166c66434841eb09ae7a4fdb50ecc50966e974",
-        "trend_P.csv": "4bb72d136fe9d050c337647a2e3bee5a1df117cf317cb51acd92ebbbb15fa2f6",
-        "trend_PC.csv": "7f3fa5082ecff3433c79bee4cb0dec4fc898d797e66b06da8105f4df18b370a0",
-        "trend_TD.csv": "be3e4c12eea892d25b9c55f34502c4bf61b70d721d134725c17eca7396898e50",
+        "trend_AD.csv": "80f90386bd26b0d4defd89fbb43bbbff5eaa4e287e247b2864be87eb8abd3ed2",
+        "trend_AW.csv": "502e31a6cf5d0ab43bddbf38f5791b07fa683b08ed84d0fbcfe4f0ebc4dad9b3",
+        "trend_C.csv": "91f68497f99300003ec2666a7f827ea5eb69a0258cef5de4f265f6e2c383367c",
+        "trend_CA.csv": "44ed6b22eea01dfc8b70c545c5449da93bf2b26633898ab441fe1f081a130e87",
+        "trend_FGR.csv": "8f0c15ef45f0100747ebf004e2ee01b5d0c231628b5d85091ef82a0321c648e9",
+        "trend_FR.csv": "1a0bb61144379eca99d23fafbd759cdce3b036a2b38c7c79c7975d82c844c6f5",
+        "trend_P.csv": "24176773cbee5d3004cba26c5cbe3f08c495dcae0f0ab94d16db26350d119958",
+        "trend_PC.csv": "763d3306dcea93ecece5ec24e846e4a6202189d1a984303c488f9405f6da9569",
+        "trend_TD.csv": "d7b4dee3388675f392fdaf11c97986f288784f6a08427c247e08e8a9f2ef3452",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "ingest": {
@@ -129,22 +129,22 @@ GOLDEN = {
     "attribute-subset": {
         "importance.csv": "4c136f681167bdcaf241b0101f905c6fb73d4bc593d8e70a374a15874a5bec27",
         "shap_values.csv": "f4d1284046a3867fdc882c4a44aed9b9c2865ffcdd7a8524728d5fe882b9aafb",
-        "trend_AW.csv": "0e22ad5ed35df29a5ac89dd67728e28844aa26671becd4de56c58d25f2a4c4c0",
-        "trend_CA.csv": "4f4004128d4b1c67c3bdaa1f2eda8a84e56470d0da41c566c6d762a54ffc365f",
-        "trend_FR.csv": "5a311e05babf617c7b402771a2efeb47ce09f4e28c9d710d9edb3c668dd2d3bb",
+        "trend_AW.csv": "aa614cfa1b11594157c44153b2741ac8754015f3b0b659c4e5cc4d8ef254d965",
+        "trend_CA.csv": "795ce50f802082b65955f90661e180dbc9715eb50f48c93960ee79f39ce75e4d",
+        "trend_FR.csv": "1e424f2ff9b5a3f27d5b8c39bcb82aca21a44f162d07f667d7290e09b561dcb7",
     },
     "attribute-all": {
         "importance.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
         "shap_values.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
-        "trend_AD.csv": "55d802559659f7cb0179b00d2fd35293b6abc920495d9f1b31939a3ac166973d",
-        "trend_AW.csv": "1a043a8f967478c37972175e9ccaee15009182a9f377b342158d94b485a290a2",
-        "trend_C.csv": "cd82add7f6f788cc9dd82df894d4326749bfa7857e89f923c398ae7f730f247b",
-        "trend_CA.csv": "d5c62a443781d26456864b77b4fdacdb75b0799e8d2de6855ec071c69e7cafa5",
-        "trend_FGR.csv": "1fcf691f3a53706ed02abcb15e5f9b6416e5eb83a3bbb7e1afbd7eccfd62ad8b",
-        "trend_FR.csv": "1081ed96dc6ef55f45382d6ac36580ed4b4a2f8a585be68ceeba96ccee6a4d10",
-        "trend_P.csv": "286ed08328c5a211b11de08aff6467f97abb0d3952124a5530a5333c729f3995",
-        "trend_PC.csv": "82f398291f47dfbb4eba2ade0653631d52c8818fdddf692c94d74ea03b789e8a",
-        "trend_TD.csv": "3e7457637a5baff4140c8d22bbfe8eef429e6187cf0922923a2447193968e440",
+        "trend_AD.csv": "849cd04853aba1d0487df6275e18cab090eff143cbf3ac668e50642163d08a0c",
+        "trend_AW.csv": "9e9d29c0b9345dc30a0d03c4b62e6669edb676190ee7055c5dc3593ccd3bdf56",
+        "trend_C.csv": "df626cbedf496e2902a5d3ccda69636c51d047e07e667bdef9172df7bbb62a7b",
+        "trend_CA.csv": "278761d47e62dba19649f5020a7fef00c60bbde5bd83720125e8b36497a9358e",
+        "trend_FGR.csv": "dbc54ce82a628f83e76ad023d31b07e30e0816bf445e70fefba6ed7f0525c1ee",
+        "trend_FR.csv": "f5c8be3d6f13363050e54561c0dbadb29da6b6242c23592f6352add901e39585",
+        "trend_P.csv": "b9663d5d0da36fd871d2c184765c9a9159cbea6746ed8497d27088e785cf06ad",
+        "trend_PC.csv": "a6510627cf4bfb8c05fc90ae4137d19849702324c209a2b0f222ea00cf1052e2",
+        "trend_TD.csv": "6c5e503ae469b619a578d2fe2465e0b0f269f4f2c1db26599a8d9ea7d3326c7c",
     },
     "communities": {
         "dendrogram.json": "7b3ce8f2b33e9da51932985a33104fb0f89de97974e56411bb93f2c1a4699435",

@@ -375,7 +375,7 @@ class TestCliSubcommands:
             attributed = _csv_columns(tmp_path / "attribute" / f"trend_{name}.csv")
             reported = _csv_columns(report_files / f"trend_{name}.csv")
             assert attributed["x"] == reported["x"]
-            assert attributed["smoothed"] == reported["smoothed_full"]
+            assert attributed["attribution"] == reported["attribution_full"]
 
     def test_communities(self, tmp_path, capsys):
         rc = main(
@@ -443,5 +443,5 @@ class TestTrendCurves:
                     cells.setdefault(float(x), set()).add(phi)
                 trend = _csv_columns(tmp_path / f"trend_{name}.csv")
                 assert [float(x) for x in trend["x"]] == sorted(cells)
-                for x, y in zip(trend["x"], trend[f"smoothed_{key}"]):
+                for x, y in zip(trend["x"], trend[f"attribution_{key}"]):
                     assert cells[float(x)] == {y}, (key, name, x)
