@@ -155,7 +155,9 @@ def sigmoid(eta) -> np.ndarray:
     e^eta / (1 + e^eta) below, from one exp(-|eta|) that cannot overflow."""
     eta = np.asarray(eta, dtype=float)
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
+    out = np.where(eta >= 0, 1.0, ex)
+    out /= 1.0 + ex  # in place, so a 0-d input gives a 0-d array
+    return out
 
 
 def log_likelihood(beta, X, y) -> float:
