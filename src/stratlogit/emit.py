@@ -74,8 +74,10 @@ def to_json(payload) -> str:
 
 
 def write_json(payload, path) -> None:
+    """Write ``to_json(payload)``; a payload it refuses leaves no file."""
+    text = to_json(payload)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json(payload))
+        handle.write(text)
 
 
 def out_path(out_dir, name) -> str:

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -63,6 +64,43 @@ def solve_spd_ref(a, b):
     chol = np.linalg.cholesky(a)
     y = solve_triangular(chol, b, lower=True)
     return solve_triangular(chol.T, y, lower=False)
+
+
+def brandes_ref(nodes, adj):
+    """Edge betweenness over dicts keyed by node name, sources in the
+    order of ``nodes`` and neighbours in the order of ``adj``: the
+    bit-exact oracle for ``network``'s integer-indexed source passes."""
+    btw = {}
+    for u in nodes:
+        for v in adj[u]:
+            if u < v:
+                btw[(u, v)] = 0.0
+    for s in nodes:
+        dist = {s: 0}
+        sigma = {s: 1.0}
+        preds = {}
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] = sigma.get(w, 0.0) + sigma[v]
+                    preds.setdefault(w, []).append(v)
+        delta = {v: 0.0 for v in order}
+        for w in reversed(order):
+            for v in preds.get(w, ()):
+                c = sigma[v] / sigma[w] * (1.0 + delta[w])
+                key = (v, w) if v < w else (w, v)
+                btw[key] += c
+                delta[v] += c
+    for key in btw:
+        btw[key] /= 2.0
+    return btw
 
 
 def make_problem(seed, n=300, p=4, beta_scale=1.0):

@@ -11,9 +11,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from stratlogit.emit import write_dendrogram_json, write_partition_csv
+from conftest import brandes_ref
+from stratlogit.emit import write_dendrogram_json, write_json, write_partition_csv
 from stratlogit.errors import (
     CellParseError,
     ConfigError,
@@ -22,9 +25,6 @@ from stratlogit.errors import (
 )
 from stratlogit.network import (
     Partition,
-    _brandes,
-    _components,
-    _partition_of,
     build_graph,
     edge_betweenness,
     girvan_newman,
@@ -86,18 +86,59 @@ def random_graph(seed, max_nodes=12):
     return build_graph(rows)
 
 
-def reference_girvan_newman(g):
+def reference_components(nodes, adj):
+    """Connected components as sorted node lists, ordered by least node."""
+    seen = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        queue = deque([start])
+        seen.add(start)
+        comp = []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def reference_partition(g, comps, step, removed_edge):
+    assignment = {node: cid for cid, comp in enumerate(comps) for node in comp}
+    q = modularity(
+        g, Partition(assignment=assignment, n_communities=len(comps), modularity=0.0)
+    )
+    return Partition(
+        assignment=assignment,
+        n_communities=len(comps),
+        modularity=q,
+        step=step,
+        removed_edge=removed_edge,
+    )
+
+
+def reference_girvan_newman(g, target_communities=None):
     """Whole-graph recompute after every cut: the reference the
     incremental loop must match bit for bit.
 
     Returns the dendrogram and, per cut, the top betweenness score's
     relative margin over the runner-up (inf when one edge is left)."""
     adj = {n: list(g.adjacency[n]) for n in g.nodes}
-    comps = _components(g.nodes, adj)
-    dendrogram = [_partition_of(g, comps, step=0, removed_edge=None)]
+    comps = reference_components(g.nodes, adj)
+    dendrogram = [reference_partition(g, comps, step=0, removed_edge=None)]
     margins = []
     for step in range(1, g.n_edges + 1):
-        btw = _brandes(g.nodes, adj)
+        if (
+            target_communities is not None
+            and dendrogram[-1].n_communities >= target_communities
+        ):
+            break
+        btw = brandes_ref(g.nodes, adj)
         best_edge = None
         best_score = -1.0
         for edge in sorted(btw):
@@ -111,10 +152,10 @@ def reference_girvan_newman(g):
         u, v = best_edge
         adj[u].remove(v)
         adj[v].remove(u)
-        comps = _components(g.nodes, adj)
+        comps = reference_components(g.nodes, adj)
         if len(comps) > dendrogram[-1].n_communities:
             dendrogram.append(
-                _partition_of(g, comps, step=step, removed_edge=best_edge)
+                reference_partition(g, comps, step=step, removed_edge=best_edge)
             )
     return dendrogram, margins
 
@@ -160,6 +201,49 @@ def two_triangles_with_bridge():
     )
 
 
+@st.composite
+def gn_cases(draw):
+    """A graph and a target community count (None: run to exhaustion).
+
+    Random multigraphs of up to 40 nodes and 60 edges, often
+    disconnected, and the tie-heavy cycles, hypercubes, complete
+    bipartite graphs and grids.  Nodes get shuffled unpadded names, so
+    rank order differs from numeric order and tied edges sort
+    differently from one draw to the next."""
+    family = draw(st.sampled_from(["random", "cycle", "hypercube", "bipartite", "grid"]))
+    if family == "random":
+        # one to three node-disjoint random pieces, each with its own size
+        rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+        pieces = int(rng.integers(1, 4))
+        rows = []
+        base = 0
+        for _ in range(pieces):
+            k = int(rng.integers(2, 40 // pieces + 1))
+            size = int(rng.integers(1, 60 // pieces + 1))
+            a = rng.integers(0, k, size)
+            b = (a + rng.integers(1, k, size)) % k
+            rows += [(base + int(x), base + int(y)) for x, y in zip(a, b)]
+            base += k
+    elif family == "cycle":
+        k = draw(st.integers(3, 16))
+        rows = [(i, (i + 1) % k) for i in range(k)]
+    elif family == "hypercube":
+        dim = draw(st.integers(1, 4))
+        rows = [(i, i ^ (1 << b)) for i in range(2**dim) for b in range(dim) if i < i ^ (1 << b)]
+    elif family == "bipartite":
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        rows = [(x, a + y) for x in range(a) for y in range(b)]
+    else:
+        r, c = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+        rows = [(i, i + 1) for i in range(r * c) if (i + 1) % c] + [
+            (i, i + c) for i in range((r - 1) * c)
+        ]
+    labels = draw(st.permutations(range(1 + max(max(row) for row in rows))))
+    g = build_graph([(f"v{labels[a]}", f"v{labels[b]}") for a, b in rows])
+    target = draw(st.none() | st.integers(1, g.n_nodes))
+    return g, target
+
+
 class TestBuildGraph:
     def test_aggregates_duplicates_any_orientation(self):
         g = build_graph([("b", "a", 1.5), ("a", "b", 2.0), ("a", "c")])
@@ -180,6 +264,10 @@ class TestBuildGraph:
             build_graph([("a", "b", -1.0)])
         with pytest.raises(DataError):
             build_graph([("a", "b", float("nan"))])
+        with pytest.raises(DataError):
+            build_graph([("a", "b", float("inf"))])
+        with pytest.raises(DataError):
+            build_graph([("a", "b", 1e308), ("b", "a", 1e308)])  # sum overflows
         with pytest.raises(DataError):
             build_graph([("a",)])
         with pytest.raises(DataError):
@@ -281,6 +369,16 @@ class TestModularity:
             )
             assert_allclose(modularity(g, p), self.direct_q(g, assignment), atol=1e-12)
 
+    @pytest.mark.parametrize("weight", [1e308, 5e307])
+    def test_overflowing_weights_are_degenerate(self, weight):
+        # 1e308 overflows the total weight, 5e307 a community's degree
+        g = build_graph([("a", "b", weight), ("b", "c", weight), ("a", "c", weight)])
+        p = Partition(assignment={n: 0 for n in g.nodes}, n_communities=1, modularity=0.0)
+        with pytest.raises(DegenerateInputError):
+            modularity(g, p)
+        with pytest.raises(DegenerateInputError):
+            girvan_newman(g)
+
     def test_uncovered_node_rejected(self):
         g = two_triangles_with_bridge()
         p = Partition(assignment={"a": 0}, n_communities=1, modularity=0.0)
@@ -378,6 +476,23 @@ class TestGirvanNewman:
             for p in slow
         ]
         assert [p.assignment for p in fast] == [p.assignment for p in slow]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gn_cases())
+    def test_bits_equal_whole_graph_recompute(self, case):
+        g, target = case
+        assert edge_betweenness(g) == brandes_ref(g.nodes, g.adjacency)
+        fast, fast_best = girvan_newman(g, target_communities=target)
+        slow, _ = reference_girvan_newman(g, target_communities=target)
+        assert [
+            (p.step, p.removed_edge, p.n_communities, p.modularity.hex())
+            for p in fast
+        ] == [
+            (p.step, p.removed_edge, p.n_communities, p.modularity.hex())
+            for p in slow
+        ]
+        assert [p.assignment for p in fast] == [p.assignment for p in slow]
+        assert fast_best.step == max(slow, key=lambda p: p.modularity).step
 
     def test_output_independent_of_hash_seed(self, tmp_path):
         # Brandes accumulation must not follow hash order: walking
@@ -498,9 +613,10 @@ class TestEdgeListIo:
         path.write_text("author_a,author_b\nx\n", encoding="utf-8")
         with pytest.raises(CellParseError):
             read_edge_list(path)
-        path.write_text("author_a,author_b,weight\nx,y,-2\n", encoding="utf-8")
-        with pytest.raises(CellParseError):
-            read_edge_list(path)
+        for weight in ("-2", "inf", "nan", "1e999"):
+            path.write_text(f"author_a,author_b,weight\nx,y,{weight}\n", encoding="utf-8")
+            with pytest.raises(CellParseError):
+                read_edge_list(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -514,6 +630,15 @@ class TestEdgeListIo:
 
 
 class TestWriters:
+    def test_refused_payload_leaves_no_file(self, tmp_path):
+        p = Partition(assignment={"a": 0}, n_communities=1, modularity=float("nan"))
+        out = tmp_path / "dendrogram.json"
+        with pytest.raises(ValueError):
+            write_dendrogram_json([p], out)
+        with pytest.raises(ValueError):
+            write_json({"q": float("inf")}, out)
+        assert not out.exists()
+
     def test_partition_csv(self, tmp_path):
         p = Partition(
             assignment={"b": 1, "a": 0, "c": 1},

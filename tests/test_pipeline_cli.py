@@ -290,6 +290,26 @@ class TestCliErrors:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "weights",
+        [["inf", "1", "1"], ["1e308"] * 3, ["5e307"] * 3],
+        ids=["inf", "1e308x3", "5e307x3"],
+    )
+    def test_unusable_edge_weights_exit_before_writing(self, weights, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        rows = zip(("a,b", "b,c", "a,c"), weights)
+        path.write_text(
+            "author_a,author_b,weight\n" + "".join(f"{e},{w}\n" for e, w in rows),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        rc = main(["communities", "--coauthor-edges", str(path), "--out", str(out)])
+        assert rc in (3, 4)
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and "Traceback" not in err
+        assert not (out / "dendrogram.json").exists()
+        assert not (out / "partition.csv").exists()
+
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "\nS0001,100,-5,20,0,10,4,9,,3,2,1,1\n", encoding="utf-8")
