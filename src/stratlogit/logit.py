@@ -31,8 +31,9 @@ from .errors import (
     NotConvergedError,
     SeparationError,
     SingularMatrixError,
+    StratLogitError,
 )
-from .stats_core import chisq_sf, solve_spd, two_sided_p
+from .stats_core import chisq_sf, cholesky_solve, solve_spd, two_sided_p
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,13 @@ class DesignMatrix:
             raise DataError("response length does not match design rows")
         if k != len(self.feature_names) + 1:
             raise DataError("feature_names must cover all non-intercept columns")
-        if n <= k:
-            raise DegenerateInputError(
-                f"need more observations ({n}) than parameters ({k})"
-            )
-        if not np.all(X[:, 0] == 1.0):
-            raise DataError("first design column must be the intercept (all ones)")
-        if not np.all(np.isfinite(X)):
-            raise DataError("design matrix contains non-finite values")
-        if not np.all((y == 0) | (y == 1)):
-            raise DataError("response must be 0/1")
+        check_design(
+            n,
+            k,
+            finite=np.all(np.isfinite(X)),
+            binary=np.all((y == 0) | (y == 1)),
+            intercept=np.all(X[:, 0] == 1.0),
+        )
 
     @property
     def n_obs(self) -> int:
@@ -89,6 +87,21 @@ class DesignMatrix:
             y = y[idx]
         X = np.column_stack([np.ones(len(y)), values])
         return cls(X=X, y=y, feature_names=names)
+
+
+def check_design(n, k, finite, binary, intercept=True) -> None:
+    """The value checks of an n-by-k ``DesignMatrix``, in its order, for
+    callers that check the columns once and many designs drawn from them:
+    ``finite`` (every value), ``binary`` (the response is 0/1) and
+    ``intercept`` (the first column is all ones) are already evaluated."""
+    if n <= k:
+        raise DegenerateInputError(f"need more observations ({n}) than parameters ({k})")
+    if not intercept:
+        raise DataError("first design column must be the intercept (all ones)")
+    if not finite:
+        raise DataError("design matrix contains non-finite values")
+    if not binary:
+        raise DataError("response must be 0/1")
 
 
 @dataclass(frozen=True)
@@ -161,12 +174,13 @@ def sigmoid(eta) -> np.ndarray:
 
 
 def log_likelihood(beta, X, y) -> float:
-    return _log_likelihood_eta(X @ beta, y)
+    return float(_log_likelihood_eta(X @ beta, y))
 
 
-def _log_likelihood_eta(eta, y) -> float:
-    """The one ll expression, shared by the solver and ``log_likelihood``."""
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+def _log_likelihood_eta(eta, y):
+    """The one ll expression, shared by the solver and ``log_likelihood``;
+    a stack of linear predictors (one per row) gives one ll per row."""
+    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
 
 
 def gradient(beta, X, y) -> np.ndarray:
@@ -251,98 +265,222 @@ def fit_logistic(
     1e-12; hitting ``max_iter`` first returns converged=False (callers
     that need inference must check).  A singular information matrix is
     reported as separation when the coefficients are already large,
-    otherwise as collinearity.
+    otherwise as collinearity.  This is ``fit_logistic_batch`` on a
+    batch of one.
     """
-    if max_iter < 1:
-        raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
-    if not (tol > 0):
-        raise DegenerateInputError(f"fit_logistic: tol must be > 0, got {tol}")
-    X, y = d.X, d.y
-    n, k = X.shape
-    if np.all(y == y[0]):
-        raise DegenerateInputError("fit_logistic: response has a single class")
-    for j in range(1, k):
-        if np.ptp(X[:, j]) == 0.0:
-            raise SingularMatrixError(
-                f"fit_logistic: column {d.feature_names[j - 1]!r} is constant"
-            )
+    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol, coef_bound)
+    if isinstance(out, StratLogitError):
+        raise out
+    return out
+
+
+def fit_logistic_batch(
+    X,
+    y,
+    feature_names,
+    max_iter: int = 1000,
+    tol: float = 1e-8,
+    coef_bound: float = 50.0,
+) -> list:
+    """Fit a stack of designs ``X`` (B, n, k) that share the response ``y``.
+
+    Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
+    checks.  Returns, per design, its ``LogitFit`` or the
+    ``StratLogitError`` that ``fit_logistic`` raises for it alone.
+
+    The designs still iterating take each Newton step in lockstep: one
+    stacked ``matmul`` each for the score, the information matrix and
+    every line-search trial, and one stacked Cholesky factorisation.
+    numpy makes the same BLAS call for each slice of a stacked ``matmul``
+    as for a single 2-D design, and LAPACK factors and solves each slice
+    alone, so every fit is bit-identical to fitting its design alone.  A
+    design leaves the stack when it converges, reaches ``max_iter`` or
+    fails, and step halving re-evaluates only the designs whose trial
+    step was refused.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    n_fits, _, k = X.shape
+    try:
+        if max_iter < 1:
+            raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
+        if not (tol > 0):
+            raise DegenerateInputError(f"fit_logistic: tol must be > 0, got {tol}")
+        if np.all(y == y[0]):
+            raise DegenerateInputError("fit_logistic: response has a single class")
+    except StratLogitError as exc:
+        return [exc] * n_fits
+    ll_null = null_log_likelihood(y)
+    outcomes = [None] * n_fits
+    constant = np.ptp(X[:, :, 1:], axis=1) == 0.0
     # Exactly collinear columns leave the likelihood flat along a ridge;
     # round-off can let the Newton solve through, so rank-check up front.
-    if np.linalg.matrix_rank(X) < k:
-        raise SingularMatrixError(
-            "fit_logistic: design matrix is rank deficient (collinear columns)"
-        )
-
-    def classify_singular(beta, exc):
-        if np.max(np.abs(beta)) > coef_bound / 2.0:
-            return SeparationError(
-                "fit_logistic: information matrix singular with large coefficients "
-                f"(max |beta| = {np.max(np.abs(beta)):.3g}); classes look separable"
+    full_rank = np.linalg.matrix_rank(X) == k
+    for b in range(n_fits):
+        if constant[b].any():
+            name = feature_names[b][int(np.argmax(constant[b]))]
+            outcomes[b] = SingularMatrixError(f"fit_logistic: column {name!r} is constant")
+        elif not full_rank[b]:
+            outcomes[b] = SingularMatrixError(
+                "fit_logistic: design matrix is rank deficient (collinear columns)"
             )
-        return SingularMatrixError(f"fit_logistic: {exc}")
 
-    beta = np.zeros(k)
-    # eta = X @ beta is carried from the accepted line-search candidate.
-    eta = X @ beta
+    # The designs still iterating: batch index, design, beta, eta = X @ beta
+    # (carried from the accepted line-search candidate) and log-likelihood.
+    live = np.array([b for b in range(n_fits) if outcomes[b] is None], dtype=int)
+    Xs = X if live.size == n_fits else X[live]
+    beta = np.zeros((live.size, k))
+    eta = _stacked_matvec(Xs, beta)
     ll = _log_likelihood_eta(eta, y)
-    path = [ll]
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
+    paths = {b: [v] for b, v in zip(live.tolist(), ll.tolist())}
+
+    def settle(rows, iterations, converged):
+        # Finish the fits of the live designs in mask ``rows``.
+        for i in np.flatnonzero(rows):
+            b = live[i]
+            try:
+                outcomes[b] = _finish_fit(
+                    Xs[i], y, feature_names[b], beta[i].copy(), eta[i], float(ll[i]),
+                    tuple(paths[b]), iterations, converged, coef_bound, ll_null,
+                )
+            except StratLogitError as exc:
+                outcomes[b] = exc
+
+    for it in range(max_iter):
         p = sigmoid(eta)
-        grad = X.T @ (y - p)
-        if float(np.max(np.abs(grad))) <= tol:
-            converged = True
+        grad = _stacked_matvec(Xs.transpose(0, 2, 1), y - p)
+        done = np.max(np.abs(grad), axis=1) <= tol
+        if done.any():
+            settle(done, it, True)
+            keep = ~done
+            live, Xs, beta, eta, ll, p, grad = (
+                a[keep] for a in (live, Xs, beta, eta, ll, p, grad)
+            )
+        if not live.size:
             break
         w = p * (1.0 - p)
-        hessian = X.T @ (X * w[:, None])
-        try:
-            step = solve_spd(hessian, grad)
-        except SingularMatrixError as exc:
-            raise classify_singular(beta, exc) from exc
-        lam = 1.0
-        accepted = False
+        hessian = np.matmul(Xs.transpose(0, 2, 1), Xs * w[:, :, None])
+        step, errors = _newton_steps(hessian, grad, beta, coef_bound)
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        if failed.any():
+            for i in np.flatnonzero(failed):
+                outcomes[live[i]] = errors[i]
+            keep = ~failed
+            live, Xs, beta, eta, ll, step = (a[keep] for a in (live, Xs, beta, eta, ll, step))
+
+        # Step halving: each design halves its own step until the
+        # log-likelihood does not decrease, at most 60 times.
+        lam = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        cand, eta_cand, ll_cand = np.empty_like(beta), np.empty_like(eta), np.empty_like(ll)
+        pending = np.arange(live.size)
         for _ in range(60):
-            cand = beta + lam * step
-            eta_cand = X @ cand
-            ll_cand = _log_likelihood_eta(eta_cand, y)
-            if ll_cand >= ll:
-                accepted = True
+            trial = beta[pending] + lam[pending, None] * step[pending]
+            eta_trial = _stacked_matvec(Xs if pending.size == live.size else Xs[pending], trial)
+            ll_trial = _log_likelihood_eta(eta_trial, y)
+            up = ll_trial >= ll[pending]
+            hit = pending[up]
+            cand[hit], eta_cand[hit], ll_cand[hit] = trial[up], eta_trial[up], ll_trial[up]
+            accepted[hit] = True
+            pending = pending[~up]
+            if not pending.size:
                 break
-            lam /= 2.0
-        if not accepted:
+            lam[pending] /= 2.0
+        if not accepted.all():
             # No ascent representable along the Newton direction: the
             # likelihood is stationary to machine precision.
-            converged = True
-            break
-        beta, eta = cand, eta_cand
-        iterations += 1
-        path.append(ll_cand)
-        if float(np.max(np.abs(beta))) > coef_bound:
-            raise SeparationError(
-                "fit_logistic: coefficients diverged beyond "
-                f"{coef_bound} (max |beta| = {np.max(np.abs(beta)):.3g}); "
-                "classes look separable"
+            settle(~accepted, it, True)
+            live, Xs, ll, cand, eta_cand, ll_cand = (
+                a[accepted] for a in (live, Xs, ll, cand, eta_cand, ll_cand)
             )
-        if abs(ll_cand - ll) <= 1e-12 * (1.0 + abs(ll_cand)):
-            ll = ll_cand
-            converged = True
-            break
+        beta, eta = cand, eta_cand
+        for b, v in zip(live.tolist(), ll_cand.tolist()):
+            paths[b].append(v)
+        big = np.max(np.abs(beta), axis=1)
+        diverged = big > coef_bound
+        if diverged.any():
+            for i in np.flatnonzero(diverged):
+                outcomes[live[i]] = SeparationError(
+                    "fit_logistic: coefficients diverged beyond "
+                    f"{coef_bound} (max |beta| = {big[i]:.3g}); "
+                    "classes look separable"
+                )
+            keep = ~diverged
+            live, Xs, beta, eta, ll, ll_cand = (
+                a[keep] for a in (live, Xs, beta, eta, ll, ll_cand)
+            )
+        flat = np.abs(ll_cand - ll) <= 1e-12 * (1.0 + np.abs(ll_cand))
         ll = ll_cand
+        if flat.any():
+            settle(flat, it + 1, True)
+            keep = ~flat
+            live, Xs, beta, eta, ll = (a[keep] for a in (live, Xs, beta, eta, ll))
+    settle(np.ones(live.size, dtype=bool), max_iter, False)
+    return outcomes
 
+
+def _stacked_matvec(X, v) -> np.ndarray:
+    """``X[i] @ v[i]`` for every i: one BLAS gemv per slice, the call a
+    2-D ``X`` with a 1-D ``v`` gets."""
+    return np.matmul(X, v[:, :, None])[:, :, 0]
+
+
+def _singular_error(beta, exc, coef_bound) -> StratLogitError:
+    """A singular information matrix at ``beta``, reported as separation
+    when the coefficients are already large, otherwise as collinearity."""
+    if np.max(np.abs(beta)) > coef_bound / 2.0:
+        err = SeparationError(
+            "fit_logistic: information matrix singular with large coefficients "
+            f"(max |beta| = {np.max(np.abs(beta)):.3g}); classes look separable"
+        )
+    else:
+        err = SingularMatrixError(f"fit_logistic: {exc}")
+    err.__cause__ = exc
+    return err
+
+
+def _newton_steps(hessian, grad, beta, coef_bound) -> tuple:
+    """(steps, errors): each design's Newton step ``hessian[i]^-1 grad[i]``
+    as ``solve_spd`` solves it, or in ``errors[i]`` the error the fit then
+    fails with."""
+    steps = np.empty_like(grad)
+    errors = [None] * len(grad)
+    chol = None
+    if np.all(np.isfinite(hessian)) and np.all(np.isfinite(grad)):
+        try:
+            chol = np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            pass  # a factor failed: solve_spd one by one finds which
+    for i in range(len(grad)):
+        try:
+            if chol is None:
+                steps[i] = solve_spd(hessian[i], grad[i])
+            else:
+                steps[i] = cholesky_solve(chol[i], grad[i])
+        except SingularMatrixError as exc:
+            errors[i] = _singular_error(beta[i], exc, coef_bound)
+        except StratLogitError as exc:
+            errors[i] = exc
+    return steps, errors
+
+
+def _finish_fit(
+    X, y, feature_names, beta, eta, ll, path, iterations, converged, coef_bound, ll_null
+) -> LogitFit:
+    """Covariance and inference for a design whose iterations stopped at
+    ``beta`` (``eta = X @ beta``, log-likelihood ``ll``)."""
+    n, k = X.shape
     p = sigmoid(eta)
     w = p * (1.0 - p)
     hessian = X.T @ (X * w[:, None])
     try:
         cov = solve_spd(hessian, np.eye(k))
     except SingularMatrixError as exc:
-        raise classify_singular(beta, exc) from exc
+        raise _singular_error(beta, exc, coef_bound) from exc
     var = np.diag(cov).copy()
     if np.any(var <= 0):
         raise SingularMatrixError("fit_logistic: non-positive coefficient variance")
     std_err = np.sqrt(var)
 
-    ll_null = null_log_likelihood(y)
     df = k - 1
     if df > 0:
         llr = llr_test(ll, ll_null, df)
@@ -352,7 +490,7 @@ def fit_logistic(
     aic, bic = information_criteria(ll, k, n)
     inf = coefficient_inference(beta, std_err)
     return LogitFit(
-        feature_names=d.feature_names,
+        feature_names=feature_names,
         coef=beta,
         std_err=std_err,
         z=inf.z,
@@ -370,7 +508,7 @@ def fit_logistic(
         iterations=iterations,
         converged=converged,
         final_neg_loglik=-ll,
-        loglik_path=tuple(path),
+        loglik_path=path,
     )
 
 

@@ -8,10 +8,16 @@ partition and scored on the validation partition; fits that separate,
 collapse or fail to converge are kept in the table with a failure flag
 instead of being dropped, so the search is auditable.
 
-The optional ``STRAT_THREADS`` environment variable (default 1) sets
-the worker-thread count used to fit candidates in parallel.  Results
-are ordered by the input spec list either way, so the table content is
-independent of the thread count.
+Candidates are fitted in batches through ``fit_logistic_batch``: the
+specs of one size under enumeration, the deletions of one step under
+stepwise search, cut into contiguous batches of bounded size.  The
+training design is built and its columns checked once; each batch
+gathers its stack of designs from it by column index.  The optional
+``STRAT_THREADS`` environment variable (default 1) sets the
+worker-thread count: each size is cut into at least that many batches,
+fitted in parallel.  Results are ordered by the input spec list either
+way, and every fit is bit-identical to fitting its design alone, so the
+table content is independent of the thread count and the batching.
 """
 
 from __future__ import annotations
@@ -25,7 +31,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, StratLogitError
 from .evaluate import ConfusionMatrix, Split, classify, metrics, predict_prob
-from .logit import DesignMatrix, fit_logistic
+from .logit import check_design, fit_logistic_batch
+
+# Unused here, but kept importable: perfbench's tracer looks this name up
+# in this module.
+from .logit import fit_logistic  # noqa: F401
 
 METRIC_FIELDS = (
     "log_lik",
@@ -118,13 +128,96 @@ def _validate_features(m, specs) -> None:
             raise DataError(f"model spec references unknown columns {unknown}")
 
 
-def _fit_one(m, spec, split, max_iter, tol, model_id) -> ModelRow:
-    train_idx = np.asarray(split.train_indices, dtype=int)
-    val_idx = np.asarray(split.val_indices, dtype=int)
+@dataclass(frozen=True)
+class _Columns:
+    """Every feature column on the training and validation rows, built and
+    checked once for all the candidates drawn from it."""
+
+    index: dict  # column name -> its column in ``train``
+    train: np.ndarray  # training design, intercept first
+    y: np.ndarray
+    finite: np.ndarray  # per column of ``train``: no non-finite value
+    binary: bool
+    val: np.ndarray  # validation rows, without the intercept
+    val_target: np.ndarray
+
+    @classmethod
+    def build(cls, m, split: Split) -> "_Columns":
+        train_idx = np.asarray(split.train_indices, dtype=int)
+        val_idx = np.asarray(split.val_indices, dtype=int)
+        names = tuple(m.column_names)
+        values = np.column_stack([m.column(name) for name in names])
+        train = np.column_stack([np.ones(len(train_idx)), values[train_idx]])
+        y = np.asarray(m.target, dtype=float)[train_idx]
+        return cls(
+            index={name: j for j, name in enumerate(names, start=1)},
+            train=train,
+            y=y,
+            finite=np.all(np.isfinite(train), axis=0),
+            binary=bool(np.all((y == 0) | (y == 1))),
+            val=values[val_idx],
+            val_target=m.target[val_idx],
+        )
+
+
+# A batch's stack of designs holds at most this many values (512 KiB);
+# the Newton loop keeps about three stacks' worth alive at a time.
+_BATCH_VALUES = 1 << 16
+
+
+def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> list:
+    """Each spec's ``LogitFit``, or the ``StratLogitError`` its fit raised.
+
+    The specs of one size are cut into contiguous batches, at least
+    ``workers`` of them and each at most ``_BATCH_VALUES`` values big.
+    ``mapper`` (``map`` or a thread pool's) runs the batches; each gathers
+    its stack of designs from the training columns and fits it through
+    ``fit_logistic_batch``.
+    """
+    n = cols.train.shape[0]
+    rows = np.arange(n)[None, :, None]
+    outcomes = [None] * len(specs)
+    by_size = {}
+    for i, spec in enumerate(specs):
+        by_size.setdefault(len(spec.features), []).append(i)
+    for size, members in sorted(by_size.items()):
+        batch, design_cols = [], []
+        for i in members:
+            design = [0] + [cols.index[f] for f in specs[i].features]
+            try:
+                check_design(n, size + 1, finite=cols.finite[design].all(), binary=cols.binary)
+            except StratLogitError as exc:
+                outcomes[i] = exc
+                continue
+            batch.append(i)
+            design_cols.append(design)
+        if not batch:
+            continue
+        design_cols = np.array(design_cols)
+        names = [specs[i].features for i in batch]
+        per_batch = max(1, _BATCH_VALUES // (n * (size + 1)))
+        n_batches = max(min(workers, len(batch)), -(-len(batch) // per_batch))
+        bounds = np.linspace(0, len(batch), n_batches + 1).astype(int).tolist()
+
+        def run(lo, hi):
+            # stack[b, r, j] = train[r, design_cols[lo + b, j]]: each slice
+            # C-ordered, as a single design is.
+            stack = cols.train[rows, design_cols[lo:hi, None, :]]
+            return fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
+
+        fitted = mapper(run, bounds[:-1], bounds[1:])
+        for i, outcome in zip(batch, (o for part in fitted for o in part)):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _row(cols: _Columns, spec, model_id, outcome) -> ModelRow:
+    """A spec's table row: its fit scored on the validation rows, or its
+    failure."""
     base = dict(
         model_id=model_id,
         spec=spec,
-        n_train=len(train_idx),
+        n_train=cols.train.shape[0],
         k_params=None,
         converged=False,
         iterations=None,
@@ -133,23 +226,16 @@ def _fit_one(m, spec, split, max_iter, tol, model_id) -> ModelRow:
         coefficients=None,
         **{f: None for f in METRIC_FIELDS},
     )
-    try:
-        fit = fit_logistic(
-            DesignMatrix.from_features(m, spec.features, rows=train_idx),
-            max_iter=max_iter,
-            tol=tol,
-        )
-    except StratLogitError as exc:
-        base["failure"] = f"{exc.code}: {exc}"
+    if isinstance(outcome, StratLogitError):
+        base["failure"] = f"{outcome.code}: {outcome}"
         return ModelRow(**base)
+    fit = outcome
     coefficients = {"intercept": float(fit.coef[0])}
     for i, name in enumerate(fit.feature_names, start=1):
         coefficients[name] = float(fit.coef[i])
-    block = np.column_stack([m.column(name)[val_idx] for name in spec.features])
+    block = cols.val[:, [cols.index[f] - 1 for f in spec.features]]
     mets = metrics(
-        ConfusionMatrix.from_predictions(
-            m.target[val_idx], classify(predict_prob(fit, block))
-        )
+        ConfusionMatrix.from_predictions(cols.val_target, classify(predict_prob(fit, block)))
     )
     base.update(
         k_params=fit.k_params,
@@ -170,6 +256,16 @@ def _fit_one(m, spec, split, max_iter, tol, model_id) -> ModelRow:
         f1=mets.f1,
     )
     return ModelRow(**base)
+
+
+def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, workers) -> list:
+    """The table rows of ``specs``, in their order, named by ``ids``."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = _fit_batches(cols, specs, max_iter, tol, pool.map, workers)
+    else:
+        outcomes = _fit_batches(cols, specs, max_iter, tol, map, 1)
+    return [_row(cols, spec, i, o) for spec, i, o in zip(specs, ids, outcomes)]
 
 
 def enumerate_subsets(column_names, max_p: int = 15) -> list:
@@ -208,16 +304,7 @@ def fit_all(
     workers = _thread_count(threads)
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
-
-    def run(pair):
-        spec, model_id = pair
-        return _fit_one(m, spec, split, max_iter, tol, model_id)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, zip(specs, ids)))
-    else:
-        rows = [run(pair) for pair in zip(specs, ids)]
+    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol, workers)
     return ComparisonTable(rows=tuple(rows))
 
 
@@ -236,28 +323,33 @@ def backward_stepwise(
 ) -> StepwiseResult:
     """Greedy backward deletion from the full model.
 
-    At each step every single-feature deletion is refit; the lowest-AIC
-    candidate is accepted while it strictly improves on the current
-    model, stopping otherwise (or at one remaining feature).  Deletion
-    ties go to the earliest column.  The path records the accepted
-    models only, starting with the full fit.
+    At each step every single-feature deletion is refit, as one batch;
+    the lowest-AIC candidate is accepted while it strictly improves on
+    the current model, stopping otherwise (or at one remaining feature).
+    Deletion ties go to the earliest column.  The path records the
+    accepted models only, starting with the full fit.
     """
     current = ModelSpec(features=tuple(start if start is not None else m.column_names))
     _validate_features(m, [current])
+    workers = _thread_count(None)
+    cols = _Columns.build(m, split)
     step = 0
-    current_row = _fit_one(m, current, split, max_iter, tol, f"step_{step:03d}")
+    (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol, workers)
     if current_row.failed:
         raise DegenerateInputError(
             f"backward_stepwise: starting model unusable ({current_row.failure})"
         )
     path = [current_row]
     while len(current.features) > 1:
+        candidates = [
+            ModelSpec(tuple(f for i, f in enumerate(current.features) if i != drop_idx))
+            for drop_idx in range(len(current.features))
+        ]
         best_cand = None
-        for drop_idx in range(len(current.features)):
-            features = tuple(
-                f for i, f in enumerate(current.features) if i != drop_idx
-            )
-            row = _fit_one(m, ModelSpec(features), split, max_iter, tol, "candidate")
+        rows = _fit_rows(
+            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, workers
+        )
+        for row in rows:
             if row.failed:
                 continue
             if best_cand is None or row.aic < best_cand.aic:

@@ -41,6 +41,7 @@ equals that of a whole-graph recompute.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -302,8 +303,8 @@ class Partition:
         return out
 
 
-def _modularity(g: CollabGraph, assignment) -> float:
-    m = g.total_weight
+def _modularity(g: CollabGraph, assignment, m: float) -> float:
+    """Q of ``assignment`` on ``g``, whose total edge weight is ``m``."""
     if m <= 0:
         raise DegenerateInputError("modularity: graph has no edge weight")
     if m == math.inf:
@@ -335,11 +336,12 @@ def modularity(g: CollabGraph, p: Partition) -> float:
     missing = [n for n in g.nodes if n not in p.assignment]
     if missing:
         raise DataError(f"partition does not cover nodes {missing[:5]}")
-    return _modularity(g, p.assignment)
+    return _modularity(g, p.assignment, g.total_weight)
 
 
-def _partition_of(g, comps, step, removed_edge) -> Partition:
-    """The partition of ``g`` into ``comps``, lists of node ranks."""
+def _partition_of(g, m, comps, step, removed_edge) -> Partition:
+    """The partition of ``g`` (total edge weight ``m``) into ``comps``,
+    lists of node ranks."""
     assignment = {}
     for cid, comp in enumerate(comps):
         for i in comp:
@@ -347,7 +349,7 @@ def _partition_of(g, comps, step, removed_edge) -> Partition:
     return Partition(
         assignment=assignment,
         n_communities=len(comps),
-        modularity=_modularity(g, assignment),
+        modularity=_modularity(g, assignment, m),
         step=step,
         removed_edge=removed_edge,
     )
@@ -370,8 +372,9 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
             f"got {target_communities}"
         )
     ends, adj = _int_graph(g)
+    m = g.total_weight
     comps = _components(range(len(adj)), adj)
-    dendrogram = [_partition_of(g, comps, step=0, removed_edge=None)]
+    dendrogram = [_partition_of(g, m, comps, step=0, removed_edge=None)]
     count = len(comps)
     step = 0
     contrib = np.zeros((len(adj), len(ends)))
@@ -399,10 +402,14 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
                     dists[s] = _source_pass(s, adj, contrib[s])
             _fold(comp, adj, contrib, btw)
         if len(touched) > 1:
-            comps = _components(range(len(adj)), adj)
+            # The cut split one component in two; the list stays ordered
+            # by least node, as _components orders it.
+            first, second = touched
+            comps[next(k for k, c in enumerate(comps) if c[0] == first[0])] = first
+            bisect.insort(comps, second, key=lambda c: c[0])
             count = len(comps)
             dendrogram.append(
-                _partition_of(g, comps, step=step, removed_edge=g.edges[cut][:2])
+                _partition_of(g, m, comps, step=step, removed_edge=g.edges[cut][:2])
             )
     best = dendrogram[0]
     for p in dendrogram[1:]:

@@ -186,6 +186,13 @@ def solve_spd(a, b) -> np.ndarray:
         raise SingularMatrixError(f"solve_spd: not positive definite ({exc})") from exc
     if b.size == 0:  # LAPACK refuses a 0-by-0 system
         return np.empty_like(b)
+    return cholesky_solve(chol, b)
+
+
+def cholesky_solve(chol, b) -> np.ndarray:
+    """Solve ``chol @ chol.T @ x = b`` for a lower Cholesky factor ``chol``:
+    the two triangular solves of ``solve_spd``, for callers that factor a
+    stack of matrices at once."""
     upper = chol.T
     y, info_y = dtrtrs(upper, b, lower=0, trans=1)
     x, info_x = dtrtrs(upper, y, lower=0, trans=0)

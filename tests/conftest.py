@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from stratlogit.errors import ConfigError, DataError
-from stratlogit.evaluate import make_split
+from stratlogit.errors import ConfigError, DataError, StratLogitError
+from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
 from stratlogit.indicators import build_feature_matrix
 from stratlogit.ingest import filter_eligible, parse_dataset
-from stratlogit.logit import DesignMatrix
+from stratlogit.logit import DesignMatrix, fit_logistic
+from stratlogit.model_select import METRIC_FIELDS, ModelRow
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -64,6 +65,62 @@ def solve_spd_ref(a, b):
     chol = np.linalg.cholesky(a)
     y = solve_triangular(chol, b, lower=True)
     return solve_triangular(chol.T, y, lower=False)
+
+
+def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:
+    """One candidate's table row from its own ``DesignMatrix`` and
+    ``fit_logistic`` call: the oracle for ``model_select``'s batched fits."""
+    train_idx = np.asarray(split.train_indices, dtype=int)
+    val_idx = np.asarray(split.val_indices, dtype=int)
+    base = dict(
+        model_id=model_id,
+        spec=spec,
+        n_train=len(train_idx),
+        k_params=None,
+        converged=False,
+        iterations=None,
+        failed=True,
+        failure=None,
+        coefficients=None,
+        **{f: None for f in METRIC_FIELDS},
+    )
+    try:
+        fit = fit_logistic(
+            DesignMatrix.from_features(m, spec.features, rows=train_idx),
+            max_iter=max_iter,
+            tol=tol,
+        )
+    except StratLogitError as exc:
+        base["failure"] = f"{exc.code}: {exc}"
+        return ModelRow(**base)
+    coefficients = {"intercept": float(fit.coef[0])}
+    for i, name in enumerate(fit.feature_names, start=1):
+        coefficients[name] = float(fit.coef[i])
+    block = np.column_stack([m.column(name)[val_idx] for name in spec.features])
+    mets = metrics(
+        ConfusionMatrix.from_predictions(
+            m.target[val_idx], classify(predict_prob(fit, block))
+        )
+    )
+    base.update(
+        k_params=fit.k_params,
+        converged=fit.converged,
+        iterations=fit.iterations,
+        failed=not fit.converged,
+        failure=None if fit.converged else f"not converged in {fit.iterations} iterations",
+        coefficients=coefficients,
+        log_lik=fit.log_lik,
+        log_lik_null=fit.log_lik_null,
+        pseudo_r2=fit.pseudo_r2,
+        llr_p=fit.llr_p,
+        aic=fit.aic,
+        bic=fit.bic,
+        accuracy=mets.accuracy,
+        precision=mets.precision,
+        recall=mets.recall,
+        f1=mets.f1,
+    )
+    return ModelRow(**base)
 
 
 def brandes_ref(nodes, adj):

@@ -24,12 +24,15 @@ from stratlogit.errors import (
     NotConvergedError,
     SeparationError,
     SingularMatrixError,
+    StratLogitError,
 )
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.logit import (
     DesignMatrix,
+    LogitFit,
     coefficient_inference,
     fit_logistic,
+    fit_logistic_batch,
     gradient,
     inference_table,
     information_criteria,
@@ -192,6 +195,93 @@ class TestFailureModes:
             fit_logistic(design, max_iter=0)
         with pytest.raises(DegenerateInputError):
             fit_logistic(design, tol=0.0)
+
+
+def bits(outcome):
+    """A fit outcome to compare to the bit: every LogitFit field, arrays
+    as bytes and the rest by repr, or an error's class and text."""
+    if isinstance(outcome, StratLogitError):
+        return type(outcome), str(outcome)
+    return {
+        f.name: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+        for f in dataclasses.fields(outcome)
+        for v in [getattr(outcome, f.name)]
+    }
+
+
+def single_fit(design, **kwargs):
+    try:
+        return fit_logistic(design, **kwargs)
+    except StratLogitError as exc:
+        return exc
+
+
+class TestBatchBits:
+    """``fit_logistic_batch`` is bit-identical to one fit per design only
+    because numpy and LAPACK treat each slice of a stack as they treat a
+    single 2-D array.  These tests pin that premise to the bit."""
+
+    @pytest.mark.parametrize("n", [321, 322])
+    def test_stacked_slices_equal_2d_calls(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        for k in range(2, 17):
+            X = rng.normal(size=(4, n, k)) * rng.uniform(0.01, 100.0, size=k)
+            v = rng.normal(size=(4, k))
+            r = rng.normal(size=(4, n))
+            w = rng.uniform(0.0, 0.25, size=(4, n))
+            Xt = X.transpose(0, 2, 1)
+            eta = np.matmul(X, v[:, :, None])[:, :, 0]  # gemv
+            score = np.matmul(Xt, r[:, :, None])[:, :, 0]  # gemv, transposed
+            info = np.matmul(Xt, X * w[:, :, None])  # gemm
+            ll = np.sum(r * eta - np.logaddexp(0.0, eta), axis=-1)
+            chol = np.linalg.cholesky(info)
+            rank = np.linalg.matrix_rank(X)
+            for b in range(4):
+                Xb = X[b].copy()
+                assert np.array_equal(eta[b], Xb @ v[b]), (k, b)
+                assert np.array_equal(score[b], Xb.T @ r[b]), (k, b)
+                info_b = Xb.T @ (Xb * w[b][:, None])
+                assert np.array_equal(info[b], info_b), (k, b)
+                assert ll[b] == np.sum(r[b] * eta[b] - np.logaddexp(0.0, eta[b])), (k, b)
+                assert np.array_equal(chol[b], np.linalg.cholesky(info_b)), (k, b)
+                assert rank[b] == np.linalg.matrix_rank(Xb), (k, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_members_equal_single_fits(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n = 200 + seed  # odd and even
+        k = 2 + 2 * seed
+        y = (rng.random(n) < 0.4).astype(float)
+        y[:2] = (0.0, 1.0)
+        stack = np.ones((9, n, k))
+        stack[:, :, 1:] = rng.normal(size=(9, n, k - 1)) * rng.uniform(0.1, 50.0, (9, 1, k - 1))
+        stack[:, :, 1] += 3.0 * (y - 0.5)  # some signal
+        stack[1, :, -1] = 2.5  # a constant column
+        stack[2, :, -1] = 2.0 * stack[2, :, 1]  # a duplicated column
+        stack[3, :, 1] = (2.0 * y - 1.0) * rng.uniform(0.01, 1.0, n)  # separates
+        names = [tuple(f"x{b}_{j}" for j in range(1, k)) for b in range(9)]
+        max_iter = 3 if seed == 3 else 1000  # some stop unconverged
+        got = fit_logistic_batch(stack, y, names, max_iter=max_iter)
+        assert len(got) == 9
+        for b in range(9):
+            design = DesignMatrix(X=stack[b].copy(), y=y, feature_names=names[b])
+            assert bits(got[b]) == bits(single_fit(design, max_iter=max_iter)), b
+        kinds = {type(o) for o in got}
+        assert SingularMatrixError in kinds and LogitFit in kinds, kinds
+
+    def test_batch_wide_failures(self):
+        design, _ = make_problem(3, n=60, p=2)
+        stack = np.stack([design.X, design.X[::-1].copy()])
+        names = [design.feature_names] * 2
+        for kwargs, y in [
+            (dict(max_iter=0), design.y),
+            (dict(tol=0.0), design.y),
+            ({}, np.ones(60)),
+        ]:
+            got = fit_logistic_batch(stack, y, names, **kwargs)
+            assert [type(e) for e in got] == [DegenerateInputError] * 2
+            with pytest.raises(DegenerateInputError, match=str(got[0])):
+                fit_logistic(DesignMatrix(X=design.X, y=y, feature_names=names[0]), **kwargs)
 
 
 class TestGradient:

@@ -1,12 +1,15 @@
 """Subset enumeration, comparison tables, and backward stepwise search."""
 
 import csv
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import fit_one_ref
 from stratlogit.emit import write_comparison_csv
-from stratlogit.errors import ConfigError, DataError, DegenerateInputError
+from stratlogit.errors import ConfigError, DataError, DegenerateInputError, StratLogitError
 from stratlogit.evaluate import make_split
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.model_select import (
@@ -247,6 +250,120 @@ class TestStepwise:
         split = make_split(60, train_fraction=0.7, seed=0)
         with pytest.raises(DegenerateInputError):
             backward_stepwise(m, split)
+
+
+def stepwise_ref(m, split, max_iter, tol, start):
+    """Backward deletion over ``fit_one_ref`` rows, one candidate at a
+    time: the oracle for ``backward_stepwise``."""
+    features = tuple(start if start is not None else m.column_names)
+    row = fit_one_ref(m, ModelSpec(features), split, max_iter, tol, "step_000")
+    if row.failed:
+        raise DegenerateInputError(
+            f"backward_stepwise: starting model unusable ({row.failure})"
+        )
+    path = [row]
+    while len(features) > 1:
+        rows = [
+            fit_one_ref(
+                m, ModelSpec(features[:i] + features[i + 1 :]), split, max_iter, tol, "candidate"
+            )
+            for i in range(len(features))
+        ]
+        usable = [r for r in rows if not r.failed]
+        if not usable:
+            break
+        best = min(usable, key=lambda r: r.aic)  # the first of tied minima
+        if best.aic >= row.aic:
+            break
+        row = replace(best, model_id=f"step_{len(path):03d}")
+        features = row.spec.features
+        path.append(row)
+    return tuple(path)
+
+
+def outcome(call):
+    """repr of what ``call`` returns (every float to the bit), or the
+    class and text of the StratLogitError it raises."""
+    try:
+        return repr(call())
+    except StratLogitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# case: (rows, max_iter, (split part, column) of a NaN cell or None, text
+# the oracle's outcome must contain, so each case exercises its failure)
+PARITY_CASES = {
+    "hostile": (150, 1000, None, ("is constant", "rank deficient", "separable")),
+    "max_iter_2": (150, 2, None, ("not converged in 2 iterations",)),
+    "n_le_k": (10, 1000, None, ("need more observations",)),
+    "nonfinite_validation": (150, 1000, ("val", 0), ("predict_prob: non-finite features",)),
+    "nonfinite_training": (150, 1000, ("train", 2), ("contains non-finite values",)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def parity_problem(case):
+    """(matrix, split, max_iter, oracle fit_all outcome) of a parity case.
+
+    The columns are signal (s0, s1), noise, a constant, a copy of s0 and
+    one that separates the classes.
+    """
+    n, max_iter, nan_cell, expect = PARITY_CASES[case]
+    rng = np.random.Generator(np.random.PCG64(20 + n))
+    signal = rng.normal(size=(n, 2))
+    eta = 0.3 + 1.2 * signal[:, 0] - 0.9 * signal[:, 1]
+    target = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
+    target[:4] = (0, 1, 0, 1)
+    # A narrow margin: its slope passes the coefficient bound.
+    separating = np.where(target == 1, 1.0, -1.0) * rng.uniform(0.01, 1.0, n)
+    m = FeatureMatrix(
+        column_names=("s0", "s1", "noise", "const", "dup", "sep"),
+        values=np.column_stack(
+            [signal, rng.normal(size=n), np.full(n, 2.0), signal[:, 0], separating]
+        ),
+        target=target,
+        row_ids=tuple(f"r{i:04d}" for i in range(n)),
+    )
+    split = make_split(n, train_fraction=0.7, seed=0)
+    if nan_cell is not None:
+        part, column = nan_cell
+        rows = split.val_indices if part == "val" else split.train_indices
+        m.values[rows[0], column] = np.nan  # past FeatureMatrix's own check
+    specs = enumerate_subsets(m.column_names)
+    want = outcome(
+        lambda: tuple(
+            fit_one_ref(m, spec, split, max_iter, 1e-8, f"model_{i + 1:03d}")
+            for i, spec in enumerate(specs)
+        )
+    )
+    for text in expect:
+        assert text in want, (case, text)
+    return m, split, max_iter, want
+
+
+class TestBatchParity:
+    """Batched fits equal one ``fit_logistic`` call per candidate, row for
+    row and bit for bit, failure text included."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_fit_all_equals_oracle(self, case, threads):
+        m, split, max_iter, want = parity_problem(case)
+        specs = enumerate_subsets(m.column_names)
+        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter, threads=threads).rows)
+        assert got == want
+
+    @pytest.mark.parametrize("start", [None, ("s0", "s1", "noise")])
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_backward_stepwise_equals_oracle(self, case, threads, start, monkeypatch):
+        m, split, max_iter, _ = parity_problem(case)
+        want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8, start))
+        monkeypatch.setenv("STRAT_THREADS", threads)
+        got = outcome(
+            lambda: backward_stepwise(m, split, max_iter=max_iter, start=start).path.rows
+        )
+        assert got == want
 
 
 class TestExports:
