@@ -81,11 +81,21 @@ def predict_prob(fit: LogitFit, x) -> np.ndarray:
             f"predict_prob: expected {len(fit.feature_names)} feature columns, "
             f"got shape {x.shape}"
         )
+    check_finite_features(x)
+    p = clipped_prob(fit.coef[0] + x @ fit.coef[1:])
+    return p[0] if single else p
+
+
+def check_finite_features(x) -> None:
+    """``predict_prob``'s check that feature values ``x`` are finite."""
     if not np.all(np.isfinite(x)):
         raise DataError("predict_prob: non-finite features")
-    eta = fit.coef[0] + x @ fit.coef[1:]
-    p = np.clip(sigmoid(eta), _PROB_FLOOR, _PROB_CEIL)
-    return p[0] if single else p
+
+
+def clipped_prob(eta) -> np.ndarray:
+    """``predict_prob``'s probabilities from log-odds ``eta``, elementwise:
+    the logistic function clipped into the open interval (0, 1)."""
+    return np.clip(sigmoid(eta), _PROB_FLOOR, _PROB_CEIL)
 
 
 def classify(prob, threshold: float = 0.5):
@@ -119,12 +129,21 @@ class ConfusionMatrix:
         for v, name in ((t, "y_true"), (p, "y_pred")):
             if not np.all((v == 0) | (v == 1)):
                 raise DataError(f"confusion matrix: {name} must be 0/1")
-        return cls(
-            tp=int(np.sum((t == 1) & (p == 1))),
-            fp=int(np.sum((t == 0) & (p == 1))),
-            tn=int(np.sum((t == 0) & (p == 0))),
-            fn=int(np.sum((t == 1) & (p == 0))),
-        )
+        return cls(*(int(c) for c in confusion_counts(t, p)))
+
+
+def confusion_counts(y_true, y_pred) -> tuple:
+    """(tp, fp, tn, fn) of 0/1 labels, counted along the last axis: a
+    stack of predicted label rows against one ``y_true`` gives one count
+    per row."""
+    t = np.asarray(y_true)
+    p = np.asarray(y_pred)
+    return (
+        np.sum((t == 1) & (p == 1), axis=-1),
+        np.sum((t == 0) & (p == 1), axis=-1),
+        np.sum((t == 0) & (p == 0), axis=-1),
+        np.sum((t == 1) & (p == 0), axis=-1),
+    )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ via logaddexp so extreme linear predictors cannot overflow, and the
 solver enforces that it never decreases from one accepted step to the
 next.  Coefficients running away (max |beta_j| beyond a configurable
 bound) are reported as separation rather than returned as garbage.
+
+Fits run as stacks of designs (``fit_logistic_batch``; ``fit_logistic``
+is a stack of one): the Newton steps, then the covariance and the
+inference of every design that stopped, one stacked call per step.
+numpy makes the same BLAS or LAPACK call for each slice of a stack as
+for a single 2-D array, and the remaining arithmetic is elementwise
+ufuncs, so a design's fit has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -183,11 +190,6 @@ def _log_likelihood_eta(eta, y):
     return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
 
 
-def gradient(beta, X, y) -> np.ndarray:
-    """Score vector X'(y - p); exposed for finite-difference checks."""
-    return X.T @ (y - sigmoid(X @ beta))
-
-
 def null_log_likelihood(y) -> float:
     """Closed form intercept-only log-likelihood n[p ln p + q ln q]."""
     y = np.asarray(y, dtype=float)
@@ -220,24 +222,32 @@ def pseudo_r2(log_lik: float, log_lik_null: float) -> float:
 
 def llr_test(log_lik: float, log_lik_null: float, df: int) -> LlrResult:
     """Likelihood ratio test of the fitted model against the null."""
+    stat = _llr_stat(log_lik, log_lik_null)
+    return LlrResult(stat=stat, p=chisq_sf(stat, df))
+
+
+def _llr_stat(log_lik: float, log_lik_null: float) -> float:
+    """The likelihood ratio statistic 2 (ll - ll_null), floored at 0."""
     stat = 2.0 * (log_lik - log_lik_null)
     if stat < -1e-9:
         raise DegenerateInputError(
             f"llr_test: fitted log-likelihood below null (stat={stat})"
         )
-    stat = max(stat, 0.0)
-    return LlrResult(stat=stat, p=chisq_sf(stat, df))
+    return max(stat, 0.0)
 
 
 def coefficient_inference(coef, std_err) -> CoefficientInference:
     """z, two-sided p, Exp(B) and Wald chi-squared for each coefficient.
 
     Identities: z = coef/se, Exp(B) = exp(coef), Wald = z^2, and the
-    p-value is the two-sided normal tail of z.
+    p-value is the two-sided normal tail of z.  ``coef`` and ``std_err``
+    are one model's vectors or a stack of them, one model per row; every
+    formula is elementwise, so a row of a stack gets the bits it gets
+    alone.
     """
     coef = np.asarray(coef, dtype=float)
     se = np.asarray(std_err, dtype=float)
-    if coef.shape != se.shape or coef.ndim != 1:
+    if coef.shape != se.shape or coef.ndim not in (1, 2):
         raise DataError("coefficient_inference: coef/std_err shape mismatch")
     if not np.all(np.isfinite(coef)) or not np.all(np.isfinite(se)):
         raise DataError("coefficient_inference: non-finite input")
@@ -246,7 +256,7 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
     z = coef / se
     return CoefficientInference(
         z=z,
-        p_two_sided=np.array([two_sided_p(v) for v in z]),
+        p_two_sided=np.array([two_sided_p(v) for v in z.ravel().tolist()]).reshape(z.shape),
         exp_b=np.exp(coef),
         wald=z * z,
     )
@@ -296,7 +306,8 @@ def fit_logistic_batch(
     alone, so every fit is bit-identical to fitting its design alone.  A
     design leaves the stack when it converges, reaches ``max_iter`` or
     fails, and step halving re-evaluates only the designs whose trial
-    step was refused.
+    step was refused.  The designs that stopped are finished together,
+    as one stack (``_finish_fits``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     n_fits, _, k = X.shape
@@ -329,25 +340,24 @@ def fit_logistic_batch(
     live = np.array([b for b in range(n_fits) if outcomes[b] is None], dtype=int)
     Xs = X if live.size == n_fits else X[live]
     beta = np.zeros((live.size, k))
-    eta = _stacked_matvec(Xs, beta)
+    eta = stacked_matvec(Xs, beta)
     ll = _log_likelihood_eta(eta, y)
     paths = {b: [v] for b, v in zip(live.tolist(), ll.tolist())}
 
+    # Designs that stopped iterating: (batch index, beta, eta, ll, path,
+    # iterations, converged), finished as one stack after the loop.
+    stopped = []
+
     def settle(rows, iterations, converged):
-        # Finish the fits of the live designs in mask ``rows``.
         for i in np.flatnonzero(rows):
             b = live[i]
-            try:
-                outcomes[b] = _finish_fit(
-                    Xs[i], y, feature_names[b], beta[i].copy(), eta[i], float(ll[i]),
-                    tuple(paths[b]), iterations, converged, coef_bound, ll_null,
-                )
-            except StratLogitError as exc:
-                outcomes[b] = exc
+            stopped.append(
+                (b, beta[i], eta[i], float(ll[i]), tuple(paths[b]), iterations, converged)
+            )
 
     for it in range(max_iter):
         p = sigmoid(eta)
-        grad = _stacked_matvec(Xs.transpose(0, 2, 1), y - p)
+        grad = stacked_matvec(Xs.transpose(0, 2, 1), y - p)
         done = np.max(np.abs(grad), axis=1) <= tol
         if done.any():
             settle(done, it, True)
@@ -375,7 +385,7 @@ def fit_logistic_batch(
         pending = np.arange(live.size)
         for _ in range(60):
             trial = beta[pending] + lam[pending, None] * step[pending]
-            eta_trial = _stacked_matvec(Xs if pending.size == live.size else Xs[pending], trial)
+            eta_trial = stacked_matvec(Xs if pending.size == live.size else Xs[pending], trial)
             ll_trial = _log_likelihood_eta(eta_trial, y)
             up = ll_trial >= ll[pending]
             hit = pending[up]
@@ -415,10 +425,11 @@ def fit_logistic_batch(
             keep = ~flat
             live, Xs, beta, eta, ll = (a[keep] for a in (live, Xs, beta, eta, ll))
     settle(np.ones(live.size, dtype=bool), max_iter, False)
+    _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes)
     return outcomes
 
 
-def _stacked_matvec(X, v) -> np.ndarray:
+def stacked_matvec(X, v) -> np.ndarray:
     """``X[i] @ v[i]`` for every i: one BLAS gemv per slice, the call a
     2-D ``X`` with a 1-D ``v`` gets."""
     return np.matmul(X, v[:, :, None])[:, :, 0]
@@ -463,53 +474,109 @@ def _newton_steps(hessian, grad, beta, coef_bound) -> tuple:
     return steps, errors
 
 
-def _finish_fit(
-    X, y, feature_names, beta, eta, ll, path, iterations, converged, coef_bound, ll_null
-) -> LogitFit:
-    """Covariance and inference for a design whose iterations stopped at
-    ``beta`` (``eta = X @ beta``, log-likelihood ``ll``)."""
-    n, k = X.shape
-    p = sigmoid(eta)
-    w = p * (1.0 - p)
-    hessian = X.T @ (X * w[:, None])
-    try:
-        cov = solve_spd(hessian, np.eye(k))
-    except SingularMatrixError as exc:
-        raise _singular_error(beta, exc, coef_bound) from exc
-    var = np.diag(cov).copy()
-    if np.any(var <= 0):
-        raise SingularMatrixError("fit_logistic: non-positive coefficient variance")
-    std_err = np.sqrt(var)
+def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) -> None:
+    """Covariance and inference for the designs in ``stopped``, whose
+    iterations stopped at (batch index, beta, eta = X @ beta, ll, path,
+    iterations, converged), as one stack; each outcome goes into
+    ``outcomes``.
 
-    df = k - 1
-    if df > 0:
-        llr = llr_test(ll, ll_null, df)
-        llr_stat, llr_p = llr.stat, llr.p
-    else:
-        llr_stat, llr_p = 0.0, 1.0
-    aic, bic = information_criteria(ll, k, n)
-    inf = coefficient_inference(beta, std_err)
-    return LogitFit(
-        feature_names=feature_names,
-        coef=beta,
-        std_err=std_err,
-        z=inf.z,
-        p_two_sided=inf.p_two_sided,
-        exp_b=inf.exp_b,
-        wald=inf.wald,
-        log_lik=ll,
-        log_lik_null=ll_null,
-        pseudo_r2=pseudo_r2(ll, ll_null),
-        llr_stat=llr_stat,
-        llr_p=llr_p,
-        aic=aic,
-        bic=bic,
-        n_obs=n,
-        iterations=iterations,
-        converged=converged,
-        final_neg_loglik=-ll,
-        loglik_path=path,
-    )
+    One stacked ``matmul`` gives the information matrices, one stacked
+    Cholesky and each design's ``dtrtrs`` pair (``_newton_steps`` with an
+    identity right-hand side) the covariances, and elementwise ufuncs the
+    inference, so every number is the one a design finished alone gets.
+    Each design's errors are checked in the order a lone fit checks them:
+    the solve, a non-positive variance, ``llr_test``,
+    ``information_criteria``, ``coefficient_inference``, ``pseudo_r2``.
+    """
+    if not stopped:
+        return
+    stopped.sort(key=lambda s: s[0])
+    index, beta, eta, ll, paths, iterations, converged = zip(*stopped)
+    Xf = X if len(index) == len(X) else X[list(index)]
+    n, k = X.shape[1:]
+    beta = np.array(beta)
+    p = sigmoid(np.array(eta))
+    w = p * (1.0 - p)
+    hessian = np.matmul(Xf.transpose(0, 2, 1), Xf * w[:, :, None])
+    identity = np.broadcast_to(np.eye(k), hessian.shape)
+    cov, errors = _newton_steps(hessian, identity, beta, coef_bound)
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    live = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
+    nonpositive = np.any(var[live] <= 0, axis=1)
+    for i in live[nonpositive]:
+        errors[i] = SingularMatrixError("fit_logistic: non-positive coefficient variance")
+    live = live[~nonpositive]
+    # Rows that failed keep placeholder values, never computed on.
+    std_err = np.ones_like(beta)
+    std_err[live] = np.sqrt(var[live])
+
+    llr_stat, llr_p = np.zeros(len(index)), np.ones(len(index))
+    if k > 1:
+        for i in live:
+            try:
+                llr_stat[i] = _llr_stat(ll[i], ll_null)
+            except StratLogitError as exc:
+                errors[i] = exc
+        live, p_live = stacked_call(lambda x: chisq_sf(x, k - 1), live, errors, llr_stat)
+        llr_p[live] = p_live
+    criteria = {}
+    for i in live:
+        try:
+            criteria[i] = information_criteria(ll[i], k, n)
+        except StratLogitError as exc:
+            errors[i] = exc
+    live, inf = stacked_call(coefficient_inference, live, errors, beta, std_err)
+    llr_stat, llr_p = llr_stat.tolist(), llr_p.tolist()
+    row_of = {i: j for j, i in enumerate(live.tolist())}  # design -> its row of inf
+    for i, b in enumerate(index):
+        outcomes[b] = errors[i]
+        if i not in row_of:
+            continue
+        j = row_of[i]
+        try:
+            outcomes[b] = LogitFit(
+                feature_names=feature_names[b],
+                coef=beta[i],
+                std_err=std_err[i],
+                z=inf.z[j],
+                p_two_sided=inf.p_two_sided[j],
+                exp_b=inf.exp_b[j],
+                wald=inf.wald[j],
+                log_lik=ll[i],
+                log_lik_null=ll_null,
+                pseudo_r2=pseudo_r2(ll[i], ll_null),
+                llr_stat=llr_stat[i],
+                llr_p=llr_p[i],
+                aic=criteria[i][0],
+                bic=criteria[i][1],
+                n_obs=n,
+                iterations=iterations[i],
+                converged=converged[i],
+                final_neg_loglik=-ll[i],
+                loglik_path=paths[i],
+            )
+        except StratLogitError as exc:
+            outcomes[b] = exc
+
+
+def stacked_call(fn, rows, errors, *stacks) -> tuple:
+    """(live, ``fn`` of the rows ``live`` of ``stacks`` as one call), where
+    ``live`` are the ``rows`` whose ``errors`` entry is still None.  When
+    that call raises, ``fn`` runs on each live row alone: a row that
+    raises gets its own error in ``errors`` and leaves ``live``, and the
+    rest run as one call again."""
+    live = np.array([i for i in rows if errors[i] is None], dtype=int)
+    try:
+        return live, fn(*(s[live] for s in stacks))
+    except StratLogitError:
+        pass
+    for i in live:
+        try:
+            fn(*(s[i] for s in stacks))
+        except StratLogitError as exc:
+            errors[i] = exc
+    live = np.array([i for i in live if errors[i] is None], dtype=int)
+    return live, fn(*(s[live] for s in stacks))
 
 
 def inference_table(fit: LogitFit) -> tuple:

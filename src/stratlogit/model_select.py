@@ -12,12 +12,17 @@ Candidates are fitted in batches through ``fit_logistic_batch``: the
 specs of one size under enumeration, the deletions of one step under
 stepwise search, cut into contiguous batches of bounded size.  The
 training design is built and its columns checked once; each batch
-gathers its stack of designs from it by column index.  The optional
+gathers its stack of designs from it by column index, and its fitted
+members' validation blocks likewise, which are scored as one stack:
+one stacked matvec for the log-odds (the BLAS call a single design's
+``x @ beta`` makes per slice) and elementwise ufuncs for the
+probabilities, labels and confusion counts.  The optional
 ``STRAT_THREADS`` environment variable (default 1) sets the
 worker-thread count: each size is cut into at least that many batches,
 fitted in parallel.  Results are ordered by the input spec list either
-way, and every fit is bit-identical to fitting its design alone, so the
-table content is independent of the thread count and the batching.
+way, and every fit and score is bit-identical to fitting and scoring its
+design alone, so the table content is independent of the thread count
+and the batching.
 """
 
 from __future__ import annotations
@@ -30,8 +35,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, StratLogitError
-from .evaluate import ConfusionMatrix, Split, classify, metrics, predict_prob
-from .logit import check_design, fit_logistic_batch
+from .evaluate import (
+    ConfusionMatrix,
+    Split,
+    check_finite_features,
+    classify,
+    clipped_prob,
+    confusion_counts,
+    metrics,
+)
+from .logit import LogitFit, check_design, fit_logistic_batch, stacked_call, stacked_matvec
 
 # Unused here, but kept importable: perfbench's tracer looks this name up
 # in this module.
@@ -165,18 +178,21 @@ class _Columns:
 _BATCH_VALUES = 1 << 16
 
 
-def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> list:
-    """Each spec's ``LogitFit``, or the ``StratLogitError`` its fit raised.
+def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple:
+    """(outcomes, scores): each spec's ``LogitFit`` or the
+    ``StratLogitError`` its fit raised, and each fitted spec's validation
+    metrics or the ``DataError`` its scoring raised (None for a failure).
 
     The specs of one size are cut into contiguous batches, at least
     ``workers`` of them and each at most ``_BATCH_VALUES`` values big.
     ``mapper`` (``map`` or a thread pool's) runs the batches; each gathers
-    its stack of designs from the training columns and fits it through
-    ``fit_logistic_batch``.
+    its stack of designs from the training columns, fits it through
+    ``fit_logistic_batch`` and scores it with ``_score``.
     """
     n = cols.train.shape[0]
     rows = np.arange(n)[None, :, None]
     outcomes = [None] * len(specs)
+    scores = [None] * len(specs)
     by_size = {}
     for i, spec in enumerate(specs):
         by_size.setdefault(len(spec.features), []).append(i)
@@ -203,17 +219,51 @@ def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> list:
             # stack[b, r, j] = train[r, design_cols[lo + b, j]]: each slice
             # C-ordered, as a single design is.
             stack = cols.train[rows, design_cols[lo:hi, None, :]]
-            return fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
+            fitted = fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
+            return list(zip(fitted, _score(cols, design_cols[lo:hi, 1:] - 1, fitted)))
 
-        fitted = mapper(run, bounds[:-1], bounds[1:])
-        for i, outcome in zip(batch, (o for part in fitted for o in part)):
-            outcomes[i] = outcome
-    return outcomes
+        done = (pair for part in mapper(run, bounds[:-1], bounds[1:]) for pair in part)
+        for i, (outcome, score) in zip(batch, done):
+            outcomes[i], scores[i] = outcome, score
+    return outcomes, scores
 
 
-def _row(cols: _Columns, spec, model_id, outcome) -> ModelRow:
-    """A spec's table row: its fit scored on the validation rows, or its
-    failure."""
+def _score(cols: _Columns, val_cols, outcomes) -> list:
+    """Per outcome, its fit's ``ClassificationMetrics`` on the validation
+    rows (columns ``val_cols`` of ``cols.val``), the ``DataError`` that
+    ``predict_prob`` or ``classify`` raises for it, or None for a failed
+    fit.
+
+    The fitted designs are scored as one stack: eta = beta_0 plus one
+    stacked matvec (the BLAS call ``predict_prob``'s 2-D ``x @ beta``
+    makes per slice), then ``clipped_prob``, ``classify`` and the
+    confusion counts, all elementwise, so each fit scores the bits it
+    scores alone.
+    """
+    scores = [None] * len(outcomes)
+    fitted = [i for i, o in enumerate(outcomes) if isinstance(o, LogitFit)]
+    if not fitted:
+        return scores
+    fits = [outcomes[i] for i in fitted]
+    n_val = cols.val.shape[0]
+    block = cols.val[np.arange(n_val)[None, :, None], val_cols[fitted, None, :]]
+    coef = np.array([fit.coef for fit in fits])
+    results = [None] * len(fits)
+    live, _ = stacked_call(check_finite_features, range(len(fits)), results, block)
+    prob = np.zeros((len(fits), n_val))
+    prob[live] = clipped_prob(coef[live, :1] + stacked_matvec(block[live], coef[live, 1:]))
+    live, labels = stacked_call(classify, live, results, prob)
+    counts = zip(*(c.tolist() for c in confusion_counts(cols.val_target, labels)))
+    for j, (tp, fp, tn, fn) in zip(live.tolist(), counts):
+        results[j] = metrics(ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn))
+    for i, result in zip(fitted, results):
+        scores[i] = result
+    return scores
+
+
+def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
+    """A spec's table row: its fit and validation ``score``, or its
+    failure.  A scoring error is raised."""
     base = dict(
         model_id=model_id,
         spec=spec,
@@ -229,14 +279,12 @@ def _row(cols: _Columns, spec, model_id, outcome) -> ModelRow:
     if isinstance(outcome, StratLogitError):
         base["failure"] = f"{outcome.code}: {outcome}"
         return ModelRow(**base)
+    if isinstance(score, StratLogitError):
+        raise score
     fit = outcome
     coefficients = {"intercept": float(fit.coef[0])}
     for i, name in enumerate(fit.feature_names, start=1):
         coefficients[name] = float(fit.coef[i])
-    block = cols.val[:, [cols.index[f] - 1 for f in spec.features]]
-    mets = metrics(
-        ConfusionMatrix.from_predictions(cols.val_target, classify(predict_prob(fit, block)))
-    )
     base.update(
         k_params=fit.k_params,
         converged=fit.converged,
@@ -250,10 +298,10 @@ def _row(cols: _Columns, spec, model_id, outcome) -> ModelRow:
         llr_p=fit.llr_p,
         aic=fit.aic,
         bic=fit.bic,
-        accuracy=mets.accuracy,
-        precision=mets.precision,
-        recall=mets.recall,
-        f1=mets.f1,
+        accuracy=score.accuracy,
+        precision=score.precision,
+        recall=score.recall,
+        f1=score.f1,
     )
     return ModelRow(**base)
 
@@ -262,10 +310,10 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, workers) -> list:
     """The table rows of ``specs``, in their order, named by ``ids``."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = _fit_batches(cols, specs, max_iter, tol, pool.map, workers)
+            outcomes, scores = _fit_batches(cols, specs, max_iter, tol, pool.map, workers)
     else:
-        outcomes = _fit_batches(cols, specs, max_iter, tol, map, 1)
-    return [_row(cols, spec, i, o) for spec, i, o in zip(specs, ids, outcomes)]
+        outcomes, scores = _fit_batches(cols, specs, max_iter, tol, map, 1)
+    return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
 
 
 def enumerate_subsets(column_names, max_p: int = 15) -> list:

@@ -2,7 +2,7 @@
 
 Descriptive statistics, Pearson correlation, variance inflation factors,
 a Cholesky solver for symmetric positive definite systems, and the two
-tail-probability helpers (standard normal, chi-squared) used by the
+tail-probability helpers (two-sided normal, chi-squared) used by the
 inference code.  Everything here is deterministic and vector-friendly.
 """
 
@@ -201,26 +201,24 @@ def cholesky_solve(chol, b) -> np.ndarray:
     return x
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF, computed through erfc for tail accuracy."""
-    return 0.5 * math.erfc(-float(z) / _SQRT2)
-
-
 def two_sided_p(z: float) -> float:
     """Two-sided normal tail probability 2 * (1 - Phi(|z|))."""
     return math.erfc(abs(float(z)) / _SQRT2)
 
 
-def chisq_sf(x: float, k: int) -> float:
+def chisq_sf(x, k: int):
     """Chi-squared survival function P(X >= x) with k degrees of freedom.
 
     Evaluated as the regularised upper incomplete gamma function
     Q(k/2, x/2), which stays accurate for the very small tail
-    probabilities produced by likelihood ratio tests.
+    probabilities produced by likelihood ratio tests.  A float ``x``
+    gives a float; an array gives the array of its elements' values, each
+    the bits the element gets alone.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DegenerateInputError(f"chisq_sf: k must be a positive integer, got {k!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise DegenerateInputError(f"chisq_sf: x must be finite and >= 0, got {x}")
-    return float(gammaincc(k / 2.0, x / 2.0))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise DegenerateInputError(f"chisq_sf: x must be finite and >= 0, got {x.tolist()}")
+    p = gammaincc(k / 2.0, x / 2.0)
+    return float(p) if x.ndim == 0 else p

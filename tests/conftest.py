@@ -8,11 +8,22 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from stratlogit.errors import ConfigError, DataError, StratLogitError
+from stratlogit.errors import ConfigError, DataError, SingularMatrixError, StratLogitError
 from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
 from stratlogit.indicators import build_feature_matrix
 from stratlogit.ingest import filter_eligible, parse_dataset
-from stratlogit.logit import DesignMatrix, fit_logistic
+from stratlogit.logit import (
+    DesignMatrix,
+    LogitFit,
+    _singular_error,
+    coefficient_inference,
+    fit_logistic,
+    information_criteria,
+    llr_test,
+    pseudo_r2,
+    sigmoid,
+)
+from stratlogit.stats_core import solve_spd
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,6 +76,62 @@ def solve_spd_ref(a, b):
     chol = np.linalg.cholesky(a)
     y = solve_triangular(chol, b, lower=True)
     return solve_triangular(chol.T, y, lower=False)
+
+
+def gradient_ref(beta, X, y):
+    """Score vector X'(y - p) of the log-likelihood, for finite-difference
+    checks."""
+    return X.T @ (y - sigmoid(X @ beta))
+
+
+def finish_fit_ref(
+    X, y, feature_names, beta, eta, ll, path, iterations, converged, coef_bound, ll_null
+) -> LogitFit:
+    """Covariance and inference for one design whose iterations stopped at
+    ``beta`` (``eta = X @ beta``, log-likelihood ``ll``), from its own 2-D
+    arrays: the oracle for ``logit``'s stacked finish."""
+    n, k = X.shape
+    p = sigmoid(eta)
+    w = p * (1.0 - p)
+    hessian = X.T @ (X * w[:, None])
+    try:
+        cov = solve_spd(hessian, np.eye(k))
+    except SingularMatrixError as exc:
+        raise _singular_error(beta, exc, coef_bound) from exc
+    var = np.diag(cov).copy()
+    if np.any(var <= 0):
+        raise SingularMatrixError("fit_logistic: non-positive coefficient variance")
+    std_err = np.sqrt(var)
+
+    df = k - 1
+    if df > 0:
+        llr = llr_test(ll, ll_null, df)
+        llr_stat, llr_p = llr.stat, llr.p
+    else:
+        llr_stat, llr_p = 0.0, 1.0
+    aic, bic = information_criteria(ll, k, n)
+    inf = coefficient_inference(beta, std_err)
+    return LogitFit(
+        feature_names=feature_names,
+        coef=beta,
+        std_err=std_err,
+        z=inf.z,
+        p_two_sided=inf.p_two_sided,
+        exp_b=inf.exp_b,
+        wald=inf.wald,
+        log_lik=ll,
+        log_lik_null=ll_null,
+        pseudo_r2=pseudo_r2(ll, ll_null),
+        llr_stat=llr_stat,
+        llr_p=llr_p,
+        aic=aic,
+        bic=bic,
+        n_obs=n,
+        iterations=iterations,
+        converged=converged,
+        final_neg_loglik=-ll,
+        loglik_path=path,
+    )
 
 
 def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import optimize
+from scipy.special import gammaincc
 
-from conftest import make_problem, sigmoid_ref
+from conftest import finish_fit_ref, gradient_ref, make_problem, sigmoid_ref
 from stratlogit.errors import (
     DataError,
     DegenerateInputError,
@@ -26,6 +27,7 @@ from stratlogit.errors import (
     SingularMatrixError,
     StratLogitError,
 )
+from stratlogit import logit
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.logit import (
     DesignMatrix,
@@ -33,7 +35,6 @@ from stratlogit.logit import (
     coefficient_inference,
     fit_logistic,
     fit_logistic_batch,
-    gradient,
     inference_table,
     information_criteria,
     llr_test,
@@ -41,6 +42,7 @@ from stratlogit.logit import (
     null_log_likelihood,
     pseudo_r2,
     sigmoid,
+    stacked_matvec,
     verify_fit_identities,
 )
 
@@ -52,7 +54,7 @@ def scipy_mle(design):
         return -log_likelihood(beta, design.X, design.y)
 
     def neg_grad(beta):
-        return -gradient(beta, design.X, design.y)
+        return -gradient_ref(beta, design.X, design.y)
 
     res = optimize.minimize(
         neg_ll,
@@ -77,7 +79,7 @@ class TestSolver:
     def test_gradient_near_zero_at_solution(self):
         design, _ = make_problem(42, n=400, p=5)
         fit = fit_logistic(design)
-        assert np.max(np.abs(gradient(fit.coef, design.X, design.y))) <= 1e-8
+        assert np.max(np.abs(gradient_ref(fit.coef, design.X, design.y))) <= 1e-8
 
     def test_loglik_nondecreasing(self):
         for seed in (1, 7, 19):
@@ -246,8 +248,34 @@ class TestBatchBits:
                 assert np.array_equal(chol[b], np.linalg.cholesky(info_b)), (k, b)
                 assert rank[b] == np.linalg.matrix_rank(Xb), (k, b)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_members_equal_single_fits(self, seed):
+    @pytest.mark.parametrize("n", [138, 139])
+    def test_stacked_matvec_equals_2d_calls(self, n):
+        # The validation scoring's log-odds: a (B, n, size) block against
+        # the coefficient rows of a (B, size + 1) stack, size 1 included.
+        rng = np.random.Generator(np.random.PCG64(n))
+        for size in range(1, 10):
+            block = rng.normal(size=(4, n, size)) * rng.uniform(0.01, 100.0, size=size)
+            coef = rng.normal(size=(4, size + 1))
+            got = stacked_matvec(block, coef[:, 1:])
+            for b in range(4):
+                assert np.array_equal(got[b], block[b].copy() @ coef[b, 1:].copy()), (size, b)
+
+    def test_stacked_ufuncs_equal_row_calls(self):
+        # The finish's Exp(B) and likelihood-ratio p-values.
+        rng = np.random.Generator(np.random.PCG64(5))
+        for k in range(1, 17):
+            coef = rng.normal(size=(37, k)) * rng.uniform(0.01, 40.0, size=(37, 1))
+            got = np.exp(coef)
+            for b in range(37):
+                assert np.array_equal(got[b], np.exp(coef[b].copy())), (k, b)
+        for df in range(1, 16):
+            x = np.concatenate([[0.0, 1e-300, 1e3], rng.uniform(0.0, 300.0, 40)])
+            got = gammaincc(df / 2.0, x / 2.0)
+            want = [gammaincc(df / 2.0, v / 2.0) for v in x.tolist()]
+            assert got.tobytes() == np.array(want).tobytes(), df
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_members_equal_single_fits(self, seed, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(seed))
         n = 200 + seed  # odd and even
         k = 2 + 2 * seed
@@ -259,15 +287,45 @@ class TestBatchBits:
         stack[1, :, -1] = 2.5  # a constant column
         stack[2, :, -1] = 2.0 * stack[2, :, 1]  # a duplicated column
         stack[3, :, 1] = (2.0 * y - 1.0) * rng.uniform(0.01, 1.0, n)  # separates
+        # No signal: the columns are orthogonal to the intercept and to y,
+        # so one Newton step moves only the intercept and stays below the
+        # null log-likelihood.
+        basis = np.column_stack([np.ones(n), y])
+        noise = stack[4, :, 1:]
+        stack[4, :, 1:] = noise - basis @ np.linalg.lstsq(basis, noise, rcond=None)[0]
         names = [tuple(f"x{b}_{j}" for j in range(1, k)) for b in range(9)]
-        max_iter = 3 if seed == 3 else 1000  # some stop unconverged
+        # Some stop unconverged, and after one step some fail the finish.
+        max_iter = {3: 3, 4: 1}.get(seed, 1000)
+        # Record each design's stopping point as the finish receives it.
+        stops = {}
+        finish = logit._finish_fits
+
+        def spy(X, y, feature_names, stopped, *rest):
+            stops.update((s[0], s[1:]) for s in stopped)
+            finish(X, y, feature_names, stopped, *rest)
+
+        monkeypatch.setattr(logit, "_finish_fits", spy)
         got = fit_logistic_batch(stack, y, names, max_iter=max_iter)
+        monkeypatch.undo()
         assert len(got) == 9
+        ll_null = null_log_likelihood(y)
         for b in range(9):
             design = DesignMatrix(X=stack[b].copy(), y=y, feature_names=names[b])
             assert bits(got[b]) == bits(single_fit(design, max_iter=max_iter)), b
+            if b in stops:
+                beta, eta, ll, path, iterations, converged = stops[b]
+                try:
+                    want = finish_fit_ref(
+                        stack[b].copy(), y, names[b], beta.copy(), eta.copy(), ll, path,
+                        iterations, converged, 50.0, ll_null,
+                    )
+                except StratLogitError as exc:
+                    want = exc
+                assert bits(got[b]) == bits(want), b
         kinds = {type(o) for o in got}
         assert SingularMatrixError in kinds and LogitFit in kinds, kinds
+        if seed == 4:
+            assert isinstance(got[4], DegenerateInputError) and 4 in stops, got[4]
 
     def test_batch_wide_failures(self):
         design, _ = make_problem(3, n=60, p=2)
@@ -291,7 +349,7 @@ class TestGradient:
             design, _ = make_problem(seed + 100, n=60, p=3)
             rng = np.random.Generator(np.random.PCG64(seed))
             beta = rng.uniform(-0.5, 0.5, design.k_params)
-            grad = gradient(beta, design.X, design.y)
+            grad = gradient_ref(beta, design.X, design.y)
             for j in range(design.k_params):
                 e = np.zeros(design.k_params)
                 e[j] = h

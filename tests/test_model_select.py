@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import fit_one_ref
+from stratlogit import model_select
 from stratlogit.emit import write_comparison_csv
-from stratlogit.errors import ConfigError, DataError, DegenerateInputError, StratLogitError
-from stratlogit.evaluate import make_split
+from stratlogit.errors import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    SingularMatrixError,
+    StratLogitError,
+)
+from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
 from stratlogit.indicators import FeatureMatrix
+from stratlogit.logit import DesignMatrix, fit_logistic
 from stratlogit.model_select import (
     ComparisonTable,
     ModelSpec,
@@ -297,6 +305,9 @@ PARITY_CASES = {
     "max_iter_2": (150, 2, None, ("not converged in 2 iterations",)),
     "n_le_k": (10, 1000, None, ("need more observations",)),
     "nonfinite_validation": (150, 1000, ("val", 0), ("predict_prob: non-finite features",)),
+    # Every candidate with the NaN's column fails to fit, so none is
+    # scored and the table comes back ("accuracy=" is in its repr).
+    "nonfinite_validation_unfitted": (150, 1000, ("val", 5), ("separable", "accuracy=")),
     "nonfinite_training": (150, 1000, ("train", 2), ("contains non-finite values",)),
 }
 
@@ -352,6 +363,57 @@ class TestBatchParity:
         specs = enumerate_subsets(m.column_names)
         got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter, threads=threads).rows)
         assert got == want
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("values", [1, 1 << 30])  # one design per batch; one batch a size
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_batch_size_does_not_change_table(self, case, values, threads, monkeypatch):
+        m, split, max_iter, want = parity_problem(case)
+        monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
+        specs = enumerate_subsets(m.column_names)
+        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter, threads=threads).rows)
+        assert got == want
+
+    def test_stacked_scores_equal_per_fit_scores(self):
+        # Each fit's scoring error comes from predict_prob (a non-finite
+        # validation value) or classify (a NaN coefficient, so a NaN
+        # probability); a failed fit is not scored.
+        m, split, _, _ = parity_problem("hostile")
+        cols = model_select._Columns.build(m, split)
+        fit = fit_logistic(
+            DesignMatrix.from_features(m, ("s0", "s1"), rows=split.train_indices)
+        )
+        val = cols.val.copy()
+        val[3, 2] = np.nan
+        cols = replace(cols, val=val)
+        outcomes = [
+            fit,
+            replace(fit, coef=np.array([0.1, np.nan, 0.2])),
+            SingularMatrixError("not fitted"),
+            fit,
+            replace(fit, coef=-fit.coef),
+        ]
+        val_cols = np.array([[0, 1], [0, 1], [0, 1], [0, 2], [1, 0]])
+        got = model_select._score(cols, val_cols, outcomes)
+        texts = []
+        for o, cs, score in zip(outcomes, val_cols, got):
+            if isinstance(o, StratLogitError):
+                assert score is None
+                continue
+            want = outcome(
+                lambda: metrics(
+                    ConfusionMatrix.from_predictions(
+                        cols.val_target, classify(predict_prob(o, val[:, cs]))
+                    )
+                )
+            )
+            if isinstance(score, StratLogitError):
+                score = f"{type(score).__name__}: {score}"
+            else:
+                score = repr(score)
+            assert score == want
+            texts.append(want)
+        assert "probabilities" in texts[1] and "non-finite features" in texts[2], texts
 
     @pytest.mark.parametrize("start", [None, ("s0", "s1", "noise")])
     @pytest.mark.parametrize("threads", ["1", "3"])

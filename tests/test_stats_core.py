@@ -20,7 +20,6 @@ from stratlogit.errors import (
 from stratlogit.stats_core import (
     chisq_sf,
     describe,
-    normal_cdf,
     pearson_matrix,
     solve_spd,
     two_sided_p,
@@ -214,11 +213,6 @@ class TestSolveSpd:
 
 
 class TestTails:
-    def test_normal_cdf_anchors(self):
-        assert normal_cdf(0.0) == 0.5
-        assert_allclose(normal_cdf(1.959963984540054), 0.975, rtol=1e-12)
-        assert_allclose(normal_cdf(-1.959963984540054), 0.025, rtol=1e-12)
-
     def test_two_sided_p_against_scipy(self):
         for z in np.linspace(-8.0, 8.0, 33):
             assert_allclose(
