@@ -450,9 +450,10 @@ def _singular_error(beta, exc, coef_bound) -> StratLogitError:
 
 
 def _newton_steps(hessian, grad, beta, coef_bound) -> tuple:
-    """(steps, errors): each design's Newton step ``hessian[i]^-1 grad[i]``
-    as ``solve_spd`` solves it, or in ``errors[i]`` the error the fit then
-    fails with."""
+    """(steps, errors): each design's ``hessian[i]^-1 grad[i]`` as
+    ``solve_spd`` solves it (a Newton step, or with identity right-hand
+    sides a covariance), or in ``errors[i]`` the error the fit then fails
+    with."""
     steps = np.empty_like(grad)
     errors = [None] * len(grad)
     chol = None

@@ -18,6 +18,7 @@ from scipy import optimize
 from scipy.special import gammaincc
 
 from conftest import finish_fit_ref, gradient_ref, make_problem, sigmoid_ref
+from stratlogit import logit
 from stratlogit.errors import (
     DataError,
     DegenerateInputError,
@@ -27,7 +28,6 @@ from stratlogit.errors import (
     SingularMatrixError,
     StratLogitError,
 )
-from stratlogit import logit
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.logit import (
     DesignMatrix,
