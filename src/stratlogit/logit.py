@@ -513,7 +513,7 @@ def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) ->
 
     llr_stat, llr_p = np.zeros(len(index)), np.ones(len(index))
     if k > 1:
-        for i in live:
+        for i in live.tolist():
             try:
                 llr_stat[i] = _llr_stat(ll[i], ll_null)
             except StratLogitError as exc:
@@ -521,7 +521,7 @@ def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) ->
         live, p_live = stacked_call(lambda x: chisq_sf(x, k - 1), live, errors, llr_stat)
         llr_p[live] = p_live
     criteria = {}
-    for i in live:
+    for i in live.tolist():
         try:
             criteria[i] = information_criteria(ll[i], k, n)
         except StratLogitError as exc:
