@@ -23,8 +23,8 @@ from stratlogit.logit import (
     pseudo_r2,
     sigmoid,
 )
-from stratlogit.stats_core import solve_spd
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
+from stratlogit.stats_core import solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
