@@ -9,7 +9,8 @@ Shapley values have a closed form:
 with mu the background feature means.  As phi_ij depends on x_ij
 alone, the trend curve of feature j is phi at its sorted distinct
 values.  ``lowess``, a local-linear smoother that returns the same
-line, is kept only as the tests' oracle; nothing here calls it.
+line, stays only because the benchmark's traced mode patches it by
+name (``perfbench/spans.py``); nothing in the package calls it.
 """
 
 from __future__ import annotations

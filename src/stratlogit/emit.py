@@ -8,8 +8,8 @@ cell; anything else as ``str(v)``.  A metric whose denominator is empty
 is written as the word ``undefined`` (``null`` in JSON), never as 0.
 
 JSON files hold sorted keys, a two-space indent and one trailing
-newline; NaN and infinity are refused.  ``jsonable`` turns numpy values
-into the Python numbers and lists the serialiser accepts.
+newline; NaN and infinity are refused.  A JSON payload holds Python
+values only: callers turn arrays into lists with ``tolist``.
 
 Nothing in either format depends on the run, so two runs over the same
 input and configuration write byte-identical files.
@@ -48,24 +48,6 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([cell(v) for v in row] for row in rows)
-
-
-def jsonable(obj):
-    """``obj`` with numpy scalars and arrays turned into Python values,
-    tuples into lists and dict keys into strings."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def to_json(payload) -> str:

@@ -42,9 +42,10 @@ def make_split(n: int, train_fraction: float = 0.7, seed: int = 0) -> Split:
     """Shuffle 0..n-1 with a PCG64 generator and cut once.
 
     The train size is round-half-up of ``train_fraction * n``.  Both
-    partitions must be non-empty.  The same (n, fraction, seed) triple
-    always produces the same split; the generator is pinned to PCG64 so
-    the partition is stable across platforms and library versions.
+    partitions must be non-empty, and the seed non-negative.  The same
+    (n, fraction, seed) triple always produces the same split; the
+    generator is pinned to PCG64 so the partition is stable across
+    platforms and library versions.
     """
     if n < 2:
         raise DegenerateInputError(f"make_split: need at least 2 rows, got {n}")
@@ -52,6 +53,8 @@ def make_split(n: int, train_fraction: float = 0.7, seed: int = 0) -> Split:
         raise ConfigError(
             f"make_split: train_fraction must be in (0, 1), got {train_fraction}"
         )
+    if seed < 0:
+        raise ConfigError(f"make_split: seed must be >= 0, got {seed}")
     n_train = int(train_fraction * n + 0.5)
     if n_train < 1 or n_train >= n:
         raise DegenerateInputError(
@@ -70,20 +73,17 @@ def predict_prob(fit: LogitFit, x) -> np.ndarray:
     """P(y=1 | x) for feature rows without the intercept column.
 
     Output is clipped into the open interval (0, 1) so downstream log
-    or odds transforms stay finite.  Accepts a single row or a matrix.
+    or odds transforms stay finite.  ``x`` is a matrix, one row per
+    observation.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != len(fit.feature_names):
         raise DataError(
             f"predict_prob: expected {len(fit.feature_names)} feature columns, "
             f"got shape {x.shape}"
         )
     check_finite_features(x)
-    p = clipped_prob(fit.coef[0] + x @ fit.coef[1:])
-    return p[0] if single else p
+    return clipped_prob(fit.coef[0] + x @ fit.coef[1:])
 
 
 def check_finite_features(x) -> None:
@@ -98,15 +98,12 @@ def clipped_prob(eta) -> np.ndarray:
     return np.clip(sigmoid(eta), _PROB_FLOOR, _PROB_CEIL)
 
 
-def classify(prob, threshold: float = 0.5):
-    """Hard labels: 1 when probability >= threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ConfigError(f"classify: threshold must be in (0, 1), got {threshold}")
+def classify(prob) -> np.ndarray:
+    """Hard labels: 1 when probability >= 0.5."""
     p = np.asarray(prob, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
         raise DataError("classify: probabilities must lie in [0, 1]")
-    labels = (p >= threshold).astype(np.int64)
-    return int(labels) if labels.ndim == 0 else labels
+    return (p >= 0.5).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 from .emit import write_csv
@@ -108,6 +109,9 @@ def _parse_int(raw: str, row: int, column: str) -> int:
         raise CellParseError(row, column, raw, "expected an integer") from None
     if value < 0:
         raise CellParseError(row, column, raw, "must be >= 0")
+    # Every count becomes a float in the indicators; a larger one overflows.
+    if value > sys.float_info.max:
+        raise CellParseError(row, column, raw, "too large for a float")
     return value
 
 
@@ -130,6 +134,20 @@ def _parse_bool(raw: str, row: int, column: str) -> bool:
     if token in _FALSE:
         return False
     raise CellParseError(row, column, raw, "expected one of 0, 1, true, false")
+
+
+def csv_rows(handle, path, delimiter: str):
+    """The rows of the CSV text file ``handle``, opened from ``path``.
+
+    Bytes that are not UTF-8, or a record the csv module refuses, raise
+    DataError naming ``path``.
+    """
+    try:
+        yield from csv.reader(handle, delimiter=delimiter)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV ({exc})") from exc
 
 
 def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
@@ -159,7 +177,7 @@ def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
         raise DataError(f"cannot read input file {path}: {exc}") from exc
 
     with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv_rows(handle, path, delimiter)
         try:
             header = next(reader)
         except StopIteration:

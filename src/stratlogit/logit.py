@@ -13,8 +13,8 @@ The log-likelihood is evaluated in logit space,
 
 via logaddexp so extreme linear predictors cannot overflow, and the
 solver enforces that it never decreases from one accepted step to the
-next.  Coefficients running away (max |beta_j| beyond a configurable
-bound) are reported as separation rather than returned as garbage.
+next.  Coefficients running away (max |beta_j| beyond ``COEF_BOUND``)
+are reported as separation rather than returned as garbage.
 
 Fits run as stacks of designs (``fit_logistic_batch``; ``fit_logistic``
 is a stack of one): the Newton steps, then the covariance and the
@@ -41,6 +41,9 @@ from .errors import (
     StratLogitError,
 )
 from .stats_core import chisq_sf, cholesky_solve, solve_spd, two_sided_p
+
+# Separation bound: a fit whose max |beta_j| passes it has diverged.
+COEF_BOUND = 50.0
 
 
 @dataclass(frozen=True)
@@ -131,12 +134,6 @@ class InferenceRow:
 
 
 @dataclass(frozen=True)
-class LlrResult:
-    stat: float
-    p: float
-
-
-@dataclass(frozen=True)
 class LogitFit:
     """Fitted model with per-coefficient and model-level statistics.
 
@@ -220,18 +217,12 @@ def pseudo_r2(log_lik: float, log_lik_null: float) -> float:
     return 1.0 - log_lik / log_lik_null
 
 
-def llr_test(log_lik: float, log_lik_null: float, df: int) -> LlrResult:
-    """Likelihood ratio test of the fitted model against the null."""
-    stat = _llr_stat(log_lik, log_lik_null)
-    return LlrResult(stat=stat, p=chisq_sf(stat, df))
-
-
 def _llr_stat(log_lik: float, log_lik_null: float) -> float:
     """The likelihood ratio statistic 2 (ll - ll_null), floored at 0."""
     stat = 2.0 * (log_lik - log_lik_null)
     if stat < -1e-9:
         raise DegenerateInputError(
-            f"llr_test: fitted log-likelihood below null (stat={stat})"
+            f"likelihood ratio: fitted log-likelihood below null (stat={stat})"
         )
     return max(stat, 0.0)
 
@@ -262,12 +253,7 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
     )
 
 
-def fit_logistic(
-    d: DesignMatrix,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-    coef_bound: float = 50.0,
-) -> LogitFit:
+def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8) -> LogitFit:
     """Maximum likelihood fit by damped Newton iterations.
 
     Convergence is declared when the max-norm of the score drops to
@@ -278,20 +264,13 @@ def fit_logistic(
     otherwise as collinearity.  This is ``fit_logistic_batch`` on a
     batch of one.
     """
-    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol, coef_bound)
+    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol)
     if isinstance(out, StratLogitError):
         raise out
     return out
 
 
-def fit_logistic_batch(
-    X,
-    y,
-    feature_names,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-    coef_bound: float = 50.0,
-) -> list:
+def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1e-8) -> list:
     """Fit a stack of designs ``X`` (B, n, k) that share the response ``y``.
 
     Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
@@ -369,7 +348,7 @@ def fit_logistic_batch(
             break
         w = p * (1.0 - p)
         hessian = np.matmul(Xs.transpose(0, 2, 1), Xs * w[:, :, None])
-        step, errors = _newton_steps(hessian, grad, beta, coef_bound)
+        step, errors = _newton_steps(hessian, grad, beta)
         failed = np.array([e is not None for e in errors], dtype=bool)
         if failed.any():
             for i in np.flatnonzero(failed):
@@ -406,12 +385,12 @@ def fit_logistic_batch(
         for b, v in zip(live.tolist(), ll_cand.tolist()):
             paths[b].append(v)
         big = np.max(np.abs(beta), axis=1)
-        diverged = big > coef_bound
+        diverged = big > COEF_BOUND
         if diverged.any():
             for i in np.flatnonzero(diverged):
                 outcomes[live[i]] = SeparationError(
                     "fit_logistic: coefficients diverged beyond "
-                    f"{coef_bound} (max |beta| = {big[i]:.3g}); "
+                    f"{COEF_BOUND} (max |beta| = {big[i]:.3g}); "
                     "classes look separable"
                 )
             keep = ~diverged
@@ -425,7 +404,7 @@ def fit_logistic_batch(
             keep = ~flat
             live, Xs, beta, eta, ll = (a[keep] for a in (live, Xs, beta, eta, ll))
     settle(np.ones(live.size, dtype=bool), max_iter, False)
-    _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes)
+    _finish_fits(X, y, feature_names, stopped, ll_null, outcomes)
     return outcomes
 
 
@@ -435,10 +414,10 @@ def stacked_matvec(X, v) -> np.ndarray:
     return np.matmul(X, v[:, :, None])[:, :, 0]
 
 
-def _singular_error(beta, exc, coef_bound) -> StratLogitError:
+def _singular_error(beta, exc) -> StratLogitError:
     """A singular information matrix at ``beta``, reported as separation
     when the coefficients are already large, otherwise as collinearity."""
-    if np.max(np.abs(beta)) > coef_bound / 2.0:
+    if np.max(np.abs(beta)) > COEF_BOUND / 2.0:
         err = SeparationError(
             "fit_logistic: information matrix singular with large coefficients "
             f"(max |beta| = {np.max(np.abs(beta)):.3g}); classes look separable"
@@ -449,7 +428,7 @@ def _singular_error(beta, exc, coef_bound) -> StratLogitError:
     return err
 
 
-def _newton_steps(hessian, grad, beta, coef_bound) -> tuple:
+def _newton_steps(hessian, grad, beta) -> tuple:
     """(steps, errors): each design's ``hessian[i]^-1 grad[i]`` as
     ``solve_spd`` solves it (a Newton step, or with identity right-hand
     sides a covariance), or in ``errors[i]`` the error the fit then fails
@@ -469,13 +448,13 @@ def _newton_steps(hessian, grad, beta, coef_bound) -> tuple:
             else:
                 steps[i] = cholesky_solve(chol[i], grad[i])
         except SingularMatrixError as exc:
-            errors[i] = _singular_error(beta[i], exc, coef_bound)
+            errors[i] = _singular_error(beta[i], exc)
         except StratLogitError as exc:
             errors[i] = exc
     return steps, errors
 
 
-def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) -> None:
+def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     """Covariance and inference for the designs in ``stopped``, whose
     iterations stopped at (batch index, beta, eta = X @ beta, ll, path,
     iterations, converged), as one stack; each outcome goes into
@@ -486,7 +465,7 @@ def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) ->
     identity right-hand side) the covariances, and elementwise ufuncs the
     inference, so every number is the one a design finished alone gets.
     Each design's errors are checked in the order a lone fit checks them:
-    the solve, a non-positive variance, ``llr_test``,
+    the solve, a non-positive variance, the likelihood ratio statistic,
     ``information_criteria``, ``coefficient_inference``, ``pseudo_r2``.
     """
     if not stopped:
@@ -500,7 +479,7 @@ def _finish_fits(X, y, feature_names, stopped, coef_bound, ll_null, outcomes) ->
     w = p * (1.0 - p)
     hessian = np.matmul(Xf.transpose(0, 2, 1), Xf * w[:, :, None])
     identity = np.broadcast_to(np.eye(k), hessian.shape)
-    cov, errors = _newton_steps(hessian, identity, beta, coef_bound)
+    cov, errors = _newton_steps(hessian, identity, beta)
     var = np.diagonal(cov, axis1=1, axis2=2)
     live = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
     nonpositive = np.any(var[live] <= 0, axis=1)

@@ -1,12 +1,13 @@
 """Feature subset search driven by information criteria.
 
 Two search strategies over subsets of the nine feature columns:
-exhaustive enumeration of all non-empty subsets (tractable up to 15
-columns) and backward stepwise deletion accepting the largest AIC
-improvement at each step.  Every candidate is refit on the training
-partition and scored on the validation partition; fits that separate,
-collapse or fail to converge are kept in the table with a failure flag
-instead of being dropped, so the search is auditable.
+exhaustive enumeration of all non-empty subsets (up to
+``MAX_ENUMERATE_COLUMNS`` columns) and backward stepwise deletion
+accepting the largest AIC improvement at each step.  Every candidate
+is refit on the training partition and scored on the validation
+partition; fits that separate, collapse or fail to converge are kept in
+the table with a failure flag instead of being dropped, so the search
+is auditable.
 
 Candidates are fitted in batches through ``fit_logistic_batch``: the
 specs of one size under enumeration, the deletions of one step under
@@ -16,8 +17,8 @@ gathers its stack of designs from it by column index, and its fitted
 members' validation blocks likewise, which are scored as one stack:
 one stacked matvec for the log-odds (the BLAS call a single design's
 ``x @ beta`` makes per slice) and elementwise ufuncs for the
-probabilities, labels and confusion counts.  The optional
-``STRAT_THREADS`` environment variable (default 1) sets the
+probabilities, labels and confusion counts.  The ``STRAT_THREADS``
+environment variable (default 1), the one thread setting, sets the
 worker-thread count: each size is cut into at least that many batches,
 fitted in parallel.  Results are ordered by the input spec list either
 way, and every fit and score is bit-identical to fitting and scoring its
@@ -121,15 +122,14 @@ class ComparisonTable:
         return ordered[0]
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get("STRAT_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"STRAT_THREADS must be an integer, got {raw!r}") from None
+def _thread_count() -> int:
+    raw = os.environ.get("STRAT_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"STRAT_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
+        raise ConfigError(f"STRAT_THREADS must be >= 1, got {threads}")
     return threads
 
 
@@ -316,17 +316,21 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, workers) -> list:
     return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
 
 
-def enumerate_subsets(column_names, max_p: int = 15) -> list:
+# Widest column set ``enumerate_subsets`` accepts: 2^15 - 1 subsets.
+MAX_ENUMERATE_COLUMNS = 15
+
+
+def enumerate_subsets(column_names) -> list:
     """Every non-empty subset of ``column_names``, in binary counter
     order (bit j of the mask selects column j)."""
     names = tuple(column_names)
     p = len(names)
     if p == 0:
         raise ConfigError("enumerate_subsets: no columns to enumerate")
-    if p > max_p:
+    if p > MAX_ENUMERATE_COLUMNS:
         raise ConfigError(
             f"enumerate_subsets: {p} columns means {2 ** p - 1} subsets; "
-            f"limit is {max_p} (use stepwise search)"
+            f"limit is {MAX_ENUMERATE_COLUMNS} (use stepwise search)"
         )
     specs = []
     for mask in range(1, 2 ** p):
@@ -336,20 +340,13 @@ def enumerate_subsets(column_names, max_p: int = 15) -> list:
     return specs
 
 
-def fit_all(
-    m,
-    specs,
-    split: Split,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-    threads: Optional[int] = None,
-) -> ComparisonTable:
+def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> ComparisonTable:
     """Fit every spec on the training rows, score on validation rows."""
     specs = list(specs)
     if not specs:
         raise ConfigError("fit_all: no model specs given")
     _validate_features(m, specs)
-    workers = _thread_count(threads)
+    workers = _thread_count()
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
     rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol, workers)
@@ -362,13 +359,7 @@ class StepwiseResult:
     best: ModelSpec
 
 
-def backward_stepwise(
-    m,
-    split: Split,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-    start=None,
-) -> StepwiseResult:
+def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> StepwiseResult:
     """Greedy backward deletion from the full model.
 
     At each step every single-feature deletion is refit, as one batch;
@@ -377,9 +368,8 @@ def backward_stepwise(
     Deletion ties go to the earliest column.  The path records the
     accepted models only, starting with the full fit.
     """
-    current = ModelSpec(features=tuple(start if start is not None else m.column_names))
-    _validate_features(m, [current])
-    workers = _thread_count(None)
+    current = ModelSpec(features=tuple(m.column_names))
+    workers = _thread_count()
     cols = _Columns.build(m, split)
     step = 0
     (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol, workers)

@@ -10,9 +10,7 @@ dendrogram.
 Betweenness runs on an integer copy of the graph: nodes are numbered by
 their sorted rank, which is the names' order, so edge ids follow
 lexicographic edge order; adjacency is a sorted list of (neighbour,
-edge id) per node.  ``_source_pass`` is one source's Brandes pass, and
-``edge_betweenness`` and ``girvan_newman`` both use it; only
-``girvan_newman`` keeps its rows.
+edge id) per node.  ``_source_pass`` is one source's Brandes pass.
 
 Per-source cache: ``girvan_newman`` keeps each source's pass, its hop
 distances and its row of edge contributions in an n-by-m float64 array
@@ -42,7 +40,6 @@ equals that of a whole-graph recompute.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +52,7 @@ from .errors import (
     DataError,
     DegenerateInputError,
 )
+from .ingest import csv_rows
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,6 @@ class CollabGraph:
     @property
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
-
-    def neighbors(self, node: str) -> tuple:
-        if node not in self.adjacency:
-            raise DataError(f"unknown node {node!r}")
-        return self.adjacency[node]
 
 
 def build_graph(edge_rows) -> CollabGraph:
@@ -139,7 +132,7 @@ def read_edge_list(path, delimiter: str = ",") -> list:
     except OSError as exc:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv_rows(handle, path, delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -266,19 +259,6 @@ def _fold(comp, adj, contrib, btw) -> None:
         total += contrib[s]
     eids = [e for v in comp for w, e in adj[v] if v < w]
     btw[eids] = total[eids] / 2.0
-
-
-def edge_betweenness(g: CollabGraph) -> dict:
-    """Betweenness of every edge: for each node pair, one unit split
-    evenly over that pair's shortest paths, summed over the edges each
-    path crosses."""
-    ends, adj = _int_graph(g)
-    row = np.empty(len(ends))
-    total = np.zeros(len(ends))
-    for s in range(len(adj)):
-        _source_pass(s, adj, row)
-        total += row
-    return {(u, v): b for (u, v, _), b in zip(g.edges, (total / 2.0).tolist())}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .attribution import (
     mean_abs_importance,
     trend_compare,
 )
-from .emit import jsonable
 from .errors import (
     ConfigError,
     InvariantBreachError,
@@ -105,6 +104,8 @@ class RunConfig:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.tol > 0):
@@ -161,21 +162,20 @@ class AnalysisReport:
     artifacts: RunArtifacts = field(repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
-        return jsonable(
-            {
-                "tool": self.tool,
-                "config": self.config,
-                "dataset": self.dataset,
-                "descriptive_stats": self.descriptive_stats,
-                "correlation": self.correlation,
-                "vif": self.vif,
-                "split": self.split,
-                "full_model": self.full_model,
-                "selection": self.selection,
-                "evaluation": self.evaluation,
-                "attribution": self.attribution,
-            }
-        )
+        """The report.json payload; every section holds Python values only."""
+        return {
+            "tool": self.tool,
+            "config": self.config,
+            "dataset": self.dataset,
+            "descriptive_stats": self.descriptive_stats,
+            "correlation": self.correlation,
+            "vif": self.vif,
+            "split": self.split,
+            "full_model": self.full_model,
+            "selection": self.selection,
+            "evaluation": self.evaluation,
+            "attribution": self.attribution,
+        }
 
 
 def model_summary(fit: LogitFit, model_id: str) -> dict:
@@ -267,7 +267,7 @@ def describe_indicators(fm: FeatureMatrix) -> tuple:
         {"variable": name, **describe(fm.column(name)).__dict__}
         for name in fm.column_names
     ]
-    return stats, pearson_matrix(fm), vif(fm)
+    return stats, pearson_matrix(fm.values, fm.column_names), vif(fm.values, fm.column_names)
 
 
 def split_rows(cfg: RunConfig, fm: FeatureMatrix) -> Split:
@@ -424,9 +424,9 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         trend_json = {}
         for name, tc in trends.items():
             entry = {
-                "x": tc.full_curve.x,
-                "full": tc.full_curve.y,
-                "optimized": tc.optimized_curve.y if tc.optimized_curve else None,
+                "x": tc.full_curve.x.tolist(),
+                "full": tc.full_curve.y.tolist(),
+                "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
                 "missing_from": list(tc.missing_from),
             }
             trend_json[name] = entry
@@ -440,10 +440,10 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
                 "rows_eligible": len(dataset.records),
             },
             descriptive_stats=stats,
-            correlation={"names": list(corr.names), "r": corr.r},
+            correlation={"names": list(corr.names), "r": corr.r.tolist()},
             vif={
                 "names": list(fm.column_names),
-                "values": vifs,
+                "values": vifs.tolist(),
                 "mean": float(np.mean(vifs)),
             },
             split={

@@ -50,18 +50,6 @@ class CorrelationMatrix:
             raise DataError("correlation entries outside [-1, 1]")
 
 
-def _as_columns(m, names):
-    """Accept a FeatureMatrix-like object or a plain 2-D array."""
-    if hasattr(m, "values") and hasattr(m, "column_names"):
-        return np.asarray(m.values, dtype=float), tuple(m.column_names)
-    values = np.asarray(m, dtype=float)
-    if values.ndim != 2:
-        raise DataError("expected a 2-D array of columns")
-    if names is None:
-        names = tuple(f"col{j}" for j in range(values.shape[1]))
-    return values, tuple(names)
-
-
 def describe(column) -> DescriptiveStats:
     """Mean, sample std, min, median, max and adjusted skewness.
 
@@ -103,15 +91,15 @@ def describe(column) -> DescriptiveStats:
     )
 
 
-def pearson_matrix(m, names=None) -> CorrelationMatrix:
-    """Pearson correlation matrix of the columns of ``m``.
+def pearson_matrix(values, names) -> CorrelationMatrix:
+    """Pearson correlation matrix of the (n, p) array ``values``, whose
+    columns ``names`` names.
 
-    ``m`` may be a FeatureMatrix or any (n, p) array.  A zero-variance
-    column makes the coefficient undefined, so it is rejected by name.
-    The result is symmetrised and its diagonal pinned to exactly 1 to
-    absorb floating point round-off.
+    A zero-variance column makes the coefficient undefined, so it is
+    rejected by name.  The result is symmetrised and its diagonal pinned
+    to exactly 1 to absorb floating point round-off.
     """
-    values, cols = _as_columns(m, names)
+    values = np.asarray(values, dtype=float)
     n, p = values.shape
     if n < 2:
         raise DegenerateInputError("pearson_matrix: need at least 2 rows")
@@ -119,25 +107,26 @@ def pearson_matrix(m, names=None) -> CorrelationMatrix:
     for j in range(p):
         if sd[j] == 0.0:
             raise DegenerateInputError(
-                f"pearson_matrix: column {cols[j]} has zero variance"
+                f"pearson_matrix: column {names[j]} has zero variance"
             )
     z = (values - np.mean(values, axis=0)) / (sd * math.sqrt(n - 1))
     r = z.T @ z
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
     r = np.clip(r, -1.0, 1.0)
-    return CorrelationMatrix(names=cols, r=r)
+    return CorrelationMatrix(names=tuple(names), r=r)
 
 
-def vif(m, names=None) -> np.ndarray:
-    """Variance inflation factor of every column of ``m``.
+def vif(values, names) -> np.ndarray:
+    """Variance inflation factor of every column of the (n, p) array
+    ``values``, whose columns ``names`` names.
 
     VIF_j = 1 / (1 - R^2_j) where R^2_j comes from an ordinary least
     squares regression (with intercept) of column j on all the others.
     A single column trivially has VIF 1.  Exactly collinear columns are
     rejected rather than reported as a huge number.
     """
-    values, cols = _as_columns(m, names)
+    values = np.asarray(values, dtype=float)
     n, p = values.shape
     if n <= p:
         raise DegenerateInputError(f"vif: need more rows ({n}) than columns ({p})")
@@ -153,11 +142,11 @@ def vif(m, names=None) -> np.ndarray:
         resid = y - design @ coef
         sst = float(np.sum((y - y.mean()) ** 2))
         if sst == 0.0:
-            raise DegenerateInputError(f"vif: column {cols[j]} has zero variance")
+            raise DegenerateInputError(f"vif: column {names[j]} has zero variance")
         one_minus_r2 = float(np.sum(resid * resid)) / sst
         if one_minus_r2 <= 1e-12:
             raise SingularMatrixError(
-                f"vif: column {cols[j]} is exactly collinear with the others"
+                f"vif: column {names[j]} is exactly collinear with the others"
             )
         out[j] = 1.0 / one_minus_r2
     return out

@@ -15,16 +15,17 @@ from stratlogit.ingest import filter_eligible, parse_dataset
 from stratlogit.logit import (
     DesignMatrix,
     LogitFit,
+    _llr_stat,
     _singular_error,
     coefficient_inference,
     fit_logistic,
     information_criteria,
-    llr_test,
     pseudo_r2,
     sigmoid,
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
-from stratlogit.stats_core import solve_spd
+from stratlogit.network import _int_graph, _source_pass
+from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -85,7 +86,7 @@ def gradient_ref(beta, X, y):
 
 
 def finish_fit_ref(
-    X, y, feature_names, beta, eta, ll, path, iterations, converged, coef_bound, ll_null
+    X, y, feature_names, beta, eta, ll, path, iterations, converged, ll_null
 ) -> LogitFit:
     """Covariance and inference for one design whose iterations stopped at
     ``beta`` (``eta = X @ beta``, log-likelihood ``ll``), from its own 2-D
@@ -97,7 +98,7 @@ def finish_fit_ref(
     try:
         cov = solve_spd(hessian, np.eye(k))
     except SingularMatrixError as exc:
-        raise _singular_error(beta, exc, coef_bound) from exc
+        raise _singular_error(beta, exc) from exc
     var = np.diag(cov).copy()
     if np.any(var <= 0):
         raise SingularMatrixError("fit_logistic: non-positive coefficient variance")
@@ -105,8 +106,8 @@ def finish_fit_ref(
 
     df = k - 1
     if df > 0:
-        llr = llr_test(ll, ll_null, df)
-        llr_stat, llr_p = llr.stat, llr.p
+        llr_stat = _llr_stat(ll, ll_null)
+        llr_p = chisq_sf(llr_stat, df)
     else:
         llr_stat, llr_p = 0.0, 1.0
     aic, bic = information_criteria(ll, k, n)
@@ -188,6 +189,20 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:
         f1=mets.f1,
     )
     return ModelRow(**base)
+
+
+def edge_betweenness(g):
+    """Betweenness of every edge of ``g``: for each node pair, one unit
+    split evenly over that pair's shortest paths, summed over the edges
+    each path crosses.  Whole-graph source passes of ``network``, summed
+    in source order."""
+    ends, adj = _int_graph(g)
+    row = np.empty(len(ends))
+    total = np.zeros(len(ends))
+    for s in range(len(adj)):
+        _source_pass(s, adj, row)
+        total += row
+    return {(u, v): b for (u, v, _), b in zip(g.edges, (total / 2.0).tolist())}
 
 
 def brandes_ref(nodes, adj):

@@ -14,7 +14,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import DATA, gradient_ref, kernel_shap, make_problem, sigmoid_ref
+from conftest import (
+    DATA,
+    edge_betweenness,
+    gradient_ref,
+    kernel_shap,
+    make_problem,
+    sigmoid_ref,
+)
 from stratlogit.attribution import linear_shap, lowess
 from stratlogit.errors import (
     DegenerateInputError,
@@ -38,7 +45,6 @@ from stratlogit.evaluate import make_split
 from stratlogit.network import (
     Partition,
     build_graph,
-    edge_betweenness,
     girvan_newman,
     modularity,
 )
@@ -231,14 +237,14 @@ def test_07_vif_oracle():
             # mix columns so correlation is non-trivial
             mix = np.eye(p) + rng.uniform(-0.4, 0.4, (p, p))
             values = base @ mix
-            got = vif(values)
+            got = vif(values, tuple(f"c{j}" for j in range(p)))
             want = _vif_bruteforce(values)
             worst = max(worst, float(np.max(np.abs(got - want))))
         check(f, worst <= 1e-8, f"worst gap {worst:.2e}")
         x = rng.normal(size=200)
         y = 0.6 * x + 0.8 * rng.normal(size=200)
         r = float(np.corrcoef(x, y)[0, 1])
-        got = vif(np.column_stack([x, y]))
+        got = vif(np.column_stack([x, y]), ("x", "y"))
         closed = 1.0 / (1.0 - r * r)
         gap2 = float(np.max(np.abs(got - closed)))
         check(f, gap2 <= 1e-9, f"two-column gap {gap2:.2e}")

@@ -58,6 +58,10 @@ class TestSplit:
             with pytest.raises(ConfigError):
                 make_split(50, train_fraction=frac, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            make_split(50, train_fraction=0.7, seed=-1)
+
     def test_empty_partition_rejected(self):
         with pytest.raises(DegenerateInputError):
             make_split(3, train_fraction=0.9, seed=0)
@@ -74,27 +78,17 @@ class TestPredictClassify:
         assert_allclose(probs, 1.0 / (1.0 + np.exp(-eta)), rtol=1e-12)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
-    def test_single_row_returns_scalar(self):
-        design, _ = make_problem(4, n=80, p=2)
-        fit = fit_logistic(design)
-        one = predict_prob(fit, design.X[0, 1:])
-        assert np.ndim(one) == 0
-        assert one == predict_prob(fit, design.X[:1, 1:])[0]
-
     def test_shape_mismatch_rejected(self):
         design, _ = make_problem(4, n=80, p=2)
         fit = fit_logistic(design)
         with pytest.raises(DataError):
             predict_prob(fit, np.zeros((5, 4)))
+        with pytest.raises(DataError):  # one row is a (1, p) matrix
+            predict_prob(fit, design.X[0, 1:])
 
     def test_threshold_boundary(self):
         p = np.array([0.2, 0.5, 0.8])
-        assert classify(p, threshold=0.5).tolist() == [0, 1, 1]
-
-    def test_threshold_validation(self):
-        for t in (0.0, 1.0, -1.0):
-            with pytest.raises(ConfigError):
-                classify(np.array([0.5]), threshold=t)
+        assert classify(p).tolist() == [0, 1, 1]
 
 
 class TestConfusionAndMetrics:

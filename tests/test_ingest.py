@@ -1,6 +1,8 @@
 """CSV ingestion: parsing, validation, screening, round-trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogit.errors import (
     CellParseError,
@@ -9,6 +11,7 @@ from stratlogit.errors import (
     DuplicateIdError,
     MissingColumnError,
     RecordInvariantError,
+    StratLogitError,
 )
 from stratlogit.ingest import (
     COLUMNS,
@@ -16,6 +19,7 @@ from stratlogit.ingest import (
     parse_dataset,
     write_dataset_csv,
 )
+from stratlogit.network import build_graph, read_edge_list
 
 HEADER = ",".join(COLUMNS)
 
@@ -124,6 +128,11 @@ class TestParse:
         with pytest.raises(CellParseError, match="account_days"):
             parse_dataset(path)
 
+    def test_count_beyond_float_range_rejected(self, tmp_path):
+        path = write_csv(tmp_path, [row(citations="9" * 400)])
+        with pytest.raises(CellParseError, match="citations"):
+            parse_dataset(path)
+
     def test_missing_column(self, tmp_path):
         header = ",".join(c for c in COLUMNS if c != "citations")
         bad_row = ",".join(["a1"] + ["1"] * (len(COLUMNS) - 2))
@@ -195,6 +204,18 @@ class TestParse:
         assert bom.records == plain.records
         assert bom.provenance.rows_read == plain.provenance.rows_read
 
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + "\n" + row(sid="Muñoz") + "\n").encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8") as info:
+            parse_dataset(str(path))
+        assert str(path) in str(info.value)
+
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        path = write_csv(tmp_path, [row(sid='"' + "x" * 200_000)])
+        with pytest.raises(DataError, match="malformed CSV"):
+            parse_dataset(path)
+
 
 class TestFilterAndRoundTrip:
     def test_filter_eligible_requires_both_flags(self, tmp_path):
@@ -235,3 +256,28 @@ class TestFilterAndRoundTrip:
         ids = [f"s{i}" for i in range(10)]
         ds = parse_dataset(write_csv(tmp_path, [row(sid=i) for i in ids]))
         assert [r.scholar_id for r in ds.records] == ids
+
+
+# Pieces of hostile CSV text: separators, quotes, line ends, numbers at
+# the edges of the parsers, a BOM, bytes that are not UTF-8, and noise.
+_PIECES = st.sampled_from(
+    [b",", b"\n", b"\r", b"\r\n", b'"', b"\x00", b"1", b"-1", b"0", b"1e308", b"inf",
+     b"nan", b"true", b"a", b" ", b"9" * 400, b"\xef\xbb\xbf", b"\xff", b"\xc3",
+     b"\xe2\x80\xa8"]
+) | st.binary(max_size=6)
+
+
+class TestHostileBytes:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        header=st.sampled_from([b"", (HEADER + "\n").encode(), b"author_a,author_b,weight\n"]),
+        body=st.lists(_PIECES, max_size=40).map(b"".join),
+    )
+    def test_readers_return_or_raise_classified(self, header, body, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "hostile.csv"
+        path.write_bytes(header + body)
+        for read in (parse_dataset, lambda p: build_graph(read_edge_list(p))):
+            try:
+                read(str(path))
+            except StratLogitError:
+                pass

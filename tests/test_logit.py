@@ -32,12 +32,12 @@ from stratlogit.indicators import FeatureMatrix
 from stratlogit.logit import (
     DesignMatrix,
     LogitFit,
+    _llr_stat,
     coefficient_inference,
     fit_logistic,
     fit_logistic_batch,
     inference_table,
     information_criteria,
-    llr_test,
     log_likelihood,
     null_log_likelihood,
     pseudo_r2,
@@ -45,6 +45,7 @@ from stratlogit.logit import (
     stacked_matvec,
     verify_fit_identities,
 )
+from stratlogit.stats_core import chisq_sf
 
 
 def scipy_mle(design):
@@ -317,7 +318,7 @@ class TestBatchBits:
                 try:
                     want = finish_fit_ref(
                         stack[b].copy(), y, names[b], beta.copy(), eta.copy(), ll, path,
-                        iterations, converged, 50.0, ll_null,
+                        iterations, converged, ll_null,
                     )
                 except StratLogitError as exc:
                     want = exc
@@ -437,17 +438,18 @@ class TestInferenceIdentities:
             pseudo_r2(-300.0, -200.0)
 
     def test_llr_anchors(self):
-        res = llr_test(-91.334, -222.237, 9)
-        assert_allclose(res.stat, 261.806, rtol=1e-12)
-        assert_allclose(res.p, 3.198206960854689e-51, rtol=1e-6)
-        res7 = llr_test(-107.720, -222.237, 5)
-        assert_allclose(res7.p, 1.7228348108833642e-47, rtol=1e-6)
-        same = llr_test(-5.0, -5.0, 3)
-        assert same.stat == 0.0 and same.p == 1.0
+        stat = _llr_stat(-91.334, -222.237)
+        assert_allclose(stat, 261.806, rtol=1e-12)
+        assert_allclose(chisq_sf(stat, 9), 3.198206960854689e-51, rtol=1e-6)
+        assert_allclose(
+            chisq_sf(_llr_stat(-107.720, -222.237), 5), 1.7228348108833642e-47, rtol=1e-6
+        )
+        same = _llr_stat(-5.0, -5.0)
+        assert same == 0.0 and chisq_sf(same, 3) == 1.0
 
     def test_llr_rejects_worse_than_null(self):
         with pytest.raises(DegenerateInputError):
-            llr_test(-250.0, -222.237, 9)
+            _llr_stat(-250.0, -222.237)
 
 
 class TestFitOutputs:

@@ -123,12 +123,14 @@ class TestFitAll:
         assert not by_features[("a",)].failed
         assert not by_features[("b",)].failed
 
-    def test_thread_count_does_not_change_table(self):
+    def test_thread_count_does_not_change_table(self, monkeypatch):
         m, names = planted_matrix(n=160)
         split = make_split(m.n_rows, train_fraction=0.7, seed=1)
         specs = enumerate_subsets(names)
-        serial = fit_all(m, specs, split, threads=1)
-        threaded = fit_all(m, specs, split, threads=4)
+        monkeypatch.setenv("STRAT_THREADS", "1")
+        serial = fit_all(m, specs, split)
+        monkeypatch.setenv("STRAT_THREADS", "4")
+        threaded = fit_all(m, specs, split)
         assert comparison_to_dicts(serial) == comparison_to_dicts(threaded)
 
     def test_env_thread_override(self, monkeypatch):
@@ -240,10 +242,11 @@ class TestStepwise:
             res = backward_stepwise(m, split)
             assert res.path.rows[-1].aic >= best_enum - 1e-9
 
-    def test_explicit_start(self):
+    def test_starts_from_every_column(self):
         m, _ = planted_matrix(n=200, seed=8, noise_cols=3)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        res = backward_stepwise(m, split, start=("s0", "noise0"))
+        res = backward_stepwise(restrict(m, ("s0", "noise0")), split)
+        assert res.path.rows[0].spec.features == ("s0", "noise0")
         assert set(res.best.features) <= {"s0", "noise0"}
 
     def test_unusable_start_is_typed_error(self):
@@ -260,10 +263,22 @@ class TestStepwise:
             backward_stepwise(m, split)
 
 
-def stepwise_ref(m, split, max_iter, tol, start):
+def restrict(m, names):
+    """``m`` with only the columns ``names``, non-finite cells included."""
+    sub = FeatureMatrix(
+        column_names=tuple(names),
+        values=np.zeros((m.n_rows, len(names))),
+        target=m.target,
+        row_ids=m.row_ids,
+    )
+    sub.values[:] = m.values[:, [m.column_names.index(name) for name in names]]
+    return sub
+
+
+def stepwise_ref(m, split, max_iter, tol):
     """Backward deletion over ``fit_one_ref`` rows, one candidate at a
     time: the oracle for ``backward_stepwise``."""
-    features = tuple(start if start is not None else m.column_names)
+    features = tuple(m.column_names)
     row = fit_one_ref(m, ModelSpec(features), split, max_iter, tol, "step_000")
     if row.failed:
         raise DegenerateInputError(
@@ -356,22 +371,24 @@ class TestBatchParity:
     """Batched fits equal one ``fit_logistic`` call per candidate, row for
     row and bit for bit, failure text included."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_fit_all_equals_oracle(self, case, threads):
+    def test_fit_all_equals_oracle(self, case, threads, monkeypatch):
         m, split, max_iter, want = parity_problem(case)
         specs = enumerate_subsets(m.column_names)
-        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter, threads=threads).rows)
+        monkeypatch.setenv("STRAT_THREADS", threads)
+        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("values", [1, 1 << 30])  # one design per batch; one batch a size
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_batch_size_does_not_change_table(self, case, values, threads, monkeypatch):
         m, split, max_iter, want = parity_problem(case)
         monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
         specs = enumerate_subsets(m.column_names)
-        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter, threads=threads).rows)
+        monkeypatch.setenv("STRAT_THREADS", threads)
+        got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
 
     def test_stacked_scores_equal_per_fit_scores(self):
@@ -420,11 +437,11 @@ class TestBatchParity:
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_backward_stepwise_equals_oracle(self, case, threads, start, monkeypatch):
         m, split, max_iter, _ = parity_problem(case)
-        want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8, start))
+        if start is not None:
+            m = restrict(m, start)
+        want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8))
         monkeypatch.setenv("STRAT_THREADS", threads)
-        got = outcome(
-            lambda: backward_stepwise(m, split, max_iter=max_iter, start=start).path.rows
-        )
+        got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).path.rows)
         assert got == want
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import brandes_ref
+from conftest import brandes_ref, edge_betweenness
 from stratlogit.emit import write_dendrogram_json, write_json, write_partition_csv
 from stratlogit.errors import (
     CellParseError,
@@ -26,7 +26,6 @@ from stratlogit.errors import (
 from stratlogit.network import (
     Partition,
     build_graph,
-    edge_betweenness,
     girvan_newman,
     modularity,
     read_edge_list,
@@ -249,7 +248,7 @@ class TestBuildGraph:
         g = build_graph([("b", "a", 1.5), ("a", "b", 2.0), ("a", "c")])
         assert g.nodes == ("a", "b", "c")
         assert g.edges == (("a", "b", 3.5), ("a", "c", 1.0))
-        assert g.neighbors("a") == ("b", "c")
+        assert g.adjacency["a"] == ("b", "c")
         assert g.total_weight == 4.5
 
     def test_self_loops_dropped_and_counted(self):
@@ -272,11 +271,6 @@ class TestBuildGraph:
             build_graph([("a",)])
         with pytest.raises(DataError):
             build_graph([("", "b")])
-
-    def test_unknown_node_lookup(self):
-        g = build_graph([("a", "b")])
-        with pytest.raises(DataError):
-            g.neighbors("zz")
 
 
 class TestEdgeBetweenness:
@@ -627,6 +621,13 @@ class TestEdgeListIo:
         bom = tmp_path / "bom.csv"
         bom.write_text("\ufeff" + text, encoding="utf-8")
         assert read_edge_list(bom) == read_edge_list(edges_csv)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("author_a,author_b\nMuñoz,Lee\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8") as info:
+            read_edge_list(path)
+        assert str(path) in str(info.value)
 
 
 class TestWriters:

@@ -259,6 +259,8 @@ class TestCliErrors:
             ("select", ["--tol", "0"]),
             ("attribute", ["--max-iter", "0"]),
             ("report", ["--train-frac", "1"]),
+            ("report", ["--seed", "-1"]),
+            ("fit", ["--seed", "-1"]),
         ],
     )
     def test_bad_flag_exit_2_before_reading_input(self, command, flags, tmp_path, capsys):
@@ -268,6 +270,23 @@ class TestCliErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config_error]") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["report", "communities"])
+    def test_non_utf8_input_exit_3(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        if command == "report":
+            text = HEADER + "\nMuñoz,100,5,20,0,10,4,9,,3,2,1,1\n"
+        else:
+            text = "author_a,author_b\nMuñoz,Lee\n"
+        path.write_bytes(text.encode("latin-1"))
+        source = "--coauthor-edges" if command == "communities" else "--input"
+        rc = main([command, source, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data_error]") and "Traceback" not in err
+        assert str(path) in err and "not UTF-8" in err
+        assert ("stage=ingest" in err) == (command == "report")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exit_3_with_stage(self, capsys):
         rc = main(["report", "--input", "/nonexistent.csv", "--out", "/tmp/x"])

@@ -89,7 +89,7 @@ class TestPearson:
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(10):
             m = rng.normal(size=(50, 4))
-            got = pearson_matrix(m)
+            got = pearson_matrix(m, names=("a", "b", "c", "d"))
             assert_allclose(got.r, np.corrcoef(m, rowvar=False), atol=1e-12)
             assert np.all(got.r == got.r.T)
             assert np.all(np.abs(got.r) <= 1.0)
@@ -122,7 +122,8 @@ class TestVif:
             base = rng.normal(size=(200, p))
             # fold in some cross-column structure so VIFs exceed 1
             base[:, 0] += 0.5 * base[:, -1]
-            assert_allclose(vif(base), _vif_bruteforce(base), rtol=1e-8)
+            got = vif(base, names=tuple(f"c{j}" for j in range(p)))
+            assert_allclose(got, _vif_bruteforce(base), rtol=1e-8)
 
     def test_two_column_closed_form(self):
         rng = np.random.Generator(np.random.PCG64(29))
@@ -131,20 +132,20 @@ class TestVif:
             m[:, 1] += 0.8 * m[:, 0]
             r = np.corrcoef(m, rowvar=False)[0, 1]
             expected = 1.0 / (1.0 - r * r)
-            assert_allclose(vif(m), [expected, expected], rtol=1e-9)
+            assert_allclose(vif(m, names=("a", "b")), [expected, expected], rtol=1e-9)
 
     def test_single_column_is_one(self):
-        assert vif(np.arange(10.0)[:, None]).tolist() == [1.0]
+        assert vif(np.arange(10.0)[:, None], names=("a",)).tolist() == [1.0]
 
     def test_exact_collinearity_rejected(self):
         x = np.arange(20.0)
         m = np.column_stack([x, 2.0 * x + 3.0])
-        with pytest.raises(SingularMatrixError):
-            vif(m)
+        with pytest.raises(SingularMatrixError, match="column x is"):
+            vif(m, names=("x", "twice"))
 
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(DegenerateInputError):
-            vif(np.ones((3, 3)) + np.eye(3))
+            vif(np.ones((3, 3)) + np.eye(3), names=("a", "b", "c"))
 
 
 class TestSolveSpd:
