@@ -16,8 +16,8 @@ needs, through the same ``stratlogit.pipeline`` functions as
 ``fit``, ``evaluate`` and ``attribute`` use the ``--features`` subset
 (default all) where the report uses the selected model.  Flag values
 are validated as one RunConfig before any input is read.  This module
-parses arguments and builds the small ``fit.json``/``selection.json``
-payloads; every file is written by ``stratlogit.emit``.
+parses arguments and prints one summary line; it builds no payload, and
+every file, with its layout, is written by ``stratlogit.emit``.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 5 internal invariant breach.
@@ -34,15 +34,14 @@ import numpy as np
 from . import __version__
 from .emit import (
     out_path,
-    write_comparison_csv,
     write_dendrogram_json,
     write_describe_files,
     write_evaluate_files,
+    write_fit_files,
     write_importance_csv,
-    write_inference_csv,
-    write_json,
     write_partition_csv,
     write_report_files,
+    write_select_files,
     write_shap_values_csv,
     write_trend_csv,
 )
@@ -58,10 +57,8 @@ from .pipeline import (
     evaluate_fit,
     fit_features,
     load_dataset,
-    model_summary,
     run_pipeline,
     select_model,
-    selection_summary,
     split_rows,
     training_means,
     trend_curves,
@@ -180,8 +177,7 @@ def cmd_describe(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, _, _, fit = _fit(args)
-    write_inference_csv(fit, out_path(cfg.out_dir, "inference.csv"))
-    write_json(model_summary(fit, "fit"), out_path(cfg.out_dir, "fit.json"))
+    write_fit_files(cfg.out_dir, fit)
     print(
         f"fit {'+'.join(fit.feature_names)} on {fit.n_obs} rows: converged={fit.converged} "
         f"iterations={fit.iterations} loglik={fit.log_lik!r} aic={fit.aic!r}"
@@ -193,10 +189,7 @@ def cmd_select(args) -> int:
     cfg = _config(args)
     fm, split = _split(cfg)
     table, best_row, _ = select_model(cfg, fm, split)
-    write_comparison_csv(table, out_path(cfg.out_dir, "comparison.csv"))
-    payload = selection_summary(cfg, table, best_row)
-    payload["best"]["bic"] = best_row.bic
-    write_json(payload, out_path(cfg.out_dir, "selection.json"))
+    write_select_files(cfg.out_dir, cfg.selection, table, best_row)
     print(
         f"searched {len(table.rows)} models ({cfg.selection}); "
         f"best {'+'.join(best_row.spec.features)} aic={best_row.aic!r}"
@@ -249,10 +242,10 @@ def cmd_report(args) -> int:
     cfg = _config(args)
     report = run_pipeline(cfg)
     written = write_report_files(report, cfg.out_dir)
-    best = report.selection["best"]
+    best = report.best_row
     print(
         f"wrote {len(written)} files to {cfg.out_dir}; best model "
-        f"{'+'.join(best['features'])} aic={best['aic']!r}"
+        f"{'+'.join(best.spec.features)} aic={best.aic!r}"
     )
     return 0
 

@@ -8,8 +8,11 @@ cell; anything else as ``str(v)``.  A metric whose denominator is empty
 is written as the word ``undefined`` (``null`` in JSON), never as 0.
 
 JSON files hold sorted keys, a two-space indent and one trailing
-newline; NaN and infinity are refused.  A JSON payload holds Python
-values only: callers turn arrays into lists with ``tolist``.
+newline; NaN and infinity are refused.  Every JSON layout is built here
+from the stage results: ``fit_payload`` (fit.json and the report's
+``full_model``), ``selection_payload`` (selection.json and the report's
+``selection``) and ``report_payload`` (report.json).  A payload holds
+Python values only: arrays become lists with ``tolist``.
 
 Nothing in either format depends on the run, so two runs over the same
 input and configuration write byte-identical files.
@@ -23,11 +26,13 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError
+from . import __version__
+from .errors import DegenerateInputError
 from .logit import inference_table
-from .model_select import METRIC_FIELDS, comparison_to_dicts
+from .model_select import METRIC_FIELDS
 
 UNDEFINED = "undefined"
+INFERENCE_FIELDS = ("feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald")
 
 
 def cell(value) -> str:
@@ -78,6 +83,138 @@ def _metric(value):
     return UNDEFINED if value is None else value
 
 
+def comparison_to_dicts(table) -> list:
+    """JSON-friendly row dicts of a ComparisonTable, in table order."""
+    return [
+        {
+            "model_id": r.model_id,
+            "features": list(r.spec.features),
+            "n_train": r.n_train,
+            "k_params": r.k_params,
+            "converged": r.converged,
+            "iterations": r.iterations,
+            "failed": r.failed,
+            "failure": r.failure,
+            "coefficients": dict(r.coefficients) if r.coefficients else None,
+            **{f: getattr(r, f) for f in METRIC_FIELDS},
+        }
+        for r in table.rows
+    ]
+
+
+def fit_payload(fit, model_id: str) -> dict:
+    """Coefficients, inference rows and fit statistics of one model."""
+    params = ("intercept", *fit.feature_names)
+    return {
+        "model_id": model_id,
+        "features": list(fit.feature_names),
+        "coefficients": dict(zip(params, fit.coef.tolist())),
+        "std_err": dict(zip(params, fit.std_err.tolist())),
+        "inference": [
+            {f: getattr(r, f) for f in INFERENCE_FIELDS} for r in inference_table(fit)
+        ],
+        "log_lik": fit.log_lik,
+        "log_lik_null": fit.log_lik_null,
+        "pseudo_r2": fit.pseudo_r2,
+        "llr_stat": fit.llr_stat,
+        "llr_p": fit.llr_p,
+        "aic": fit.aic,
+        "bic": fit.bic,
+        "n_obs": fit.n_obs,
+        "k_params": fit.k_params,
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+    }
+
+
+def selection_payload(mode: str, table, best_row) -> dict:
+    """The search ``mode``, its table and its best row."""
+    return {
+        "mode": mode,
+        "n_models": len(table.rows),
+        "best": {
+            "model_id": best_row.model_id,
+            "features": list(best_row.spec.features),
+            "aic": best_row.aic,
+        },
+        "table": comparison_to_dicts(table),
+    }
+
+
+def _models(report) -> tuple:
+    """(key, fit, attributions, ranking) of the report's two models."""
+    return (
+        ("full", report.full_fit, report.full_shap, report.full_importance),
+        ("optimized", report.best_fit, report.optimized_shap, report.optimized_importance),
+    )
+
+
+def report_payload(report) -> dict:
+    """The report.json payload of an AnalysisReport."""
+    cfg, fm, split = report.config, report.feature_matrix, report.split
+    stats, corr, vifs = report.description
+    cm, mets, roc = report.confusion, report.metrics, report.roc
+    trends = {
+        name: {
+            "x": tc.full_curve.x.tolist(),
+            "full": tc.full_curve.y.tolist(),
+            "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
+            "missing_from": list(tc.missing_from),
+        }
+        for name, tc in report.trends.items()
+    }
+    return {
+        "tool": {"name": "stratlogit", "version": __version__},
+        "config": cfg.echo(),
+        "dataset": {
+            "source": report.dataset.provenance.source,
+            "rows_read": report.dataset_raw.provenance.rows_read,
+            "rows_eligible": len(report.dataset.records),
+        },
+        "descriptive_stats": stats,
+        "correlation": {"names": list(corr.names), "r": corr.r.tolist()},
+        "vif": {
+            "names": list(fm.column_names),
+            "values": vifs.tolist(),
+            "mean": float(np.mean(vifs)),
+        },
+        "split": {
+            "seed": split.seed,
+            "train_fraction": split.train_fraction,
+            "n_train": split.n_train,
+            "n_val": split.n_val,
+        },
+        "full_model": fit_payload(report.full_fit, "full"),
+        "selection": selection_payload(cfg.selection, report.comparison, report.best_row),
+        "evaluation": {
+            "model_id": "optimized",
+            "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
+            "metrics": {
+                "accuracy": mets.accuracy,
+                "precision": mets.precision,
+                "recall": mets.recall,
+                "f1": mets.f1,
+            },
+            "roc": {
+                "points": [list(pt) for pt in roc.points],
+                "thresholds": list(roc.thresholds),
+                "auc": roc.auc,
+            },
+        },
+        "attribution": {
+            "background": dict(zip(fm.column_names, report.background.tolist())),
+            **{
+                key: {
+                    "base_value": shap.base_value,
+                    "importance": [list(e) for e in ranking.entries],
+                }
+                for key, _, shap, ranking in _models(report)
+            },
+            "trends": trends,
+        },
+    }
+
+
 def write_feature_matrix_csv(m, path) -> None:
     """Audit dump: one row per scholar, feature columns plus target."""
     write_csv(
@@ -119,8 +256,11 @@ def write_comparison_csv(table, path) -> None:
 
 def write_inference_csv(fit, path) -> None:
     """Per-feature inference rows of a converged fit."""
-    fields = ("feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald")
-    write_csv(path, fields, ([getattr(r, f) for f in fields] for r in inference_table(fit)))
+    write_csv(
+        path,
+        INFERENCE_FIELDS,
+        ([getattr(r, f) for f in INFERENCE_FIELDS] for r in inference_table(fit)),
+    )
 
 
 def write_shap_values_csv(shap, row_ids, path) -> None:
@@ -170,6 +310,26 @@ def write_describe_files(out_dir, fm, description) -> list:
     return paths
 
 
+def write_fit_files(out_dir, fit) -> list:
+    """The fit stage's files.  Returns the paths written."""
+    paths = [out_path(out_dir, name) for name in ("inference.csv", "fit.json")]
+    write_inference_csv(fit, paths[0])
+    write_json(fit_payload(fit, "fit"), paths[1])
+    return paths
+
+
+def write_select_files(out_dir, mode: str, table, best_row) -> list:
+    """The select stage's files; selection.json also gives the best
+    row's BIC, which the report's selection section leaves out.
+    Returns the paths written."""
+    paths = [out_path(out_dir, name) for name in ("comparison.csv", "selection.json")]
+    write_comparison_csv(table, paths[0])
+    payload = selection_payload(mode, table, best_row)
+    payload["best"]["bic"] = best_row.bic
+    write_json(payload, paths[1])
+    return paths
+
+
 def write_evaluate_files(out_dir, cm, mets, roc) -> list:
     """The evaluate stage's files.  Returns the paths written."""
     paths = [out_path(out_dir, name) for name in ("confusion.csv", "metrics.csv", "roc.csv")]
@@ -191,21 +351,16 @@ def write_evaluate_files(out_dir, cm, mets, roc) -> list:
 
 
 def write_report_files(report, out_dir) -> list:
-    """Write report.json and the CSV side files; returns the paths."""
-    artifacts = report.artifacts
-    if artifacts is None:
-        raise ConfigError("report has no artifacts attached; run the pipeline first")
-    fm = artifacts.feature_matrix
+    """Write report.json and the CSV side files of an AnalysisReport;
+    returns the paths."""
+    fm = report.feature_matrix
     written = [out_path(out_dir, "report.json")]
-    write_json(report.to_json_dict(), written[0])
-    written += write_describe_files(out_dir, fm, artifacts.description)
+    write_json(report_payload(report), written[0])
+    written += write_describe_files(out_dir, fm, report.description)
     written.append(out_path(out_dir, "comparison.csv"))
-    write_comparison_csv(artifacts.comparison, written[-1])
-    written += write_evaluate_files(out_dir, artifacts.confusion, artifacts.metrics, artifacts.roc)
-    for key, fit, shap, ranking in (
-        ("full", artifacts.full_fit, artifacts.full_shap, artifacts.full_importance),
-        ("optimized", artifacts.best_fit, artifacts.optimized_shap, artifacts.optimized_importance),
-    ):
+    write_comparison_csv(report.comparison, written[-1])
+    written += write_evaluate_files(out_dir, report.confusion, report.metrics, report.roc)
+    for key, fit, shap, ranking in _models(report):
         paths = [
             out_path(out_dir, f"{kind}_{key}.csv") for kind in ("inference", "shap", "importance")
         ]
@@ -213,7 +368,7 @@ def write_report_files(report, out_dir) -> list:
         write_shap_values_csv(shap, fm.row_ids, paths[1])
         write_importance_csv(ranking, paths[2])
         written += paths
-    for name, tc in artifacts.trends.items():
+    for name, tc in report.trends.items():
         written.append(out_path(out_dir, f"trend_{name}.csv"))
         write_trend_csv(
             {"attribution_full": tc.full_curve, "attribution_optimized": tc.optimized_curve},

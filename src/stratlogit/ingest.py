@@ -150,27 +150,19 @@ def csv_rows(handle, path, delimiter: str):
         raise DataError(f"{path}: malformed CSV ({exc})") from exc
 
 
-def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
+def parse_dataset(path, delimiter: str = ",") -> Dataset:
     """Parse the scholar activity CSV at ``path``.
 
-    ``schema`` optionally maps canonical column names to the header
-    names actually used in the file.  Blank ``followers_historical``
-    defaults to 0; blank ``per_cited`` is derived as citations divided
-    by publications (0 when there are no publications).  When
-    ``per_cited`` is supplied alongside a positive publication count it
-    must agree with the derived ratio to a relative 1e-6.
+    Blank ``followers_historical`` defaults to 0; blank ``per_cited`` is
+    derived as citations divided by publications (0 when there are no
+    publications).  When ``per_cited`` is supplied alongside a positive
+    publication count it must agree with the derived ratio to a
+    relative 1e-6.
 
     Data rows are numbered from 1 in every error message.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
-    mapping = {name: name for name in COLUMNS}
-    if schema:
-        unknown = set(schema) - set(COLUMNS)
-        if unknown:
-            raise DataError(f"schema maps unknown columns: {sorted(unknown)}")
-        mapping.update(schema)
-
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -186,13 +178,12 @@ def parse_dataset(path, schema=None, delimiter: str = ",") -> Dataset:
         positions = {}
         missing = []
         for name in COLUMNS:
-            actual = mapping[name]
-            if actual in index:
-                positions[name] = index[actual]
+            if name in index:
+                positions[name] = index[name]
             elif name in OPTIONAL_COLUMNS:
                 positions[name] = None
             else:
-                missing.append(actual)
+                missing.append(name)
         if missing:
             raise MissingColumnError(f"{path}: missing required columns {missing}")
 

@@ -353,13 +353,7 @@ def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> 
     return ComparisonTable(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class StepwiseResult:
-    path: ComparisonTable
-    best: ModelSpec
-
-
-def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> StepwiseResult:
+def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> ComparisonTable:
     """Greedy backward deletion from the full model.
 
     At each step every single-feature deletion is refit, as one batch;
@@ -398,25 +392,5 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
         current_row = replace(best_cand, model_id=f"step_{step:03d}")
         current = current_row.spec
         path.append(current_row)
-    return StepwiseResult(path=ComparisonTable(rows=tuple(path)), best=current)
+    return ComparisonTable(rows=tuple(path))
 
-
-def comparison_to_dicts(table: ComparisonTable) -> list:
-    """JSON-friendly row dicts, in table order."""
-    out = []
-    for r in table.rows:
-        out.append(
-            {
-                "model_id": r.model_id,
-                "features": list(r.spec.features),
-                "n_train": r.n_train,
-                "k_params": r.k_params,
-                "converged": r.converged,
-                "iterations": r.iterations,
-                "failed": r.failed,
-                "failure": r.failure,
-                "coefficients": dict(r.coefficients) if r.coefficients else None,
-                **{f: getattr(r, f) for f in METRIC_FIELDS},
-            }
-        )
-    return out

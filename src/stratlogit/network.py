@@ -61,7 +61,6 @@ class CollabGraph:
 
     nodes: tuple
     edges: tuple  # ((u, v, weight), ...) with u < v, sorted by (u, v)
-    adjacency: dict  # node -> tuple of neighbours, sorted
     self_loops_dropped: int
 
     @property
@@ -110,15 +109,9 @@ def build_graph(edge_rows) -> CollabGraph:
     for (u, v), w in weights.items():
         if w == math.inf:
             raise DataError(f"summed weight of {u}-{v} overflows")
-    nodes = tuple(sorted({n for pair in weights for n in pair}))
-    adjacency = {n: [] for n in nodes}
-    for u, v in weights:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     return CollabGraph(
-        nodes=nodes,
+        nodes=tuple(sorted({n for pair in weights for n in pair})),
         edges=tuple((u, v, weights[(u, v)]) for u, v in sorted(weights)),
-        adjacency={n: tuple(sorted(vs)) for n, vs in adjacency.items()},
         self_loops_dropped=dropped,
     )
 

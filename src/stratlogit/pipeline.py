@@ -13,9 +13,11 @@ subcommands:
     attribute   attribute_fit        one fit's attributions and their ranking
 
 ``run_pipeline`` runs them for the full and the selected model and
-assembles an AnalysisReport.  This module writes no file: ``emit``
-owns every output format, and ``emit.write_report_files`` writes a
-report with the per-stage writers the subcommands use.
+returns their results as one AnalysisReport.  This module computes
+only: it writes no file and builds no output layout.  ``emit`` owns
+every file format, report.json included, and
+``emit.write_report_files`` writes a report with the per-stage
+writers the subcommands use.
 
 Any stage failure in ``run_pipeline`` is re-raised as PipelineError
 carrying the stage name, the machine-readable error code of the
@@ -26,12 +28,11 @@ completed (a partial result existed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import __version__
 from .attribution import (
     ImportanceRanking,
     ShapMatrix,
@@ -42,6 +43,7 @@ from .attribution import (
 )
 from .errors import (
     ConfigError,
+    DataError,
     InvariantBreachError,
     PipelineError,
     StratLogitError,
@@ -58,18 +60,17 @@ from .evaluate import (
     roc_auc,
 )
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix
-from .ingest import filter_eligible, parse_dataset
+from .ingest import Dataset, filter_eligible, parse_dataset
 from .logit import (
     DesignMatrix,
     LogitFit,
     fit_logistic,
-    inference_table,
     verify_fit_identities,
 )
 from .model_select import (
     ComparisonTable,
+    ModelRow,
     backward_stepwise,
-    comparison_to_dicts,
     enumerate_subsets,
     fit_all,
 )
@@ -124,106 +125,38 @@ class RunConfig:
         return data
 
 
-@dataclass
-class RunArtifacts:
-    """In-memory objects behind the report, for file emission and tests."""
+@dataclass(frozen=True)
+class AnalysisReport:
+    """Every stage result of one run; ``emit`` lays them out as files."""
 
-    dataset_raw: object
-    dataset: object
-    feature_matrix: object
+    config: RunConfig
+    dataset_raw: Dataset
+    dataset: Dataset
+    feature_matrix: FeatureMatrix
     description: tuple
     split: Split
     full_fit: LogitFit
-    best_fit: LogitFit
     comparison: ComparisonTable
+    best_row: ModelRow
+    best_fit: LogitFit
     confusion: ConfusionMatrix
     metrics: ClassificationMetrics
     roc: RocCurve
+    background: np.ndarray  # training mean of every feature-matrix column
     full_shap: ShapMatrix
-    optimized_shap: ShapMatrix
     full_importance: ImportanceRanking
+    optimized_shap: ShapMatrix
     optimized_importance: ImportanceRanking
-    trends: dict
+    trends: dict  # feature -> TrendComparison of the full and optimized model
 
 
-@dataclass
-class AnalysisReport:
-    tool: dict
-    config: dict
-    dataset: dict
-    descriptive_stats: list
-    correlation: dict
-    vif: dict
-    split: dict
-    full_model: dict
-    selection: dict
-    evaluation: dict
-    attribution: dict
-    artifacts: RunArtifacts = field(repr=False, compare=False, default=None)
-
-    def to_json_dict(self) -> dict:
-        """The report.json payload; every section holds Python values only."""
-        return {
-            "tool": self.tool,
-            "config": self.config,
-            "dataset": self.dataset,
-            "descriptive_stats": self.descriptive_stats,
-            "correlation": self.correlation,
-            "vif": self.vif,
-            "split": self.split,
-            "full_model": self.full_model,
-            "selection": self.selection,
-            "evaluation": self.evaluation,
-            "attribution": self.attribution,
-        }
-
-
-def model_summary(fit: LogitFit, model_id: str) -> dict:
-    """Coefficients, inference rows and fit statistics of one model."""
-    rows = inference_table(fit)
-    coefficients = {"intercept": float(fit.coef[0])}
-    std_err = {"intercept": float(fit.std_err[0])}
-    for i, name in enumerate(fit.feature_names, start=1):
-        coefficients[name] = float(fit.coef[i])
-        std_err[name] = float(fit.std_err[i])
-    return {
-        "model_id": model_id,
-        "features": list(fit.feature_names),
-        "coefficients": coefficients,
-        "std_err": std_err,
-        "inference": [
-            {
-                "feature": r.feature,
-                "coef": r.coef,
-                "std_err": r.std_err,
-                "z": r.z,
-                "p_two_sided": r.p_two_sided,
-                "exp_b": r.exp_b,
-                "wald": r.wald,
-            }
-            for r in rows
-        ],
-        "log_lik": fit.log_lik,
-        "log_lik_null": fit.log_lik_null,
-        "pseudo_r2": fit.pseudo_r2,
-        "llr_stat": fit.llr_stat,
-        "llr_p": fit.llr_p,
-        "aic": fit.aic,
-        "bic": fit.bic,
-        "n_obs": fit.n_obs,
-        "k_params": fit.k_params,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
-
-
-def _verify_report(artifacts: RunArtifacts) -> None:
+def _verify_report(report: AnalysisReport) -> None:
     """Cross-stage identities re-checked before anything is written; each
     fit's own identities were checked by its fit stage."""
-    fm = artifacts.feature_matrix
+    fm = report.feature_matrix
     for shap, fit in (
-        (artifacts.full_shap, artifacts.full_fit),
-        (artifacts.optimized_shap, artifacts.best_fit),
+        (report.full_shap, report.full_fit),
+        (report.optimized_shap, report.best_fit),
     ):
         cols = [fm.column(name) for name in shap.feature_names]
         X = np.column_stack(cols)
@@ -234,18 +167,18 @@ def _verify_report(artifacts: RunArtifacts) -> None:
             raise InvariantBreachError(
                 f"shap additivity violated for {shap.model_id}: max gap {gap}"
             )
-    cm, mets = artifacts.confusion, artifacts.metrics
-    if cm.total != artifacts.split.n_val:
+    cm, mets = report.confusion, report.metrics
+    if cm.total != report.split.n_val:
         raise InvariantBreachError("confusion total does not match validation size")
     if mets.accuracy != (cm.tp + cm.tn) / cm.total:
         raise InvariantBreachError("accuracy inconsistent with confusion matrix")
-    for row in artifacts.comparison.rows:
+    for row in report.comparison.rows:
         if row.failed or row.aic is None:
             continue
         want = 2.0 * row.k_params - 2.0 * row.log_lik
         if abs(row.aic - want) > 1e-9 * max(1.0, abs(want)):
             raise InvariantBreachError(f"comparison row {row.model_id}: AIC mismatch")
-    for v in artifacts.metrics.__dict__.values():
+    for v in report.metrics.__dict__.values():
         if v is not None and not (0.0 <= v <= 1.0):
             raise InvariantBreachError(f"classification metric outside [0, 1]: {v}")
 
@@ -261,13 +194,32 @@ def build_indicators(cfg: RunConfig, dataset) -> FeatureMatrix:
     return build_feature_matrix(dataset, CompositeWeights(cfg.alpha, cfg.beta))
 
 
+def _require_finite(name, statistic, value) -> None:
+    if not math.isfinite(value):
+        raise DataError(
+            f"describe: {statistic} of {name} is {value!r}; "
+            "its values are too large for double precision"
+        )
+
+
 def describe_indicators(fm: FeatureMatrix) -> tuple:
-    """Describe stage: (per-variable stat dicts, correlation matrix, VIFs)."""
-    stats = [
-        {"variable": name, **describe(fm.column(name)).__dict__}
-        for name in fm.column_names
-    ]
-    return stats, pearson_matrix(fm.values, fm.column_names), vif(fm.values, fm.column_names)
+    """Describe stage: (per-variable stat dicts, correlation matrix, VIFs).
+
+    A statistic that overflows, as one of a column with values near the
+    float range does, is a DataError naming its variable.
+    """
+    names = fm.column_names
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [{"variable": name, **describe(fm.column(name)).__dict__} for name in names]
+        for row in stats:
+            for key, value in row.items():
+                if key != "variable":
+                    _require_finite(row["variable"], key, value)
+        corr = pearson_matrix(fm.values, names)
+        vifs = vif(fm.values, names)
+    for name, value in zip(names, vifs.tolist()):
+        _require_finite(name, "vif", value)
+    return stats, corr, vifs
 
 
 def split_rows(cfg: RunConfig, fm: FeatureMatrix) -> Split:
@@ -306,26 +258,12 @@ def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
         )
         ordered, best_row = table.sorted_by_aic(), table.best_row()
     else:
-        ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol).path
+        ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]
     best_fit = fit_features(cfg, fm, split, best_row.spec.features)
     if abs(best_fit.aic - best_row.aic) > 1e-9 * max(1.0, abs(best_row.aic)):
         raise InvariantBreachError("best-model refit disagrees with its table row")
     return ordered, best_row, best_fit
-
-
-def selection_summary(cfg: RunConfig, table: ComparisonTable, best_row) -> dict:
-    """The report's selection section."""
-    return {
-        "mode": cfg.selection,
-        "n_models": len(table.rows),
-        "best": {
-            "model_id": best_row.model_id,
-            "features": list(best_row.spec.features),
-            "aic": best_row.aic,
-        },
-        "table": comparison_to_dicts(table),
-    }
 
 
 def evaluate_fit(fm: FeatureMatrix, split: Split, fit: LogitFit) -> tuple:
@@ -363,7 +301,8 @@ def trend_curves(fm: FeatureMatrix, shap: ShapMatrix) -> dict:
 
 
 def run_pipeline(cfg: RunConfig) -> AnalysisReport:
-    """Execute every stage and assemble the report.
+    """Execute every stage and return their results; the last stage,
+    ``report``, re-checks the identities that span several stages.
 
     Raises PipelineError on the first failing stage; the exit code of
     the underlying error is preserved for the command line front end.
@@ -400,92 +339,26 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     background, full_shap, full_rank, opt_shap, opt_rank, trends = stage(
         "attribute", _attribute
     )
-
-    def _assemble():
-        artifacts = RunArtifacts(
-            dataset_raw=dataset_raw,
-            dataset=dataset,
-            feature_matrix=fm,
-            description=description,
-            split=split,
-            full_fit=full_fit,
-            best_fit=best_fit,
-            comparison=comparison,
-            confusion=cm,
-            metrics=mets,
-            roc=roc,
-            full_shap=full_shap,
-            optimized_shap=opt_shap,
-            full_importance=full_rank,
-            optimized_importance=opt_rank,
-            trends=trends,
-        )
-        _verify_report(artifacts)
-        trend_json = {}
-        for name, tc in trends.items():
-            entry = {
-                "x": tc.full_curve.x.tolist(),
-                "full": tc.full_curve.y.tolist(),
-                "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
-                "missing_from": list(tc.missing_from),
-            }
-            trend_json[name] = entry
-        stats, corr, vifs = description
-        report = AnalysisReport(
-            tool={"name": "stratlogit", "version": __version__},
-            config=cfg.echo(),
-            dataset={
-                "source": dataset.provenance.source,
-                "rows_read": dataset_raw.provenance.rows_read,
-                "rows_eligible": len(dataset.records),
-            },
-            descriptive_stats=stats,
-            correlation={"names": list(corr.names), "r": corr.r.tolist()},
-            vif={
-                "names": list(fm.column_names),
-                "values": vifs.tolist(),
-                "mean": float(np.mean(vifs)),
-            },
-            split={
-                "seed": split.seed,
-                "train_fraction": split.train_fraction,
-                "n_train": split.n_train,
-                "n_val": split.n_val,
-            },
-            full_model=model_summary(full_fit, "full"),
-            selection=selection_summary(cfg, comparison, best_row),
-            evaluation={
-                "model_id": "optimized",
-                "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-                "metrics": {
-                    "accuracy": mets.accuracy,
-                    "precision": mets.precision,
-                    "recall": mets.recall,
-                    "f1": mets.f1,
-                },
-                "roc": {
-                    "points": [list(pt) for pt in roc.points],
-                    "thresholds": list(roc.thresholds),
-                    "auc": roc.auc,
-                },
-            },
-            attribution={
-                "background": {
-                    name: float(background[j])
-                    for j, name in enumerate(fm.column_names)
-                },
-                "full": {
-                    "base_value": full_shap.base_value,
-                    "importance": [list(e) for e in full_rank.entries],
-                },
-                "optimized": {
-                    "base_value": opt_shap.base_value,
-                    "importance": [list(e) for e in opt_rank.entries],
-                },
-                "trends": trend_json,
-            },
-            artifacts=artifacts,
-        )
-        return report
-
-    return stage("report", _assemble)
+    report = AnalysisReport(
+        config=cfg,
+        dataset_raw=dataset_raw,
+        dataset=dataset,
+        feature_matrix=fm,
+        description=description,
+        split=split,
+        full_fit=full_fit,
+        comparison=comparison,
+        best_row=best_row,
+        best_fit=best_fit,
+        confusion=cm,
+        metrics=mets,
+        roc=roc,
+        background=background,
+        full_shap=full_shap,
+        full_importance=full_rank,
+        optimized_shap=opt_shap,
+        optimized_importance=opt_rank,
+        trends=trends,
+    )
+    stage("report", _verify_report, report)
+    return report

@@ -75,7 +75,8 @@ def describe(column) -> DescriptiveStats:
     if m2 == 0.0:
         skew = 0.0
     else:
-        g1 = float(np.mean(dev * dev * dev)) / m2 ** 1.5
+        # numpy's power: an overflow is inf, not Python's OverflowError
+        g1 = float(np.mean(dev * dev * dev) / np.float64(m2) ** 1.5)
         if n > 2:
             skew = g1 * math.sqrt(n * (n - 1)) / (n - 2)
         else:

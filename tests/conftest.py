@@ -191,6 +191,15 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:
     return ModelRow(**base)
 
 
+def adjacency(g):
+    """{node: sorted tuple of its neighbours} of a CollabGraph, from its edges."""
+    adj = {n: [] for n in g.nodes}
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {n: tuple(sorted(vs)) for n, vs in adj.items()}
+
+
 def edge_betweenness(g):
     """Betweenness of every edge of ``g``: for each node pair, one unit
     split evenly over that pair's shortest paths, summed over the edges

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     DATA,
+    adjacency,
     edge_betweenness,
     gradient_ref,
     kernel_shap,
@@ -48,7 +49,7 @@ from stratlogit.network import (
     girvan_newman,
     modularity,
 )
-from stratlogit.emit import to_json
+from stratlogit.emit import report_payload, to_json
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.stats_core import two_sided_p, vif
 
@@ -197,14 +198,13 @@ def test_06_search_coherence():
             split = make_split(m.n_rows, train_fraction=0.7, seed=run)
             table = fit_all(m, enumerate_subsets(m.column_names), split)
             enum_best = table.best_row().aic
-            step = backward_stepwise(m, split)
-            step_best = step.path.rows[-1].aic
+            path = backward_stepwise(m, split).rows
+            step_best = path[-1].aic
             check(
                 f,
                 enum_best <= step_best + 1e-9,
                 f"run {run}: enumeration {enum_best} > stepwise {step_best}",
             )
-            path = step.path.rows
             if len(path) >= 2:
                 dropped = set(path[0].spec.features) - set(path[1].spec.features)
                 if dropped == {"noise"}:
@@ -292,8 +292,9 @@ def _bfs_counts(adj, s):
 
 def _brute_betweenness(g):
     dist, sigma = {}, {}
+    adj = adjacency(g)
     for s in g.nodes:
-        dist[s], sigma[s] = _bfs_counts(g.adjacency, s)
+        dist[s], sigma[s] = _bfs_counts(adj, s)
     btw = {(u, v): 0.0 for u, v, _ in g.edges}
     for s, t in itertools.combinations(g.nodes, 2):
         if t not in dist[s]:
@@ -321,11 +322,12 @@ def _connected_random_graph(seed):
         g = build_graph(rows)
         if g.n_nodes != k:
             continue
+        adj = adjacency(g)
         seen = {names[0]}
         queue = deque([names[0]])
         while queue:
             v = queue.popleft()
-            for w in g.adjacency[v]:
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -426,18 +428,18 @@ def test_11_end_to_end_determinism():
         cfg = RunConfig(input_path=SCHOLARS)
         first = run_pipeline(cfg)
         second = run_pipeline(cfg)
-        a = to_json(first.to_json_dict())
-        b = to_json(second.to_json_dict())
+        a = to_json(report_payload(first))
+        b = to_json(report_payload(second))
         check(f, a == b, "rerun JSON differs")
         check(
             f,
-            first.split["n_train"] == 321,
-            f"n_train={first.split['n_train']}",
+            first.split.n_train == 321,
+            f"n_train={first.split.n_train}",
         )
         check(
             f,
-            first.split["train_fraction"] == 0.7,
-            f"train_fraction={first.split['train_fraction']}",
+            first.split.train_fraction == 0.7,
+            f"train_fraction={first.split.train_fraction}",
         )
 
 

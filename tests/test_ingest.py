@@ -176,19 +176,6 @@ class TestParse:
         ds = parse_dataset(write_csv(tmp_path, [row(sid="a"), "", row(sid="b")]))
         assert [r.scholar_id for r in ds.records] == ["a", "b"]
 
-    def test_schema_renames_columns(self, tmp_path):
-        header = HEADER.replace("scholar_id", "user")
-        ds = parse_dataset(
-            write_csv(tmp_path, [row()], header=header),
-            schema={"scholar_id": "user"},
-        )
-        assert ds.records[0].scholar_id == "a1"
-
-    def test_schema_rejects_unknown_canonical_names(self, tmp_path):
-        path = write_csv(tmp_path, [row()])
-        with pytest.raises(DataError, match="unknown columns"):
-            parse_dataset(path, schema={"bogus": "x"})
-
     def test_delimiter_must_be_one_character(self, tmp_path):
         path = write_csv(tmp_path, [row()])
         for bad in (";;", ""):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fit_one_ref
 from stratlogit import model_select
-from stratlogit.emit import write_comparison_csv
+from stratlogit.emit import comparison_to_dicts, write_comparison_csv
 from stratlogit.errors import (
     ConfigError,
     DataError,
@@ -24,7 +24,6 @@ from stratlogit.model_select import (
     ComparisonTable,
     ModelSpec,
     backward_stepwise,
-    comparison_to_dicts,
     enumerate_subsets,
     fit_all,
 )
@@ -220,9 +219,8 @@ class TestStepwise:
     def test_prunes_noise_keeps_signal(self):
         m, _ = planted_matrix(n=400, seed=3, noise_cols=4)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        res = backward_stepwise(m, split)
-        assert {"s0", "s1"} <= set(res.best.features)
-        path = res.path.rows
+        path = backward_stepwise(m, split).rows
+        assert {"s0", "s1"} <= set(path[-1].spec.features)
         assert path[0].model_id == "step_000"
         assert len(path[0].spec.features) == 6
         # strictly improving AIC along the accepted path
@@ -231,7 +229,6 @@ class TestStepwise:
         # each step removes exactly one feature
         sizes = [len(r.spec.features) for r in path]
         assert all(a - b == 1 for a, b in zip(sizes, sizes[1:]))
-        assert res.best.features == path[-1].spec.features
 
     def test_never_beats_enumeration(self):
         for seed in range(5):
@@ -239,15 +236,14 @@ class TestStepwise:
             split = make_split(m.n_rows, train_fraction=0.7, seed=seed)
             table = fit_all(m, enumerate_subsets(names), split)
             best_enum = table.best_row().aic
-            res = backward_stepwise(m, split)
-            assert res.path.rows[-1].aic >= best_enum - 1e-9
+            assert backward_stepwise(m, split).rows[-1].aic >= best_enum - 1e-9
 
     def test_starts_from_every_column(self):
         m, _ = planted_matrix(n=200, seed=8, noise_cols=3)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        res = backward_stepwise(restrict(m, ("s0", "noise0")), split)
-        assert res.path.rows[0].spec.features == ("s0", "noise0")
-        assert set(res.best.features) <= {"s0", "noise0"}
+        path = backward_stepwise(restrict(m, ("s0", "noise0")), split).rows
+        assert path[0].spec.features == ("s0", "noise0")
+        assert set(path[-1].spec.features) <= {"s0", "noise0"}
 
     def test_unusable_start_is_typed_error(self):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -441,7 +437,7 @@ class TestBatchParity:
             m = restrict(m, start)
         want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8))
         monkeypatch.setenv("STRAT_THREADS", threads)
-        got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).path.rows)
+        got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).rows)
         assert got == want
 
 

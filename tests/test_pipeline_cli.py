@@ -2,6 +2,7 @@
 line front end (exit codes, file outputs, error formatting)."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -11,10 +12,10 @@ import pytest
 from conftest import DATA
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
-from stratlogit.emit import to_json, write_report_files
+from stratlogit.emit import report_payload, to_json, write_report_files
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.indicators import FEATURE_COLUMNS
-from stratlogit.ingest import parse_dataset, write_dataset_csv
+from stratlogit.ingest import Dataset, parse_dataset, write_dataset_csv
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
@@ -43,7 +44,7 @@ def _csv_columns(path):
 class TestRunPipeline:
     def test_report_sections(self, stepwise_report):
         report = stepwise_report
-        d = report.to_json_dict()
+        d = report_payload(report)
         assert set(d) == {
             "tool",
             "config",
@@ -79,7 +80,7 @@ class TestRunPipeline:
         assert "out_dir" not in d["config"]
 
     def test_selection_best_consistent(self, stepwise_report):
-        d = stepwise_report.to_json_dict()
+        d = report_payload(stepwise_report)
         best = d["selection"]["best"]
         table = d["selection"]["table"]
         assert table[-1]["model_id"] == best["model_id"]
@@ -88,7 +89,7 @@ class TestRunPipeline:
         assert aics == sorted(aics, reverse=True)
 
     def test_trend_entries_flag_dropped_features(self, stepwise_report):
-        d = stepwise_report.to_json_dict()
+        d = report_payload(stepwise_report)
         kept = set(d["selection"]["best"]["features"])
         for name, entry in d["attribution"]["trends"].items():
             assert len(entry["x"]) == len(entry["full"])
@@ -135,8 +136,8 @@ class TestRunPipeline:
 class TestDeterminism:
     def test_byte_identical_json(self):
         cfg = RunConfig(input_path=SCHOLARS, selection="stepwise", seed=3)
-        a = to_json(run_pipeline(cfg).to_json_dict())
-        b = to_json(run_pipeline(cfg).to_json_dict())
+        a = to_json(report_payload(run_pipeline(cfg)))
+        b = to_json(report_payload(run_pipeline(cfg)))
         assert a == b
 
     def test_out_dir_does_not_leak_into_report(self):
@@ -146,11 +147,11 @@ class TestDeterminism:
         b = run_pipeline(
             RunConfig(input_path=SCHOLARS, selection="stepwise", out_dir="/tmp/b")
         )
-        assert to_json(a.to_json_dict()) == to_json(b.to_json_dict())
+        assert to_json(report_payload(a)) == to_json(report_payload(b))
 
     def test_config_echo_has_no_thread_count(self, stepwise_report):
         # STRAT_THREADS never changes the output, so the report echoes no thread count.
-        assert "threads" not in stepwise_report.to_json_dict()["config"]
+        assert "threads" not in report_payload(stepwise_report)["config"]
 
     def test_normalized_roundtrip_preserves_analysis(self, tmp_path, stepwise_report):
         rc = main(["ingest", "--input", SCHOLARS, "--out", str(tmp_path)])
@@ -160,8 +161,8 @@ class TestDeterminism:
         second = run_pipeline(
             RunConfig(input_path=str(normalized), selection="stepwise")
         )
-        a = stepwise_report.to_json_dict()
-        b = second.to_json_dict()
+        a = report_payload(stepwise_report)
+        b = report_payload(second)
         # provenance naturally differs; every analytic section must not
         for key in (
             "descriptive_stats",
@@ -286,6 +287,26 @@ class TestCliErrors:
         assert err.startswith("error[data_error]") and "Traceback" not in err
         assert str(path) in err and "not UTF-8" in err
         assert ("stage=ingest" in err) == (command == "report")
+        assert not (tmp_path / "out").exists()
+
+    # A post count this large makes TD's statistics overflow: at 1e307
+    # its standard deviation, at 1e124 the cube in its skewness.
+    @pytest.mark.parametrize("post_count", [10**307, 10**124], ids=["1e307", "1e124"])
+    @pytest.mark.parametrize("command", ["report", "describe"])
+    def test_overflowing_statistic_exit_3_in_describe(
+        self, command, post_count, tmp_path, capsys
+    ):
+        ds = make_scholar_dataset(n=80, seed=1, target_increase=None)
+        records = list(ds.records)
+        records[5] = dataclasses.replace(records[5], post_count=post_count)
+        path = str(tmp_path / "huge.csv")
+        write_dataset_csv(Dataset(records=tuple(records), provenance=ds.provenance), path)
+        rc = main([command, "--input", path, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data_error]") and "Traceback" not in err
+        assert "of TD is" in err
+        assert ("stage=describe" in err) == (command == "report")
         assert not (tmp_path / "out").exists()
 
     def test_missing_input_exit_3_with_stage(self, capsys):
@@ -425,13 +446,6 @@ class TestCliSubcommands:
         dendro = json.loads((tmp_path / "dendrogram.json").read_text(encoding="utf-8"))
         assert dendro[0]["communities"] == 1
 
-    def test_write_report_files_needs_artifacts(self, tmp_path, stepwise_report):
-        import dataclasses
-
-        bare = dataclasses.replace(stepwise_report, artifacts=None)
-        with pytest.raises(ConfigError):
-            write_report_files(bare, tmp_path)
-
 
 # (seed of a 2000-row synthetic set, or None for the fixture; selection mode)
 TREND_SOURCES = [(None, "enumerate"), (None, "stepwise")] + [
@@ -455,15 +469,15 @@ def trend_report(request, tmp_path_factory):
 
 class TestTrendCurves:
     def test_closed_form_matches_lowess(self, trend_report):
-        art = trend_report.artifacts
-        for name, tc in art.trends.items():
+        report = trend_report
+        for name, tc in report.trends.items():
             for curve, shap in (
-                (tc.full_curve, art.full_shap),
-                (tc.optimized_curve, art.optimized_shap),
+                (tc.full_curve, report.full_shap),
+                (tc.optimized_curve, report.optimized_shap),
             ):
                 if curve is None:
                     continue
-                oracle = lowess(art.feature_matrix.column(name), shap.column(name), frac=2.0 / 3.0)
+                oracle = lowess(report.feature_matrix.column(name), shap.column(name), frac=2.0 / 3.0)
                 assert np.array_equal(curve.x, oracle.x)
                 # Relative to the curve's size: a pointwise relative gap
                 # blows up where the curve crosses zero.
