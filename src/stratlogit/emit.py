@@ -1,14 +1,26 @@
 """The output format: every file stratlogit writes is written here.
 
 CSV files are UTF-8, comma separated, with the csv module's ``\\r\\n``
-line ends and one header row.  Every cell goes through ``cell``: a
-float is written as ``repr(float(v))``, the shortest text that reads
-back to the same double; a bool as ``1`` or ``0``; None as an empty
-cell; anything else as ``str(v)``.  A metric whose denominator is empty
-is written as the word ``undefined`` (``null`` in JSON), never as 0.
+line ends, its minimal quoting and one header row.  Every cell is
+written as ``cell`` gives it: a float as ``repr(float(v))``, the
+shortest text that reads back to the same double; a bool as ``1`` or
+``0``; None as an empty cell; anything else as ``str(v)``.  A metric
+whose denominator is empty is written as the word ``undefined``
+(``null`` in JSON), never as 0.
+
+The small mixed tables go row by row through ``write_csv``.  The large
+float tables (features, SHAP values, trend curves) are written a column
+at a time by ``write_columns``: each float column becomes text in one
+``map(float.__repr__, ...)``, a text column goes through ``quote_cell``,
+and the rows are joined and written at once.  The bytes are those
+``write_csv`` writes for the same table.
 
 JSON files hold sorted keys, a two-space indent and one trailing
-newline; NaN and infinity are refused.  Every JSON layout is built here
+newline; NaN and infinity are refused.  ``to_json`` writes them with its
+own encoder, whose text is exactly ``json.dumps(payload, sort_keys=True,
+indent=2, allow_nan=False)`` plus the newline: any indent sends the
+standard library from its C encoder to a generator per container, and
+a list of plain floats here becomes text in one join.  Every JSON layout is built here
 from the stage results: ``fit_payload`` (fit.json and the report's
 ``full_model``), ``selection_payload`` (selection.json and the report's
 ``selection``) and ``report_payload`` (report.json).  A payload holds
@@ -22,7 +34,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import re
 
 import numpy as np
 
@@ -55,9 +69,116 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([cell(v) for v in row] for row in rows)
 
 
+# The csv module quotes a cell holding its delimiter, its quote character
+# or a character of its line terminator.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def quote_cell(text: str) -> str:
+    """``text`` as the csv module writes it in a row of several cells."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def float_texts(values) -> list:
+    """The cells of a 1-D array of numbers: ``repr`` of each as a float."""
+    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+def write_columns(path, header, columns) -> None:
+    """``header``, then line i of the cell texts ``columns[j][i]``: the
+    bytes ``write_csv`` writes for that table, if each float column came
+    from ``float_texts`` and each text column went through
+    ``quote_cell``."""
+    lines = [",".join(map(quote_cell, header)), *map(",".join, zip(*columns))]
+    if len(header) == 1:
+        # The csv module writes a line whose one cell is empty as "".
+        lines = [line or '""' for line in lines]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("\r\n".join(lines) + "\r\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as the JSON encoder turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(value, out: list, indent: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``indent`` is the
+    newline and indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out += (sep, _encode_str(_json_key(key)), ": ")
+            _encode(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" in text:  # "inf" or "nan": no finite float's repr holds an n
+                for item in value:
+                    _json_float(item)
+            out += ("[", inner, text, indent, "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def to_json(payload) -> str:
     """The JSON text of ``payload``, which holds Python values only."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out = []
+    _encode(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(payload, path) -> None:
@@ -217,10 +338,10 @@ def report_payload(report) -> dict:
 
 def write_feature_matrix_csv(m, path) -> None:
     """Audit dump: one row per scholar, feature columns plus target."""
-    write_csv(
+    write_columns(
         path,
-        list(m.column_names) + ["target"],
-        (row + [int(t)] for row, t in zip(_floats(m.values), m.target.tolist())),
+        [*m.column_names, "target"],
+        [*map(float_texts, np.asarray(m.values).T), [str(int(t)) for t in m.target.tolist()]],
     )
 
 
@@ -264,10 +385,10 @@ def write_inference_csv(fit, path) -> None:
 
 
 def write_shap_values_csv(shap, row_ids, path) -> None:
-    write_csv(
+    write_columns(
         path,
-        ["scholar_id"] + list(shap.feature_names),
-        ([row_id] + row for row_id, row in zip(row_ids, _floats(shap.values))),
+        ["scholar_id", *shap.feature_names],
+        [list(map(quote_cell, row_ids)), *map(float_texts, shap.values.T)],
     )
 
 
@@ -282,10 +403,10 @@ def write_trend_csv(curves: dict, path) -> None:
     without the feature) leaves its column empty.
     """
     x = next(c.x for c in curves.values() if c is not None)
-    columns = [_floats(x)] + [
-        [None] * x.size if c is None else _floats(c.y) for c in curves.values()
+    columns = [float_texts(x)] + [
+        [""] * x.size if c is None else float_texts(c.y) for c in curves.values()
     ]
-    write_csv(path, ["x"] + list(curves), zip(*columns))
+    write_columns(path, ["x", *curves], columns)
 
 
 def write_describe_files(out_dir, fm, description) -> list:

@@ -178,6 +178,18 @@ class _Columns:
 _BATCH_VALUES = 1 << 16
 
 
+def _gather(columns, design_cols) -> np.ndarray:
+    """stack[b, r, j] = columns[r, design_cols[b, j]], each slice C-ordered
+    as a single design is.  Each design column is copied as whole rows of
+    the transposed ``columns``, which is several times faster than one
+    broadcast fancy index and gives the same array."""
+    rows_of = np.ascontiguousarray(columns.T)
+    stack = np.empty((len(design_cols), columns.shape[0], design_cols.shape[1]))
+    for j, picks in enumerate(design_cols.T):
+        stack[:, :, j] = rows_of[picks]
+    return stack
+
+
 def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple:
     """(outcomes, scores): each spec's ``LogitFit`` or the
     ``StratLogitError`` its fit raised, and each fitted spec's validation
@@ -190,7 +202,6 @@ def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple
     ``fit_logistic_batch`` and scores it with ``_score``.
     """
     n = cols.train.shape[0]
-    rows = np.arange(n)[None, :, None]
     outcomes = [None] * len(specs)
     scores = [None] * len(specs)
     by_size = {}
@@ -216,9 +227,7 @@ def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple
         bounds = np.linspace(0, len(batch), n_batches + 1).astype(int).tolist()
 
         def run(lo, hi):
-            # stack[b, r, j] = train[r, design_cols[lo + b, j]]: each slice
-            # C-ordered, as a single design is.
-            stack = cols.train[rows, design_cols[lo:hi, None, :]]
+            stack = _gather(cols.train, design_cols[lo:hi])
             fitted = fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
             return list(zip(fitted, _score(cols, design_cols[lo:hi, 1:] - 1, fitted)))
 
@@ -246,7 +255,7 @@ def _score(cols: _Columns, val_cols, outcomes) -> list:
         return scores
     fits = [outcomes[i] for i in fitted]
     n_val = cols.val.shape[0]
-    block = cols.val[np.arange(n_val)[None, :, None], val_cols[fitted, None, :]]
+    block = _gather(cols.val, val_cols[fitted])
     coef = np.array([fit.coef for fit in fits])
     results = [None] * len(fits)
     live, _ = stacked_call(check_finite_features, range(len(fits)), results, block)

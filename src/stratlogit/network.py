@@ -35,12 +35,20 @@ this is the very sequence of additions a whole-graph recompute makes
 broken toward the lexicographically smallest edge (the first maximum),
 so equal inputs give byte-equal outputs in every process, and every cut
 equals that of a whole-graph recompute.
+
+Modularity keeps, per community, the weight of the original graph's
+edges inside it and of those leaving it.  A split recomputes both sums
+for its two parts only, from boolean masks over the edge arrays, each a
+left fold in edge-id order: the order of the whole-graph walk of
+``modularity``, so every Q has its bits.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -276,29 +284,33 @@ class Partition:
         return out
 
 
-def _modularity(g: CollabGraph, assignment, m: float) -> float:
-    """Q of ``assignment`` on ``g``, whose total edge weight is ``m``."""
+def _q(sums, m: float) -> float:
+    """Q of the communities whose (intra, cross) edge weights are ``sums``,
+    in community order, on a graph of total edge weight ``m``."""
     if m <= 0:
         raise DegenerateInputError("modularity: graph has no edge weight")
     if m == math.inf:
         raise DegenerateInputError("modularity: total edge weight overflows")
-    intra = {}
-    cross = {}
-    for u, v, w in g.edges:
-        cu, cv = assignment[u], assignment[v]
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + w
-        else:
-            cross[cu] = cross.get(cu, 0.0) + w
-            cross[cv] = cross.get(cv, 0.0) + w
     q = 0.0
-    for c in sorted(set(assignment.values())):
-        e_cc = intra.get(c, 0.0)
-        degree = 2.0 * e_cc + cross.get(c, 0.0)
+    for e_cc, cross in sums:
+        degree = 2.0 * e_cc + cross
         q += e_cc / m - (degree / (2.0 * m)) ** 2
     if not math.isfinite(q):
         raise DegenerateInputError(f"modularity: not finite ({q!r}); edge weights too large")
     return q
+
+
+def _community_sums(comp, n_nodes, ends, weights) -> tuple:
+    """(intra, cross): the weight of the edges with both ends, and with
+    one end, in the node set ``comp``, each a left fold in edge-id order
+    as ``modularity`` adds them.  ``ends`` (m by 2 node ranks) and
+    ``weights`` are the original graph's edges, by edge id."""
+    inside = np.zeros(n_nodes, dtype=bool)
+    inside[comp] = True
+    at_i, at_j = inside[ends[:, 0]], inside[ends[:, 1]]
+    intra = functools.reduce(operator.add, weights[at_i & at_j].tolist(), 0.0)
+    cross = functools.reduce(operator.add, weights[at_i ^ at_j].tolist(), 0.0)
+    return intra, cross
 
 
 def modularity(g: CollabGraph, p: Partition) -> float:
@@ -309,12 +321,22 @@ def modularity(g: CollabGraph, p: Partition) -> float:
     missing = [n for n in g.nodes if n not in p.assignment]
     if missing:
         raise DataError(f"partition does not cover nodes {missing[:5]}")
-    return _modularity(g, p.assignment, g.total_weight)
+    intra = {}
+    cross = {}
+    for u, v, w in g.edges:
+        cu, cv = p.assignment[u], p.assignment[v]
+        if cu == cv:
+            intra[cu] = intra.get(cu, 0.0) + w
+        else:
+            cross[cu] = cross.get(cu, 0.0) + w
+            cross[cv] = cross.get(cv, 0.0) + w
+    ids = sorted(set(p.assignment.values()))
+    return _q([(intra.get(c, 0.0), cross.get(c, 0.0)) for c in ids], g.total_weight)
 
 
-def _partition_of(g, m, comps, step, removed_edge) -> Partition:
+def _partition_of(g, m, comps, sums, step, removed_edge) -> Partition:
     """The partition of ``g`` (total edge weight ``m``) into ``comps``,
-    lists of node ranks."""
+    lists of node ranks whose (intra, cross) weights are ``sums``."""
     assignment = {}
     for cid, comp in enumerate(comps):
         for i in comp:
@@ -322,7 +344,7 @@ def _partition_of(g, m, comps, step, removed_edge) -> Partition:
     return Partition(
         assignment=assignment,
         n_communities=len(comps),
-        modularity=_modularity(g, assignment, m),
+        modularity=_q(sums, m),
         step=step,
         removed_edge=removed_edge,
     )
@@ -346,8 +368,12 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
         )
     ends, adj = _int_graph(g)
     m = g.total_weight
+    # Modularity is taken on the original graph's edges.
+    edge_ends = np.array(ends)
+    weights = np.array([w for _, _, w in g.edges])
     comps = _components(range(len(adj)), adj)
-    dendrogram = [_partition_of(g, m, comps, step=0, removed_edge=None)]
+    sums = [_community_sums(c, len(adj), edge_ends, weights) for c in comps]
+    dendrogram = [_partition_of(g, m, comps, sums, step=0, removed_edge=None)]
     count = len(comps)
     step = 0
     contrib = np.zeros((len(adj), len(ends)))
@@ -376,13 +402,17 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
             _fold(comp, adj, contrib, btw)
         if len(touched) > 1:
             # The cut split one component in two; the list stays ordered
-            # by least node, as _components orders it.
+            # by least node, as _components orders it.  Only the two
+            # parts' modularity sums change.
             first, second = touched
-            comps[next(k for k, c in enumerate(comps) if c[0] == first[0])] = first
-            bisect.insort(comps, second, key=lambda c: c[0])
+            k = bisect.bisect_left(comps, first[0], key=lambda c: c[0])
+            comps[k], sums[k] = first, _community_sums(first, len(adj), edge_ends, weights)
+            k = bisect.bisect(comps, second[0], key=lambda c: c[0])
+            comps.insert(k, second)
+            sums.insert(k, _community_sums(second, len(adj), edge_ends, weights))
             count = len(comps)
             dendrogram.append(
-                _partition_of(g, m, comps, step=step, removed_edge=g.edges[cut][:2])
+                _partition_of(g, m, comps, sums, step=step, removed_edge=g.edges[cut][:2])
             )
     best = dendrogram[0]
     for p in dendrogram[1:]:

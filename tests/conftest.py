@@ -1,5 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
+import csv
+import json
 import math
 import pathlib
 from collections import deque
@@ -58,6 +60,37 @@ def fixture_matrix(fixture_dataset):
 @pytest.fixture(scope="session")
 def fixture_split(fixture_matrix):
     return make_split(fixture_matrix.n_rows, 0.7, 0)
+
+
+def to_json_ref(payload) -> str:
+    """The standard library's indented JSON: the oracle for ``emit.to_json``."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def cell_ref(value) -> str:
+    """One CSV cell, converted per value: the oracle for ``emit``'s cells."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def write_csv_ref(path, header, rows) -> None:
+    """``header``, then each row through ``cell_ref`` and the csv module:
+    the oracle for ``emit.write_columns`` and the float-table writers."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([cell_ref(v) for v in row] for row in rows)
+
+
+def gather_ref(columns, design_cols):
+    """stack[b, r, j] = columns[r, design_cols[b, j]] by one broadcast fancy
+    index: the oracle for ``model_select._gather``."""
+    return columns[np.arange(columns.shape[0])[None, :, None], design_cols[:, None, :]]
 
 
 def sigmoid_ref(eta):

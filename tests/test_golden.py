@@ -1,10 +1,12 @@
 """Byte golden: the SHA-256 of every file each command writes.
 
-Each case runs ``stratlogit.cli.main`` in-process from the repository
-root with relative input paths, because the input path is echoed into
-``report.json``.  A digest may be re-pinned only together with a
-CHANGES.md entry that says why the bytes moved and gives the maximum
-relative deviation of each moved float field against the old output.
+Each case runs ``stratlogit.cli.main`` in-process with relative input
+paths, because the input path is echoed into ``report.json``: from the
+repository root, or, for a case whose input is generated, from a
+temporary directory the input is written into.  A digest may be
+re-pinned only together with a CHANGES.md entry that says why the bytes
+moved and gives the maximum relative deviation of each moved float field
+against the old output.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,6 +23,8 @@ import pytest
 
 from conftest import ROOT
 from stratlogit.cli import main
+from stratlogit.ingest import write_dataset_csv
+from stratlogit.synth import make_scholar_dataset
 
 SCHOLARS = ["--input", "data/synthetic_scholars.csv"]
 SUBSET = ["--features", "FR,CA,AW"]
@@ -39,9 +43,24 @@ CASES = {
     "attribute-subset": ["attribute", *SCHOLARS, *SUBSET],
     "attribute-all": ["attribute", *SCHOLARS],
     "communities": ["communities", "--coauthor-edges", "data/coauthor_edges.csv"],
+    "report-synth2000-stepwise": ["report", "--input", "scholars.csv", "--select", "stepwise"],
 }
 # STRAT_THREADS values each case runs under; None leaves it unset.
-THREADS = {"report-enumerate": ("1", "2"), "report-stepwise": ("1", "2")}
+THREADS = {
+    "report-enumerate": ("1", "2"),
+    "report-stepwise": ("1", "2"),
+    "report-synth2000-stepwise": ("1", "2"),
+}
+
+
+def write_synth2000(directory):
+    """The benchmark's synth2000 input at its default seed, as scholars.csv."""
+    dataset = make_scholar_dataset(n=2000, seed=7, target_increase=None)
+    write_dataset_csv(dataset, os.path.join(directory, "scholars.csv"))
+
+
+# case id -> writer of the input it reads, into the directory it runs from
+INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
@@ -150,6 +169,32 @@ GOLDEN = {
         "dendrogram.json": "7b3ce8f2b33e9da51932985a33104fb0f89de97974e56411bb93f2c1a4699435",
         "partition.csv": "cc02a66b17b230f6d969b66c8e900f01e051c7ee00ffe048aca1bad5223f42b6",
     },
+    "report-synth2000-stepwise": {
+        "comparison.csv": "78ee905292ab9b4b4d005e45c6a5e729081cf3f1d80344f5bb54cf67fde6ae2a",
+        "confusion.csv": "32a2a1a8fd91b57b8aa7eee4f24e3a54bcecbbc34f58fc58676d13914f9ff256",
+        "correlation.csv": "14202c5c8fc093ee0d4c53edb66123bef33c16b8dac2f896537bcad9ea517bb4",
+        "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",
+        "features.csv": "5856b0546a0b64890f798aa36d37469afc5b784a3af16cd688d62c65a6173ee1",
+        "importance_full.csv": "5b425b8229cd0830ccdd86296c9f6fef9c00945d75cac6be6d5a887cb1ca6d6c",
+        "importance_optimized.csv": "d76de9ce3f018873611ddd8e178a03d5b2265cb2b4611c31ecf1bcb611362cee",
+        "inference_full.csv": "4b4a62f846614e8d42439944614067efa5d95ce4e2d0f4cd8e51275340af3e57",
+        "inference_optimized.csv": "a6916108e5f50afc64bc3cd50a4be57334733ef38d1ae00f6150a26fb4f4f147",
+        "metrics.csv": "9e87bc1c9c04bd586d4e5dea8affd8535f09fc70e9cf95c7282fa88717c87f6f",
+        "report.json": "c5a52b724af7f5fc949858727b188fdd330c62101c2132f41afa35b638ef32dd",
+        "roc.csv": "a7a6b69dc3bdcc96dd8d917ddc734ca0047210d3ec8fe20a920be683e02adae0",
+        "shap_full.csv": "6d3a45db7fb1e1f848ab54eca1bdddddcfb16890a1ca4f0436bdfa516331b0d9",
+        "shap_optimized.csv": "92ffd7e7281c675954c09915aa797588a757b801f12c78086f95f2f8c12d1d36",
+        "trend_AD.csv": "8b4b5799df3100617c8c7f5893ce2956986fe55d3c40f8b9adb23aa3af7e1563",
+        "trend_AW.csv": "03fcf4aa88d3d905b917941212153e70df5dc36029b16ae3e71b69c6d0107de3",
+        "trend_C.csv": "87992c8cb489374695bc2b34647e0a8af6db2302ce31b6412ee541ca2d21bb74",
+        "trend_CA.csv": "4d7bee29293f89f1e3da69ea933cef0088522b3df5a754bd6c664f3e00e45b45",
+        "trend_FGR.csv": "3ff4fc484afa65aebd6bf293a1ada2f5de3b85f805e3734520d75c63d3b1b662",
+        "trend_FR.csv": "ea6d3e517ac8755e4544298bb7ef8a2dcbd677d064659e630b0070c3804762e7",
+        "trend_P.csv": "3d0eced46cb96af14ef1c74f26c0e1a604105d9a85e41a8704ccd33efcf025b3",
+        "trend_PC.csv": "de21ebe9bd140cdefeeab8f4933835f88498df506020a80795ca77cf4f9787fb",
+        "trend_TD.csv": "4b42fbde15309599b62ec5ceca1d879ec83aeeab605f9cf813551262323cccda",
+        "vif.csv": "596cda8d5182fa248e5d909af19d96c2552bf5b3e01adf9db96f5ff731b8b6e6",
+    },
 }
 
 
@@ -158,10 +203,15 @@ def run_case(case_id, threads, out_dir):
     saved_cwd = os.getcwd()
     saved_threads = os.environ.pop("STRAT_THREADS", None)
     try:
-        os.chdir(ROOT)
-        if threads is not None:
-            os.environ["STRAT_THREADS"] = threads
-        assert main([*CASES[case_id], "--out", str(out_dir)]) == 0
+        with tempfile.TemporaryDirectory() as work:
+            if case_id in INPUTS:
+                INPUTS[case_id](work)
+                os.chdir(work)
+            else:
+                os.chdir(ROOT)
+            if threads is not None:
+                os.environ["STRAT_THREADS"] = threads
+            assert main([*CASES[case_id], "--out", os.path.abspath(out_dir)]) == 0
     finally:
         os.chdir(saved_cwd)
         os.environ.pop("STRAT_THREADS", None)

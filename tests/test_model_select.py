@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fit_one_ref
+from conftest import fit_one_ref, gather_ref
 from stratlogit import model_select
 from stratlogit.emit import comparison_to_dicts, write_comparison_csv
 from stratlogit.errors import (
@@ -525,3 +527,40 @@ class TestExports:
         assert [d["model_id"] for d in dicts] == [r.model_id for r in table.rows]
         assert dicts[0]["features"] == list(table.rows[0].spec.features)
         assert dicts[0]["aic"] == table.rows[0].aic
+
+
+class TestGather:
+    """``_gather`` against the broadcast fancy index it replaced: the same
+    values, dtype and strides, so every fit and score sees the same bytes."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(st.integers(1, 40), st.integers(1, 10), st.integers(1, 8), st.integers(1, 10)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_broadcast_index(self, shape, seed):
+        n, width, batch, k = shape
+        rng = np.random.Generator(np.random.PCG64(seed))
+        columns = rng.normal(size=(n, width))
+        design_cols = rng.integers(0, width, (batch, k))
+        got = model_select._gather(columns, design_cols)
+        want = gather_ref(columns, design_cols)
+        assert np.array_equal(got, want)
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.flags.c_contiguous
+
+    def test_fixture_designs(self, fixture_matrix, fixture_split):
+        cols = model_select._Columns.build(fixture_matrix, fixture_split)
+        specs = enumerate_subsets(fixture_matrix.column_names)
+        for size in (1, 4, 9):
+            design_cols = np.array(
+                [
+                    [0] + [cols.index[f] for f in s.features]
+                    for s in specs
+                    if len(s.features) == size
+                ]
+            )
+            for columns, picks in ((cols.train, design_cols), (cols.val, design_cols[:, 1:] - 1)):
+                got = model_select._gather(columns, picks)
+                want = gather_ref(columns, picks)
+                assert np.array_equal(got, want) and got.strides == want.strides

@@ -244,6 +244,25 @@ def gn_cases(draw):
     return g, target
 
 
+def reweighted(g, weighted, seed):
+    """``g`` itself, or ``g`` with lognormal edge weights, whose sums
+    depend on the order they are added in."""
+    if not weighted:
+        return g
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = rng.lognormal(0.0, 2.0, g.n_edges).tolist()
+    return build_graph([(u, v, x) for (u, v, _), x in zip(g.edges, w)])
+
+
+def assert_modularity_is_whole_graph_walk(g):
+    """Every recorded partition's modularity, kept per community across
+    cuts, has the bits of ``modularity``'s whole-graph walk."""
+    dendrogram, _ = girvan_newman(g)
+    assert [p.modularity.hex() for p in dendrogram] == [
+        modularity(g, p).hex() for p in dendrogram
+    ]
+
+
 class TestBuildGraph:
     def test_aggregates_duplicates_any_orientation(self):
         g = build_graph([("b", "a", 1.5), ("a", "b", 2.0), ("a", "c")])
@@ -488,6 +507,21 @@ class TestGirvanNewman:
         ]
         assert [p.assignment for p in fast] == [p.assignment for p in slow]
         assert fast_best.step == max(slow, key=lambda p: p.modularity).step
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "lognormal"])
+    def test_recorded_modularity_is_whole_graph_walk_gn120(self, weighted):
+        rows = make_coauthor_edges(seed=7, community_sizes=(30, 30, 30, 30), p_in=0.3, bridges=2)
+        assert len(rows) == 611
+        assert_modularity_is_whole_graph_walk(reweighted(build_graph(rows), weighted, seed=7))
+
+    def test_recorded_modularity_is_whole_graph_walk_fixture(self, edges_csv):
+        assert_modularity_is_whole_graph_walk(build_graph(read_edge_list(edges_csv)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(gn_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_recorded_modularity_is_whole_graph_walk(self, case, weighted, seed):
+        g, _ = case
+        assert_modularity_is_whole_graph_walk(reweighted(g, weighted, seed))
 
     def test_output_independent_of_hash_seed(self, tmp_path):
         # Brandes accumulation must not follow hash order: walking

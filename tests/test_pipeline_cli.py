@@ -1,13 +1,17 @@
 """End-to-end pipeline runs, deterministic emission, and the command
 line front end (exit codes, file outputs, error formatting)."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 from stratlogit.attribution import lowess
@@ -15,7 +19,7 @@ from stratlogit.cli import main
 from stratlogit.emit import report_payload, to_json, write_report_files
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.indicators import FEATURE_COLUMNS
-from stratlogit.ingest import Dataset, parse_dataset, write_dataset_csv
+from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
@@ -498,3 +502,67 @@ class TestTrendCurves:
                 assert [float(x) for x in trend["x"]] == sorted(cells)
                 for x, y in zip(trend["x"], trend[f"attribution_{key}"]):
                     assert cells[float(x)] == {y}, (key, name, x)
+
+
+# Counts at the edges of what ingest accepts: zero, and finite floats up
+# to about 1e300 once they become indicators.
+EXTREME_COUNTS = [0, 1, 10**15, 10**100, 10**300]
+COUNT_COLUMNS = (
+    "account_days",
+    "post_count",
+    "followers_current",
+    "followed_count",
+    "publications",
+    "citations",
+    "amount_weight",
+    "h_index",
+)
+hostile_id = st.text(
+    st.sampled_from(list(',"\r\n\t é日ß x')) | st.characters(codec="utf-8"), max_size=5
+)
+
+
+@st.composite
+def scholar_tables(draw):
+    """Rows of a scholar CSV: 40 to 60 synthetic scholars with hostile ids,
+    and up to four counts replaced by extreme ones."""
+    n = draw(st.integers(40, 60))
+    base = make_scholar_dataset(n=n, seed=draw(st.integers(0, 10**6)), target_increase=None)
+    rows = [{name: getattr(r, name) for name in COLUMNS} for r in base.records]
+    for i, values in enumerate(rows):
+        values["scholar_id"] = f"{draw(hostile_id)}#{i}"
+        values["per_cited"] = ""  # derived from the counts
+    hits = st.tuples(
+        st.integers(0, n - 1), st.sampled_from(COUNT_COLUMNS), st.sampled_from(EXTREME_COUNTS)
+    )
+    for i, name, count in draw(st.lists(hits, max_size=4)):
+        rows[i][name] = count
+    for values in rows:
+        values["followers_historical"] = min(
+            values["followers_historical"], values["followers_current"]
+        )
+    return [[int(v) if isinstance(v, bool) else v for v in values.values()] for values in rows]
+
+
+class TestReportFuzz:
+    """Whole ``report`` runs past ingest on small hostile tables."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(table=scholar_tables())
+    def test_exit_is_classified_and_ids_survive(self, tmp_path_factory, table):
+        work = tmp_path_factory.mktemp("fuzz")
+        path = str(work / "scholars.csv")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(COLUMNS)
+            writer.writerows(table)
+        out = work / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            rc = main(["report", "--input", path, "--out", str(out), "--select", "stepwise"])
+        assert rc in (0, 2, 3, 4, 5), err.getvalue()
+        if rc == 0:
+            with open(out / "shap_full.csv", newline="", encoding="utf-8") as handle:
+                ids = [row[0] for row in csv.reader(handle)][1:]
+            assert ids == [r.scholar_id for r in filter_eligible(parse_dataset(path))]
