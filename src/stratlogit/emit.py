@@ -1,19 +1,16 @@
 """The output format: every file stratlogit writes is written here.
 
-CSV files are UTF-8, comma separated, with the csv module's ``\\r\\n``
-line ends, its minimal quoting and one header row.  Every cell is
-written as ``cell`` gives it: a float as ``repr(float(v))``, the
-shortest text that reads back to the same double; a bool as ``1`` or
-``0``; None as an empty cell; anything else as ``str(v)``.  A metric
-whose denominator is empty is written as the word ``undefined``
-(``null`` in JSON), never as 0.
-
-The small mixed tables go row by row through ``write_csv``.  The large
-float tables (features, SHAP values, trend curves) are written a column
-at a time by ``write_columns``: each float column becomes text in one
-``map(float.__repr__, ...)``, a text column goes through ``quote_cell``,
-and the rows are joined and written at once.  The bytes are those
-``write_csv`` writes for the same table.
+CSV files are UTF-8, comma separated, with ``\\r\\n`` line ends and one
+header row; their bytes are those the csv module's default writer gives.
+``write_csv`` is the one writer, and it takes a table as columns.  A
+column that is a float array becomes text in one
+``map(float.__repr__, ...)``; any other column goes through ``cell``, the
+one cell rule: a float as ``repr(float(v))``, the shortest text that
+reads back to the same double; a bool as ``1`` or ``0``; None as an empty
+cell; anything else as ``str(v)`` through ``quote_cell``, the one
+quoting rule (the csv module's minimal quoting).  A metric whose
+denominator is empty is written as the word ``undefined`` (``null`` in
+JSON), never as 0.
 
 JSON files hold sorted keys, a two-space indent and one trailing
 newline; NaN and infinity are refused.  ``to_json`` writes them with its
@@ -32,7 +29,6 @@ input and configuration write byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -49,26 +45,6 @@ UNDEFINED = "undefined"
 INFERENCE_FIELDS = ("feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald")
 
 
-def cell(value) -> str:
-    """One CSV cell of ``value``."""
-    # Floats first: they are nearly every cell of the large files.
-    if isinstance(value, float):
-        return repr(float(value))
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    """``header``, then one line per row of ``rows``, each cell through ``cell``."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([cell(v) for v in row] for row in rows)
-
-
 # The csv module quotes a cell holding its delimiter, its quote character
 # or a character of its line terminator.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
@@ -81,17 +57,31 @@ def quote_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def float_texts(values) -> list:
-    """The cells of a 1-D array of numbers: ``repr`` of each as a float."""
-    return list(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+def cell(value) -> str:
+    """One CSV cell of ``value``."""
+    # Floats first: they are most cells of the tables that come through here.
+    if isinstance(value, float):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return quote_cell(str(value))
 
 
-def write_columns(path, header, columns) -> None:
-    """``header``, then line i of the cell texts ``columns[j][i]``: the
-    bytes ``write_csv`` writes for that table, if each float column came
-    from ``float_texts`` and each text column went through
-    ``quote_cell``."""
-    lines = [",".join(map(quote_cell, header)), *map(",".join, zip(*columns))]
+def write_csv(path, header, columns) -> None:
+    """``header``, then line i of the cells ``columns[j][i]``, in one write.
+
+    A float array column becomes text a column at a time; every other
+    column, and the header, goes through ``cell`` a value at a time.
+    """
+    texts = [
+        map(float.__repr__, c.tolist())
+        if isinstance(c, np.ndarray) and c.dtype == np.float64
+        else map(cell, c)
+        for c in columns
+    ]
+    lines = [",".join(map(cell, header)), *map(",".join, zip(*texts))]
     if len(header) == 1:
         # The csv module writes a line whose one cell is empty as "".
         lines = [line or '""' for line in lines]
@@ -192,11 +182,6 @@ def out_path(out_dir, name) -> str:
     """``out_dir``/``name``, creating ``out_dir`` if needed."""
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
-
-
-def _floats(values) -> list:
-    """An array of numbers as (nested) lists of Python floats."""
-    return np.asarray(values, dtype=float).tolist()
 
 
 def _metric(value):
@@ -338,10 +323,10 @@ def report_payload(report) -> dict:
 
 def write_feature_matrix_csv(m, path) -> None:
     """Audit dump: one row per scholar, feature columns plus target."""
-    write_columns(
+    write_csv(
         path,
         [*m.column_names, "target"],
-        [*map(float_texts, np.asarray(m.values).T), [str(int(t)) for t in m.target.tolist()]],
+        [*m.values.T, [int(t) for t in m.target.tolist()]],
     )
 
 
@@ -372,28 +357,21 @@ def write_comparison_csv(table, path) -> None:
             values = [_metric(v) if ok else v for v, ok in zip(values, fitted)]
         if key not in ("model_id", "iterations"):
             rows.append([key] + values)
-    write_csv(path, ["row"] + [m["model_id"] for m in models], rows)
+    write_csv(path, ["row"] + [m["model_id"] for m in models], list(zip(*rows)))
 
 
 def write_inference_csv(fit, path) -> None:
     """Per-feature inference rows of a converged fit."""
-    write_csv(
-        path,
-        INFERENCE_FIELDS,
-        ([getattr(r, f) for f in INFERENCE_FIELDS] for r in inference_table(fit)),
-    )
+    rows = inference_table(fit)
+    write_csv(path, INFERENCE_FIELDS, [[getattr(r, f) for r in rows] for f in INFERENCE_FIELDS])
 
 
 def write_shap_values_csv(shap, row_ids, path) -> None:
-    write_columns(
-        path,
-        ["scholar_id", *shap.feature_names],
-        [list(map(quote_cell, row_ids)), *map(float_texts, shap.values.T)],
-    )
+    write_csv(path, ["scholar_id", *shap.feature_names], [row_ids, *shap.values.T])
 
 
 def write_importance_csv(ranking, path) -> None:
-    write_csv(path, ["feature", "mean_abs_shap"], ranking.entries)
+    write_csv(path, ["feature", "mean_abs_shap"], list(zip(*ranking.entries)))
 
 
 def write_trend_csv(curves: dict, path) -> None:
@@ -403,10 +381,8 @@ def write_trend_csv(curves: dict, path) -> None:
     without the feature) leaves its column empty.
     """
     x = next(c.x for c in curves.values() if c is not None)
-    columns = [float_texts(x)] + [
-        [""] * x.size if c is None else float_texts(c.y) for c in curves.values()
-    ]
-    write_columns(path, ["x", *curves], columns)
+    columns = [x] + [[None] * x.size if c is None else c.y for c in curves.values()]
+    write_csv(path, ["x", *curves], columns)
 
 
 def write_describe_files(out_dir, fm, description) -> list:
@@ -417,17 +393,10 @@ def write_describe_files(out_dir, fm, description) -> list:
     paths = [out_path(out_dir, name) for name in names]
     write_feature_matrix_csv(fm, paths[0])
     fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
-    write_csv(
-        paths[1],
-        ["variable", "n", *fields],
-        ([row["variable"], row["n"]] + [row[f] for f in fields] for row in stats),
-    )
-    write_csv(
-        paths[2],
-        ["variable"] + list(corr.names),
-        ([name] + row for name, row in zip(corr.names, _floats(corr.r))),
-    )
-    write_csv(paths[3], ["variable", "vif"], zip(fm.column_names, _floats(vifs)))
+    header = ["variable", "n", *fields]
+    write_csv(paths[1], header, [[row[f] for row in stats] for f in header])
+    write_csv(paths[2], ["variable", *corr.names], [corr.names, *corr.r.T])
+    write_csv(paths[3], ["variable", "vif"], [fm.column_names, vifs])
     return paths
 
 
@@ -454,19 +423,13 @@ def write_select_files(out_dir, mode: str, table, best_row) -> list:
 def write_evaluate_files(out_dir, cm, mets, roc) -> list:
     """The evaluate stage's files.  Returns the paths written."""
     paths = [out_path(out_dir, name) for name in ("confusion.csv", "metrics.csv", "roc.csv")]
-    write_csv(paths[0], ["tp", "fp", "tn", "fn"], [[cm.tp, cm.fp, cm.tn, cm.fn]])
-    write_csv(
-        paths[1],
-        ["metric", "value"],
-        (
-            [name, _metric(getattr(mets, name))]
-            for name in ("accuracy", "precision", "recall", "f1")
-        ),
-    )
+    write_csv(paths[0], ["tp", "fp", "tn", "fn"], [[cm.tp], [cm.fp], [cm.tn], [cm.fn]])
+    names = ("accuracy", "precision", "recall", "f1")
+    write_csv(paths[1], ["metric", "value"], [names, [_metric(getattr(mets, n)) for n in names]])
     write_csv(
         paths[2],
         ["fpr", "tpr", "threshold"],
-        ([fpr, tpr, t] for (fpr, tpr), t in zip(roc.points, roc.thresholds)),
+        [[p[0] for p in roc.points], [p[1] for p in roc.points], roc.thresholds],
     )
     return paths
 
@@ -499,9 +462,8 @@ def write_report_files(report, out_dir) -> list:
 
 
 def write_partition_csv(p, path) -> None:
-    write_csv(
-        path, ["author", "community_id"], ((n, p.assignment[n]) for n in sorted(p.assignment))
-    )
+    authors = sorted(p.assignment)
+    write_csv(path, ["author", "community_id"], [authors, [p.assignment[n] for n in authors]])
 
 
 def write_dendrogram_json(dendrogram, path) -> None:

@@ -254,4 +254,4 @@ def filter_eligible(d: Dataset) -> Dataset:
 
 def write_dataset_csv(d: Dataset, path) -> None:
     """Write the normalized canonical CSV; parse(write(d)) reproduces d."""
-    write_csv(path, COLUMNS, ([getattr(r, name) for name in COLUMNS] for r in d.records))
+    write_csv(path, COLUMNS, [[getattr(r, name) for r in d.records] for name in COLUMNS])

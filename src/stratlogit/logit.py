@@ -177,12 +177,8 @@ def sigmoid(eta) -> np.ndarray:
     return out
 
 
-def log_likelihood(beta, X, y) -> float:
-    return float(_log_likelihood_eta(X @ beta, y))
-
-
 def _log_likelihood_eta(eta, y):
-    """The one ll expression, shared by the solver and ``log_likelihood``;
+    """The one ll expression at linear predictors ``eta``;
     a stack of linear predictors (one per row) gives one ll per row."""
     return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
 

@@ -39,8 +39,8 @@ equals that of a whole-graph recompute.
 Modularity keeps, per community, the weight of the original graph's
 edges inside it and of those leaving it.  A split recomputes both sums
 for its two parts only, from boolean masks over the edge arrays, each a
-left fold in edge-id order: the order of the whole-graph walk of
-``modularity``, so every Q has its bits.
+left fold in edge-id order: the order in which one walk over the whole
+graph's edges adds them, so every Q has the bits of that walk.
 """
 
 from __future__ import annotations
@@ -303,35 +303,15 @@ def _q(sums, m: float) -> float:
 def _community_sums(comp, n_nodes, ends, weights) -> tuple:
     """(intra, cross): the weight of the edges with both ends, and with
     one end, in the node set ``comp``, each a left fold in edge-id order
-    as ``modularity`` adds them.  ``ends`` (m by 2 node ranks) and
-    ``weights`` are the original graph's edges, by edge id."""
+    as a walk over the whole graph's edges adds them.  ``ends`` (m by 2
+    node ranks) and ``weights`` are the original graph's edges, by edge
+    id."""
     inside = np.zeros(n_nodes, dtype=bool)
     inside[comp] = True
     at_i, at_j = inside[ends[:, 0]], inside[ends[:, 1]]
     intra = functools.reduce(operator.add, weights[at_i & at_j].tolist(), 0.0)
     cross = functools.reduce(operator.add, weights[at_i ^ at_j].tolist(), 0.0)
     return intra, cross
-
-
-def modularity(g: CollabGraph, p: Partition) -> float:
-    """Q = sum_c [ e_cc / m - (d_c / 2m)^2 ] over the partition.
-
-    A single community covering a connected graph gives exactly 0.
-    """
-    missing = [n for n in g.nodes if n not in p.assignment]
-    if missing:
-        raise DataError(f"partition does not cover nodes {missing[:5]}")
-    intra = {}
-    cross = {}
-    for u, v, w in g.edges:
-        cu, cv = p.assignment[u], p.assignment[v]
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + w
-        else:
-            cross[cu] = cross.get(cu, 0.0) + w
-            cross[cv] = cross.get(cv, 0.0) + w
-    ids = sorted(set(p.assignment.values()))
-    return _q([(intra.get(c, 0.0), cross.get(c, 0.0)) for c in ids], g.total_weight)
 
 
 def _partition_of(g, m, comps, sums, step, removed_edge) -> Partition:

@@ -18,6 +18,7 @@ from stratlogit.logit import (
     DesignMatrix,
     LogitFit,
     _llr_stat,
+    _log_likelihood_eta,
     _singular_error,
     coefficient_inference,
     fit_logistic,
@@ -26,7 +27,7 @@ from stratlogit.logit import (
     sigmoid,
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
-from stratlogit.network import _int_graph, _source_pass
+from stratlogit.network import _int_graph, _q, _source_pass
 from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -80,7 +81,7 @@ def cell_ref(value) -> str:
 
 def write_csv_ref(path, header, rows) -> None:
     """``header``, then each row through ``cell_ref`` and the csv module:
-    the oracle for ``emit.write_columns`` and the float-table writers."""
+    the oracle for ``emit.write_csv`` and every table writer."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -116,6 +117,12 @@ def gradient_ref(beta, X, y):
     """Score vector X'(y - p) of the log-likelihood, for finite-difference
     checks."""
     return X.T @ (y - sigmoid(X @ beta))
+
+
+def log_likelihood_ref(beta, X, y) -> float:
+    """The log-likelihood of coefficients ``beta`` on design ``X``, by the
+    solver's own expression."""
+    return float(_log_likelihood_eta(X @ beta, y))
 
 
 def finish_fit_ref(
@@ -245,6 +252,27 @@ def edge_betweenness(g):
         _source_pass(s, adj, row)
         total += row
     return {(u, v): b for (u, v, _), b in zip(g.edges, (total / 2.0).tolist())}
+
+
+def modularity_ref(g, p) -> float:
+    """Q = sum_c [ e_cc / m - (d_c / 2m)^2 ] of partition ``p`` by one walk
+    over the edges of ``g``: the bit-exact oracle for the per-community
+    sums ``girvan_newman`` keeps.  A single community covering a connected
+    graph gives exactly 0."""
+    missing = [n for n in g.nodes if n not in p.assignment]
+    if missing:
+        raise DataError(f"partition does not cover nodes {missing[:5]}")
+    intra = {}
+    cross = {}
+    for u, v, w in g.edges:
+        cu, cv = p.assignment[u], p.assignment[v]
+        if cu == cv:
+            intra[cu] = intra.get(cu, 0.0) + w
+        else:
+            cross[cu] = cross.get(cu, 0.0) + w
+            cross[cv] = cross.get(cv, 0.0) + w
+    ids = sorted(set(p.assignment.values()))
+    return _q([(intra.get(c, 0.0), cross.get(c, 0.0)) for c in ids], g.total_weight)
 
 
 def brandes_ref(nodes, adj):

@@ -1,18 +1,39 @@
-"""emit's JSON encoder and column-wise CSV writer against the standard
+"""emit's JSON encoder and its one CSV writer against the standard
 library paths they replace (``to_json_ref`` and ``write_csv_ref`` in
-conftest): the same text, byte for byte, and the same refusals."""
+conftest): the same text, byte for byte, and the same refusals.  Every
+table is checked against its row-by-row layout through the csv module."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import to_json_ref, write_csv_ref
+from conftest import make_problem, to_json_ref, write_csv_ref
 from stratlogit import emit
-from stratlogit.attribution import ShapMatrix, TrendCurve
+from stratlogit.attribution import (
+    ImportanceRanking,
+    ShapMatrix,
+    TrendCurve,
+    linear_shap,
+    mean_abs_importance,
+)
+from stratlogit.evaluate import ConfusionMatrix, metrics, roc_auc
 from stratlogit.indicators import FeatureMatrix
+from stratlogit.ingest import COLUMNS, parse_dataset, write_dataset_csv
+from stratlogit.logit import fit_logistic, inference_table
+from stratlogit.model_select import (
+    METRIC_FIELDS,
+    ComparisonTable,
+    ModelRow,
+    ModelSpec,
+    enumerate_subsets,
+    fit_all,
+)
+from stratlogit.network import Partition
+from stratlogit.pipeline import describe_indicators
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 1e22, -1.5e-300, 0.1, 123456789.0]
 
@@ -113,25 +134,32 @@ class TestToJson:
             emit.to_json(payload)
 
 
+# The cells of one column of each kind ``tables`` draws; "array" is a
+# float array, the others lists of values.
+COLUMN_CELLS = {
+    "array": any_float,
+    "float": any_float,
+    "np.float64": any_float.map(np.float64),
+    "int": st.integers() | st.integers(-(10**60), 10**60),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "text": hostile_text,
+    "mixed": st.one_of(any_float, st.integers(), st.booleans(), st.none(), hostile_text),
+}
+
+
 @st.composite
 def tables(draw):
-    """(header, kinds, columns): 0 to 6 rows of 1 to 4 columns, each a
-    float, text or None column."""
+    """(header, columns): 0 to 6 rows of 1 to 4 columns, each of one of
+    the kinds of ``COLUMN_CELLS``."""
     n = draw(st.integers(0, 6))
-    kinds = draw(st.lists(st.sampled_from(["float", "text", "none"]), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=4))
     header = draw(st.lists(hostile_text, min_size=len(kinds), max_size=len(kinds)))
-    cells = {"float": any_float, "text": hostile_text, "none": st.none()}
-    columns = [draw(st.lists(cells[k], min_size=n, max_size=n)) for k in kinds]
-    return header, kinds, columns
-
-
-def column_texts(kind, column):
-    """The cell texts ``write_columns`` takes for one column of ``tables``."""
-    if kind == "float":
-        return emit.float_texts(column)
-    if kind == "text":
-        return list(map(emit.quote_cell, column))
-    return [""] * len(column)
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(COLUMN_CELLS[kind], min_size=n, max_size=n))
+        columns.append(np.array(values, dtype=float) if kind == "array" else values)
+    return header, columns
 
 
 def file_bytes(path):
@@ -139,30 +167,29 @@ def file_bytes(path):
         return handle.read()
 
 
-class TestWriteColumns:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+class TestWriteCsv:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(tables())
     def test_bytes_equal_csv_module(self, tmp_path_factory, table):
-        header, kinds, columns = table
+        header, columns = table
         out = tmp_path_factory.mktemp("cols")
-        emit.write_columns(
-            out / "new.csv", header, [column_texts(k, c) for k, c in zip(kinds, columns)]
-        )
+        emit.write_csv(out / "new.csv", header, columns)
         write_csv_ref(out / "ref.csv", header, zip(*columns))
         assert file_bytes(out / "new.csv") == file_bytes(out / "ref.csv")
 
     @pytest.mark.parametrize(
-        "header, kind, column",
+        "header, column",
         [
-            ([""], "text", ["", "a", ""]),
-            (["x"], "none", [None, None]),
-            (["x"], "text", ["", ",", '"', "\r", "\n"]),
-            ([""], "float", [1.0]),
+            ([""], ["", "a", ""]),
+            (["x"], [None, None]),
+            (["x"], ["", ",", '"', "\r", "\n"]),
+            ([""], np.array([1.0])),
+            ([""], []),
         ],
     )
-    def test_one_column_quotes_an_empty_line(self, header, kind, column, tmp_path):
+    def test_one_column_quotes_an_empty_line(self, header, column, tmp_path):
         # The csv module writes a line holding one empty cell as "".
-        emit.write_columns(tmp_path / "new.csv", header, [column_texts(kind, column)])
+        emit.write_csv(tmp_path / "new.csv", header, [column])
         write_csv_ref(tmp_path / "ref.csv", header, ([v] for v in column))
         assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
 
@@ -230,3 +257,191 @@ class TestFloatTables:
             zip(x.tolist(), full.y.tolist(), [None] * x.size),
         )
         assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
+
+
+# Names and ids the csv module must quote: delimiter, quote, CR, LF, CRLF.
+HOSTILE_NAMES = ("a,b", 'q"x', "l\nm", "c\rr", "cr\r\nlf", '"', ",", "é日ß")
+
+
+def comparison_rows_ref(table) -> list:
+    """The wide comparison layout as rows, header first."""
+    models = emit.comparison_to_dicts(table)
+    fitted = [m["coefficients"] is not None for m in models]
+    names = dict.fromkeys(["intercept"] + [f for m in models for f in m["features"]])
+    rows = [["row"] + [m["model_id"] for m in models]]
+    for key in models[0]:
+        values = [m[key] for m in models]
+        if key == "features":
+            values = ["+".join(v) for v in values]
+        elif key == "coefficients":
+            rows += [[f"coef_{n}"] + [c and c.get(n) for c in values] for n in names]
+            continue
+        elif key in METRIC_FIELDS:
+            values = [emit.UNDEFINED if v is None and ok else v for v, ok in zip(values, fitted)]
+        if key not in ("model_id", "iterations"):
+            rows.append([key] + values)
+    return rows
+
+
+def equal_to_rows(tmp_path, write, header, rows) -> None:
+    """``write(path)`` writes the bytes the csv module writes for ``rows``."""
+    write(tmp_path / "new.csv")
+    write_csv_ref(tmp_path / "ref.csv", header, rows)
+    assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
+
+
+def hostile_fit():
+    """A converged fit whose three features carry hostile names, and its design."""
+    design, _ = make_problem(3, n=200, p=3)
+    return fit_logistic(replace(design, feature_names=HOSTILE_NAMES[:3])), design
+
+
+class TestRowTables:
+    """The tables once written row by row through the csv module."""
+
+    def test_comparison_of_a_search(self, fixture_matrix, fixture_split, tmp_path):
+        subsets = enumerate_subsets(fixture_matrix.column_names[:4])
+        table = fit_all(fixture_matrix, subsets, fixture_split)
+        rows = comparison_rows_ref(table)
+        equal_to_rows(
+            tmp_path, lambda p: emit.write_comparison_csv(table, p), rows[0], rows[1:]
+        )
+
+    def test_comparison_with_failed_row_and_undefined_metric(self, tmp_path):
+        scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
+        fitted = ModelRow(
+            model_id="model_001",
+            spec=ModelSpec(features=HOSTILE_NAMES[:2]),
+            n_train=10,
+            k_params=3,
+            converged=True,
+            iterations=4,
+            failed=False,
+            failure=None,
+            coefficients={"intercept": 0.25, HOSTILE_NAMES[0]: -1.5, HOSTILE_NAMES[1]: 5e-324},
+            precision=None,
+            recall=0.0,
+            f1=None,
+            **dict.fromkeys(scores, 0.1),
+        )
+        failed = ModelRow(
+            model_id="model_002",
+            spec=ModelSpec(features=HOSTILE_NAMES[2:5]),
+            n_train=10,
+            k_params=None,
+            converged=False,
+            iterations=None,
+            failed=True,
+            failure='separation: "b", then\r\nmore',
+            coefficients=None,
+            **dict.fromkeys(scores + ("precision", "recall", "f1")),
+        )
+        table = ComparisonTable(rows=(fitted, failed))
+        rows = comparison_rows_ref(table)
+        assert [emit.UNDEFINED, None] in [r[1:] for r in rows]
+        equal_to_rows(
+            tmp_path, lambda p: emit.write_comparison_csv(table, p), rows[0], rows[1:]
+        )
+
+    def test_inference(self, tmp_path):
+        fit, _ = hostile_fit()
+        equal_to_rows(
+            tmp_path,
+            lambda p: emit.write_inference_csv(fit, p),
+            emit.INFERENCE_FIELDS,
+            ([getattr(r, f) for f in emit.INFERENCE_FIELDS] for r in inference_table(fit)),
+        )
+
+    @pytest.mark.parametrize("hostile", [False, True])
+    def test_describe_tables(self, fixture_matrix, hostile, tmp_path):
+        fm = fixture_matrix
+        if hostile:
+            fm = replace(fm, column_names=HOSTILE_NAMES + ("plain",))
+        stats, corr, vifs = description = describe_indicators(fm)
+        emit.write_describe_files(tmp_path / "new", fm, description)
+        fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
+        refs = {
+            "descriptive_stats.csv": (
+                ["variable", "n", *fields],
+                [[row["variable"], row["n"]] + [row[f] for f in fields] for row in stats],
+            ),
+            "correlation.csv": (
+                ["variable", *corr.names],
+                [[name] + row for name, row in zip(corr.names, corr.r.tolist())],
+            ),
+            "vif.csv": (["variable", "vif"], list(zip(fm.column_names, vifs.tolist()))),
+        }
+        for name, (header, rows) in refs.items():
+            write_csv_ref(tmp_path / name, header, rows)
+            assert file_bytes(tmp_path / "new" / name) == file_bytes(tmp_path / name), name
+
+    def test_evaluate_tables_with_undefined_metrics(self, tmp_path):
+        cm = ConfusionMatrix(tp=0, fp=0, tn=5, fn=3)
+        mets = metrics(cm)
+        assert mets.precision is None and mets.f1 is None
+        roc = roc_auc([0.9, 0.1, 0.4, 0.4, 1e-300], [1, 0, 1, 0, 0])
+        assert roc.thresholds[0] is None
+        emit.write_evaluate_files(tmp_path / "new", cm, mets, roc)
+        refs = {
+            "confusion.csv": (["tp", "fp", "tn", "fn"], [[0, 0, 5, 3]]),
+            "metrics.csv": (
+                ["metric", "value"],
+                [
+                    ["accuracy", 0.625],
+                    ["precision", "undefined"],
+                    ["recall", 0.0],
+                    ["f1", "undefined"],
+                ],
+            ),
+            "roc.csv": (
+                ["fpr", "tpr", "threshold"],
+                [[fpr, tpr, t] for (fpr, tpr), t in zip(roc.points, roc.thresholds)],
+            ),
+        }
+        for name, (header, rows) in refs.items():
+            write_csv_ref(tmp_path / name, header, rows)
+            assert file_bytes(tmp_path / "new" / name) == file_bytes(tmp_path / name), name
+
+    @pytest.mark.parametrize("hostile", [False, True])
+    def test_importance(self, hostile, tmp_path):
+        if hostile:
+            ranking = ImportanceRanking(
+                model_id="m", entries=tuple(zip(HOSTILE_NAMES, EDGE_FLOATS))
+            )
+        else:
+            fit, design = hostile_fit()
+            ranking = mean_abs_importance(
+                linear_shap(fit, design.X[:, 1:], design.X[:, 1:].mean(axis=0))
+            )
+        equal_to_rows(
+            tmp_path,
+            lambda p: emit.write_importance_csv(ranking, p),
+            ["feature", "mean_abs_shap"],
+            ranking.entries,
+        )
+
+    def test_partition_with_hostile_authors(self, tmp_path):
+        authors = HOSTILE_NAMES + ("plain", " lead space")
+        p = Partition(
+            assignment={a: i % 3 for i, a in enumerate(authors)}, n_communities=3, modularity=0.0
+        )
+        equal_to_rows(
+            tmp_path,
+            lambda path: emit.write_partition_csv(p, path),
+            ["author", "community_id"],
+            ((a, p.assignment[a]) for a in sorted(p.assignment)),
+        )
+
+    def test_normalized_dataset_with_hostile_ids(self, fixture_dataset, tmp_path):
+        records = fixture_dataset.records[: len(HOSTILE_NAMES)]
+        ds = replace(
+            fixture_dataset,
+            records=tuple(replace(r, scholar_id=i) for r, i in zip(records, HOSTILE_NAMES)),
+        )
+        equal_to_rows(
+            tmp_path,
+            lambda p: write_dataset_csv(ds, p),
+            COLUMNS,
+            ([getattr(r, name) for name in COLUMNS] for r in ds.records),
+        )
+        assert parse_dataset(tmp_path / "new.csv").records == ds.records

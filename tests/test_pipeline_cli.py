@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA
+from stratlogit import pipeline
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
 from stratlogit.emit import report_payload, to_json, write_report_files
@@ -566,3 +567,50 @@ class TestReportFuzz:
             with open(out / "shap_full.csv", newline="", encoding="utf-8") as handle:
                 ids = [row[0] for row in csv.reader(handle)][1:]
             assert ids == [r.scholar_id for r in filter_eligible(parse_dataset(path))]
+
+
+def _report_exit(argv):
+    """(exit code, stderr) of one ``main`` run."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestShapAdditivityCheck:
+    """The report's additivity check is relative to the size of the
+    summed terms: rounding in a row with one huge count passes, a moved
+    attribution does not."""
+
+    @pytest.mark.parametrize("select", ["enumerate", "stepwise"])
+    @pytest.mark.parametrize("seed", [1, 8, 10])
+    def test_huge_count_is_not_a_breach(self, seed, select, tmp_path):
+        base = make_scholar_dataset(n=55, seed=seed, target_increase=None)
+        records = list(base.records)
+        records[seed] = dataclasses.replace(records[seed], account_days=10**12)
+        path = tmp_path / "scholars.csv"
+        write_dataset_csv(Dataset(records=tuple(records), provenance=base.provenance), path)
+        rc, err = _report_exit(
+            ["report", "--input", str(path), "--out", str(tmp_path / "out"), "--select", select]
+        )
+        assert rc == 0, err
+
+    def test_moved_attribution_is_a_breach(self, monkeypatch, tmp_path):
+        real = pipeline.linear_shap
+
+        def moved(fit, X, background, model_id):
+            shap = real(fit, X, background, model_id=model_id)
+            scale = max(
+                1.0,
+                abs(fit.coef[0]) + float(np.sum(np.abs(X[0] * fit.coef[1:]))),
+                abs(shap.base_value) + float(np.sum(np.abs(shap.values[0]))),
+            )
+            values = shap.values.copy()
+            values[0, 0] += 1e-6 * scale
+            return dataclasses.replace(shap, values=values)
+
+        monkeypatch.setattr(pipeline, "linear_shap", moved)
+        rc, err = _report_exit(["report", "--input", SCHOLARS, "--out", str(tmp_path)])
+        assert rc == 5, err
+        assert "shap additivity violated for full" in err
