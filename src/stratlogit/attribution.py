@@ -105,21 +105,28 @@ def mean_abs_importance(s: ShapMatrix) -> ImportanceRanking:
 
 @dataclass(frozen=True)
 class TrendCurve:
+    """Attribution ``y`` at the sites ``x``; ``rows``, when known, holds
+    the input row whose value and attribution each site comes from."""
+
     feature: str
     model_id: str
     x: np.ndarray
     y: np.ndarray
+    rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise DataError("trend curve x/y must be matching 1-D arrays")
+        if self.rows is not None and self.rows.shape != self.x.shape:
+            raise DataError("trend curve rows must match its x sites")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
             raise DataError("trend curve contains non-finite values")
 
 
 def attribution_trend(x, phi, feature: str = "", model_id: str = "") -> TrendCurve:
-    """The attribution ``phi`` at each sorted distinct ``x``; DataError
-    if rows with equal ``x`` carry different ``phi``."""
+    """The attribution ``phi`` at each sorted distinct ``x``, taken from
+    the first row holding it; DataError if rows with equal ``x`` carry
+    different ``phi``."""
     # + 0.0 turns -0.0 into 0.0, so the row that supplies a site cannot
     # change the bits written for it.
     x = np.asarray(x, dtype=float) + 0.0
@@ -133,7 +140,7 @@ def attribution_trend(x, phi, feature: str = "", model_id: str = "") -> TrendCur
         raise DegenerateInputError("attribution_trend: need at least 2 distinct x values")
     if not np.array_equal(phi[first][inverse], phi):
         raise DataError(f"attribution_trend: {feature or 'phi'} is not a function of x")
-    return TrendCurve(feature=feature, model_id=model_id, x=sites, y=phi[first])
+    return TrendCurve(feature=feature, model_id=model_id, x=sites, y=phi[first], rows=first)
 
 
 def _local_fit(x, y, x0, r) -> float:

@@ -214,7 +214,8 @@ def cmd_attribute(args) -> int:
     write_shap_values_csv(shap, fm.row_ids, out_path(cfg.out_dir, "shap_values.csv"))
     write_importance_csv(ranking, out_path(cfg.out_dir, "importance.csv"))
     for name, curve in trend_curves(fm, shap).items():
-        write_trend_csv({"attribution": curve}, out_path(cfg.out_dir, f"trend_{name}.csv"))
+        path = out_path(cfg.out_dir, f"trend_{name}.csv")
+        write_trend_csv(curve.x, {"attribution": curve.y}, path)
     top = ranking.entries[0]
     print(
         f"attributed {len(fit.feature_names)} features over {fm.n_rows} rows; "

@@ -3,25 +3,32 @@
 CSV files are UTF-8, comma separated, with ``\\r\\n`` line ends and one
 header row; their bytes are those the csv module's default writer gives.
 ``write_csv`` is the one writer, and it takes a table as columns.  A
-column that is a float array becomes text in one
-``map(float.__repr__, ...)``; any other column goes through ``cell``, the
-one cell rule: a float as ``repr(float(v))``, the shortest text that
-reads back to the same double; a bool as ``1`` or ``0``; None as an empty
-cell; anything else as ``str(v)`` through ``quote_cell``, the one
-quoting rule (the csv module's minimal quoting).  A metric whose
-denominator is empty is written as the word ``undefined`` (``null`` in
-JSON), never as 0.
+column that is a float array becomes text through ``float_texts``, which
+renders each distinct value of the column once with ``float.__repr__``;
+a column of ``FloatTexts`` is written as it is; any other column goes
+through ``cell``, the one cell rule: a float as ``repr(float(v))``, the
+shortest text that reads back to the same double; a bool as ``1`` or
+``0``; None as an empty cell; anything else as ``str(v)`` through
+``quote_cell``, the one quoting rule (the csv module's minimal quoting).
+A metric whose denominator is empty is written as the word ``undefined``
+(``null`` in JSON), never as 0.
 
 JSON files hold sorted keys, a two-space indent and one trailing
 newline; NaN and infinity are refused.  ``to_json`` writes them with its
 own encoder, whose text is exactly ``json.dumps(payload, sort_keys=True,
 indent=2, allow_nan=False)`` plus the newline: any indent sends the
 standard library from its C encoder to a generator per container, and
-a list of plain floats here becomes text in one join.  Every JSON layout is built here
-from the stage results: ``fit_payload`` (fit.json and the report's
-``full_model``), ``selection_payload`` (selection.json and the report's
-``selection``) and ``report_payload`` (report.json).  A payload holds
-Python values only: arrays become lists with ``tolist``.
+a list of plain floats, or of ``FloatTexts``, here becomes text in one
+join.  Every JSON layout is built here from the stage results:
+``fit_payload`` (fit.json and the report's ``full_model``),
+``selection_payload`` (selection.json and the report's ``selection``)
+and ``report_payload`` (report.json).  A payload holds Python values
+only: arrays become lists with ``tolist``, or texts with ``float_texts``.
+
+A report renders each feature column and each attribution column once.
+features.csv, the shap files, every trend file and report.json's
+``attribution.trends`` take their text from those renderings: a trend's
+x sites and attributions are the texts of the rows that supply them.
 
 Nothing in either format depends on the run, so two runs over the same
 input and configuration write byte-identical files.
@@ -37,7 +44,7 @@ import re
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateInputError
+from .errors import ConfigError, DegenerateInputError
 from .logit import inference_table
 from .model_select import METRIC_FIELDS
 
@@ -69,14 +76,46 @@ def cell(value) -> str:
     return quote_cell(str(value))
 
 
+class FloatTexts(tuple):
+    """Floats as ``float.__repr__`` writes them: ``write_csv`` writes
+    them as cells as they are, and ``to_json`` as a list of numbers."""
+
+
+def float_texts(values) -> FloatTexts:
+    """``float.__repr__`` of each float of the 1-D array ``values``, with
+    each distinct value rendered once and its text taken for every row.
+
+    Values are told apart as ``values + 0.0``, where -0.0 is 0.0, so the
+    rows holding -0.0 get their own text back afterwards; a memo keyed by
+    float could not tell the two apart, as ``-0.0 == 0.0``.
+    """
+    distinct, inverse = np.unique(values + 0.0, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[inverse]
+    texts[np.signbit(values) & (values == 0.0)] = "-0.0"
+    return FloatTexts(texts.tolist())
+
+
+def _write_text(path, text, newline=None) -> None:
+    """Write ``text`` to ``path``; ConfigError, naming the path, if it
+    cannot be written."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_csv(path, header, columns) -> None:
     """``header``, then line i of the cells ``columns[j][i]``, in one write.
 
-    A float array column becomes text a column at a time; every other
-    column, and the header, goes through ``cell`` a value at a time.
+    A float array column becomes text through ``float_texts`` and a
+    ``FloatTexts`` column is written as it is; every other column, and
+    the header, goes through ``cell`` a value at a time.
     """
     texts = [
-        map(float.__repr__, c.tolist())
+        c
+        if isinstance(c, FloatTexts)
+        else float_texts(c)
         if isinstance(c, np.ndarray) and c.dtype == np.float64
         else map(cell, c)
         for c in columns
@@ -85,8 +124,7 @@ def write_csv(path, header, columns) -> None:
     if len(header) == 1:
         # The csv module writes a line whose one cell is empty as "".
         lines = [line or '""' for line in lines]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
+    _write_text(path, "\r\n".join(lines) + "\r\n", newline="")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -146,11 +184,12 @@ def _encode(value, out: list, indent: str) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        if set(map(type, value)) == {float}:
-            text = ("," + inner).join(map(float.__repr__, value))
+        rendered = isinstance(value, FloatTexts)
+        if rendered or set(map(type, value)) == {float}:
+            text = ("," + inner).join(value if rendered else map(float.__repr__, value))
             if "n" in text:  # "inf" or "nan": no finite float's repr holds an n
                 for item in value:
-                    _json_float(item)
+                    _json_float(float(item))
             out += ("[", inner, text, indent, "]")
             return
         sep = "[" + inner
@@ -173,14 +212,17 @@ def to_json(payload) -> str:
 
 def write_json(payload, path) -> None:
     """Write ``to_json(payload)``; a payload it refuses leaves no file."""
-    text = to_json(payload)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(path, to_json(payload))
 
 
 def out_path(out_dir, name) -> str:
-    """``out_dir``/``name``, creating ``out_dir`` if needed."""
-    os.makedirs(out_dir, exist_ok=True)
+    """``out_dir``/``name``, creating ``out_dir`` if needed; ConfigError,
+    naming ``out_dir``, if it cannot be a directory."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot create output directory {out_dir}: {reason}") from exc
     return os.path.join(out_dir, name)
 
 
@@ -255,20 +297,50 @@ def _models(report) -> tuple:
     )
 
 
-def report_payload(report) -> dict:
-    """The report.json payload of an AnalysisReport."""
+def _column_texts(report) -> tuple:
+    """The texts of the report's feature columns and of each model's
+    attribution columns: ({feature: texts}, {model key: {feature: texts}})."""
+    fm = report.feature_matrix
+    features = dict(zip(fm.column_names, map(float_texts, fm.values.T)))
+    shap = {
+        key: dict(zip(s.feature_names, map(float_texts, s.values.T)))
+        for key, _, s, _ in _models(report)
+    }
+    return features, shap
+
+
+def _site_texts(texts, rows) -> FloatTexts:
+    """The texts of a column at ``rows``, the rows that supply a trend's
+    sites; a site is its row's value + 0.0, so -0.0 reads 0.0."""
+    sites = [texts[i] for i in rows.tolist()]
+    if "-0.0" in sites:
+        sites = ["0.0" if t == "-0.0" else t for t in sites]
+    return FloatTexts(sites)
+
+
+def _trend_texts(report, features, shap) -> dict:
+    """{feature: (x, full, optimized)}: the texts of each trend's sites
+    and of each model's attributions there (None for a model without
+    the feature), from the column texts ``_column_texts`` gives."""
+    trends = {}
+    for name, tc in report.trends.items():
+        rows = tc.full_curve.rows
+        full, optimized = (
+            _site_texts(shap[key][name], rows) if name in shap[key] else None
+            for key in ("full", "optimized")
+        )
+        trends[name] = (_site_texts(features[name], rows), full, optimized)
+    return trends
+
+
+def report_payload(report, trends=None) -> dict:
+    """The report.json payload of an AnalysisReport; ``trends`` are its
+    trend texts, as ``_trend_texts`` gives them, if already rendered."""
     cfg, fm, split = report.config, report.feature_matrix, report.split
     stats, corr, vifs = report.description
     cm, mets, roc = report.confusion, report.metrics, report.roc
-    trends = {
-        name: {
-            "x": tc.full_curve.x.tolist(),
-            "full": tc.full_curve.y.tolist(),
-            "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
-            "missing_from": list(tc.missing_from),
-        }
-        for name, tc in report.trends.items()
-    }
+    if trends is None:
+        trends = _trend_texts(report, *_column_texts(report))
     return {
         "tool": {"name": "stratlogit", "version": __version__},
         "config": cfg.echo(),
@@ -316,17 +388,26 @@ def report_payload(report) -> dict:
                 }
                 for key, _, shap, ranking in _models(report)
             },
-            "trends": trends,
+            "trends": {
+                name: {
+                    "x": x,
+                    "full": full,
+                    "optimized": optimized,
+                    "missing_from": list(report.trends[name].missing_from),
+                }
+                for name, (x, full, optimized) in trends.items()
+            },
         },
     }
 
 
-def write_feature_matrix_csv(m, path) -> None:
-    """Audit dump: one row per scholar, feature columns plus target."""
+def write_feature_matrix_csv(m, path, texts=None) -> None:
+    """Audit dump: one row per scholar, feature columns plus target;
+    ``texts`` are the feature columns' texts, if already rendered."""
     write_csv(
         path,
         [*m.column_names, "target"],
-        [*m.values.T, [int(t) for t in m.target.tolist()]],
+        [*(m.values.T if texts is None else texts), [int(t) for t in m.target.tolist()]],
     )
 
 
@@ -366,32 +447,34 @@ def write_inference_csv(fit, path) -> None:
     write_csv(path, INFERENCE_FIELDS, [[getattr(r, f) for r in rows] for f in INFERENCE_FIELDS])
 
 
-def write_shap_values_csv(shap, row_ids, path) -> None:
-    write_csv(path, ["scholar_id", *shap.feature_names], [row_ids, *shap.values.T])
+def write_shap_values_csv(shap, row_ids, path, texts=None) -> None:
+    """One row per scholar, one attribution column per feature; ``texts``
+    are those columns' texts, if already rendered."""
+    columns = shap.values.T if texts is None else texts
+    write_csv(path, ["scholar_id", *shap.feature_names], [row_ids, *columns])
 
 
 def write_importance_csv(ranking, path) -> None:
     write_csv(path, ["feature", "mean_abs_shap"], list(zip(*ranking.entries)))
 
 
-def write_trend_csv(curves: dict, path) -> None:
-    """Trend file: the x sites, then one attribution column per named curve.
+def write_trend_csv(x, ys: dict, path) -> None:
+    """Trend file: the x sites, then one attribution column per named y.
 
-    The curves of one feature share their x sites; a None curve (a model
-    without the feature) leaves its column empty.
+    A None y (a model without the feature) leaves its column empty.
     """
-    x = next(c.x for c in curves.values() if c is not None)
-    columns = [x] + [[None] * x.size if c is None else c.y for c in curves.values()]
-    write_csv(path, ["x", *curves], columns)
+    columns = [x] + [[None] * len(x) if y is None else y for y in ys.values()]
+    write_csv(path, ["x", *ys], columns)
 
 
-def write_describe_files(out_dir, fm, description) -> list:
+def write_describe_files(out_dir, fm, description, texts=None) -> list:
     """The describe stage's files; ``description`` is what
-    ``describe_indicators`` returned.  Returns the paths written."""
+    ``describe_indicators`` returned, and ``texts`` are the feature
+    columns' texts, if already rendered.  Returns the paths written."""
     stats, corr, vifs = description
     names = ("features.csv", "descriptive_stats.csv", "correlation.csv", "vif.csv")
     paths = [out_path(out_dir, name) for name in names]
-    write_feature_matrix_csv(fm, paths[0])
+    write_feature_matrix_csv(fm, paths[0], texts)
     fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
     header = ["variable", "n", *fields]
     write_csv(paths[1], header, [[row[f] for row in stats] for f in header])
@@ -436,27 +519,29 @@ def write_evaluate_files(out_dir, cm, mets, roc) -> list:
 
 def write_report_files(report, out_dir) -> list:
     """Write report.json and the CSV side files of an AnalysisReport;
-    returns the paths."""
+    returns the paths.  Each feature and attribution column is rendered
+    once, for its file and for the trends."""
     fm = report.feature_matrix
+    features, shap = _column_texts(report)
+    trends = _trend_texts(report, features, shap)
     written = [out_path(out_dir, "report.json")]
-    write_json(report_payload(report), written[0])
-    written += write_describe_files(out_dir, fm, report.description)
+    write_json(report_payload(report, trends), written[0])
+    written += write_describe_files(out_dir, fm, report.description, features.values())
     written.append(out_path(out_dir, "comparison.csv"))
     write_comparison_csv(report.comparison, written[-1])
     written += write_evaluate_files(out_dir, report.confusion, report.metrics, report.roc)
-    for key, fit, shap, ranking in _models(report):
+    for key, fit, attributions, ranking in _models(report):
         paths = [
             out_path(out_dir, f"{kind}_{key}.csv") for kind in ("inference", "shap", "importance")
         ]
         write_inference_csv(fit, paths[0])
-        write_shap_values_csv(shap, fm.row_ids, paths[1])
+        write_shap_values_csv(attributions, fm.row_ids, paths[1], shap[key].values())
         write_importance_csv(ranking, paths[2])
         written += paths
-    for name, tc in report.trends.items():
+    for name, (x, full, optimized) in trends.items():
         written.append(out_path(out_dir, f"trend_{name}.csv"))
         write_trend_csv(
-            {"attribution_full": tc.full_curve, "attribution_optimized": tc.optimized_curve},
-            written[-1],
+            x, {"attribution_full": full, "attribution_optimized": optimized}, written[-1]
         )
     return written
 

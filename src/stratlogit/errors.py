@@ -3,7 +3,8 @@
 Every error raised on purpose by this package derives from StratLogitError
 and carries an ``exit_code`` used by the command line front end:
 
-    2  configuration errors (bad flag values, unknown feature names)
+    2  configuration errors (bad flag values, unknown feature names, an
+       output path that cannot be written)
     3  data errors (unreadable input, schema violations, degenerate inputs)
     4  numerical errors (separation, singular systems, non-convergence)
     5  internal invariant breaches detected during report emission

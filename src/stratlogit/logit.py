@@ -289,8 +289,8 @@ def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1
     try:
         if max_iter < 1:
             raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
-        if not (tol > 0):
-            raise DegenerateInputError(f"fit_logistic: tol must be > 0, got {tol}")
+        if not math.isfinite(tol) or tol <= 0:
+            raise DegenerateInputError(f"fit_logistic: tol must be finite and > 0, got {tol}")
         if np.all(y == y[0]):
             raise DegenerateInputError("fit_logistic: response has a single class")
     except StratLogitError as exc:

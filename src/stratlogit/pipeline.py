@@ -109,8 +109,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.tol > 0):
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.selection not in SELECTION_MODES:
             raise ConfigError(
                 f"selection must be one of {SELECTION_MODES}, got {self.selection!r}"

@@ -4,16 +4,17 @@ Descriptive statistics, Pearson correlation, variance inflation factors,
 a Cholesky solver for symmetric positive definite systems, and the two
 tail-probability helpers (two-sided normal, chi-squared) used by the
 inference code.  Everything here is deterministic and vector-friendly.
+scipy is imported where it is first used, so the commands that fit no
+model never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.special import gammaincc
 
 from .errors import DataError, DegenerateInputError, SingularMatrixError
 
@@ -179,10 +180,20 @@ def solve_spd(a, b) -> np.ndarray:
     return cholesky_solve(chol, b)
 
 
+@functools.cache
+def _dtrtrs():
+    # cholesky_solve runs once per design per Newton step: a cached
+    # lookup costs a tenth of an import statement there.
+    from scipy.linalg.lapack import dtrtrs
+
+    return dtrtrs
+
+
 def cholesky_solve(chol, b) -> np.ndarray:
     """Solve ``chol @ chol.T @ x = b`` for a lower Cholesky factor ``chol``:
     the two triangular solves of ``solve_spd``, for callers that factor a
     stack of matrices at once."""
+    dtrtrs = _dtrtrs()
     upper = chol.T
     y, info_y = dtrtrs(upper, b, lower=0, trans=1)
     x, info_x = dtrtrs(upper, y, lower=0, trans=0)
@@ -210,5 +221,7 @@ def chisq_sf(x, k: int):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise DegenerateInputError(f"chisq_sf: x must be finite and >= 0, got {x.tolist()}")
+    from scipy.special import gammaincc
+
     p = gammaincc(k / 2.0, x / 2.0)
     return float(p) if x.ndim == 0 else p

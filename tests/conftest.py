@@ -68,6 +68,21 @@ def to_json_ref(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def trend_payload_ref(report) -> dict:
+    """report.json's ``attribution.trends`` from the curves' floats, a
+    value at a time: the oracle for the trend texts ``emit`` shares with
+    the CSV files."""
+    return {
+        name: {
+            "x": tc.full_curve.x.tolist(),
+            "full": tc.full_curve.y.tolist(),
+            "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
+            "missing_from": list(tc.missing_from),
+        }
+        for name, tc in report.trends.items()
+    }
+
+
 def cell_ref(value) -> str:
     """One CSV cell, converted per value: the oracle for ``emit``'s cells."""
     if isinstance(value, float):

@@ -1,9 +1,12 @@
 """emit's JSON encoder and its one CSV writer against the standard
 library paths they replace (``to_json_ref`` and ``write_csv_ref`` in
 conftest): the same text, byte for byte, and the same refusals.  Every
-table is checked against its row-by-row layout through the csv module."""
+table is checked against its row-by-row layout through the csv module,
+and the column renderer, whose texts a report shares between its files,
+against ``float.__repr__`` a value at a time."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, to_json_ref, write_csv_ref
+from conftest import make_problem, to_json_ref, trend_payload_ref, write_csv_ref
 from stratlogit import emit
 from stratlogit.attribution import (
     ImportanceRanking,
     ShapMatrix,
-    TrendCurve,
     linear_shap,
     mean_abs_importance,
+    trend_compare,
 )
 from stratlogit.evaluate import ConfusionMatrix, metrics, roc_auc
 from stratlogit.indicators import FeatureMatrix
@@ -33,7 +36,13 @@ from stratlogit.model_select import (
     fit_all,
 )
 from stratlogit.network import Partition
-from stratlogit.pipeline import describe_indicators
+from stratlogit.pipeline import (
+    RunConfig,
+    attribute_fit,
+    describe_indicators,
+    run_pipeline,
+    trend_curves,
+)
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 1e22, -1.5e-300, 0.1, 123456789.0]
 
@@ -248,13 +257,13 @@ class TestFloatTables:
 
     def test_trend_with_a_missing_curve(self, tmp_path):
         x = np.array(EDGE_FLOATS[2:])
-        full = TrendCurve(feature="f", model_id="full", x=x, y=x[::-1] * -3.0)
-        curves = {"attribution_full": full, "attribution_optimized": None}
-        emit.write_trend_csv(curves, tmp_path / "new.csv")
+        full = x[::-1] * -3.0
+        ys = {"attribution_full": full, "attribution_optimized": None}
+        emit.write_trend_csv(x, ys, tmp_path / "new.csv")
         write_csv_ref(
             tmp_path / "ref.csv",
-            ["x", *curves],
-            zip(x.tolist(), full.y.tolist(), [None] * x.size),
+            ["x", *ys],
+            zip(x.tolist(), full.tolist(), [None] * x.size),
         )
         assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
 
@@ -445,3 +454,205 @@ class TestRowTables:
             ([getattr(r, name) for name in COLUMNS] for r in ds.records),
         )
         assert parse_dataset(tmp_path / "new.csv").records == ds.records
+
+
+# Floats that a column repeats: the edge cases, the largest magnitudes
+# and non-finite values, drawn again and again beside any other float.
+REPEATED = st.sampled_from(
+    EDGE_FLOATS + [5e-324 * 3, -1e16, 1.7976931348623157e308, -1e308, math.inf, -math.nan]
+)
+
+
+class TestFloatTexts:
+    """``float_texts`` renders each distinct value of a column once; its
+    texts are those of ``float.__repr__`` a value at a time."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(REPEATED | any_float, max_size=40))
+    def test_equals_repr_per_value(self, values):
+        a = np.array(values, dtype=float)
+        texts = emit.float_texts(a)
+        assert isinstance(texts, emit.FloatTexts)
+        assert list(texts) == list(map(float.__repr__, a.tolist()))
+
+    def test_signed_zeros_keep_their_sign(self):
+        a = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0])
+        assert emit.float_texts(a) == ("0.0", "-0.0", "-0.0", "0.0", "1.0", "-0.0")
+        assert emit.float_texts(a[1:3]) == ("-0.0", "-0.0")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(REPEATED.filter(math.isfinite) | finite, max_size=12))
+    def test_json_list_equals_standard_library(self, values):
+        payload = {"v": emit.float_texts(np.array(values, dtype=float)), "w": [values]}
+        ref = {"v": values, "w": [values]}
+        assert emit.to_json(payload) == to_json_ref(ref)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_non_finite_texts(self, bad):
+        with pytest.raises(ValueError):
+            emit.to_json([emit.float_texts(np.array([1.0, bad]))])
+
+    def test_csv_column_of_texts(self, tmp_path):
+        a = np.array(EDGE_FLOATS * 2)
+        emit.write_csv(tmp_path / "new.csv", ["t", "id"], [emit.float_texts(a), HOSTILE_NAMES * 2])
+        write_csv_ref(tmp_path / "ref.csv", ["t", "id"], zip(a.tolist(), HOSTILE_NAMES * 2))
+        assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
+
+
+def signed_zeros(values) -> int:
+    return int(np.sum(np.signbit(values) & (values == 0.0)))
+
+
+@pytest.fixture(scope="module")
+def repeating_report(scholar_csv):
+    """The fixture's stepwise report with features that repeat values,
+    one feature holding -0.0 (its first zero included), and a background
+    that row 3 holds, so attributions are ±0.0 there; one coefficient of
+    the full model is so small that its attributions underflow to ±0.0
+    at many sites.  Attributions and trends are recomputed as
+    ``run_pipeline`` computes them."""
+    report = run_pipeline(RunConfig(input_path=scholar_csv, selection="stepwise"))
+    fm = report.feature_matrix
+    values = np.round(fm.values, 1)
+    values[::5, 1] = -0.0
+    values[1::5, 1] = 0.0
+    fm = replace(fm, values=values)
+    background = values[3] + 0.0
+    coef = report.full_fit.coef.copy()
+    coef[3] = -5e-324
+    full_fit = replace(report.full_fit, coef=coef)
+    full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
+    opt_shap, opt_rank = attribute_fit(fm, background, report.best_fit, "optimized")
+    return replace(
+        report,
+        feature_matrix=fm,
+        full_fit=full_fit,
+        background=background,
+        full_shap=full_shap,
+        full_importance=full_rank,
+        optimized_shap=opt_shap,
+        optimized_importance=opt_rank,
+        trends={
+            name: trend_compare(full_shap, opt_shap, name, fm.column(name))
+            for name in fm.column_names
+        },
+    )
+
+
+def report_files_ref(report, out) -> None:
+    """Every file of ``write_report_files``, a value at a time through
+    ``write_csv_ref`` and ``to_json_ref``."""
+    fm, (stats, corr, vifs) = report.feature_matrix, report.description
+    fields = ("mean", "std_dev", "minimum", "median", "maximum", "skewness")
+    comparison = comparison_rows_ref(report.comparison)
+    mets, roc = report.metrics, report.roc
+    tables = {
+        "features.csv": (
+            [*fm.column_names, "target"],
+            (row + [int(t)] for row, t in zip(fm.values.tolist(), fm.target.tolist())),
+        ),
+        "descriptive_stats.csv": (
+            ["variable", "n", *fields],
+            [[row["variable"], row["n"]] + [row[f] for f in fields] for row in stats],
+        ),
+        "correlation.csv": (
+            ["variable", *corr.names],
+            [[name] + row for name, row in zip(corr.names, corr.r.tolist())],
+        ),
+        "vif.csv": (["variable", "vif"], list(zip(fm.column_names, vifs.tolist()))),
+        "comparison.csv": (comparison[0], comparison[1:]),
+        "confusion.csv": (
+            ["tp", "fp", "tn", "fn"],
+            [[getattr(report.confusion, f) for f in ("tp", "fp", "tn", "fn")]],
+        ),
+        "metrics.csv": (
+            ["metric", "value"],
+            [
+                [n, emit.UNDEFINED if getattr(mets, n) is None else getattr(mets, n)]
+                for n in ("accuracy", "precision", "recall", "f1")
+            ],
+        ),
+        "roc.csv": (
+            ["fpr", "tpr", "threshold"],
+            [[fpr, tpr, t] for (fpr, tpr), t in zip(roc.points, roc.thresholds)],
+        ),
+    }
+    for key, fit, shap, ranking in emit._models(report):
+        tables[f"inference_{key}.csv"] = (
+            emit.INFERENCE_FIELDS,
+            [[getattr(r, f) for f in emit.INFERENCE_FIELDS] for r in inference_table(fit)],
+        )
+        tables[f"shap_{key}.csv"] = (
+            ["scholar_id", *shap.feature_names],
+            ([rid] + row for rid, row in zip(fm.row_ids, shap.values.tolist())),
+        )
+        tables[f"importance_{key}.csv"] = (["feature", "mean_abs_shap"], ranking.entries)
+    for name, tc in report.trends.items():
+        x, full, opt = tc.full_curve.x, tc.full_curve.y, tc.optimized_curve
+        tables[f"trend_{name}.csv"] = (
+            ["x", "attribution_full", "attribution_optimized"],
+            zip(x.tolist(), full.tolist(), opt.y.tolist() if opt else [None] * x.size),
+        )
+    for name, (header, rows) in tables.items():
+        write_csv_ref(out / name, header, rows)
+    payload = emit.report_payload(report)
+    payload["attribution"]["trends"] = trend_payload_ref(report)
+    (out / "report.json").write_text(to_json_ref(payload), encoding="utf-8")
+
+
+class TestSharedRenderings:
+    """Files whose texts come from one rendering per column equal the
+    files written a value at a time."""
+
+    def test_case_holds_repeats_and_signed_zeros(self, repeating_report):
+        fm = repeating_report.feature_matrix
+        assert all(np.unique(c).size < c.size for c in fm.values.T)
+        assert signed_zeros(fm.values) > 0 and fm.values[0, 1] == 0.0
+        for _, _, shap, _ in emit._models(repeating_report):
+            assert signed_zeros(shap.values) > 0, shap.model_id
+        assert repeating_report.trends[fm.column_names[1]].full_curve.x[0] == 0.0
+        underflow = repeating_report.full_shap.values[:, 2]
+        assert np.unique(fm.values[underflow == 0.0, 2]).size > 1 and signed_zeros(underflow) > 1
+
+    def test_report_files(self, repeating_report, tmp_path):
+        written = emit.write_report_files(repeating_report, tmp_path / "new")
+        (tmp_path / "ref").mkdir()
+        report_files_ref(repeating_report, tmp_path / "ref")
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert sorted(os.path.basename(p) for p in written) == names
+        for name in names:
+            assert file_bytes(tmp_path / "new" / name) == file_bytes(tmp_path / "ref" / name), name
+
+    def test_report_payload_alone(self, repeating_report):
+        payload = emit.report_payload(repeating_report)
+        ref = emit.report_payload(repeating_report)
+        ref["attribution"]["trends"] = trend_payload_ref(repeating_report)
+        assert emit.to_json(payload) == to_json_ref(ref)
+
+    def test_describe_features(self, repeating_report, tmp_path):
+        fm = repeating_report.feature_matrix
+        emit.write_describe_files(tmp_path, fm, repeating_report.description)
+        write_csv_ref(
+            tmp_path / "ref.csv",
+            [*fm.column_names, "target"],
+            (row + [int(t)] for row, t in zip(fm.values.tolist(), fm.target.tolist())),
+        )
+        assert file_bytes(tmp_path / "features.csv") == file_bytes(tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("key", ["full", "optimized"])
+    def test_attribute_files(self, repeating_report, key, tmp_path):
+        # The files ``attribute`` writes: attributions, then one trend file per feature.
+        fm = repeating_report.feature_matrix
+        shap = getattr(repeating_report, f"{key}_shap")
+        emit.write_shap_values_csv(shap, fm.row_ids, tmp_path / "new.csv")
+        write_csv_ref(
+            tmp_path / "ref.csv",
+            ["scholar_id", *shap.feature_names],
+            ([rid] + row for rid, row in zip(fm.row_ids, shap.values.tolist())),
+        )
+        assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
+        for name, curve in trend_curves(fm, shap).items():
+            emit.write_trend_csv(curve.x, {"attribution": curve.y}, tmp_path / "new.csv")
+            rows = zip(curve.x.tolist(), curve.y.tolist())
+            write_csv_ref(tmp_path / "ref.csv", ["x", "attribution"], rows)
+            assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv"), name

@@ -201,8 +201,9 @@ class TestFailureModes:
         design, _ = make_problem(1, n=50, p=2)
         with pytest.raises(DegenerateInputError):
             fit_logistic(design, max_iter=0)
-        with pytest.raises(DegenerateInputError):
-            fit_logistic(design, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DegenerateInputError):
+                fit_logistic(design, tol=tol)
 
 
 def bits(outcome):
@@ -340,6 +341,7 @@ class TestBatchBits:
         for kwargs, y in [
             (dict(max_iter=0), design.y),
             (dict(tol=0.0), design.y),
+            (dict(tol=math.inf), design.y),
             ({}, np.ones(60)),
         ]:
             got = fit_logistic_batch(stack, y, names, **kwargs)

@@ -7,13 +7,15 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA
+from conftest import DATA, ROOT
 from stratlogit import pipeline
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
@@ -263,6 +265,9 @@ class TestCliErrors:
             ("evaluate", ["--max-iter", "0"]),
             ("evaluate", ["--tol", "-1"]),
             ("select", ["--tol", "0"]),
+            ("fit", ["--tol", "inf"]),
+            ("report", ["--tol", "inf"]),
+            ("select", ["--tol", "nan"]),
             ("attribute", ["--max-iter", "0"]),
             ("report", ["--train-frac", "1"]),
             ("report", ["--seed", "-1"]),
@@ -355,6 +360,36 @@ class TestCliErrors:
         assert not (out / "dendrogram.json").exists()
         assert not (out / "partition.csv").exists()
 
+    # (command, the first file it writes)
+    FIRST_FILES = [
+        ("ingest", "normalized.csv"),
+        ("describe", "features.csv"),
+        ("fit", "inference.csv"),
+        ("select", "comparison.csv"),
+        ("evaluate", "confusion.csv"),
+        ("attribute", "shap_values.csv"),
+        ("report", "report.json"),
+        ("communities", "partition.csv"),
+    ]
+
+    @pytest.mark.parametrize("blocked", ["out_is_file", "out_under_file", "file_is_dir"])
+    @pytest.mark.parametrize("command, first", FIRST_FILES, ids=[c for c, _ in FIRST_FILES])
+    def test_unwritable_out_exit_2(self, command, first, blocked, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        outs = {"out_is_file": taken, "out_under_file": taken / "sub"}
+        out = outs.get(blocked, tmp_path / "out")
+        if blocked == "file_is_dir":
+            (out / first).mkdir(parents=True)
+        source = ["--coauthor-edges", EDGES] if command == "communities" else ["--input", SCHOLARS]
+        search = ["--select", "stepwise"] if command in ("select", "report") else []
+        rc = main([command, *source, *search, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config_error]") and "Traceback" not in err
+        assert str(out) in err
+        assert taken.read_text(encoding="utf-8") == "keep"
+
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "\nS0001,100,-5,20,0,10,4,9,,3,2,1,1\n", encoding="utf-8")
@@ -364,6 +399,27 @@ class TestCliErrors:
 
 
 class TestCliSubcommands:
+    def test_commands_without_fits_never_load_scipy(self, tmp_path):
+        # scipy is imported where a fit first needs it; these commands fit
+        # no model, so a fresh interpreter running them never loads it.
+        runs = [
+            ["communities", "--coauthor-edges", EDGES, "--out", str(tmp_path / "c")],
+            ["ingest", "--input", SCHOLARS, "--out", str(tmp_path / "i")],
+            ["describe", "--input", SCHOLARS, "--out", str(tmp_path / "d")],
+        ]
+        code = (
+            "import sys\n"
+            "from stratlogit.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
     def test_describe(self, tmp_path, capsys):
         rc = main(["describe", "--input", SCHOLARS, "--out", str(tmp_path)])
         assert rc == 0

@@ -208,7 +208,7 @@ class TestSolveSpd:
         assert got.shape == (0,) and got.dtype == np.float64
 
     def test_failed_triangular_solve_is_singular(self, monkeypatch):
-        monkeypatch.setattr(stats_core, "dtrtrs", lambda a, b, lower, trans: (b, 1))
+        monkeypatch.setattr(stats_core, "_dtrtrs", lambda: lambda a, b, lower, trans: (b, 1))
         with pytest.raises(SingularMatrixError):
             solve_spd(np.eye(2), np.ones(2))
 
