@@ -15,9 +15,10 @@ needs, through the same ``stratlogit.pipeline`` functions as
 
 ``fit``, ``evaluate`` and ``attribute`` use the ``--features`` subset
 (default all) where the report uses the selected model.  Flag values
-are validated as one RunConfig before any input is read.  This module
-parses arguments and prints one summary line; it builds no payload, and
-every file, with its layout, is written by ``stratlogit.emit``.
+are validated as one RunConfig, and ``--out`` is checked, before any
+input is read.  This module parses arguments and prints one summary
+line; it builds no payload, and every file, with its layout, is written
+by ``stratlogit.emit``.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 5 internal invariant breach.
@@ -26,6 +27,7 @@ Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -125,6 +127,18 @@ def _parse_features(raw):
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate features in {names}")
     return names
+
+
+def _check_out(out_dir) -> None:
+    """ConfigError, naming ``out_dir``, when it cannot be a directory: it
+    exists and is not one, or its nearest existing ancestor is not one.
+    Nothing is created, so a run that fails on its input leaves no trace."""
+    path = target = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        reason = "File exists" if path == target else "Not a directory"
+        raise ConfigError(f"cannot create output directory {out_dir}: {reason}")
 
 
 def _config(args) -> RunConfig:
@@ -329,6 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out_dir)
         return args.handler(args)
     except PipelineError as exc:
         print(

@@ -9,16 +9,18 @@ likelihood ratio test, AIC, BIC).
 
 The log-likelihood is evaluated in logit space,
 
-    ll(beta) = sum_i [ y_i eta_i - log(1 + exp(eta_i)) ],
+    ll(beta) = sum_i [ y_i eta_i - log(1 + exp(eta_i)) ]
+             = sum_i [ y_i eta_i - max(eta_i, 0) - log1p(exp(-|eta_i|)) ],
 
-via logaddexp so extreme linear predictors cannot overflow, and the
+in the second form so extreme linear predictors cannot overflow, and the
 solver enforces that it never decreases from one accepted step to the
 next.  Coefficients running away (max |beta_j| beyond ``COEF_BOUND``)
 are reported as separation rather than returned as garbage.
 
 Fits run as stacks of designs (``fit_logistic_batch``; ``fit_logistic``
 is a stack of one): the Newton steps, then the covariance and the
-inference of every design that stopped, one stacked call per step.
+inference of every design that stopped, one stacked call per step (one
+stacked ``np.linalg.solve`` gives every Newton step or covariance).
 numpy makes the same BLAS or LAPACK call for each slice of a stack as
 for a single 2-D array, and the remaining arithmetic is elementwise
 ufuncs, so a design's fit has the bits it has alone.
@@ -40,7 +42,7 @@ from .errors import (
     SingularMatrixError,
     StratLogitError,
 )
-from .stats_core import chisq_sf, cholesky_solve, solve_spd, two_sided_p
+from .stats_core import chisq_sf, solve_spd, two_sided_p
 
 # Separation bound: a fit whose max |beta_j| passes it has diverged.
 COEF_BOUND = 50.0
@@ -180,7 +182,7 @@ def sigmoid(eta) -> np.ndarray:
 def _log_likelihood_eta(eta, y):
     """The one ll expression at linear predictors ``eta``;
     a stack of linear predictors (one per row) gives one ll per row."""
-    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    return np.sum(y * eta - np.maximum(eta, 0.0) - np.log1p(np.exp(-np.abs(eta))), axis=-1)
 
 
 def null_log_likelihood(y) -> float:
@@ -275,14 +277,14 @@ def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1
 
     The designs still iterating take each Newton step in lockstep: one
     stacked ``matmul`` each for the score, the information matrix and
-    every line-search trial, and one stacked Cholesky factorisation.
-    numpy makes the same BLAS call for each slice of a stacked ``matmul``
-    as for a single 2-D design, and LAPACK factors and solves each slice
-    alone, so every fit is bit-identical to fitting its design alone.  A
-    design leaves the stack when it converges, reaches ``max_iter`` or
-    fails, and step halving re-evaluates only the designs whose trial
-    step was refused.  The designs that stopped are finished together,
-    as one stack (``_finish_fits``).
+    every line-search trial, and one stacked Cholesky check and solve
+    (``_newton_steps``).  numpy makes the same BLAS call for each slice of
+    a stacked ``matmul`` as for a single 2-D design, and LAPACK factors
+    and solves each slice alone, so every fit is bit-identical to fitting
+    its design alone.  A design leaves the stack when it converges,
+    reaches ``max_iter`` or fails, and step halving re-evaluates only the
+    designs whose trial step was refused.  The designs that stopped are
+    finished together, as one stack (``_finish_fits``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     n_fits, _, k = X.shape
@@ -344,7 +346,8 @@ def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1
             break
         w = p * (1.0 - p)
         hessian = np.matmul(Xs.transpose(0, 2, 1), Xs * w[:, :, None])
-        step, errors = _newton_steps(hessian, grad, beta)
+        step, errors = _newton_steps(hessian, grad[:, :, None], beta)
+        step = step[:, :, 0]
         failed = np.array([e is not None for e in errors], dtype=bool)
         if failed.any():
             for i in np.flatnonzero(failed):
@@ -424,30 +427,29 @@ def _singular_error(beta, exc) -> StratLogitError:
     return err
 
 
-def _newton_steps(hessian, grad, beta) -> tuple:
-    """(steps, errors): each design's ``hessian[i]^-1 grad[i]`` as
-    ``solve_spd`` solves it (a Newton step, or with identity right-hand
-    sides a covariance), or in ``errors[i]`` the error the fit then fails
-    with."""
-    steps = np.empty_like(grad)
-    errors = [None] * len(grad)
-    chol = None
-    if np.all(np.isfinite(hessian)) and np.all(np.isfinite(grad)):
+def _newton_steps(hessian, rhs, beta) -> tuple:
+    """(solutions, errors): each design's ``hessian[i]^-1 rhs[i]`` for a
+    (B, k, m) stack ``rhs`` (Newton steps with m = 1, covariances with
+    identity right-hand sides), or in ``errors[i]`` the error the fit then
+    fails with.  A stacked Cholesky checks that every matrix is positive
+    definite, then one stacked ``np.linalg.solve`` solves them all; if
+    either fails, ``solve_spd``, the same solve on one slice, finds which."""
+    if np.all(np.isfinite(hessian)) and np.all(np.isfinite(rhs)):
         try:
-            chol = np.linalg.cholesky(hessian)
+            np.linalg.cholesky(hessian)
+            return np.linalg.solve(hessian, rhs), [None] * len(rhs)
         except np.linalg.LinAlgError:
-            pass  # a factor failed: solve_spd one by one finds which
-    for i in range(len(grad)):
+            pass  # a factor or solve failed: solve_spd one by one finds which
+    out = np.empty(rhs.shape)
+    errors = [None] * len(rhs)
+    for i in range(len(rhs)):
         try:
-            if chol is None:
-                steps[i] = solve_spd(hessian[i], grad[i])
-            else:
-                steps[i] = cholesky_solve(chol[i], grad[i])
+            out[i] = solve_spd(hessian[i], rhs[i])
         except SingularMatrixError as exc:
             errors[i] = _singular_error(beta[i], exc)
         except StratLogitError as exc:
             errors[i] = exc
-    return steps, errors
+    return out, errors
 
 
 def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
@@ -457,9 +459,9 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     ``outcomes``.
 
     One stacked ``matmul`` gives the information matrices, one stacked
-    Cholesky and each design's ``dtrtrs`` pair (``_newton_steps`` with an
-    identity right-hand side) the covariances, and elementwise ufuncs the
-    inference, so every number is the one a design finished alone gets.
+    Cholesky check and solve (``_newton_steps`` with identity right-hand
+    sides) the covariances, and elementwise ufuncs the inference, so
+    every number is the one a design finished alone gets.
     Each design's errors are checked in the order a lone fit checks them:
     the solve, a non-positive variance, the likelihood ratio statistic,
     ``information_criteria``, ``coefficient_inference``, ``pseudo_r2``.
@@ -555,17 +557,23 @@ def stacked_call(fn, rows, errors, *stacks) -> tuple:
     return live, fn(*(s[live] for s in stacks))
 
 
+def check_converged(fit: LogitFit, caller: str) -> None:
+    """NotConvergedError, naming ``caller``, unless ``fit`` converged: an
+    unconverged fit's coefficients and standard errors do not describe a
+    maximum."""
+    if not fit.converged:
+        raise NotConvergedError(
+            f"{caller}: fit did not converge in {fit.iterations} iterations "
+            f"(final negative log-likelihood {fit.final_neg_loglik:.6f})"
+        )
+
+
 def inference_table(fit: LogitFit) -> tuple:
     """Per-feature inference rows (intercept omitted, as reported).
 
-    Refuses an unconverged fit: its standard errors do not describe a
-    maximum.
+    Refuses an unconverged fit (``check_converged``).
     """
-    if not fit.converged:
-        raise NotConvergedError(
-            f"inference_table: fit did not converge in {fit.iterations} iterations "
-            f"(final negative log-likelihood {fit.final_neg_loglik:.6f})"
-        )
+    check_converged(fit, "inference_table")
     rows = []
     for i, name in enumerate(fit.feature_names, start=1):
         rows.append(

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateInputError, StratLogitError
+from .errors import ConfigError, DataError, DegenerateInputError, NotConvergedError, StratLogitError
 from .evaluate import (
     ConfusionMatrix,
     Split,
@@ -102,6 +102,11 @@ class ModelRow:
     recall: Optional[float]
     f1: Optional[float]
 
+    @property
+    def unconverged(self) -> bool:
+        """A fit that stopped at its iteration cap, not at an error."""
+        return self.iterations is not None and not self.converged
+
 
 @dataclass(frozen=True)
 class ComparisonTable:
@@ -117,9 +122,13 @@ class ComparisonTable:
 
     def best_row(self) -> ModelRow:
         ordered = self.sorted_by_aic().rows
-        if not ordered or ordered[0].failed:
-            raise DegenerateInputError("comparison table has no usable fit")
-        return ordered[0]
+        if ordered and not ordered[0].failed:
+            return ordered[0]
+        if ordered and all(r.unconverged for r in ordered):
+            raise NotConvergedError(
+                f"comparison table has no usable fit: every candidate {ordered[0].failure}"
+            )
+        raise DegenerateInputError("comparison table has no usable fit")
 
 
 def _thread_count() -> int:
@@ -377,9 +386,8 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
     step = 0
     (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol, workers)
     if current_row.failed:
-        raise DegenerateInputError(
-            f"backward_stepwise: starting model unusable ({current_row.failure})"
-        )
+        error = NotConvergedError if current_row.unconverged else DegenerateInputError
+        raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
     path = [current_row]
     while len(current.features) > 1:
         candidates = [

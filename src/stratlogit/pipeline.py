@@ -64,6 +64,7 @@ from .ingest import Dataset, filter_eligible, parse_dataset
 from .logit import (
     DesignMatrix,
     LogitFit,
+    check_converged,
     fit_logistic,
     verify_fit_identities,
 )
@@ -239,12 +240,14 @@ def _rows(indices) -> np.ndarray:
 
 def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None) -> LogitFit:
     """Fit stage: ``features`` (default every column) on the training
-    rows, with the fit's cross-quantity identities re-checked."""
+    rows, with the fit's cross-quantity identities re-checked.  An
+    unconverged fit is a NotConvergedError: no later stage reports one."""
     fit = fit_logistic(
         DesignMatrix.from_features(fm, features, rows=_rows(split.train_indices)),
         max_iter=cfg.max_iter,
         tol=cfg.tol,
     )
+    check_converged(fit, "fit_features")
     verify_fit_identities(fit)
     return fit
 

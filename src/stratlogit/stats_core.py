@@ -1,16 +1,16 @@
 """Shared statistical primitives.
 
 Descriptive statistics, Pearson correlation, variance inflation factors,
-a Cholesky solver for symmetric positive definite systems, and the two
-tail-probability helpers (two-sided normal, chi-squared) used by the
-inference code.  Everything here is deterministic and vector-friendly.
-scipy is imported where it is first used, so the commands that fit no
-model never load it.
+a solver for symmetric positive definite systems (a Cholesky check, then
+``np.linalg.solve``), and the two tail-probability helpers (two-sided
+normal, chi-squared) used by the inference code.  Everything here is
+deterministic and vector-friendly.  scipy is used only for ``gammaincc``
+in ``chisq_sf`` and imported there, so the commands that fit no model
+never load it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -157,11 +157,12 @@ def vif(values, names) -> np.ndarray:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
-    Uses a Cholesky factorisation and two triangular solves: the LAPACK
-    ``dtrtrs`` calls ``scipy.linalg.solve_triangular`` makes on the
-    Fortran-ordered factor ``chol.T``, without its per-call input checks.
-    Raises SingularMatrixError when the factorisation fails, which callers
-    interpret as collinearity (or separation, higher up).
+    A Cholesky factorisation checks that ``a`` is positive definite, and
+    ``np.linalg.solve`` solves the system: numpy makes that LAPACK call
+    once per slice of a stack, so ``a`` alone gets the bits it gets as a
+    slice of a stacked solve.  Raises SingularMatrixError when the
+    factorisation or the solve fails, which callers interpret as
+    collinearity (or separation, higher up).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -172,34 +173,10 @@ def solve_spd(a, b) -> np.ndarray:
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise DataError("solve_spd: non-finite input")
     try:
-        chol = np.linalg.cholesky(a)
+        np.linalg.cholesky(a)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"solve_spd: not positive definite ({exc})") from exc
-    if b.size == 0:  # LAPACK refuses a 0-by-0 system
-        return np.empty_like(b)
-    return cholesky_solve(chol, b)
-
-
-@functools.cache
-def _dtrtrs():
-    # cholesky_solve runs once per design per Newton step: a cached
-    # lookup costs a tenth of an import statement there.
-    from scipy.linalg.lapack import dtrtrs
-
-    return dtrtrs
-
-
-def cholesky_solve(chol, b) -> np.ndarray:
-    """Solve ``chol @ chol.T @ x = b`` for a lower Cholesky factor ``chol``:
-    the two triangular solves of ``solve_spd``, for callers that factor a
-    stack of matrices at once."""
-    dtrtrs = _dtrtrs()
-    upper = chol.T
-    y, info_y = dtrtrs(upper, b, lower=0, trans=1)
-    x, info_x = dtrtrs(upper, y, lower=0, trans=0)
-    if info_y or info_x:
-        raise SingularMatrixError(f"solve_spd: dtrtrs info {info_y}, {info_x}")
-    return x
 
 
 def two_sided_p(z: float) -> float:

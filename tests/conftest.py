@@ -121,8 +121,9 @@ def sigmoid_ref(eta):
 
 
 def solve_spd_ref(a, b):
-    """Cholesky and two ``solve_triangular`` calls: the bit-exact oracle
-    for ``solve_spd``, which makes the same LAPACK calls directly."""
+    """Cholesky and two ``solve_triangular`` calls (LAPACK ``dtrtrs``): a
+    solve of the SPD system independent of ``np.linalg.solve``, and the
+    tolerance oracle for ``solve_spd``."""
     chol = np.linalg.cholesky(a)
     y = solve_triangular(chol, b, lower=True)
     return solve_triangular(chol.T, y, lower=False)

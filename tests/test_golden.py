@@ -64,55 +64,55 @@ INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
-        "comparison.csv": "94f6dbc8672672b3f03d53daf5718251099b044853eaf0524fb71f5a89a1b205",
+        "comparison.csv": "147a1219a01eb10406f5562854f2bbdbcb3faa223b6d6512fc72ec346e996b08",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
-        "importance_full.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
-        "importance_optimized.csv": "a4f7aeaf52356204a3c684507e659c4bdae7c6466ab5e1be93ce1b0a63141eda",
-        "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
-        "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
+        "importance_full.csv": "158aff9f1250d5ed128bf7bd7978a5f5b028d7aa9b179f22394dce7ea82582e1",
+        "importance_optimized.csv": "8045c19d3fa3324169d9cb06fe7224950c2bfb5aedfc0c2a39bf40e7a26b8469",
+        "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
+        "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "0c57db2e7e445a5edcb96eebd3e88b26c9bb32eaaab6fcf03a07dadfc7e888ec",
-        "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
-        "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
-        "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "80f90386bd26b0d4defd89fbb43bbbff5eaa4e287e247b2864be87eb8abd3ed2",
-        "trend_AW.csv": "502e31a6cf5d0ab43bddbf38f5791b07fa683b08ed84d0fbcfe4f0ebc4dad9b3",
-        "trend_C.csv": "91f68497f99300003ec2666a7f827ea5eb69a0258cef5de4f265f6e2c383367c",
-        "trend_CA.csv": "44ed6b22eea01dfc8b70c545c5449da93bf2b26633898ab441fe1f081a130e87",
-        "trend_FGR.csv": "8f0c15ef45f0100747ebf004e2ee01b5d0c231628b5d85091ef82a0321c648e9",
-        "trend_FR.csv": "1a0bb61144379eca99d23fafbd759cdce3b036a2b38c7c79c7975d82c844c6f5",
-        "trend_P.csv": "24176773cbee5d3004cba26c5cbe3f08c495dcae0f0ab94d16db26350d119958",
-        "trend_PC.csv": "763d3306dcea93ecece5ec24e846e4a6202189d1a984303c488f9405f6da9569",
-        "trend_TD.csv": "d7b4dee3388675f392fdaf11c97986f288784f6a08427c247e08e8a9f2ef3452",
+        "report.json": "1618719a1b3ae5ff90187ca3e9f97dbbda2a9281815e3645db9632a4d9773c4e",
+        "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
+        "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
+        "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
+        "trend_AD.csv": "bf1914100879db61bcccfa3cf3373a2f55d05eacd43567796cd570efe7c0e025",
+        "trend_AW.csv": "51752f6d77ec8eb31d5cf44a50e3bd0d0c3d029e9860692ef3e150eff1f66729",
+        "trend_C.csv": "8d949708b379e6adc4021ba33961d5e5efb4552b02f16e6a45efff54307b3c0c",
+        "trend_CA.csv": "f8ea1c9fa523fbba8c0f1017b1ce52b78a312b3240129216447f09ba46d58eae",
+        "trend_FGR.csv": "faa33b107596abc59b266b457ca6d39487d944850555058483743e09f0bd9938",
+        "trend_FR.csv": "b095633cb5cafd039cf1b0634904a75feed53be5a810d5be4c2c6e9155e07de1",
+        "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
+        "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
+        "trend_TD.csv": "7aab6d55f28467250bfd4ad822a4c2a26d46c61b1d0e5959793dba262ff5788a",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "report-stepwise": {
-        "comparison.csv": "495de6891d9af8bdf47c74fbe9066b173a0c4da2e629735f0b3a4e900795eb92",
+        "comparison.csv": "ec0c8da6c741a612cdad17b99821dc4e5cd72f2a9e53b72c8e98c3f93cc2c930",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
-        "importance_full.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
-        "importance_optimized.csv": "a4f7aeaf52356204a3c684507e659c4bdae7c6466ab5e1be93ce1b0a63141eda",
-        "inference_full.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
-        "inference_optimized.csv": "e80ecf31b732d5e4cfb6be4b36dc6a7a95fb21b7f4270cd2165eb35a27bdd810",
+        "importance_full.csv": "158aff9f1250d5ed128bf7bd7978a5f5b028d7aa9b179f22394dce7ea82582e1",
+        "importance_optimized.csv": "8045c19d3fa3324169d9cb06fe7224950c2bfb5aedfc0c2a39bf40e7a26b8469",
+        "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
+        "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "f233a8432330535cd1c010ab4a01128f63eac5208e071323b5186d502cdd7c9c",
-        "roc.csv": "8b375486a5f46068193ea49fa5d90ec1e76c39505d373b4376d6d48b52c32a62",
-        "shap_full.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
-        "shap_optimized.csv": "0eb0d3a85c0e482f57566dadd5644fd9b85000cf7d26f2aad2148a57723d95e7",
-        "trend_AD.csv": "80f90386bd26b0d4defd89fbb43bbbff5eaa4e287e247b2864be87eb8abd3ed2",
-        "trend_AW.csv": "502e31a6cf5d0ab43bddbf38f5791b07fa683b08ed84d0fbcfe4f0ebc4dad9b3",
-        "trend_C.csv": "91f68497f99300003ec2666a7f827ea5eb69a0258cef5de4f265f6e2c383367c",
-        "trend_CA.csv": "44ed6b22eea01dfc8b70c545c5449da93bf2b26633898ab441fe1f081a130e87",
-        "trend_FGR.csv": "8f0c15ef45f0100747ebf004e2ee01b5d0c231628b5d85091ef82a0321c648e9",
-        "trend_FR.csv": "1a0bb61144379eca99d23fafbd759cdce3b036a2b38c7c79c7975d82c844c6f5",
-        "trend_P.csv": "24176773cbee5d3004cba26c5cbe3f08c495dcae0f0ab94d16db26350d119958",
-        "trend_PC.csv": "763d3306dcea93ecece5ec24e846e4a6202189d1a984303c488f9405f6da9569",
-        "trend_TD.csv": "d7b4dee3388675f392fdaf11c97986f288784f6a08427c247e08e8a9f2ef3452",
+        "report.json": "120f1e1deed7d1f43ee88e2f993810df6e941114c08bbc7ddc8ae3f5cfa82f44",
+        "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
+        "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
+        "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
+        "trend_AD.csv": "bf1914100879db61bcccfa3cf3373a2f55d05eacd43567796cd570efe7c0e025",
+        "trend_AW.csv": "51752f6d77ec8eb31d5cf44a50e3bd0d0c3d029e9860692ef3e150eff1f66729",
+        "trend_C.csv": "8d949708b379e6adc4021ba33961d5e5efb4552b02f16e6a45efff54307b3c0c",
+        "trend_CA.csv": "f8ea1c9fa523fbba8c0f1017b1ce52b78a312b3240129216447f09ba46d58eae",
+        "trend_FGR.csv": "faa33b107596abc59b266b457ca6d39487d944850555058483743e09f0bd9938",
+        "trend_FR.csv": "b095633cb5cafd039cf1b0634904a75feed53be5a810d5be4c2c6e9155e07de1",
+        "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
+        "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
+        "trend_TD.csv": "7aab6d55f28467250bfd4ad822a4c2a26d46c61b1d0e5959793dba262ff5788a",
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "ingest": {
@@ -125,74 +125,74 @@ GOLDEN = {
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "fit-subset": {
-        "fit.json": "6a29f0918513de0d19891d5599eefb536fb2d51e56dafded1c5e966854cb490a",
-        "inference.csv": "7ac75af600d03dcc3c5065d31ef19324aa021b56350e2cbcfc49fc974c61d304",
+        "fit.json": "e6d4c2643dc2dfbdc19b795b77a499224826994efcabf89c91dd35381bee9111",
+        "inference.csv": "5b3a90ad805f25a088deb196c7631c06313dece023bbc1cc632fdb6d879c86e0",
     },
     "fit-all": {
-        "fit.json": "1b3f7fcac8b0f396d3868064641defb5cf34abdab926ce10e8ce53196a52e445",
-        "inference.csv": "92bf6d4128672da2c95ec62a75a06ff40541a9a3a63bc7ea0de66b8242f4629a",
+        "fit.json": "133834b5d17fecb1a2fb1710794b32970800927a89ec819781bee8dc43dd0c4d",
+        "inference.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
     },
     "select-enumerate": {
-        "comparison.csv": "94f6dbc8672672b3f03d53daf5718251099b044853eaf0524fb71f5a89a1b205",
-        "selection.json": "d99ba7a03a031f9586154400bea54436549c17ffeb19a46937699c8dee9647fb",
+        "comparison.csv": "147a1219a01eb10406f5562854f2bbdbcb3faa223b6d6512fc72ec346e996b08",
+        "selection.json": "d546366f1de6c0f123a349e9e60c9ed0aea9bd73afe30b152e140df9607f564c",
     },
     "select-stepwise": {
-        "comparison.csv": "495de6891d9af8bdf47c74fbe9066b173a0c4da2e629735f0b3a4e900795eb92",
-        "selection.json": "324098b5c5164ebd79bc77fa507f778f286fa8dfef8685aa679fd08c86ab86d6",
+        "comparison.csv": "ec0c8da6c741a612cdad17b99821dc4e5cd72f2a9e53b72c8e98c3f93cc2c930",
+        "selection.json": "649dacc7889046f993d2e96248d3b457ed80f436c667a3ffcd739e638d4b4179",
     },
     "evaluate-subset": {
         "confusion.csv": "32769748e8406b78eb51b043a4cd46f28fe8687ada33aa30e901de76e2d3f5e0",
         "metrics.csv": "91ae1ca0028eb6ef515b43164df3aae133d5ec7bf2f7454fd38a7fc6265ad33f",
-        "roc.csv": "affcbf1f8304f5cfaff60dbb61ddd912705f74ceaa28cec09c66030e82108c86",
+        "roc.csv": "d7c11540996e1d1f3c6b852a99454e1d64810ffe89d0213d2decd77d1c026ff1",
     },
     "attribute-subset": {
-        "importance.csv": "4c136f681167bdcaf241b0101f905c6fb73d4bc593d8e70a374a15874a5bec27",
-        "shap_values.csv": "f4d1284046a3867fdc882c4a44aed9b9c2865ffcdd7a8524728d5fe882b9aafb",
-        "trend_AW.csv": "aa614cfa1b11594157c44153b2741ac8754015f3b0b659c4e5cc4d8ef254d965",
-        "trend_CA.csv": "795ce50f802082b65955f90661e180dbc9715eb50f48c93960ee79f39ce75e4d",
+        "importance.csv": "081823e9a4a5a6c1e277a7b93c509aa648bf46bb317e963a3e9ce9061484bf9a",
+        "shap_values.csv": "f80b6491bdb7d4e6786d704c02e9d0551d20a88a85e2cb11caf22bc574573a3b",
+        "trend_AW.csv": "1582c6adec9cedaf6852ab4c7376cbf1df40dd4684d0b583a713f4de108d592e",
+        "trend_CA.csv": "e93e9fe39c5eb9e3f7e5648cc244e0a7a0596c030f0201f52bbf2089f1125459",
         "trend_FR.csv": "1e424f2ff9b5a3f27d5b8c39bcb82aca21a44f162d07f667d7290e09b561dcb7",
     },
     "attribute-all": {
-        "importance.csv": "cab70c304eff9df772c8ddd3d49d5bca0226de8e4d3c7d208b190a98b5c58285",
-        "shap_values.csv": "e8fe6dee24f644c1f968ec1b2a74896e5742107ed5f97a40078df1f734d282c7",
-        "trend_AD.csv": "849cd04853aba1d0487df6275e18cab090eff143cbf3ac668e50642163d08a0c",
-        "trend_AW.csv": "9e9d29c0b9345dc30a0d03c4b62e6669edb676190ee7055c5dc3593ccd3bdf56",
-        "trend_C.csv": "df626cbedf496e2902a5d3ccda69636c51d047e07e667bdef9172df7bbb62a7b",
-        "trend_CA.csv": "278761d47e62dba19649f5020a7fef00c60bbde5bd83720125e8b36497a9358e",
+        "importance.csv": "158aff9f1250d5ed128bf7bd7978a5f5b028d7aa9b179f22394dce7ea82582e1",
+        "shap_values.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
+        "trend_AD.csv": "b5b8385e5ab921950dc4cde4c913e9b0a118d315a61f5f1e0a3687b366342e74",
+        "trend_AW.csv": "8c3ae8ba4480bfaed2988531fd936c051ba0704572e7e5bc5c09c4a2768f6f24",
+        "trend_C.csv": "30bf6fdfeb29355c2515f099c24e4159b68cbdb4a9d34bdce3964536b675ae43",
+        "trend_CA.csv": "1ec421e90a0b2334f34d83cc908019a7db5a06526237532b810e2452a3452a6f",
         "trend_FGR.csv": "dbc54ce82a628f83e76ad023d31b07e30e0816bf445e70fefba6ed7f0525c1ee",
-        "trend_FR.csv": "f5c8be3d6f13363050e54561c0dbadb29da6b6242c23592f6352add901e39585",
-        "trend_P.csv": "b9663d5d0da36fd871d2c184765c9a9159cbea6746ed8497d27088e785cf06ad",
-        "trend_PC.csv": "a6510627cf4bfb8c05fc90ae4137d19849702324c209a2b0f222ea00cf1052e2",
-        "trend_TD.csv": "6c5e503ae469b619a578d2fe2465e0b0f269f4f2c1db26599a8d9ea7d3326c7c",
+        "trend_FR.csv": "6ab7fb83b28f4a675cea518c78faf4e71aba7195f82e1428cca269188d7ac153",
+        "trend_P.csv": "d0514e46ec23cb4c979794984083b962a9e9000092770842934772eddd0859ef",
+        "trend_PC.csv": "94d8a43e0d46ffd46a0b4294c5c07d1cf72ea6eb6e9b366a0a364f51d319e81e",
+        "trend_TD.csv": "7c9af4292c5c5fd45fa0ba1732a41ac3a0009e3eb0109b8796648cbe0f4ab774",
     },
     "communities": {
         "dendrogram.json": "7b3ce8f2b33e9da51932985a33104fb0f89de97974e56411bb93f2c1a4699435",
         "partition.csv": "cc02a66b17b230f6d969b66c8e900f01e051c7ee00ffe048aca1bad5223f42b6",
     },
     "report-synth2000-stepwise": {
-        "comparison.csv": "78ee905292ab9b4b4d005e45c6a5e729081cf3f1d80344f5bb54cf67fde6ae2a",
+        "comparison.csv": "dd8ccf75618817871ce1736f630dde5d269cbf55fbab9f25fef26ac7191c253e",
         "confusion.csv": "32a2a1a8fd91b57b8aa7eee4f24e3a54bcecbbc34f58fc58676d13914f9ff256",
         "correlation.csv": "14202c5c8fc093ee0d4c53edb66123bef33c16b8dac2f896537bcad9ea517bb4",
         "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",
         "features.csv": "5856b0546a0b64890f798aa36d37469afc5b784a3af16cd688d62c65a6173ee1",
-        "importance_full.csv": "5b425b8229cd0830ccdd86296c9f6fef9c00945d75cac6be6d5a887cb1ca6d6c",
-        "importance_optimized.csv": "d76de9ce3f018873611ddd8e178a03d5b2265cb2b4611c31ecf1bcb611362cee",
-        "inference_full.csv": "4b4a62f846614e8d42439944614067efa5d95ce4e2d0f4cd8e51275340af3e57",
-        "inference_optimized.csv": "a6916108e5f50afc64bc3cd50a4be57334733ef38d1ae00f6150a26fb4f4f147",
+        "importance_full.csv": "a0be19ebb8916ab4aa17f5378d8ceb1341c442e8ae66e6ef52c40e81e9dd8d3e",
+        "importance_optimized.csv": "d1d6672b1d9d502fb3e4cfc46098c2d40515a38e6a9b9ae8b799c70a072e6962",
+        "inference_full.csv": "00ea9ce70eaf609232cd197e658f72475f155f19d894bfc0b747e309f21e55bf",
+        "inference_optimized.csv": "c63631cfc1c03e25a41cf688fce32728703cf3cb74b3032f25203cdf1c411128",
         "metrics.csv": "9e87bc1c9c04bd586d4e5dea8affd8535f09fc70e9cf95c7282fa88717c87f6f",
-        "report.json": "c5a52b724af7f5fc949858727b188fdd330c62101c2132f41afa35b638ef32dd",
-        "roc.csv": "a7a6b69dc3bdcc96dd8d917ddc734ca0047210d3ec8fe20a920be683e02adae0",
-        "shap_full.csv": "6d3a45db7fb1e1f848ab54eca1bdddddcfb16890a1ca4f0436bdfa516331b0d9",
-        "shap_optimized.csv": "92ffd7e7281c675954c09915aa797588a757b801f12c78086f95f2f8c12d1d36",
-        "trend_AD.csv": "8b4b5799df3100617c8c7f5893ce2956986fe55d3c40f8b9adb23aa3af7e1563",
+        "report.json": "8b31045b5232c61f462462d83ce5ebd9719d1bd32e143a658468dfb574ef22ae",
+        "roc.csv": "40c2b15f7053878a5b96ec479895697f37a7cb5ac53b0641fc920b255463d5c5",
+        "shap_full.csv": "c309a78f9b02a6c90e10b8783232cb0fc73c1b2a7f7669da66acb9c0aa7bb11d",
+        "shap_optimized.csv": "8d173af917035a152e84ee4d04fc9fb643a31894e36a8620ae3da6133d1c55fc",
+        "trend_AD.csv": "e73118d4fc926b4c1aa439aa17b51256d79de87e9541766700f9a3ce9053ecad",
         "trend_AW.csv": "03fcf4aa88d3d905b917941212153e70df5dc36029b16ae3e71b69c6d0107de3",
-        "trend_C.csv": "87992c8cb489374695bc2b34647e0a8af6db2302ce31b6412ee541ca2d21bb74",
+        "trend_C.csv": "80aa4ce7f45bf17bd3366ff790b9daf27e182da901309b1cdce15d657126948b",
         "trend_CA.csv": "4d7bee29293f89f1e3da69ea933cef0088522b3df5a754bd6c664f3e00e45b45",
         "trend_FGR.csv": "3ff4fc484afa65aebd6bf293a1ada2f5de3b85f805e3734520d75c63d3b1b662",
         "trend_FR.csv": "ea6d3e517ac8755e4544298bb7ef8a2dcbd677d064659e630b0070c3804762e7",
-        "trend_P.csv": "3d0eced46cb96af14ef1c74f26c0e1a604105d9a85e41a8704ccd33efcf025b3",
-        "trend_PC.csv": "de21ebe9bd140cdefeeab8f4933835f88498df506020a80795ca77cf4f9787fb",
-        "trend_TD.csv": "4b42fbde15309599b62ec5ceca1d879ec83aeeab605f9cf813551262323cccda",
+        "trend_P.csv": "aa5bc0cf5bfd7b5756e49b64ef2393844070c90329c6bde6bb24cd3d6cf49897",
+        "trend_PC.csv": "6bde1f66b036c76fff7bf454dfca3a6a3733c2283962173eb9ee6a8f41e33671",
+        "trend_TD.csv": "e096c606f1abef39a9fcc7d39431f89708d2a2ea2b0abbad957f84b7c3d02e52",
         "vif.csv": "596cda8d5182fa248e5d909af19d96c2552bf5b3e01adf9db96f5ff731b8b6e6",
     },
 }

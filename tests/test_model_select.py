@@ -16,6 +16,7 @@ from stratlogit.errors import (
     ConfigError,
     DataError,
     DegenerateInputError,
+    NotConvergedError,
     SingularMatrixError,
     StratLogitError,
 )
@@ -215,6 +216,19 @@ class TestTableOrdering:
         )
         with pytest.raises(DegenerateInputError):
             ComparisonTable(rows=(row,)).best_row()
+        # Every candidate stopped unconverged: a numerical failure, as a
+        # lone unconverged fit is, unless another failure is among them.
+        stopped = replace(
+            row,
+            model_id="model_002",
+            k_params=2,
+            iterations=1,
+            failure="not converged in 1 iterations",
+        )
+        with pytest.raises(NotConvergedError, match="every candidate not converged in 1"):
+            ComparisonTable(rows=(stopped, replace(stopped, model_id="model_003"))).best_row()
+        with pytest.raises(DegenerateInputError):
+            ComparisonTable(rows=(stopped, row)).best_row()
 
 
 class TestStepwise:
@@ -279,9 +293,8 @@ def stepwise_ref(m, split, max_iter, tol):
     features = tuple(m.column_names)
     row = fit_one_ref(m, ModelSpec(features), split, max_iter, tol, "step_000")
     if row.failed:
-        raise DegenerateInputError(
-            f"backward_stepwise: starting model unusable ({row.failure})"
-        )
+        error = NotConvergedError if row.unconverged else DegenerateInputError
+        raise error(f"backward_stepwise: starting model unusable ({row.failure})")
     path = [row]
     while len(features) > 1:
         rows = [

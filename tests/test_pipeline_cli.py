@@ -389,6 +389,37 @@ class TestCliErrors:
         assert err.startswith("error[config_error]") and "Traceback" not in err
         assert str(out) in err
         assert taken.read_text(encoding="utf-8") == "keep"
+        if blocked != "file_is_dir":
+            # The unusable --out is found before the input is read.
+            source[1] = str(tmp_path / "missing.csv")
+            rc = main([command, *source, *search, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error[config_error]") and str(out) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit"],
+            ["evaluate"],
+            ["attribute"],
+            ["select", "--select", "enumerate"],
+            ["select", "--select", "stepwise"],
+            ["report", "--select", "enumerate"],
+            ["report", "--select", "stepwise"],
+        ],
+        ids=" ".join,
+    )
+    def test_unconverged_fit_exit_4(self, argv, tmp_path, capsys):
+        # One Newton step cannot converge on the fixture: every command that
+        # fits refuses to report a point that is not the maximum.
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", SCHOLARS, "--max-iter", "1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[not_converged]") and "Traceback" not in err
+        assert "1 iterations" in err
+        assert not out.exists()
 
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -419,6 +450,28 @@ class TestCliSubcommands:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_fits_never_load_scipy_linalg(self, tmp_path):
+        # numpy solves every Newton step and covariance; scipy is loaded
+        # for the chi-squared tail only, which needs no scipy.linalg.
+        runs = [
+            ["fit", "--input", SCHOLARS, "--out", str(tmp_path / "f")],
+            ["report", "--input", SCHOLARS, "--out", str(tmp_path / "r")],
+        ]
+        code = (
+            "import sys\n"
+            "from stratlogit.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "linalg = [m for m in loaded if m.startswith('scipy.linalg')]\n"
+            "print(codes, 'scipy.special' in loaded, linalg)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] True []"
 
     def test_describe(self, tmp_path, capsys):
         rc = main(["describe", "--input", SCHOLARS, "--out", str(tmp_path)])
