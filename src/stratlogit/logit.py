@@ -209,18 +209,24 @@ def pseudo_r2(log_lik: float, log_lik_null: float) -> float:
     if log_lik_null >= 0.0:
         raise DegenerateInputError("pseudo_r2: null log-likelihood must be negative")
     if log_lik < log_lik_null - 1e-9:
-        raise DegenerateInputError("pseudo_r2: model log-likelihood below null")
+        raise NotConvergedError("pseudo_r2: model log-likelihood below null, not at its maximum")
     if log_lik > 0.0:
         raise DataError("pseudo_r2: positive log-likelihood")
     return 1.0 - log_lik / log_lik_null
 
 
 def _llr_stat(log_lik: float, log_lik_null: float) -> float:
-    """The likelihood ratio statistic 2 (ll - ll_null), floored at 0."""
+    """The likelihood ratio statistic 2 (ll - ll_null), floored at 0.
+
+    A model with an intercept has a maximum at or above the
+    intercept-only likelihood, so a fit that stopped below it is not at
+    its maximum: NotConvergedError."""
     stat = 2.0 * (log_lik - log_lik_null)
     if stat < -1e-9:
-        raise DegenerateInputError(
-            f"likelihood ratio: fitted log-likelihood below null (stat={stat})"
+        raise NotConvergedError(
+            "likelihood ratio: the fit stopped below the intercept-only "
+            f"log-likelihood (stat={stat}), so it is not at its maximum; "
+            "a smaller --tol lets it go on"
         )
     return max(stat, 0.0)
 
@@ -463,8 +469,10 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     sides) the covariances, and elementwise ufuncs the inference, so
     every number is the one a design finished alone gets.
     Each design's errors are checked in the order a lone fit checks them:
-    the solve, a non-positive variance, the likelihood ratio statistic,
-    ``information_criteria``, ``coefficient_inference``, ``pseudo_r2``.
+    the solve, a non-positive variance, the likelihood ratio statistic
+    (a fit that stopped below the intercept-only likelihood, for any k,
+    is a ``NotConvergedError``), ``information_criteria``,
+    ``coefficient_inference``, ``pseudo_r2``.
     """
     if not stopped:
         return
@@ -489,12 +497,14 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     std_err[live] = np.sqrt(var[live])
 
     llr_stat, llr_p = np.zeros(len(index)), np.ones(len(index))
+    for i in live.tolist():
+        try:
+            stat = _llr_stat(ll[i], ll_null)  # an intercept-only fit is checked, not tested
+            if k > 1:
+                llr_stat[i] = stat
+        except StratLogitError as exc:
+            errors[i] = exc
     if k > 1:
-        for i in live.tolist():
-            try:
-                llr_stat[i] = _llr_stat(ll[i], ll_null)
-            except StratLogitError as exc:
-                errors[i] = exc
         live, p_live = stacked_call(lambda x: chisq_sf(x, k - 1), live, errors, llr_stat)
         llr_p[live] = p_live
     criteria = {}

@@ -104,8 +104,11 @@ class ModelRow:
 
     @property
     def unconverged(self) -> bool:
-        """A fit that stopped at its iteration cap, not at an error."""
-        return self.iterations is not None and not self.converged
+        """A fit that stopped short of its maximum: at its iteration cap,
+        or below the intercept-only likelihood (a ``NotConvergedError``)."""
+        if self.iterations is not None:
+            return not self.converged
+        return self.failure is not None and self.failure.startswith(f"{NotConvergedError.code}:")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.special import gammaincc
 
 from stratlogit.errors import ConfigError, DataError, SingularMatrixError, StratLogitError
 from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
@@ -129,6 +130,12 @@ def solve_spd_ref(a, b):
     return solve_triangular(chol.T, y, lower=False)
 
 
+def chisq_sf_ref(x, k):
+    """The regularised upper incomplete gamma function Q(k/2, x/2) from
+    scipy: the old path of ``stats_core.chisq_sf``, kept as its oracle."""
+    return gammaincc(k / 2.0, np.asarray(x, dtype=float) / 2.0)
+
+
 def gradient_ref(beta, X, y):
     """Score vector X'(y - p) of the log-likelihood, for finite-difference
     checks."""
@@ -161,8 +168,8 @@ def finish_fit_ref(
     std_err = np.sqrt(var)
 
     df = k - 1
+    llr_stat = _llr_stat(ll, ll_null)  # also checks an intercept-only fit
     if df > 0:
-        llr_stat = _llr_stat(ll, ll_null)
         llr_p = chisq_sf(llr_stat, df)
     else:
         llr_stat, llr_p = 0.0, 1.0

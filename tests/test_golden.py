@@ -64,7 +64,7 @@ INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
-        "comparison.csv": "147a1219a01eb10406f5562854f2bbdbcb3faa223b6d6512fc72ec346e996b08",
+        "comparison.csv": "cc8d5bb84eecba5d08b415166e5af4abb29a5a8bf66b86fac7cb6c28a326eef4",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -74,7 +74,7 @@ GOLDEN = {
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
         "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "1618719a1b3ae5ff90187ca3e9f97dbbda2a9281815e3645db9632a4d9773c4e",
+        "report.json": "4e1ccb3b67e639e5ff6030415cbdf12f31e43ebd189fa01027054e5b7e586499",
         "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
         "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
@@ -90,7 +90,7 @@ GOLDEN = {
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "report-stepwise": {
-        "comparison.csv": "ec0c8da6c741a612cdad17b99821dc4e5cd72f2a9e53b72c8e98c3f93cc2c930",
+        "comparison.csv": "af4b077232f7bbda97c1bb2eaf8d047ba4cfc8059ab4203732c0858571199b74",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -100,7 +100,7 @@ GOLDEN = {
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
         "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "120f1e1deed7d1f43ee88e2f993810df6e941114c08bbc7ddc8ae3f5cfa82f44",
+        "report.json": "4cb663bcbf432d0c8d1796b8b334b9d632a9ab69a9ed968db24333645bf86b52",
         "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
         "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
@@ -125,20 +125,20 @@ GOLDEN = {
         "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
     },
     "fit-subset": {
-        "fit.json": "e6d4c2643dc2dfbdc19b795b77a499224826994efcabf89c91dd35381bee9111",
+        "fit.json": "edcc67ba3e3028db09af6f59c7ee4b00f9e4ff92be1eeb624b89fdc50d0c7548",
         "inference.csv": "5b3a90ad805f25a088deb196c7631c06313dece023bbc1cc632fdb6d879c86e0",
     },
     "fit-all": {
-        "fit.json": "133834b5d17fecb1a2fb1710794b32970800927a89ec819781bee8dc43dd0c4d",
+        "fit.json": "a50c6f5130795e4a5dfd0a5a6fafa768a2f3966e5f110c6670ea91dc3e77846f",
         "inference.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
     },
     "select-enumerate": {
-        "comparison.csv": "147a1219a01eb10406f5562854f2bbdbcb3faa223b6d6512fc72ec346e996b08",
-        "selection.json": "d546366f1de6c0f123a349e9e60c9ed0aea9bd73afe30b152e140df9607f564c",
+        "comparison.csv": "cc8d5bb84eecba5d08b415166e5af4abb29a5a8bf66b86fac7cb6c28a326eef4",
+        "selection.json": "87ba21bc38c61792ee7651ebfdfedc87b8cb78bbfeecf5242ea4b562c36c3b0c",
     },
     "select-stepwise": {
-        "comparison.csv": "ec0c8da6c741a612cdad17b99821dc4e5cd72f2a9e53b72c8e98c3f93cc2c930",
-        "selection.json": "649dacc7889046f993d2e96248d3b457ed80f436c667a3ffcd739e638d4b4179",
+        "comparison.csv": "af4b077232f7bbda97c1bb2eaf8d047ba4cfc8059ab4203732c0858571199b74",
+        "selection.json": "8c879a6e83616f5c1d34f88227e14dd09b2e6daf1e33d21cdc33574272362209",
     },
     "evaluate-subset": {
         "confusion.csv": "32769748e8406b78eb51b043a4cd46f28fe8687ada33aa30e901de76e2d3f5e0",
@@ -170,7 +170,7 @@ GOLDEN = {
         "partition.csv": "cc02a66b17b230f6d969b66c8e900f01e051c7ee00ffe048aca1bad5223f42b6",
     },
     "report-synth2000-stepwise": {
-        "comparison.csv": "dd8ccf75618817871ce1736f630dde5d269cbf55fbab9f25fef26ac7191c253e",
+        "comparison.csv": "e10dc068cf3b317ef0b56ea8656d234e4d723555edd0aebb864de28354e72a89",
         "confusion.csv": "32a2a1a8fd91b57b8aa7eee4f24e3a54bcecbbc34f58fc58676d13914f9ff256",
         "correlation.csv": "14202c5c8fc093ee0d4c53edb66123bef33c16b8dac2f896537bcad9ea517bb4",
         "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",
@@ -180,7 +180,7 @@ GOLDEN = {
         "inference_full.csv": "00ea9ce70eaf609232cd197e658f72475f155f19d894bfc0b747e309f21e55bf",
         "inference_optimized.csv": "c63631cfc1c03e25a41cf688fce32728703cf3cb74b3032f25203cdf1c411128",
         "metrics.csv": "9e87bc1c9c04bd586d4e5dea8affd8535f09fc70e9cf95c7282fa88717c87f6f",
-        "report.json": "8b31045b5232c61f462462d83ce5ebd9719d1bd32e143a658468dfb574ef22ae",
+        "report.json": "f19624fb3cb9b32928acf7adfba4f3ef84b58ba30ce3ad4700d5d53f72439273",
         "roc.csv": "40c2b15f7053878a5b96ec479895697f37a7cb5ac53b0641fc920b255463d5c5",
         "shap_full.csv": "c309a78f9b02a6c90e10b8783232cb0fc73c1b2a7f7669da66acb9c0aa7bb11d",
         "shap_optimized.csv": "8d173af917035a152e84ee4d04fc9fb643a31894e36a8620ae3da6133d1c55fc",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import optimize
-from scipy.special import gammaincc
 
 from conftest import (
     finish_fit_ref,
@@ -284,8 +283,8 @@ class TestBatchBits:
                 assert np.array_equal(got[b], np.exp(coef[b].copy())), (k, b)
         for df in range(1, 16):
             x = np.concatenate([[0.0, 1e-300, 1e3], rng.uniform(0.0, 300.0, 40)])
-            got = gammaincc(df / 2.0, x / 2.0)
-            want = [gammaincc(df / 2.0, v / 2.0) for v in x.tolist()]
+            got = chisq_sf(x, df)
+            want = [chisq_sf(v, df) for v in x.tolist()]
             assert got.tobytes() == np.array(want).tobytes(), df
 
     @pytest.mark.parametrize("seed", range(5))
@@ -339,7 +338,7 @@ class TestBatchBits:
         kinds = {type(o) for o in got}
         assert SingularMatrixError in kinds and LogitFit in kinds, kinds
         if seed == 4:
-            assert isinstance(got[4], DegenerateInputError) and 4 in stops, got[4]
+            assert isinstance(got[4], NotConvergedError) and 4 in stops, got[4]
 
     def test_batch_wide_failures(self):
         design, _ = make_problem(3, n=60, p=2)
@@ -471,7 +470,7 @@ class TestInferenceIdentities:
     def test_pseudo_r2_validation(self):
         with pytest.raises(DegenerateInputError):
             pseudo_r2(-1.0, 0.0)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NotConvergedError):  # below null: not at the maximum
             pseudo_r2(-300.0, -200.0)
 
     def test_llr_anchors(self):
@@ -485,7 +484,9 @@ class TestInferenceIdentities:
         assert same == 0.0 and chisq_sf(same, 3) == 1.0
 
     def test_llr_rejects_worse_than_null(self):
-        with pytest.raises(DegenerateInputError):
+        # A model with an intercept cannot peak below the intercept-only
+        # model, so a fit that stopped there is not converged.
+        with pytest.raises(NotConvergedError, match="smaller --tol"):
             _llr_stat(-250.0, -222.237)
 
 

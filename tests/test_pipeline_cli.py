@@ -28,6 +28,16 @@ from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
 SCHOLARS = str(DATA / "synthetic_scholars.csv")
 EDGES = str(DATA / "coauthor_edges.csv")
+# Every command variant that fits a model.
+FITTING_COMMANDS = [
+    ["fit"],
+    ["evaluate"],
+    ["attribute"],
+    ["select", "--select", "enumerate"],
+    ["select", "--select", "stepwise"],
+    ["report", "--select", "enumerate"],
+    ["report", "--select", "stepwise"],
+]
 
 HEADER = (
     "scholar_id,account_days,post_count,followers_current,followers_historical,"
@@ -397,19 +407,7 @@ class TestCliErrors:
             err = capsys.readouterr().err
             assert err.startswith("error[config_error]") and str(out) in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fit"],
-            ["evaluate"],
-            ["attribute"],
-            ["select", "--select", "enumerate"],
-            ["select", "--select", "stepwise"],
-            ["report", "--select", "enumerate"],
-            ["report", "--select", "stepwise"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", FITTING_COMMANDS, ids=" ".join)
     def test_unconverged_fit_exit_4(self, argv, tmp_path, capsys):
         # One Newton step cannot converge on the fixture: every command that
         # fits refuses to report a point that is not the maximum.
@@ -421,6 +419,18 @@ class TestCliErrors:
         assert "1 iterations" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", FITTING_COMMANDS, ids=" ".join)
+    def test_fit_below_null_exit_4(self, argv, tmp_path, capsys):
+        # At this tolerance every fit stops at beta = 0, before its first
+        # step, below the intercept-only likelihood: not at its maximum.
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", SCHOLARS, "--tol", "1e300", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[not_converged]") and "Traceback" not in err
+        assert "below the intercept-only log-likelihood" in err and "smaller --tol" in err
+        assert not out.exists()
+
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "\nS0001,100,-5,20,0,10,4,9,,3,2,1,1\n", encoding="utf-8")
@@ -430,14 +440,12 @@ class TestCliErrors:
 
 
 class TestCliSubcommands:
-    def test_commands_without_fits_never_load_scipy(self, tmp_path):
-        # scipy is imported where a fit first needs it; these commands fit
-        # no model, so a fresh interpreter running them never loads it.
-        runs = [
-            ["communities", "--coauthor-edges", EDGES, "--out", str(tmp_path / "c")],
-            ["ingest", "--input", SCHOLARS, "--out", str(tmp_path / "i")],
-            ["describe", "--input", SCHOLARS, "--out", str(tmp_path / "d")],
-        ]
+    def test_no_command_loads_scipy(self, tmp_path):
+        # numpy and math compute everything, the chi-squared tail included,
+        # so a fresh interpreter running every subcommand never loads scipy.
+        runs = [["communities", "--coauthor-edges", EDGES, "--out", str(tmp_path / "c")]]
+        for command in ("ingest", "describe", "fit", "select", "evaluate", "attribute", "report"):
+            runs.append([command, "--input", SCHOLARS, "--out", str(tmp_path / command)])
         code = (
             "import sys\n"
             "from stratlogit.cli import main\n"
@@ -446,32 +454,10 @@ class TestCliSubcommands:
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
-
-    def test_fits_never_load_scipy_linalg(self, tmp_path):
-        # numpy solves every Newton step and covariance; scipy is loaded
-        # for the chi-squared tail only, which needs no scipy.linalg.
-        runs = [
-            ["fit", "--input", SCHOLARS, "--out", str(tmp_path / "f")],
-            ["report", "--input", SCHOLARS, "--out", str(tmp_path / "r")],
-        ]
-        code = (
-            "import sys\n"
-            "from stratlogit.cli import main\n"
-            f"codes = [main(argv) for argv in {runs!r}]\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "linalg = [m for m in loaded if m.startswith('scipy.linalg')]\n"
-            "print(codes, 'scipy.special' in loaded, linalg)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0] True []"
+        assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
 
     def test_describe(self, tmp_path, capsys):
         rc = main(["describe", "--input", SCHOLARS, "--out", str(tmp_path)])

@@ -2,14 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
-from conftest import solve_spd_ref
+from conftest import chisq_sf_ref, solve_spd_ref
 from stratlogit.errors import (
     DataError,
     DegenerateInputError,
@@ -263,3 +264,83 @@ class TestTails:
             chisq_sf(1.0, 0)
         with pytest.raises(DegenerateInputError):
             chisq_sf(1.0, 2.5)
+        with pytest.raises(DegenerateInputError, match="above the supported"):
+            chisq_sf(1.0, 10**6 + 1)
+        assert chisq_sf(1.7e308, 10**6) == 0.0
+
+    @staticmethod
+    def chisq_grid():
+        """k = 1..200 against x in [0, 3000], with extra points in
+        [1416, 1500], where e^(-x/2) is subnormal or zero but the tail of
+        the larger k is still a normal float."""
+        rng = np.random.Generator(np.random.PCG64(41))
+        x = np.concatenate(
+            [[0.0, 1e-300, 1.0, 1416.0, 1500.0, 3000.0], rng.uniform(0.0, 3000.0, 16),
+             rng.uniform(1416.0, 1500.0, 8), rng.uniform(0.0, 60.0, 6)]
+        )
+        return x, range(1, 201)
+
+    def test_chisq_sf_against_mpmath(self):
+        # Relative error <= 2e-13 where the true tail is at least 1e-300,
+        # absolute error <= 1e-300 below that (8.6e-14 and 6e-314 measured).
+        x, ks = self.chisq_grid()
+        with mpmath.workdps(50):
+            for k in ks:
+                for v, got in zip(x.tolist(), chisq_sf(x, k).tolist()):
+                    true = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(v) / 2, regularized=True)
+                    err = abs(mpmath.mpf(got) - true)
+                    if true >= 1e-300:
+                        assert err <= 2e-13 * true, (k, v, got, float(true))
+                    else:
+                        assert err <= 1e-300, (k, v, got, float(true))
+
+    def test_chisq_sf_large_k_against_mpmath(self):
+        # Here the sum passes 2^900 and is rescaled; the error grows like
+        # eps (k + x) / 2 from the log-space prefactor (at most
+        # 3.8e-17 (k + x) measured up to k = 10^6).
+        with mpmath.workdps(60):
+            for k in (1301, 2000, 10**4, 10**5):
+                for f in (0.8, 0.97, 1.0, 1.03, 1.2, 1.5):
+                    x = k * f
+                    true = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, regularized=True)
+                    if true >= 1e-300:
+                        err = abs(mpmath.mpf(chisq_sf(x, k)) - true)
+                        assert err <= 1e-16 * (k + x) * true, (k, x)
+
+    def test_chisq_sf_close_to_gammaincc(self):
+        # The old path is within both kernels' errors of the new one.
+        x, ks = self.chisq_grid()
+        for k in ks:
+            got, want = chisq_sf(x, k), chisq_sf_ref(x, k)
+            big = want >= 1e-300
+            assert_allclose(got[big], want[big], rtol=4e-13, atol=0.0, err_msg=str(k))
+            assert np.all(np.abs(got - want)[~big] <= 1e-300), k
+
+    def test_chisq_sf_closed_forms(self):
+        # Q(1/2, h) = erfc(sqrt h) and Q(1, h) = e^-h, to the bit, in and
+        # past the range where e^-h is subnormal.
+        rng = np.random.Generator(np.random.PCG64(43))
+        x = np.concatenate([[0.0, 5e-324, 1e-300, 1400.0, 1416.0, 1500.0, 1e308],
+                            rng.uniform(0.0, 1600.0, 200)])
+        for v, q1, q2 in zip(x.tolist(), chisq_sf(x, 1).tolist(), chisq_sf(x, 2).tolist()):
+            assert q1 == math.erfc(math.sqrt(v / 2.0)), v
+            assert q2 == math.exp(-v / 2.0), v
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.one_of(st.floats(0.0, 3e4), st.floats(0.0, 1.7e308)),
+        dx=st.floats(0.0, 100.0),
+        k=st.integers(1, 10**4),
+    )
+    @example(x=1416.0, dx=1e-9, k=18)
+    @example(x=9990.0, dx=1e-6, k=10**4 - 1)
+    def test_chisq_sf_monotone_in_unit_interval(self, x, dx, k):
+        # Finite, in [0, 1], nonincreasing in x and nondecreasing in k, up
+        # to round-off: rtol 1e-11 relative (4.5e-13 measured for k up to
+        # 10^4), 1e-300 absolute where the tail is subnormal.
+        q = chisq_sf(x, k)
+        right, up = chisq_sf(x + dx, k), chisq_sf(x, k + 1)
+        for v in (q, right, up):
+            assert math.isfinite(v) and 0.0 <= v <= 1.0
+        assert right <= q * (1.0 + 1e-11) + 1e-300
+        assert up >= q * (1.0 - 1e-11) - 1e-300
