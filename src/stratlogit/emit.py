@@ -21,9 +21,12 @@ standard library from its C encoder to a generator per container, and
 a list of plain floats, or of ``FloatTexts``, here becomes text in one
 join.  Every JSON layout is built here from the stage results:
 ``fit_payload`` (fit.json and the report's ``full_model``),
-``selection_payload`` (selection.json and the report's ``selection``)
-and ``report_payload`` (report.json).  A payload holds Python values
-only: arrays become lists with ``tolist``, or texts with ``float_texts``.
+``selection_payload`` (selection.json and the report's ``selection``:
+the search's mode, size and best row) and ``report_payload``
+(report.json).  A payload holds Python values only: arrays become lists
+with ``tolist``, or texts with ``float_texts``.  Each table is written
+once, to its CSV: no JSON file holds a row per candidate, which
+comparison.csv holds, or per ROC point, which roc.csv holds.
 
 A report renders each feature column and each attribution column once.
 features.csv, the shap files, every trend file and report.json's
@@ -50,6 +53,8 @@ from .model_select import METRIC_FIELDS
 
 UNDEFINED = "undefined"
 INFERENCE_FIELDS = ("feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald")
+# The rows of comparison.csv between its features and its coefficients.
+COMPARISON_FIELDS = ("n_train", "k_params", "converged", "iterations", "failed", "failure")
 
 
 # The csv module quotes a cell holding its delimiter, its quote character
@@ -231,25 +236,6 @@ def _metric(value):
     return UNDEFINED if value is None else value
 
 
-def comparison_to_dicts(table) -> list:
-    """JSON-friendly row dicts of a ComparisonTable, in table order."""
-    return [
-        {
-            "model_id": r.model_id,
-            "features": list(r.spec.features),
-            "n_train": r.n_train,
-            "k_params": r.k_params,
-            "converged": r.converged,
-            "iterations": r.iterations,
-            "failed": r.failed,
-            "failure": r.failure,
-            "coefficients": dict(r.coefficients) if r.coefficients else None,
-            **{f: getattr(r, f) for f in METRIC_FIELDS},
-        }
-        for r in table.rows
-    ]
-
-
 def fit_payload(fit, model_id: str) -> dict:
     """Coefficients, inference rows and fit statistics of one model."""
     params = ("intercept", *fit.feature_names)
@@ -276,7 +262,8 @@ def fit_payload(fit, model_id: str) -> dict:
 
 
 def selection_payload(mode: str, table, best_row) -> dict:
-    """The search ``mode``, its table and its best row."""
+    """The search ``mode``, its number of candidates and its best row;
+    the candidates themselves are comparison.csv's."""
     return {
         "mode": mode,
         "n_models": len(table.rows),
@@ -285,7 +272,6 @@ def selection_payload(mode: str, table, best_row) -> dict:
             "features": list(best_row.spec.features),
             "aic": best_row.aic,
         },
-        "table": comparison_to_dicts(table),
     }
 
 
@@ -373,11 +359,7 @@ def report_payload(report, trends=None) -> dict:
                 "recall": mets.recall,
                 "f1": mets.f1,
             },
-            "roc": {
-                "points": [list(pt) for pt in roc.points],
-                "thresholds": list(roc.thresholds),
-                "auc": roc.auc,
-            },
+            "roc": {"auc": roc.auc},
         },
         "attribution": {
             "background": dict(zip(fm.column_names, report.background.tolist())),
@@ -412,33 +394,27 @@ def write_feature_matrix_csv(m, path, texts=None) -> None:
 
 
 def write_comparison_csv(table, path) -> None:
-    """Wide export: one column per candidate, one row per field of
-    ``comparison_to_dicts`` but ``iterations``, features joined by ``+``
-    and one ``coef_<name>`` row per coefficient.
+    """Wide export: one column per candidate, and as rows its features
+    joined by ``+``, each field of ``COMPARISON_FIELDS``, one
+    ``coef_<name>`` row per coefficient and each of ``METRIC_FIELDS``.
 
     An empty cell is a value the candidate does not have: a coefficient
     of a feature outside its model, or anything its fit raised before
-    computing.  A metric of a fitted candidate whose denominator is
-    empty reads ``undefined``.
+    computing, its ``iterations`` included.  A metric of a fitted
+    candidate whose denominator is empty reads ``undefined``.
     """
-    models = comparison_to_dicts(table)
+    models = table.rows
     if not models:
         raise DegenerateInputError("comparison table has no rows to write")
-    fitted = [m["coefficients"] is not None for m in models]
-    coef_names = dict.fromkeys(["intercept"] + [f for m in models for f in m["features"]])
-    rows = []
-    for key in models[0]:
-        values = [m[key] for m in models]
-        if key == "features":
-            values = ["+".join(v) for v in values]
-        elif key == "coefficients":
-            rows += [[f"coef_{name}"] + [c and c.get(name) for c in values] for name in coef_names]
-            continue
-        elif key in METRIC_FIELDS:
-            values = [_metric(v) if ok else v for v, ok in zip(values, fitted)]
-        if key not in ("model_id", "iterations"):
-            rows.append([key] + values)
-    write_csv(path, ["row"] + [m["model_id"] for m in models], list(zip(*rows)))
+    coefs = [m.coefficients or {} for m in models]
+    coef_names = dict.fromkeys(["intercept"] + [f for m in models for f in m.spec.features])
+    rows = [["features"] + ["+".join(m.spec.features) for m in models]]
+    rows += [[field] + [getattr(m, field) for m in models] for field in COMPARISON_FIELDS]
+    rows += [[f"coef_{name}"] + [c.get(name) for c in coefs] for name in coef_names]
+    for field in METRIC_FIELDS:
+        values = [getattr(m, field) for m in models]
+        rows.append([field] + [_metric(v) if c else v for v, c in zip(values, coefs)])
+    write_csv(path, ["row"] + [m.model_id for m in models], list(zip(*rows)))
 
 
 def write_inference_csv(fit, path) -> None:
@@ -492,9 +468,10 @@ def write_fit_files(out_dir, fit) -> list:
 
 
 def write_select_files(out_dir, mode: str, table, best_row) -> list:
-    """The select stage's files; selection.json also gives the best
-    row's BIC, which the report's selection section leaves out.
-    Returns the paths written."""
+    """The select stage's files: comparison.csv holds the candidates,
+    and selection.json the summary, which also gives the best row's BIC,
+    as the report's selection section does not.  Returns the paths
+    written."""
     paths = [out_path(out_dir, name) for name in ("comparison.csv", "selection.json")]
     write_comparison_csv(table, paths[0])
     payload = selection_payload(mode, table, best_row)

@@ -174,7 +174,12 @@ def parse_dataset(path, delimiter: str = ",") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        index = {name.strip(): i for i, name in enumerate(header)}
+        index = {}
+        for i, name in enumerate(header):
+            name = name.strip()
+            if name in index and name in COLUMNS:
+                raise DataError(f"{path}: header names column {name!r} more than once")
+            index[name] = i
         positions = {}
         missing = []
         for name in COLUMNS:

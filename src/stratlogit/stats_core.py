@@ -130,6 +130,9 @@ def vif(values, names) -> np.ndarray:
 
     VIF_j = 1 / (1 - R^2_j) where R^2_j comes from an ordinary least
     squares regression (with intercept) of column j on all the others.
+    The regressions run on the standardized columns, (x - mean) / sd:
+    R^2 does not change under that transform, and ``lstsq``'s cutoff for
+    small singular values then does not depend on the columns' units.
     A single column trivially has VIF 1.  Exactly collinear columns are
     rejected rather than reported as a huge number.
     """
@@ -141,16 +144,18 @@ def vif(values, names) -> np.ndarray:
     if p == 1:
         out[0] = 1.0
         return out
+    sd = values.std(axis=0)
+    # A constant column whose mean rounds has a tiny sd, not 0.
+    constant = np.flatnonzero((sd == 0.0) | (values.max(axis=0) == values.min(axis=0)))
+    if constant.size:
+        raise DegenerateInputError(f"vif: column {names[constant[0]]} has zero variance")
+    z = (values - values.mean(axis=0)) / sd
     for j in range(p):
-        y = values[:, j]
-        others = np.delete(values, j, axis=1)
-        design = np.column_stack([np.ones(n), others])
+        y = z[:, j]
+        design = np.column_stack([np.ones(n), np.delete(z, j, axis=1)])
         coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
-        sst = float(np.sum((y - y.mean()) ** 2))
-        if sst == 0.0:
-            raise DegenerateInputError(f"vif: column {names[j]} has zero variance")
-        one_minus_r2 = float(np.sum(resid * resid)) / sst
+        one_minus_r2 = float(np.sum(resid * resid)) / float(np.sum((y - y.mean()) ** 2))
         if one_minus_r2 <= 1e-12:
             raise SingularMatrixError(
                 f"vif: column {names[j]} is exactly collinear with the others"

@@ -8,6 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc
 
@@ -33,6 +34,11 @@ from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+
+# Every property test runs the same examples on every run, with no time
+# limit and no example database; each test sets only its max_examples.
+settings.register_profile("stratlogit", deadline=None, derandomize=True, database=None)
+settings.load_profile("stratlogit")
 
 
 @pytest.fixture(scope="session")
@@ -102,6 +108,67 @@ def write_csv_ref(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([cell_ref(v) for v in row] for row in rows)
+
+
+def comparison_to_dicts_ref(table) -> list:
+    """JSON-friendly row dicts of a ComparisonTable, in table order: the
+    oracle for what comparison.csv reads back to."""
+    return [
+        {
+            "model_id": r.model_id,
+            "features": list(r.spec.features),
+            "n_train": r.n_train,
+            "k_params": r.k_params,
+            "converged": r.converged,
+            "iterations": r.iterations,
+            "failed": r.failed,
+            "failure": r.failure,
+            "coefficients": dict(r.coefficients) if r.coefficients else None,
+            **{f: getattr(r, f) for f in METRIC_FIELDS},
+        }
+        for r in table.rows
+    ]
+
+
+def read_comparison_csv(path) -> list:
+    """comparison.csv read back to the row dicts of
+    ``comparison_to_dicts_ref``: ints and floats by ``int`` and
+    ``float``, bools from ``1`` and ``0``, and an empty or ``undefined``
+    cell as None."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    cells = {row[0]: row[1:] for row in rows}
+    coefs = {label[5:]: row for label, row in cells.items() if label.startswith("coef_")}
+    flag = {"1": True, "0": False}.__getitem__
+
+    def read(label, kind, i):
+        text = cells[label][i]
+        return None if text in ("", "undefined") else kind(text)
+
+    return [
+        {
+            "model_id": model_id,
+            "features": cells["features"][i].split("+") if cells["features"][i] else [],
+            "n_train": read("n_train", int, i),
+            "k_params": read("k_params", int, i),
+            "converged": read("converged", flag, i),
+            "iterations": read("iterations", int, i),
+            "failed": read("failed", flag, i),
+            "failure": read("failure", str, i),
+            "coefficients": {n: float(row[i]) for n, row in coefs.items() if row[i]} or None,
+            **{f: read(f, float, i) for f in METRIC_FIELDS},
+        }
+        for i, model_id in enumerate(header[1:])
+    ]
+
+
+def read_roc_csv(path) -> tuple:
+    """roc.csv read back to a curve's (points, thresholds), floats by
+    ``float`` and an empty threshold as None."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        _, *rows = csv.reader(handle)
+    points = tuple((float(fpr), float(tpr)) for fpr, tpr, _ in rows)
+    return points, tuple(float(t) if t else None for _, _, t in rows)
 
 
 def gather_ref(columns, design_cols):

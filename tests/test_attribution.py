@@ -305,7 +305,7 @@ class TestAttributionTrend:
         with pytest.raises(DegenerateInputError):
             attribution_trend(np.ones(5), np.zeros(5))
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         pool=st.lists(
             st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0]),

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, to_json_ref, trend_payload_ref, write_csv_ref
+from conftest import (
+    comparison_to_dicts_ref,
+    make_problem,
+    read_comparison_csv,
+    read_roc_csv,
+    to_json_ref,
+    trend_payload_ref,
+    write_csv_ref,
+)
 from stratlogit import emit
 from stratlogit.attribution import (
     ImportanceRanking,
@@ -72,7 +80,7 @@ payloads = st.recursive(
 
 
 class TestToJson:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(payloads)
     def test_text_equals_standard_library(self, payload):
         assert emit.to_json(payload) == to_json_ref(payload)
@@ -177,7 +185,7 @@ def file_bytes(path):
 
 
 class TestWriteCsv:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(tables())
     def test_bytes_equal_csv_module(self, tmp_path_factory, table):
         header, columns = table
@@ -206,7 +214,7 @@ class TestWriteCsv:
 class TestFloatTables:
     """The float-table writers against the row-wise layout they replaced."""
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(
         st.integers(1, 6).flatmap(
             lambda n: st.tuples(
@@ -274,7 +282,7 @@ HOSTILE_NAMES = ("a,b", 'q"x', "l\nm", "c\rr", "cr\r\nlf", '"', ",", "é日ß")
 
 def comparison_rows_ref(table) -> list:
     """The wide comparison layout as rows, header first."""
-    models = emit.comparison_to_dicts(table)
+    models = comparison_to_dicts_ref(table)
     fitted = [m["coefficients"] is not None for m in models]
     names = dict.fromkeys(["intercept"] + [f for m in models for f in m["features"]])
     rows = [["row"] + [m["model_id"] for m in models]]
@@ -287,7 +295,7 @@ def comparison_rows_ref(table) -> list:
             continue
         elif key in METRIC_FIELDS:
             values = [emit.UNDEFINED if v is None and ok else v for v, ok in zip(values, fitted)]
-        if key not in ("model_id", "iterations"):
+        if key != "model_id":
             rows.append([key] + values)
     return rows
 
@@ -305,6 +313,40 @@ def hostile_fit():
     return fit_logistic(replace(design, feature_names=HOSTILE_NAMES[:3])), design
 
 
+def failed_and_undefined_table():
+    """A comparison table of a fitted candidate with undefined metrics and
+    a failed one, both with hostile feature names and texts."""
+    scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
+    fitted = ModelRow(
+        model_id="model_001",
+        spec=ModelSpec(features=HOSTILE_NAMES[:2]),
+        n_train=10,
+        k_params=3,
+        converged=True,
+        iterations=4,
+        failed=False,
+        failure=None,
+        coefficients={"intercept": 0.25, HOSTILE_NAMES[0]: -1.5, HOSTILE_NAMES[1]: 5e-324},
+        precision=None,
+        recall=0.0,
+        f1=None,
+        **dict.fromkeys(scores, 0.1),
+    )
+    failed = ModelRow(
+        model_id="model_002",
+        spec=ModelSpec(features=HOSTILE_NAMES[2:5]),
+        n_train=10,
+        k_params=None,
+        converged=False,
+        iterations=None,
+        failed=True,
+        failure='separation: "b", then\r\nmore',
+        coefficients=None,
+        **dict.fromkeys(scores + ("precision", "recall", "f1")),
+    )
+    return ComparisonTable(rows=(fitted, failed))
+
+
 class TestRowTables:
     """The tables once written row by row through the csv module."""
 
@@ -317,40 +359,21 @@ class TestRowTables:
         )
 
     def test_comparison_with_failed_row_and_undefined_metric(self, tmp_path):
-        scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
-        fitted = ModelRow(
-            model_id="model_001",
-            spec=ModelSpec(features=HOSTILE_NAMES[:2]),
-            n_train=10,
-            k_params=3,
-            converged=True,
-            iterations=4,
-            failed=False,
-            failure=None,
-            coefficients={"intercept": 0.25, HOSTILE_NAMES[0]: -1.5, HOSTILE_NAMES[1]: 5e-324},
-            precision=None,
-            recall=0.0,
-            f1=None,
-            **dict.fromkeys(scores, 0.1),
-        )
-        failed = ModelRow(
-            model_id="model_002",
-            spec=ModelSpec(features=HOSTILE_NAMES[2:5]),
-            n_train=10,
-            k_params=None,
-            converged=False,
-            iterations=None,
-            failed=True,
-            failure='separation: "b", then\r\nmore',
-            coefficients=None,
-            **dict.fromkeys(scores + ("precision", "recall", "f1")),
-        )
-        table = ComparisonTable(rows=(fitted, failed))
+        table = failed_and_undefined_table()
         rows = comparison_rows_ref(table)
         assert [emit.UNDEFINED, None] in [r[1:] for r in rows]
         equal_to_rows(
             tmp_path, lambda p: emit.write_comparison_csv(table, p), rows[0], rows[1:]
         )
+
+    def test_comparison_reads_back_to_its_rows(self, tmp_path):
+        """comparison.csv holds every value of the table, to the bit: it
+        is the one copy, as no JSON file repeats it."""
+        table = failed_and_undefined_table()
+        emit.write_comparison_csv(table, tmp_path / "comparison.csv")
+        got = read_comparison_csv(tmp_path / "comparison.csv")
+        assert got == comparison_to_dicts_ref(table)
+        assert to_json_ref(got) == to_json_ref(comparison_to_dicts_ref(table))
 
     def test_inference(self, tmp_path):
         fit, _ = hostile_fit()
@@ -467,7 +490,7 @@ class TestFloatTexts:
     """``float_texts`` renders each distinct value of a column once; its
     texts are those of ``float.__repr__`` a value at a time."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(st.lists(REPEATED | any_float, max_size=40))
     def test_equals_repr_per_value(self, values):
         a = np.array(values, dtype=float)
@@ -480,7 +503,7 @@ class TestFloatTexts:
         assert emit.float_texts(a) == ("0.0", "-0.0", "-0.0", "0.0", "1.0", "-0.0")
         assert emit.float_texts(a[1:3]) == ("-0.0", "-0.0")
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.lists(REPEATED.filter(math.isfinite) | finite, max_size=12))
     def test_json_list_equals_standard_library(self, values):
         payload = {"v": emit.float_texts(np.array(values, dtype=float)), "w": [values]}

@@ -64,7 +64,7 @@ INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
-        "comparison.csv": "cc8d5bb84eecba5d08b415166e5af4abb29a5a8bf66b86fac7cb6c28a326eef4",
+        "comparison.csv": "178d186443c3ed6d42f3d395faf6add222f3e9974a219863c28f123dd7192367",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -74,7 +74,7 @@ GOLDEN = {
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
         "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "4e1ccb3b67e639e5ff6030415cbdf12f31e43ebd189fa01027054e5b7e586499",
+        "report.json": "c7ceb5d9e3cbe2c0c20a2c8c076ae675314a828e5d55dd73a10af4959e43d7dc",
         "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
         "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
@@ -87,10 +87,10 @@ GOLDEN = {
         "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
         "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
         "trend_TD.csv": "7aab6d55f28467250bfd4ad822a4c2a26d46c61b1d0e5959793dba262ff5788a",
-        "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
+        "vif.csv": "5cd5678367111e8d3ee7147b02fefa6ff94b487b11f6b1f49de2b604270497e1",
     },
     "report-stepwise": {
-        "comparison.csv": "af4b077232f7bbda97c1bb2eaf8d047ba4cfc8059ab4203732c0858571199b74",
+        "comparison.csv": "9b822808046e78efeda1a4a6437fb12a5dad175f084c2c6545355cf270eb24c3",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -100,7 +100,7 @@ GOLDEN = {
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
         "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "4cb663bcbf432d0c8d1796b8b334b9d632a9ab69a9ed968db24333645bf86b52",
+        "report.json": "ec3dae131a0a17676ca20fc344cf3afd3490bb257d853d8ec25ec3b246b17814",
         "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
         "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
@@ -113,7 +113,7 @@ GOLDEN = {
         "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
         "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
         "trend_TD.csv": "7aab6d55f28467250bfd4ad822a4c2a26d46c61b1d0e5959793dba262ff5788a",
-        "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
+        "vif.csv": "5cd5678367111e8d3ee7147b02fefa6ff94b487b11f6b1f49de2b604270497e1",
     },
     "ingest": {
         "normalized.csv": "068c270f1821f47b0b8a1adbab17fbd75446fcb403b4f66675de35f72399ef34",
@@ -122,7 +122,7 @@ GOLDEN = {
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
-        "vif.csv": "69f240230ce6467ee2168190f4010fc2984f53465d529e6c8adee7e2a1fb882c",
+        "vif.csv": "5cd5678367111e8d3ee7147b02fefa6ff94b487b11f6b1f49de2b604270497e1",
     },
     "fit-subset": {
         "fit.json": "edcc67ba3e3028db09af6f59c7ee4b00f9e4ff92be1eeb624b89fdc50d0c7548",
@@ -133,12 +133,12 @@ GOLDEN = {
         "inference.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
     },
     "select-enumerate": {
-        "comparison.csv": "cc8d5bb84eecba5d08b415166e5af4abb29a5a8bf66b86fac7cb6c28a326eef4",
-        "selection.json": "87ba21bc38c61792ee7651ebfdfedc87b8cb78bbfeecf5242ea4b562c36c3b0c",
+        "comparison.csv": "178d186443c3ed6d42f3d395faf6add222f3e9974a219863c28f123dd7192367",
+        "selection.json": "6b8285b0d73432f6f0991ae2c6ce8a8c73fe2b43193efc3962ea09ebb087709a",
     },
     "select-stepwise": {
-        "comparison.csv": "af4b077232f7bbda97c1bb2eaf8d047ba4cfc8059ab4203732c0858571199b74",
-        "selection.json": "8c879a6e83616f5c1d34f88227e14dd09b2e6daf1e33d21cdc33574272362209",
+        "comparison.csv": "9b822808046e78efeda1a4a6437fb12a5dad175f084c2c6545355cf270eb24c3",
+        "selection.json": "2637c023b76feaed610a45f2db61b87391b63ccb7bcfd710599d58a996bcaec7",
     },
     "evaluate-subset": {
         "confusion.csv": "32769748e8406b78eb51b043a4cd46f28fe8687ada33aa30e901de76e2d3f5e0",
@@ -170,7 +170,7 @@ GOLDEN = {
         "partition.csv": "cc02a66b17b230f6d969b66c8e900f01e051c7ee00ffe048aca1bad5223f42b6",
     },
     "report-synth2000-stepwise": {
-        "comparison.csv": "e10dc068cf3b317ef0b56ea8656d234e4d723555edd0aebb864de28354e72a89",
+        "comparison.csv": "fa4ec1062527c945b0b98fe4675b212c74b840e5d2e22da7354cf404ba48f2fb",
         "confusion.csv": "32a2a1a8fd91b57b8aa7eee4f24e3a54bcecbbc34f58fc58676d13914f9ff256",
         "correlation.csv": "14202c5c8fc093ee0d4c53edb66123bef33c16b8dac2f896537bcad9ea517bb4",
         "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",
@@ -180,7 +180,7 @@ GOLDEN = {
         "inference_full.csv": "00ea9ce70eaf609232cd197e658f72475f155f19d894bfc0b747e309f21e55bf",
         "inference_optimized.csv": "c63631cfc1c03e25a41cf688fce32728703cf3cb74b3032f25203cdf1c411128",
         "metrics.csv": "9e87bc1c9c04bd586d4e5dea8affd8535f09fc70e9cf95c7282fa88717c87f6f",
-        "report.json": "f19624fb3cb9b32928acf7adfba4f3ef84b58ba30ce3ad4700d5d53f72439273",
+        "report.json": "79989d3ef078f00355a5237cc886a8e960b06c6d4403cd3896a12fed2d12841b",
         "roc.csv": "40c2b15f7053878a5b96ec479895697f37a7cb5ac53b0641fc920b255463d5c5",
         "shap_full.csv": "c309a78f9b02a6c90e10b8783232cb0fc73c1b2a7f7669da66acb9c0aa7bb11d",
         "shap_optimized.csv": "8d173af917035a152e84ee4d04fc9fb643a31894e36a8620ae3da6133d1c55fc",
@@ -193,7 +193,7 @@ GOLDEN = {
         "trend_P.csv": "aa5bc0cf5bfd7b5756e49b64ef2393844070c90329c6bde6bb24cd3d6cf49897",
         "trend_PC.csv": "6bde1f66b036c76fff7bf454dfca3a6a3733c2283962173eb9ee6a8f41e33671",
         "trend_TD.csv": "e096c606f1abef39a9fcc7d39431f89708d2a2ea2b0abbad957f84b7c3d02e52",
-        "vif.csv": "596cda8d5182fa248e5d909af19d96c2552bf5b3e01adf9db96f5ff731b8b6e6",
+        "vif.csv": "527ee28c0b318006d9bbb4bc443bdeba15bdb3b552d0ccf7102f6e244c700c24",
     },
 }
 

@@ -140,6 +140,20 @@ class TestParse:
         with pytest.raises(MissingColumnError, match="citations"):
             parse_dataset(path)
 
+    @pytest.mark.parametrize("column", ["post_count", " post_count ", "per_cited"])
+    def test_column_named_twice_rejected(self, tmp_path, column):
+        """A second copy of an input column is an error: which copy's
+        cells to read cannot be told from the file."""
+        path = write_csv(tmp_path, [row() + ",7"], header=HEADER + "," + column)
+        with pytest.raises(DataError, match=column.strip()) as info:
+            parse_dataset(path)
+        assert not isinstance(info.value, MissingColumnError)
+        assert "more than once" in str(info.value)
+
+    def test_extra_column_named_twice_accepted(self, tmp_path):
+        path = write_csv(tmp_path, [row() + ",x,y"], header=HEADER + ",note,note")
+        assert parse_dataset(path).records[0].post_count == 10
+
     def test_optional_columns_may_be_absent(self, tmp_path):
         keep = [c for c in COLUMNS if c not in ("followers_historical", "per_cited")]
         header = ",".join(keep)
@@ -255,7 +269,7 @@ _PIECES = st.sampled_from(
 
 
 class TestHostileBytes:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(
         header=st.sampled_from([b"", (HEADER + "\n").encode(), b"author_a,author_b,weight\n"]),
         body=st.lists(_PIECES, max_size=40).map(b"".join),

@@ -407,7 +407,7 @@ class TestSigmoid:
         for eta in np.linspace(-30, 30, 13):
             assert_allclose(sigmoid(eta) + sigmoid(-eta), 1.0, atol=1e-15)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(
         hnp.arrays(
             np.float64,

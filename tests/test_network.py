@@ -490,7 +490,7 @@ class TestGirvanNewman:
         ]
         assert [p.assignment for p in fast] == [p.assignment for p in slow]
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(gn_cases())
     def test_bits_equal_whole_graph_recompute(self, case):
         g, target = case
@@ -516,7 +516,7 @@ class TestGirvanNewman:
     def test_recorded_modularity_is_whole_graph_walk_fixture(self, edges_csv):
         assert_modularity_is_whole_graph_walk(build_graph(read_edge_list(edges_csv)))
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(gn_cases(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_recorded_modularity_is_whole_graph_walk(self, case, weighted, seed):
         g, _ = case

@@ -15,11 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, ROOT
+from conftest import (
+    DATA,
+    ROOT,
+    comparison_to_dicts_ref,
+    read_comparison_csv,
+    read_roc_csv,
+    to_json_ref,
+)
 from stratlogit import pipeline
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
-from stratlogit.emit import report_payload, to_json, write_report_files
+from stratlogit.emit import report_payload, to_json, write_report_files, write_select_files
 from stratlogit.errors import ConfigError, PipelineError
 from stratlogit.indicators import FEATURE_COLUMNS
 from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
@@ -99,10 +106,10 @@ class TestRunPipeline:
     def test_selection_best_consistent(self, stepwise_report):
         d = report_payload(stepwise_report)
         best = d["selection"]["best"]
-        table = d["selection"]["table"]
-        assert table[-1]["model_id"] == best["model_id"]
-        assert table[-1]["aic"] == best["aic"]
-        aics = [row["aic"] for row in table]
+        table = stepwise_report.comparison.rows
+        assert table[-1].model_id == best["model_id"]
+        assert table[-1].aic == best["aic"]
+        aics = [row.aic for row in table]
         assert aics == sorted(aics, reverse=True)
 
     def test_trend_entries_flag_dropped_features(self, stepwise_report):
@@ -438,6 +445,18 @@ class TestCliErrors:
         assert rc == 3
         assert "error[" in capsys.readouterr().err
 
+    def test_column_named_twice_exit_3_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            HEADER + ",post_count\nS0001,100,5,20,0,10,4,9,,3,2,1,1,7\n", encoding="utf-8"
+        )
+        rc = main(["report", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data_error]") and "Traceback" not in err
+        assert "'post_count'" in err and "more than once" in err and "stage=ingest" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliSubcommands:
     def test_no_command_loads_scipy(self, tmp_path):
@@ -490,6 +509,9 @@ class TestCliSubcommands:
         assert (tmp_path / "comparison.csv").exists()
         sel = json.loads((tmp_path / "selection.json").read_text(encoding="utf-8"))
         assert sel["mode"] == "stepwise"
+        # the candidates are comparison.csv's alone
+        assert set(sel) == {"mode", "n_models", "best"}
+        assert set(sel["best"]) == {"model_id", "features", "aic", "bic"}
 
         rc = main(
             [
@@ -643,7 +665,7 @@ def scholar_tables(draw):
 class TestReportFuzz:
     """Whole ``report`` runs past ingest on small hostile tables."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(table=scholar_tables())
     def test_exit_is_classified_and_ids_survive(self, tmp_path_factory, table):
         work = tmp_path_factory.mktemp("fuzz")
@@ -709,3 +731,52 @@ class TestShapAdditivityCheck:
         rc, err = _report_exit(["report", "--input", SCHOLARS, "--out", str(tmp_path)])
         assert rc == 5, err
         assert "shap additivity violated for full" in err
+
+
+def _list_lengths(value, path=""):
+    """(key path, length) of every list in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _list_lengths(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        yield path, len(value)
+        for item in value:
+            yield from _list_lengths(item, path)
+
+
+class TestEachTableOnce:
+    """Every table lives in one file: report.json is the summary, and
+    the side files hold each value it once repeated, to the bit."""
+
+    def test_side_files_hold_the_tables(self, trend_report, tmp_path):
+        write_report_files(trend_report, tmp_path)
+        got = read_comparison_csv(tmp_path / "comparison.csv")
+        want = comparison_to_dicts_ref(trend_report.comparison)
+        assert got == want and to_json_ref(got) == to_json_ref(want)
+        roc = trend_report.roc
+        got = read_roc_csv(tmp_path / "roc.csv")
+        assert got == (roc.points, roc.thresholds)
+        assert to_json_ref(got) == to_json_ref((roc.points, roc.thresholds))
+
+    def test_no_json_list_per_candidate_or_roc_point(self, trend_report, tmp_path):
+        """Outside the trends, which hold a point per distinct value, no
+        list in report.json or selection.json is longer than one entry
+        per feature column, as a list per ROC point (or per enumerated
+        candidate) would be; the selection summaries hold no table."""
+        report = trend_report
+        write_report_files(report, tmp_path)
+        write_select_files(tmp_path, report.config.selection, report.comparison, report.best_row)
+        width = report.feature_matrix.values.shape[1]
+        assert len(report.roc.points) > width
+        payloads = {
+            name: json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            for name in ("report.json", "selection.json")
+        }
+        for name, payload in payloads.items():
+            for path, length in _list_lengths(payload):
+                assert path.startswith(".attribution.trends.") or length <= width, (name, path)
+        d = payloads["report.json"]
+        summary = {"mode", "n_models", "best"}
+        assert set(d["selection"]) == set(payloads["selection.json"]) == summary
+        assert d["selection"]["n_models"] == len(report.comparison.rows)
+        assert d["evaluation"]["roc"] == {"auc": report.roc.auc}
