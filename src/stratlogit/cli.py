@@ -205,7 +205,7 @@ def cmd_select(args) -> int:
     table, best_row, _ = select_model(cfg, fm, split)
     write_select_files(cfg.out_dir, cfg.selection, table, best_row)
     print(
-        f"searched {len(table.rows)} models ({cfg.selection}); "
+        f"{len(table.rows)} models in comparison.csv ({cfg.selection}); "
         f"best {'+'.join(best_row.spec.features)} aic={best_row.aic!r}"
     )
     return 0

@@ -262,8 +262,9 @@ def fit_payload(fit, model_id: str) -> dict:
 
 
 def selection_payload(mode: str, table, best_row) -> dict:
-    """The search ``mode``, its number of candidates and its best row;
-    the candidates themselves are comparison.csv's."""
+    """The search ``mode``, the number of models in comparison.csv
+    (every candidate under enumerate, the accepted path under stepwise)
+    and the best row; the models themselves are comparison.csv's."""
     return {
         "mode": mode,
         "n_models": len(table.rows),
@@ -468,7 +469,7 @@ def write_fit_files(out_dir, fit) -> list:
 
 
 def write_select_files(out_dir, mode: str, table, best_row) -> list:
-    """The select stage's files: comparison.csv holds the candidates,
+    """The select stage's files: comparison.csv holds the models,
     and selection.json the summary, which also gives the best row's BIC,
     as the report's selection section does not.  Returns the paths
     written."""

@@ -17,19 +17,16 @@ gathers its stack of designs from it by column index, and its fitted
 members' validation blocks likewise, which are scored as one stack:
 one stacked matvec for the log-odds (the BLAS call a single design's
 ``x @ beta`` makes per slice) and elementwise ufuncs for the
-probabilities, labels and confusion counts.  The ``STRAT_THREADS``
-environment variable (default 1), the one thread setting, sets the
-worker-thread count: each size is cut into at least that many batches,
-fitted in parallel.  Results are ordered by the input spec list either
-way, and every fit and score is bit-identical to fitting and scoring its
-design alone, so the table content is independent of the thread count
-and the batching.
+probabilities, labels and confusion counts.  The batches run in turn
+on the calling thread: the Newton loop is bound by the interpreter lock,
+and worker threads slowed both report searches.  Results are ordered by
+the input spec list, and every fit and score is bit-identical to fitting
+and scoring its design alone, so the table content is independent of the
+batching.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -134,17 +131,6 @@ class ComparisonTable:
         raise DegenerateInputError("comparison table has no usable fit")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STRAT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"STRAT_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"STRAT_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def _validate_features(m, specs) -> None:
     known = set(m.column_names)
     for spec in specs:
@@ -202,16 +188,15 @@ def _gather(columns, design_cols) -> np.ndarray:
     return stack
 
 
-def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple:
-    """(outcomes, scores): each spec's ``LogitFit`` or the
-    ``StratLogitError`` its fit raised, and each fitted spec's validation
-    metrics or the ``DataError`` its scoring raised (None for a failure).
+def _fit_rows(cols: _Columns, specs, ids, max_iter, tol) -> list:
+    """The table rows of ``specs``, in their order, named by ``ids``.
 
-    The specs of one size are cut into contiguous batches, at least
-    ``workers`` of them and each at most ``_BATCH_VALUES`` values big.
-    ``mapper`` (``map`` or a thread pool's) runs the batches; each gathers
-    its stack of designs from the training columns, fits it through
-    ``fit_logistic_batch`` and scores it with ``_score``.
+    The specs of one size are cut into contiguous batches of at most
+    ``_BATCH_VALUES`` values each.  Each batch gathers its stack of
+    designs from the training columns, fits it through
+    ``fit_logistic_batch`` and scores it with ``_score``.  The rows are
+    built in spec order after every fit, so the first spec's scoring
+    error is the one raised.
     """
     n = cols.train.shape[0]
     outcomes = [None] * len(specs)
@@ -235,18 +220,15 @@ def _fit_batches(cols: _Columns, specs, max_iter, tol, mapper, workers) -> tuple
         design_cols = np.array(design_cols)
         names = [specs[i].features for i in batch]
         per_batch = max(1, _BATCH_VALUES // (n * (size + 1)))
-        n_batches = max(min(workers, len(batch)), -(-len(batch) // per_batch))
+        n_batches = -(-len(batch) // per_batch)
         bounds = np.linspace(0, len(batch), n_batches + 1).astype(int).tolist()
-
-        def run(lo, hi):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             stack = _gather(cols.train, design_cols[lo:hi])
             fitted = fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
-            return list(zip(fitted, _score(cols, design_cols[lo:hi, 1:] - 1, fitted)))
-
-        done = (pair for part in mapper(run, bounds[:-1], bounds[1:]) for pair in part)
-        for i, (outcome, score) in zip(batch, done):
-            outcomes[i], scores[i] = outcome, score
-    return outcomes, scores
+            scored = _score(cols, design_cols[lo:hi, 1:] - 1, fitted)
+            for i, outcome, score in zip(batch[lo:hi], fitted, scored):
+                outcomes[i], scores[i] = outcome, score
+    return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
 
 
 def _score(cols: _Columns, val_cols, outcomes) -> list:
@@ -327,16 +309,6 @@ def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
     return ModelRow(**base)
 
 
-def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, workers) -> list:
-    """The table rows of ``specs``, in their order, named by ``ids``."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes, scores = _fit_batches(cols, specs, max_iter, tol, pool.map, workers)
-    else:
-        outcomes, scores = _fit_batches(cols, specs, max_iter, tol, map, 1)
-    return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
-
-
 # Widest column set ``enumerate_subsets`` accepts: 2^15 - 1 subsets.
 MAX_ENUMERATE_COLUMNS = 15
 
@@ -367,10 +339,9 @@ def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> 
     if not specs:
         raise ConfigError("fit_all: no model specs given")
     _validate_features(m, specs)
-    workers = _thread_count()
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
-    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol, workers)
+    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
     return ComparisonTable(rows=tuple(rows))
 
 
@@ -384,10 +355,9 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
     accepted models only, starting with the full fit.
     """
     current = ModelSpec(features=tuple(m.column_names))
-    workers = _thread_count()
     cols = _Columns.build(m, split)
     step = 0
-    (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol, workers)
+    (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol)
     if current_row.failed:
         error = NotConvergedError if current_row.unconverged else DegenerateInputError
         raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
@@ -398,9 +368,7 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
             for drop_idx in range(len(current.features))
         ]
         best_cand = None
-        rows = _fit_rows(
-            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, workers
-        )
+        rows = _fit_rows(cols, candidates, ["candidate"] * len(candidates), max_iter, tol)
         for row in rows:
             if row.failed:
                 continue

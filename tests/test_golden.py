@@ -45,13 +45,6 @@ CASES = {
     "communities": ["communities", "--coauthor-edges", "data/coauthor_edges.csv"],
     "report-synth2000-stepwise": ["report", "--input", "scholars.csv", "--select", "stepwise"],
 }
-# STRAT_THREADS values each case runs under; None leaves it unset.
-THREADS = {
-    "report-enumerate": ("1", "2"),
-    "report-stepwise": ("1", "2"),
-    "report-synth2000-stepwise": ("1", "2"),
-}
-
 
 def write_synth2000(directory):
     """The benchmark's synth2000 input at its default seed, as scholars.csv."""
@@ -198,10 +191,9 @@ GOLDEN = {
 }
 
 
-def run_case(case_id, threads, out_dir):
+def run_case(case_id, out_dir):
     """{file name: sha256 hex} of what the case writes into ``out_dir``."""
     saved_cwd = os.getcwd()
-    saved_threads = os.environ.pop("STRAT_THREADS", None)
     try:
         with tempfile.TemporaryDirectory() as work:
             if case_id in INPUTS:
@@ -209,14 +201,9 @@ def run_case(case_id, threads, out_dir):
                 os.chdir(work)
             else:
                 os.chdir(ROOT)
-            if threads is not None:
-                os.environ["STRAT_THREADS"] = threads
             assert main([*CASES[case_id], "--out", os.path.abspath(out_dir)]) == 0
     finally:
         os.chdir(saved_cwd)
-        os.environ.pop("STRAT_THREADS", None)
-        if saved_threads is not None:
-            os.environ["STRAT_THREADS"] = saved_threads
     digests = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as handle:
@@ -224,26 +211,34 @@ def run_case(case_id, threads, out_dir):
     return digests
 
 
-@pytest.mark.parametrize(
-    "case_id, threads",
-    [(case_id, t) for case_id in CASES for t in THREADS.get(case_id, (None,))],
-)
-def test_output_bytes_match_golden(case_id, threads, tmp_path):
-    got = run_case(case_id, threads, tmp_path)
+def check_golden(case_id, out_dir):
+    got = run_case(case_id, out_dir)
     want = GOLDEN[case_id]
     moved = sorted(name for name in want.keys() & got.keys() if want[name] != got[name])
     missing = sorted(want.keys() - got.keys())
     extra = sorted(got.keys() - want.keys())
     assert not (moved or missing or extra), (
-        f"{case_id} (STRAT_THREADS={threads}): moved {moved}, missing {missing}, unexpected {extra}"
+        f"{case_id}: moved {moved}, missing {missing}, unexpected {extra}"
     )
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_output_bytes_match_golden(case_id, tmp_path):
+    check_golden(case_id, tmp_path)
+
+
+def test_former_thread_variable_is_ignored(tmp_path, monkeypatch):
+    # The package once read STRAT_THREADS and refused a non-integer value
+    # (exit 2); it reads no thread setting now, so any value is ignored.
+    monkeypatch.setenv("STRAT_THREADS", "zero")
+    check_golden("report-enumerate", tmp_path)
 
 
 if __name__ == "__main__":
     pinned = {}
     for case_id in CASES:
         with tempfile.TemporaryDirectory() as out_dir, redirect_stdout(sys.stderr):
-            pinned[case_id] = run_case(case_id, THREADS.get(case_id, (None,))[0], out_dir)
+            pinned[case_id] = run_case(case_id, out_dir)
     lines = ["GOLDEN = {"]
     for case_id, digests in pinned.items():
         lines.append(f'    "{case_id}": {{')

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comparison_to_dicts_ref, fit_one_ref, gather_ref
+from conftest import fit_one_ref, gather_ref
 from stratlogit import model_select
 from stratlogit.emit import write_comparison_csv
 from stratlogit.errors import (
@@ -124,29 +124,6 @@ class TestFitAll:
         assert by_features[("a", "b")].failure
         assert not by_features[("a",)].failed
         assert not by_features[("b",)].failed
-
-    def test_thread_count_does_not_change_table(self, monkeypatch):
-        m, names = planted_matrix(n=160)
-        split = make_split(m.n_rows, train_fraction=0.7, seed=1)
-        specs = enumerate_subsets(names)
-        monkeypatch.setenv("STRAT_THREADS", "1")
-        serial = fit_all(m, specs, split)
-        monkeypatch.setenv("STRAT_THREADS", "4")
-        threaded = fit_all(m, specs, split)
-        assert comparison_to_dicts_ref(serial) == comparison_to_dicts_ref(threaded)
-
-    def test_env_thread_override(self, monkeypatch):
-        m, names = planted_matrix(n=120)
-        split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        monkeypatch.setenv("STRAT_THREADS", "2")
-        table = fit_all(m, enumerate_subsets(names[:2]), split)
-        assert len(table.rows) == 3
-        monkeypatch.setenv("STRAT_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            fit_all(m, enumerate_subsets(names[:2]), split)
-        monkeypatch.setenv("STRAT_THREADS", "0")
-        with pytest.raises(ConfigError):
-            fit_all(m, enumerate_subsets(names[:2]), split)
 
 
 class TestTableOrdering:
@@ -382,23 +359,22 @@ class TestBatchParity:
     """Batched fits equal one ``fit_logistic`` call per candidate, row for
     row and bit for bit, failure text included."""
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_fit_all_equals_oracle(self, case, threads, monkeypatch):
+    def test_fit_all_equals_oracle(self, case):
         m, split, max_iter, want = parity_problem(case)
         specs = enumerate_subsets(m.column_names)
-        monkeypatch.setenv("STRAT_THREADS", threads)
         got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    @pytest.mark.parametrize("values", [1, 1 << 30])  # one design per batch; one batch a size
+    # 1: one design per batch; 1500: the 105 training rows of most cases
+    # cut sizes 2 to 5 into several uneven batches (15 two-feature specs
+    # into 3 + 4 + 4 + 4); 2^30: one batch per size.
+    @pytest.mark.parametrize("values", [1, 1500, 1 << 30])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_batch_size_does_not_change_table(self, case, values, threads, monkeypatch):
+    def test_batch_size_does_not_change_table(self, case, values, monkeypatch):
         m, split, max_iter, want = parity_problem(case)
         monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
         specs = enumerate_subsets(m.column_names)
-        monkeypatch.setenv("STRAT_THREADS", threads)
         got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
 
@@ -444,14 +420,12 @@ class TestBatchParity:
         assert "probabilities" in texts[1] and "non-finite features" in texts[2], texts
 
     @pytest.mark.parametrize("start", [None, ("s0", "s1", "noise")])
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_backward_stepwise_equals_oracle(self, case, threads, start, monkeypatch):
+    def test_backward_stepwise_equals_oracle(self, case, start):
         m, split, max_iter, _ = parity_problem(case)
         if start is not None:
             m = restrict(m, start)
         want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8))
-        monkeypatch.setenv("STRAT_THREADS", threads)
         got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).rows)
         assert got == want
 
@@ -533,15 +507,6 @@ class TestExports:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(DegenerateInputError):
             write_comparison_csv(ComparisonTable(rows=()), tmp_path / "comparison.csv")
-
-    def test_dict_export_matches_rows(self):
-        m, names = planted_matrix(n=120)
-        split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        table = fit_all(m, enumerate_subsets(names[:2]), split)
-        dicts = comparison_to_dicts_ref(table)
-        assert [d["model_id"] for d in dicts] == [r.model_id for r in table.rows]
-        assert dicts[0]["features"] == list(table.rows[0].spec.features)
-        assert dicts[0]["aic"] == table.rows[0].aic
 
 
 class TestGather:

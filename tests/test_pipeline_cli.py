@@ -173,8 +173,8 @@ class TestDeterminism:
         )
         assert to_json(report_payload(a)) == to_json(report_payload(b))
 
-    def test_config_echo_has_no_thread_count(self, stepwise_report):
-        # STRAT_THREADS never changes the output, so the report echoes no thread count.
+    def test_config_echo_has_no_threads_key(self, stepwise_report):
+        # The search runs on one thread, so the report echoes no thread count.
         assert "threads" not in report_payload(stepwise_report)["config"]
 
     def test_normalized_roundtrip_preserves_analysis(self, tmp_path, stepwise_report):
@@ -753,6 +753,10 @@ class TestEachTableOnce:
         got = read_comparison_csv(tmp_path / "comparison.csv")
         want = comparison_to_dicts_ref(trend_report.comparison)
         assert got == want and to_json_ref(got) == to_json_ref(want)
+        # The oracle's ids, features and AICs are the table's, row by row.
+        assert [(d["model_id"], d["features"], d["aic"]) for d in got] == [
+            (r.model_id, list(r.spec.features), r.aic) for r in trend_report.comparison.rows
+        ]
         roc = trend_report.roc
         got = read_roc_csv(tmp_path / "roc.csv")
         assert got == (roc.points, roc.thresholds)
