@@ -227,11 +227,13 @@ def test_output_bytes_match_golden(case_id, tmp_path):
     check_golden(case_id, tmp_path)
 
 
-def test_former_thread_variable_is_ignored(tmp_path, monkeypatch):
-    # The package once read STRAT_THREADS and refused a non-integer value
-    # (exit 2); it reads no thread setting now, so any value is ignored.
+# The package once read STRAT_THREADS in both searches and refused a
+# non-integer value (exit 2 from select and report); it reads no thread
+# setting now, so any value leaves every searching case's bytes as they are.
+@pytest.mark.parametrize("case_id", [c for c in CASES if CASES[c][0] in ("select", "report")])
+def test_former_thread_variable_is_ignored(case_id, tmp_path, monkeypatch):
     monkeypatch.setenv("STRAT_THREADS", "zero")
-    check_golden("report-enumerate", tmp_path)
+    check_golden(case_id, tmp_path)
 
 
 if __name__ == "__main__":

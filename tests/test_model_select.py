@@ -419,13 +419,18 @@ class TestBatchParity:
             texts.append(want)
         assert "probabilities" in texts[1] and "non-finite features" in texts[2], texts
 
+    # 700 cuts the three-feature start's first step (3 two-feature
+    # candidates on 105 training rows, 315 values each) into batches of
+    # 1 + 2; the six-feature starts fail before any step.
+    @pytest.mark.parametrize("values", [1, 700, 1 << 30])
     @pytest.mark.parametrize("start", [None, ("s0", "s1", "noise")])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_backward_stepwise_equals_oracle(self, case, start):
+    def test_backward_stepwise_equals_oracle(self, case, start, values, monkeypatch):
         m, split, max_iter, _ = parity_problem(case)
         if start is not None:
             m = restrict(m, start)
         want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8))
+        monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
         got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).rows)
         assert got == want
 

@@ -544,6 +544,18 @@ class TestCliSubcommands:
         assert (tmp_path / "importance.csv").exists()
         assert (tmp_path / "trend_FR.csv").exists()
 
+    # enumerate: every one of the 2^9 - 1 candidates; stepwise: only the
+    # accepted path, though each step fits every single-feature deletion.
+    @pytest.mark.parametrize("mode, n_models", [("enumerate", 511), ("stepwise", 5)])
+    def test_select_counts_the_models_in_comparison_csv(self, mode, n_models, tmp_path, capsys):
+        rc = main(["select", "--input", SCHOLARS, "--select", mode, "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(read_comparison_csv(tmp_path / "comparison.csv")) == n_models
+        sel = json.loads((tmp_path / "selection.json").read_text(encoding="utf-8"))
+        assert sel["n_models"] == n_models
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"{n_models} models in comparison.csv ({mode}); best "), line
+
     def test_attribute_importance_equals_report(self, tmp_path, stepwise_report):
         # One model, two paths: the same importance and trend bits.
         report_files = tmp_path / "report"
