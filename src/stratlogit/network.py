@@ -9,32 +9,34 @@ dendrogram.
 
 Betweenness runs on an integer copy of the graph: nodes are numbered by
 their sorted rank, which is the names' order, so edge ids follow
-lexicographic edge order; adjacency is a sorted list of (neighbour,
-edge id) per node.  ``_source_pass`` is one source's Brandes pass.
+lexicographic edge order.  ``_source_passes`` runs Brandes' passes for
+a batch of sources at once: a breadth-first search a level at a time,
+path counts from the frontier times the component's adjacency matrix,
+then the dependencies from the deepest level up, each level scattered
+with ``np.bincount``.
 
-Per-source cache: ``girvan_newman`` keeps each source's pass, its hop
-distances and its row of edge contributions in an n-by-m float64 array
-(n*m*8 bytes: 0.59 MB at 120 nodes and 611 edges).  After edge (i, j)
-is cut, only sources of the one or two components that held it are
-looked at, and of those only the ones with ``dist_s[i] != dist_s[j]``
-rerun.  When the distances are equal, the edge joins two nodes on one
-BFS level: it never discovers a node and never adds to a path count, so
-that source's visit order, path counts, dependencies and contributions
-are the same, operation for operation, without it.  A bridge has its
-endpoints on different levels for every source of its component, so a
-split reruns both pieces.
+Per-source cache: ``girvan_newman`` keeps each source's hop distances
+and its row of edge contributions in an n-by-m float64 array (n*m*8
+bytes: 0.59 MB at 120 nodes and 611 edges).  After edge (i, j) is cut,
+only sources of the one or two components that held it are looked at,
+and of those only the ones with ``dist[s, i] != dist[s, j]`` rerun, in
+one batched pass per component.  When the distances are equal, the
+edge joins two nodes on one BFS level: it never discovers a node and
+never adds to a path count, so that source's distances, path counts,
+dependencies and contributions are the same without it.  A bridge has
+its endpoints on different levels for every source of its component,
+so a split reruns both pieces.
 
-Determinism and bit-exactness: sources are visited in sorted order and
-neighbours in sorted lists, never sets, so the accumulation order, and
-with it every betweenness value, does not depend on the interpreter's
-hash seed.  A component's betweenness is a left fold of its sources'
-rows, one ``total += row`` per source in sorted order, then halved.
-Each source adds at most one term per edge, and ``x + 0.0 == x``, so
-this is the very sequence of additions a whole-graph recompute makes
-(sources outside a component add nothing to its edges).  Ties are
-broken toward the lexicographically smallest edge (the first maximum),
-so equal inputs give byte-equal outputs in every process, and every cut
-equals that of a whole-graph recompute.
+Determinism: path counts are integers, exact in any summation order
+while they stay below 2**53, so the matrix product's order, and with it
+the BLAS thread count, does not change them.  Dependencies and
+contributions are summed in a fixed order by ``np.bincount``, never by
+BLAS, and nothing walks a set, so betweenness depends on neither the
+BLAS thread count nor the interpreter's hash seed.  Its sums differ from
+those of one pass per source in the last bits, so a cut does not rest
+on exact equality: it takes the lexicographically smallest edge among
+those within ``_TIE_RTOL`` (1e-12) relative of the largest betweenness.
+Equal inputs give byte-equal outputs in every process.
 
 Modularity keeps, per community, the weight of the original graph's
 edges inside it and of those leaving it.  A split recomputes both sums
@@ -212,54 +214,93 @@ def _components(nodes, adj) -> list:
     return comps
 
 
-def _source_pass(s, adj, row) -> list:
-    """Brandes' pass for source ``s``: breadth-first search, then the
-    dependency accumulation in reverse visit order.
+# Entries of a batch's sources-by-directed-edges table: each batched
+# pass holds a few temporaries of at most this many values.
+_BATCH_ENTRIES = 1 << 14
+# A cut takes the lexicographically smallest edge whose betweenness is
+# within this relative distance of the largest.
+_TIE_RTOL = 1e-12
 
-    ``row``, an array indexed by edge id, is overwritten with the
-    contribution of each edge of s's shortest-path DAG (0 elsewhere).
-    Returns the hop distances from ``s``, -1 where ``s`` does not reach.
+
+def _source_passes(sources, comp, ends, eids, dist, contrib) -> None:
+    """Brandes' passes for the node ranks ``sources``, all in the
+    component whose sorted node ranks are ``comp`` and whose live edge
+    ids are ``eids``; ``ends`` is the m-by-2 array of edge ends.
+
+    Each batch of sources runs one breadth-first search, a level at a
+    time, then the dependency accumulation from the deepest level up.
+    Overwrites, for each source s, ``dist[s]`` with the hop distances
+    from s (-1 outside the component) and ``contrib[s]``, indexed by
+    edge id, with the contribution of each edge of s's shortest-path DAG
+    (0 elsewhere).
     """
-    n = len(adj)
-    dist = [-1] * n
-    sigma = [0.0] * n
-    preds = [None] * n
-    dist[s] = 0
-    sigma[s] = 1.0
-    order = [s]
-    for v in order:  # order grows while it is walked: a FIFO queue
-        below = dist[v] + 1
-        sv = sigma[v]
-        for w, e in adj[v]:
-            d = dist[w]
-            if d < 0:
-                dist[w] = below
-                order.append(w)
-                sigma[w] = sv
-                preds[w] = [(v, e)]
-            elif d == below:
-                sigma[w] += sv
-                preds[w].append((v, e))
-    row[:] = 0.0
-    delta = [0.0] * n
-    for w in order[:0:-1]:
-        sw = sigma[w]
-        carried = 1.0 + delta[w]
-        for v, e in preds[w]:
-            c = sigma[v] / sw * carried
-            row[e] = c
-            delta[v] += c
-    return dist
+    k = len(comp)
+    local = np.full(len(dist), -1)
+    local[comp] = np.arange(k)
+    a, b = local[ends[eids, 0]], local[ends[eids, 1]]
+    adjacency = np.zeros((k, k))
+    adjacency[a, b] = adjacency[b, a] = 1.0
+    # Both directions of each edge: tail -> head, edge id.
+    tail, head, edge = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(eids, 2)
+    per_batch = max(1, _BATCH_ENTRIES // max(1, len(edge)))
+    for lo in range(0, len(sources), per_batch):
+        batch = sources[lo:lo + per_batch]
+        rows = np.arange(len(batch))
+        d = np.full((len(batch), k), -1)
+        d[rows, local[batch]] = 0
+        sigma = np.zeros((len(batch), k))
+        sigma[rows, local[batch]] = 1.0
+        frontier = sigma.copy()
+        level = 0
+        while True:
+            # Path counts below 2**53 are exact integers, so this sum does
+            # not depend on the order the product adds it in.
+            reach = frontier @ adjacency
+            reach[d >= 0] = 0.0
+            found = reach > 0.0
+            if not found.any():
+                break
+            level += 1
+            d[found] = level
+            sigma += reach
+            frontier = reach
+        # The DAG's directed edges (r, t), deepest head level first.
+        r, t = np.nonzero(d[:, head] == d[:, tail] + 1)
+        depth = d[r, head[t]]
+        order = np.argsort(-depth, kind="stable")
+        r, t, depth = r[order], t[order], depth[order]
+        at_v, at_w = r * k + tail[t], r * k + head[t]
+        ratio = sigma.ravel()[at_v] / sigma.ravel()[at_w]
+        delta = np.zeros(len(batch) * k)
+        c = np.empty(len(t))
+        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(t)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            # A level's heads are complete; its tails all lie one level up.
+            c[start:stop] = ratio[start:stop] * (1.0 + delta[at_w[start:stop]])
+            delta += np.bincount(at_v[start:stop], c[start:stop], len(delta))
+        dist[batch] = -1
+        dist[np.ix_(batch, comp)] = d
+        contrib[batch] = 0.0
+        contrib[batch[r], edge[t]] = c
 
 
-def _fold(comp, adj, contrib, btw) -> None:
-    """Set ``btw`` on the edges of component ``comp`` from the rows of
-    its sources, summed one row at a time in sorted source order."""
-    total = np.zeros(contrib.shape[1])
-    for s in comp:
-        total += contrib[s]
-    eids = [e for v in comp for w, e in adj[v] if v < w]
-    btw[eids] = total[eids] / 2.0
+def _refresh(comp, sources, ends, alive, dist, contrib, btw) -> None:
+    """Rerun the passes of ``sources`` in component ``comp`` (sorted node
+    ranks, an array) and set ``btw`` on its live edges (``alive`` by edge
+    id) to its sources' rows summed, then halved."""
+    inside = np.zeros(len(dist), dtype=bool)
+    inside[comp] = True
+    eids = np.flatnonzero(alive & inside[ends[:, 0]])
+    if len(sources):
+        _source_passes(sources, comp, ends, eids, dist, contrib)
+    btw[eids] = contrib[np.ix_(comp, eids)].sum(axis=0) / 2.0
+
+
+def _cut_edge(btw) -> int:
+    """The lowest edge id, so the lexicographically smallest edge, among
+    those within ``_TIE_RTOL`` relative of the largest betweenness."""
+    top = btw.max()
+    return int(np.argmax(btw >= top - _TIE_RTOL * top))
 
 
 @dataclass(frozen=True)
@@ -356,30 +397,29 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
     dendrogram = [_partition_of(g, m, comps, sums, step=0, removed_edge=None)]
     count = len(comps)
     step = 0
+    alive = np.ones(len(ends), dtype=bool)
+    dist = np.full((len(adj), len(adj)), -1)
     contrib = np.zeros((len(adj), len(ends)))
-    dists = [_source_pass(s, adj, contrib[s]) for s in range(len(adj))]
     btw = np.empty(len(ends))
     for comp in comps:
-        _fold(comp, adj, contrib, btw)
-    alive = len(ends)
-    while alive and (target_communities is None or count < target_communities):
-        # The first maximum is the lexicographically smallest tied edge.
-        cut = int(np.argmax(btw))
+        comp = np.array(comp)
+        _refresh(comp, comp, edge_ends, alive, dist, contrib, btw)
+    while step < len(ends) and (target_communities is None or count < target_communities):
+        cut = _cut_edge(btw)
         i, j = ends[cut]
         adj[i].remove((j, cut))
         adj[j].remove((i, cut))
+        alive[cut] = False
         btw[cut] = -np.inf
-        alive -= 1
         step += 1
         # Shortest paths change only inside the component that held the
         # cut edge, and there only for sources that had i and j on
         # different BFS levels; every other source's row stands.
         touched = _components([i, j], adj)
         for comp in touched:
-            for s in comp:
-                if dists[s][i] != dists[s][j]:
-                    dists[s] = _source_pass(s, adj, contrib[s])
-            _fold(comp, adj, contrib, btw)
+            comp = np.array(comp)
+            rerun = comp[dist[comp, i] != dist[comp, j]]
+            _refresh(comp, rerun, edge_ends, alive, dist, contrib, btw)
         if len(touched) > 1:
             # The cut split one component in two; the list stays ordered
             # by least node, as _components orders it.  Only the two

@@ -29,7 +29,7 @@ from stratlogit.logit import (
     sigmoid,
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
-from stratlogit.network import _int_graph, _q, _source_pass
+from stratlogit.network import _components, _int_graph, _q, _refresh
 from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -330,18 +330,74 @@ def adjacency(g):
     return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
 
+def source_pass_ref(s, adj, row) -> list:
+    """Brandes' pass for source ``s`` over ``network._int_graph``'s
+    adjacency, one source at a time: breadth-first search, then the
+    dependency accumulation in reverse visit order.  The oracle for the
+    batched passes of ``network._source_passes``.
+
+    ``row``, an array indexed by edge id, is overwritten with the
+    contribution of each edge of s's shortest-path DAG (0 elsewhere).
+    Returns the hop distances from ``s``, -1 where ``s`` does not reach.
+    """
+    n = len(adj)
+    dist = [-1] * n
+    sigma = [0.0] * n
+    preds = [None] * n
+    dist[s] = 0
+    sigma[s] = 1.0
+    order = [s]
+    for v in order:  # order grows while it is walked: a FIFO queue
+        below = dist[v] + 1
+        sv = sigma[v]
+        for w, e in adj[v]:
+            d = dist[w]
+            if d < 0:
+                dist[w] = below
+                order.append(w)
+                sigma[w] = sv
+                preds[w] = [(v, e)]
+            elif d == below:
+                sigma[w] += sv
+                preds[w].append((v, e))
+    row[:] = 0.0
+    delta = [0.0] * n
+    for w in order[:0:-1]:
+        sw = sigma[w]
+        carried = 1.0 + delta[w]
+        for v, e in preds[w]:
+            c = sigma[v] / sw * carried
+            row[e] = c
+            delta[v] += c
+    return dist
+
+
+def batched_passes(g):
+    """(adj, dist, contrib, btw): ``network``'s batched source passes run
+    once for every node of ``g``, as ``girvan_newman`` runs them before
+    its first cut.  ``adj`` is ``_int_graph``'s adjacency, ``dist`` the
+    n-by-n hop distances, ``contrib`` the n-by-m rows of edge
+    contributions and ``btw`` the edge betweenness, all by node rank and
+    edge id."""
+    ends, adj = _int_graph(g)
+    n = len(adj)
+    dist = np.full((n, n), -1)
+    contrib = np.zeros((n, len(ends)))
+    btw = np.empty(len(ends))
+    alive = np.ones(len(ends), dtype=bool)
+    for comp in _components(range(n), adj):
+        comp = np.array(comp)
+        _refresh(comp, comp, np.array(ends), alive, dist, contrib, btw)
+    return adj, dist, contrib, btw
+
+
 def edge_betweenness(g):
     """Betweenness of every edge of ``g``: for each node pair, one unit
     split evenly over that pair's shortest paths, summed over the edges
-    each path crosses.  Whole-graph source passes of ``network``, summed
-    in source order."""
-    ends, adj = _int_graph(g)
-    row = np.empty(len(ends))
-    total = np.zeros(len(ends))
-    for s in range(len(adj)):
-        _source_pass(s, adj, row)
-        total += row
-    return {(u, v): b for (u, v, _), b in zip(g.edges, (total / 2.0).tolist())}
+    each path crosses.  ``network``'s batched source passes, per
+    component."""
+    btw = batched_passes(g)[3]
+    return {(u, v): b for (u, v, _), b in zip(g.edges, btw.tolist())}
 
 
 def modularity_ref(g, p) -> float:

@@ -368,8 +368,11 @@ class TestBatchParity:
 
     # 1: one design per batch; 1500: the 105 training rows of most cases
     # cut sizes 2 to 5 into several uneven batches (15 two-feature specs
-    # into 3 + 4 + 4 + 4); 2^30: one batch per size.
-    @pytest.mark.parametrize("values", [1, 1500, 1 << 30])
+    # into 3 + 4 + 4 + 4); 3000: other cuts (15 into 7 + 8), where the
+    # default _BATCH_VALUES, which test_fit_all_equals_oracle runs, gives
+    # one batch per size.  n_le_k's 7 training rows take one batch per
+    # size from 1500 up.
+    @pytest.mark.parametrize("values", [1, 1500, 3000])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_batch_size_does_not_change_table(self, case, values, monkeypatch):
         m, split, max_iter, want = parity_problem(case)
