@@ -23,7 +23,10 @@ inference of every design that stopped, one stacked call per step (one
 stacked ``np.linalg.solve`` gives every Newton step or covariance).
 numpy makes the same BLAS or LAPACK call for each slice of a stack as
 for a single 2-D array, and the remaining arithmetic is elementwise
-ufuncs, so a design's fit has the bits it has alone.
+ufuncs, so a design's fit has the bits it has alone from the same start.
+A fit starts from beta = 0 unless given a start (the subset search
+warm-starts each candidate from a fitted neighbour); ``iterations``
+and ``max_iter`` count from the start.
 """
 
 from __future__ import annotations
@@ -257,29 +260,60 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
     )
 
 
-def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8) -> LogitFit:
-    """Maximum likelihood fit by damped Newton iterations.
+def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8, start=None) -> LogitFit:
+    """Maximum likelihood fit by damped Newton iterations from ``start``
+    (k coefficients, intercept first; default zeros).
 
     Convergence is declared when the max-norm of the score drops to
     ``tol`` or the relative log-likelihood improvement falls below
     1e-12; hitting ``max_iter`` first returns converged=False (callers
     that need inference must check).  A singular information matrix is
     reported as separation when the coefficients are already large,
-    otherwise as collinearity.  This is ``fit_logistic_batch`` on a
-    batch of one.
+    otherwise as collinearity.  A start of the wrong length or with a
+    non-finite value is a ``DataError``.  This is ``fit_logistic_batch``
+    on a batch of one.
     """
-    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol)
+    start = None if start is None else np.asarray(start, dtype=float)[None]
+    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol, start)
     if isinstance(out, StratLogitError):
         raise out
     return out
 
 
-def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1e-8) -> list:
-    """Fit a stack of designs ``X`` (B, n, k) that share the response ``y``.
+# A shared design's smallest singular value must pass matrix_rank's
+# tolerance by this factor for its column subsets to skip their checks.
+RANK_MARGIN = 100.0
+
+
+def columns_well_posed(X) -> bool:
+    """Whether every design drawn from columns of the (n, K) design ``X``,
+    its intercept among them, passes ``fit_logistic_batch``'s column
+    checks (its ``columns_ok``): ``X`` is finite, no column past the
+    intercept is constant, and sigma_min exceeds ``RANK_MARGIN`` times
+    ``matrix_rank``'s tolerance sigma_max * max(n, K) * eps.  A column
+    subset has sigma_min at least and sigma_max at most those of ``X``,
+    and a tolerance no larger, so it passes its rank check by the same
+    margin: far more than SVD round-off, a few ulps of sigma_max, can
+    take from a computed singular value.
+    """
+    n, K = X.shape
+    if n < K or not np.all(np.isfinite(X)) or np.any(np.ptp(X[:, 1:], axis=0) == 0.0):
+        return False
+    sv = np.linalg.svd(X, compute_uv=False)
+    return bool(sv[-1] > RANK_MARGIN * sv[0] * max(n, K) * np.finfo(float).eps)
+
+
+def fit_logistic_batch(
+    X, y, feature_names, max_iter: int = 1000, tol: float = 1e-8, start=None, columns_ok=False
+) -> list:
+    """Fit a stack of designs ``X`` (B, n, k) that share the response ``y``,
+    each from its row of ``start`` (B, k; default zeros).
 
     Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
     checks.  Returns, per design, its ``LogitFit`` or the
-    ``StratLogitError`` that ``fit_logistic`` raises for it alone.
+    ``StratLogitError`` that ``fit_logistic`` raises for it alone from
+    the same start.  ``columns_ok`` skips the constant-column and rank
+    checks, which every design passes (``columns_well_posed``).
 
     The designs still iterating take each Newton step in lockstep: one
     stacked ``matmul`` each for the score, the information matrix and
@@ -294,23 +328,32 @@ def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1
     """
     X = np.ascontiguousarray(X, dtype=float)
     n_fits, _, k = X.shape
+    start = np.zeros((n_fits, k)) if start is None else np.asarray(start, dtype=float)
     try:
         if max_iter < 1:
             raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
         if not math.isfinite(tol) or tol <= 0:
             raise DegenerateInputError(f"fit_logistic: tol must be finite and > 0, got {tol}")
+        if start.shape != (n_fits, k):
+            raise DataError(f"fit_logistic: start must hold {k} coefficients per design")
         if np.all(y == y[0]):
             raise DegenerateInputError("fit_logistic: response has a single class")
     except StratLogitError as exc:
         return [exc] * n_fits
     ll_null = null_log_likelihood(y)
     outcomes = [None] * n_fits
-    constant = np.ptp(X[:, :, 1:], axis=1) == 0.0
-    # Exactly collinear columns leave the likelihood flat along a ridge;
-    # round-off can let the Newton solve through, so rank-check up front.
-    full_rank = np.linalg.matrix_rank(X) == k
+    finite = np.all(np.isfinite(start), axis=1)
+    if columns_ok:
+        constant, full_rank = np.zeros((n_fits, 1), dtype=bool), np.ones(n_fits, dtype=bool)
+    else:
+        constant = np.ptp(X[:, :, 1:], axis=1) == 0.0
+        # Exactly collinear columns leave the likelihood flat along a ridge;
+        # round-off can let the Newton solve through, so rank-check up front.
+        full_rank = np.linalg.matrix_rank(X) == k
     for b in range(n_fits):
-        if constant[b].any():
+        if not finite[b]:
+            outcomes[b] = DataError("fit_logistic: start contains non-finite values")
+        elif constant[b].any():
             name = feature_names[b][int(np.argmax(constant[b]))]
             outcomes[b] = SingularMatrixError(f"fit_logistic: column {name!r} is constant")
         elif not full_rank[b]:
@@ -322,7 +365,7 @@ def fit_logistic_batch(X, y, feature_names, max_iter: int = 1000, tol: float = 1
     # (carried from the accepted line-search candidate) and log-likelihood.
     live = np.array([b for b in range(n_fits) if outcomes[b] is None], dtype=int)
     Xs = X if live.size == n_fits else X[live]
-    beta = np.zeros((live.size, k))
+    beta = start[live]
     eta = stacked_matvec(Xs, beta)
     ll = _log_likelihood_eta(eta, y)
     paths = {b: [v] for b, v in zip(live.tolist(), ll.tolist())}

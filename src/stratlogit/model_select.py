@@ -12,17 +12,21 @@ is auditable.
 Candidates are fitted in batches through ``fit_logistic_batch``: the
 specs of one size under enumeration, the deletions of one step under
 stepwise search, cut into contiguous batches of bounded size.  The
-training design is built and its columns checked once; each batch
+training design is built and its columns checked once (constant
+columns and rank too, when the whole design is well posed); each batch
 gathers its stack of designs from it by column index, and its fitted
 members' validation blocks likewise, which are scored as one stack:
 one stacked matvec for the log-odds (the BLAS call a single design's
 ``x @ beta`` makes per slice) and elementwise ufuncs for the
 probabilities, labels and confusion counts.  The batches run in turn
 on the calling thread: the Newton loop is bound by the interpreter lock,
-and worker threads slowed both report searches.  Results are ordered by
-the input spec list, and every fit and score is bit-identical to fitting
-and scoring its design alone, so the table content is independent of the
-batching.
+and worker threads slowed both report searches.  Each fit is
+warm-started, under enumeration from the candidate's best-fitting
+one-smaller subset (the nesting Furnival & Wilson 1974 exploit), under
+stepwise search from the current model.  Results are ordered by the
+input spec list, and every fit and score is bit-identical to fitting and
+scoring its design alone from the same start, so the table content is
+independent of the batching.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .evaluate import (
     confusion_counts,
     metrics,
 )
-from .logit import LogitFit, check_design, fit_logistic_batch, stacked_call, stacked_matvec
+from .logit import LogitFit, check_design, columns_well_posed, fit_logistic_batch
+from .logit import stacked_call, stacked_matvec
 
 # Unused here, but kept importable: perfbench's tracer looks this name up
 # in this module.
@@ -149,6 +154,7 @@ class _Columns:
     y: np.ndarray
     finite: np.ndarray  # per column of ``train``: no non-finite value
     binary: bool
+    well_posed: bool  # every column subset passes the constant and rank checks
     val: np.ndarray  # validation rows, without the intercept
     val_target: np.ndarray
 
@@ -166,6 +172,7 @@ class _Columns:
             y=y,
             finite=np.all(np.isfinite(train), axis=0),
             binary=bool(np.all((y == 0) | (y == 1))),
+            well_posed=columns_well_posed(train),
             val=values[val_idx],
             val_target=m.target[val_idx],
         )
@@ -188,11 +195,15 @@ def _gather(columns, design_cols) -> np.ndarray:
     return stack
 
 
-def _fit_rows(cols: _Columns, specs, ids, max_iter, tol) -> list:
-    """The table rows of ``specs``, in their order, named by ``ids``.
+def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
+    """(rows, outcomes): the table rows of ``specs``, in their order, named
+    by ``ids``, and each spec's ``LogitFit`` or error.
 
-    The specs of one size are cut into contiguous batches of at most
-    ``_BATCH_VALUES`` values each.  Each batch gathers its stack of
+    Each fit starts (``_start``) from the fit ``parent`` when given, else
+    from its spec's ``_parent`` among ``specs``.  The specs are fitted
+    size by size, ascending, so every parent is fitted before its size
+    is batched; one size's specs are cut into contiguous batches of at
+    most ``_BATCH_VALUES`` values each.  Each batch gathers its stack of
     designs from the training columns, fits it through
     ``fit_logistic_batch`` and scores it with ``_score``.  The rows are
     built in spec order after every fit, so the first spec's scoring
@@ -204,10 +215,12 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol) -> list:
     by_size = {}
     for i, spec in enumerate(specs):
         by_size.setdefault(len(spec.features), []).append(i)
+    converged = {}  # feature set -> the specs with it that fitted and converged
     for size, members in sorted(by_size.items()):
-        batch, design_cols = [], []
+        batch, design_cols, starts = [], [], []
         for i in members:
-            design = [0] + [cols.index[f] for f in specs[i].features]
+            features = specs[i].features
+            design = [0] + [cols.index[f] for f in features]
             try:
                 check_design(n, size + 1, finite=cols.finite[design].all(), binary=cols.binary)
             except StratLogitError as exc:
@@ -215,20 +228,48 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol) -> list:
                 continue
             batch.append(i)
             design_cols.append(design)
+            start = parent if parent is not None else _parent(features, outcomes, converged)
+            starts.append(_start(start, features))
         if not batch:
             continue
-        design_cols = np.array(design_cols)
+        design_cols, starts = np.array(design_cols), np.array(starts)
         names = [specs[i].features for i in batch]
         per_batch = max(1, _BATCH_VALUES // (n * (size + 1)))
         n_batches = -(-len(batch) // per_batch)
         bounds = np.linspace(0, len(batch), n_batches + 1).astype(int).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             stack = _gather(cols.train, design_cols[lo:hi])
-            fitted = fit_logistic_batch(stack, cols.y, names[lo:hi], max_iter, tol)
+            fitted = fit_logistic_batch(
+                stack, cols.y, names[lo:hi], max_iter, tol, starts[lo:hi], cols.well_posed
+            )
             scored = _score(cols, design_cols[lo:hi, 1:] - 1, fitted)
             for i, outcome, score in zip(batch[lo:hi], fitted, scored):
                 outcomes[i], scores[i] = outcome, score
-    return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
+                if isinstance(outcome, LogitFit) and outcome.converged:
+                    converged.setdefault(frozenset(specs[i].features), []).append(i)
+    rows = [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
+    return rows, outcomes
+
+
+def _parent(features, outcomes, converged) -> Optional[LogitFit]:
+    """The fit of ``features``' one-smaller subset with the highest
+    log-likelihood among the ``converged`` ones, the earliest spec on a
+    tie, or None."""
+    subsets = (frozenset(features[:j] + features[j + 1 :]) for j in range(len(features)))
+    found = [i for subset in subsets for i in converged.get(subset, ())]
+    if not found:
+        return None
+    return outcomes[max(found, key=lambda i: (outcomes[i].log_lik, -i))]
+
+
+def _start(fit: Optional[LogitFit], features) -> list:
+    """Starting coefficients for ``features``: ``fit``'s intercept and its
+    coefficient of each feature it has, 0 for the others (all 0 without
+    a fit)."""
+    if fit is None:
+        return [0.0] * (len(features) + 1)
+    by_name = dict(zip(fit.feature_names, fit.coef[1:].tolist()))
+    return [float(fit.coef[0])] + [by_name.get(f, 0.0) for f in features]
 
 
 def _score(cols: _Columns, val_cols, outcomes) -> list:
@@ -341,14 +382,15 @@ def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> 
     _validate_features(m, specs)
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
-    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
+    rows, _ = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
     return ComparisonTable(rows=tuple(rows))
 
 
 def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> ComparisonTable:
     """Greedy backward deletion from the full model.
 
-    At each step every single-feature deletion is refit, as one batch;
+    At each step every single-feature deletion is refit, as one batch,
+    each from the current model's coefficients without the deleted one;
     the lowest-AIC candidate is accepted while it strictly improves on
     the current model, stopping otherwise (or at one remaining feature).
     Deletion ties go to the earliest column.  The path records the
@@ -357,7 +399,7 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
     current = ModelSpec(features=tuple(m.column_names))
     cols = _Columns.build(m, split)
     step = 0
-    (current_row,) = _fit_rows(cols, [current], [f"step_{step:03d}"], max_iter, tol)
+    (current_row,), (current_fit,) = _fit_rows(cols, [current], ["step_000"], max_iter, tol)
     if current_row.failed:
         error = NotConvergedError if current_row.unconverged else DegenerateInputError
         raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
@@ -367,18 +409,19 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
             ModelSpec(tuple(f for i, f in enumerate(current.features) if i != drop_idx))
             for drop_idx in range(len(current.features))
         ]
-        best_cand = None
-        rows = _fit_rows(cols, candidates, ["candidate"] * len(candidates), max_iter, tol)
-        for row in rows:
+        best = None
+        rows, fits = _fit_rows(
+            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, current_fit
+        )
+        for j, row in enumerate(rows):
             if row.failed:
                 continue
-            if best_cand is None or row.aic < best_cand.aic:
-                best_cand = row
-        if best_cand is None or best_cand.aic >= current_row.aic:
+            if best is None or row.aic < rows[best].aic:
+                best = j
+        if best is None or rows[best].aic >= current_row.aic:
             break
         step += 1
-        current_row = replace(best_cand, model_id=f"step_{step:03d}")
-        current = current_row.spec
+        current_row = replace(rows[best], model_id=f"step_{step:03d}")
+        current, current_fit = current_row.spec, fits[best]
         path.append(current_row)
     return ComparisonTable(rows=tuple(path))
-

@@ -265,9 +265,32 @@ def finish_fit_ref(
     )
 
 
-def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:
+def warm_start_ref(features, rows):
+    """The start of an enumerated candidate's fit, from the ``rows`` fitted
+    before it: the row of a one-smaller subset of ``features`` that fitted
+    and converged with the highest log-likelihood, the first such row on a
+    tie, gives its intercept and its coefficient of each feature it has,
+    and the added feature starts at 0; with no such row, None (zeros).
+    The oracle for ``model_select``'s parent rule."""
+    parents = [
+        r
+        for r in rows
+        if not r.failed
+        and len(r.spec.features) == len(features) - 1
+        and set(r.spec.features) < set(features)
+    ]
+    if not parents:
+        return None
+    best = max(parents, key=lambda r: r.log_lik)  # max keeps the first of equals
+    return np.array(
+        [best.coefficients["intercept"]] + [best.coefficients.get(f, 0.0) for f in features]
+    )
+
+
+def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow:
     """One candidate's table row from its own ``DesignMatrix`` and
-    ``fit_logistic`` call: the oracle for ``model_select``'s batched fits."""
+    ``fit_logistic`` call from ``start``: the oracle for
+    ``model_select``'s batched fits."""
     train_idx = np.asarray(split.train_indices, dtype=int)
     val_idx = np.asarray(split.val_indices, dtype=int)
     base = dict(
@@ -287,6 +310,7 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id) -> ModelRow:
             DesignMatrix.from_features(m, spec.features, rows=train_idx),
             max_iter=max_iter,
             tol=tol,
+            start=start,
         )
     except StratLogitError as exc:
         base["failure"] = f"{exc.code}: {exc}"

@@ -57,7 +57,7 @@ INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
-        "comparison.csv": "178d186443c3ed6d42f3d395faf6add222f3e9974a219863c28f123dd7192367",
+        "comparison.csv": "e9ebcac1d3963d6c411d2c97c4df240102e6777daa7801672fb048f53e3ae959",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -83,7 +83,7 @@ GOLDEN = {
         "vif.csv": "5cd5678367111e8d3ee7147b02fefa6ff94b487b11f6b1f49de2b604270497e1",
     },
     "report-stepwise": {
-        "comparison.csv": "9b822808046e78efeda1a4a6437fb12a5dad175f084c2c6545355cf270eb24c3",
+        "comparison.csv": "46dc6f92767e8c638d19126425b167bea51012e82121c2d41f569ea77562e058",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -126,11 +126,11 @@ GOLDEN = {
         "inference.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
     },
     "select-enumerate": {
-        "comparison.csv": "178d186443c3ed6d42f3d395faf6add222f3e9974a219863c28f123dd7192367",
+        "comparison.csv": "e9ebcac1d3963d6c411d2c97c4df240102e6777daa7801672fb048f53e3ae959",
         "selection.json": "6b8285b0d73432f6f0991ae2c6ce8a8c73fe2b43193efc3962ea09ebb087709a",
     },
     "select-stepwise": {
-        "comparison.csv": "9b822808046e78efeda1a4a6437fb12a5dad175f084c2c6545355cf270eb24c3",
+        "comparison.csv": "46dc6f92767e8c638d19126425b167bea51012e82121c2d41f569ea77562e058",
         "selection.json": "2637c023b76feaed610a45f2db61b87391b63ccb7bcfd710599d58a996bcaec7",
     },
     "evaluate-subset": {
@@ -163,7 +163,7 @@ GOLDEN = {
         "partition.csv": "cc02a66b17b230f6d969b66c8e900f01e051c7ee00ffe048aca1bad5223f42b6",
     },
     "report-synth2000-stepwise": {
-        "comparison.csv": "fa4ec1062527c945b0b98fe4675b212c74b840e5d2e22da7354cf404ba48f2fb",
+        "comparison.csv": "1735a1e00682353af79bc5d4efada407085e31883f3d000997f464cca33982aa",
         "confusion.csv": "32a2a1a8fd91b57b8aa7eee4f24e3a54bcecbbc34f58fc58676d13914f9ff256",
         "correlation.csv": "14202c5c8fc093ee0d4c53edb66123bef33c16b8dac2f896537bcad9ea517bb4",
         "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",

@@ -355,6 +355,103 @@ class TestBatchBits:
             with pytest.raises(DegenerateInputError, match=str(got[0])):
                 fit_logistic(DesignMatrix(X=design.X, y=y, feature_names=names[0]), **kwargs)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_starts_equal_single_fits(self, seed):
+        # Each design fits from its own start: zeros, its cold optimum, a
+        # perturbation of it, a random point, one past the separation
+        # bound's half and one with a non-finite value; every member
+        # equals a lone fit from the same start.
+        rng = np.random.Generator(np.random.PCG64(40 + seed))
+        design, _ = make_problem(seed, n=150 + seed, p=3)
+        k = design.k_params
+        scale = rng.uniform(0.5, 2.0, (7, 1, k - 1))
+        scale[1:3] = 1.0  # the designs started at and near the optimum
+        stack = np.stack([design.X] * 7)
+        stack[:, :, 1:] *= scale
+        stack[6, :, -1] = 2.0 * stack[6, :, 1]  # collinear: fails before any start is used
+        optimum = fit_logistic(design).coef
+        starts = np.array(
+            [
+                np.zeros(k),
+                optimum,
+                optimum + rng.normal(0.0, 0.1, k),
+                rng.normal(0.0, 1.0, k),
+                np.full(k, 30.0),
+                np.r_[0.0, np.nan, np.zeros(k - 2)],
+                optimum,
+            ]
+        )
+        names = [design.feature_names] * 7
+        got = fit_logistic_batch(stack, design.y, names, max_iter=7, start=starts)
+        for b in range(7):
+            lone = DesignMatrix(X=stack[b].copy(), y=design.y, feature_names=names[b])
+            assert bits(got[b]) == bits(single_fit(lone, max_iter=7, start=starts[b].copy())), b
+        assert isinstance(got[5], DataError) and isinstance(got[6], SingularMatrixError)
+        # From its own optimum a fit stops at once.
+        assert got[1].converged and got[1].iterations <= 1 < got[0].iterations
+        zero = DesignMatrix(X=stack[0].copy(), y=design.y, feature_names=names[0])
+        assert bits(got[0]) == bits(single_fit(zero, max_iter=7))  # the default start
+
+    def test_start_validation(self):
+        design, _ = make_problem(2, n=60, p=2)
+        for start in ([0.0, 0.0], np.zeros(4), np.zeros((1, 3)), 0.0):
+            with pytest.raises(DataError, match="start must hold 3 coefficients"):
+                fit_logistic(design, start=start)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DataError, match="start contains non-finite values"):
+                fit_logistic(design, start=[0.0, value, 0.0])
+        stack = np.stack([design.X, design.X])
+        names = [design.feature_names] * 2
+        got = fit_logistic_batch(stack, design.y, names, start=np.zeros((2, 2)))
+        assert [type(e) for e in got] == [DataError] * 2
+
+
+def column_checks_pass(X) -> bool:
+    """Whether design ``X`` passes ``fit_logistic_batch``'s per-design
+    column checks: no constant column past the intercept, full rank."""
+    return bool(np.all(np.ptp(X[:, 1:], axis=0) > 0.0)) and (
+        np.linalg.matrix_rank(X) == X.shape[1]
+    )
+
+
+class TestColumnsWellPosed:
+    """``columns_well_posed`` may skip the column checks of every design
+    drawn from a shared design only if each of them would pass."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(4, 40),
+        st.integers(1, 5),
+        st.integers(0, 16),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_well_posed_means_every_subset_passes(self, n, p, digits, constant, seed):
+        # A column 10^-digits from a copy of the first feature, which
+        # nears matrix_rank's tolerance as digits grows.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        features = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, p)
+        near = features[:, 0] + 10.0**-digits * rng.normal(size=n)
+        X = np.column_stack([np.ones(n), features, near])
+        if constant:
+            X[:, 1 + rng.integers(p + 1)] = 3.0
+        if not logit.columns_well_posed(X):
+            return
+        K = X.shape[1]
+        for mask in range(1, 2 ** (K - 1)):
+            cols = [0] + [j + 1 for j in range(K - 1) if mask >> j & 1]
+            assert column_checks_pass(X[:, cols]), cols
+
+    def test_margin_over_matrix_rank(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        x = rng.normal(size=(105, 2))
+        for digits, well_posed in ((9, True), (13, False)):
+            X = np.column_stack([np.ones(105), x, x[:, 0] + 10.0**-digits * rng.normal(size=105)])
+            assert column_checks_pass(X), digits  # matrix_rank alone passes both
+            assert logit.columns_well_posed(X) is well_posed, digits
+        assert not logit.columns_well_posed(np.column_stack([np.ones(105), x, np.full(105, 2.0)]))
+        assert not logit.columns_well_posed(rng.normal(size=(3, 4)))  # fewer rows than columns
+
 
 class TestGradient:
     def test_matches_central_differences(self):

@@ -3,13 +3,14 @@
 import csv
 import functools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_one_ref, gather_ref
+from conftest import fit_one_ref, gather_ref, warm_start_ref
 from stratlogit import model_select
 from stratlogit.emit import write_comparison_csv
 from stratlogit.errors import (
@@ -21,7 +22,8 @@ from stratlogit.errors import (
     StratLogitError,
 )
 from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
-from stratlogit.indicators import FeatureMatrix
+from stratlogit.indicators import FeatureMatrix, build_feature_matrix
+from stratlogit.ingest import filter_eligible
 from stratlogit.logit import DesignMatrix, fit_logistic
 from stratlogit.model_select import (
     ComparisonTable,
@@ -30,6 +32,7 @@ from stratlogit.model_select import (
     enumerate_subsets,
     fit_all,
 )
+from stratlogit.synth import make_scholar_dataset
 
 
 def planted_matrix(n=240, seed=0, noise_cols=2):
@@ -266,7 +269,8 @@ def restrict(m, names):
 
 def stepwise_ref(m, split, max_iter, tol):
     """Backward deletion over ``fit_one_ref`` rows, one candidate at a
-    time: the oracle for ``backward_stepwise``."""
+    time, each from the current row's coefficients without the deleted
+    one: the oracle for ``backward_stepwise``."""
     features = tuple(m.column_names)
     row = fit_one_ref(m, ModelSpec(features), split, max_iter, tol, "step_000")
     if row.failed:
@@ -274,12 +278,11 @@ def stepwise_ref(m, split, max_iter, tol):
         raise error(f"backward_stepwise: starting model unusable ({row.failure})")
     path = [row]
     while len(features) > 1:
-        rows = [
-            fit_one_ref(
-                m, ModelSpec(features[:i] + features[i + 1 :]), split, max_iter, tol, "candidate"
-            )
-            for i in range(len(features))
-        ]
+        rows = []
+        for i in range(len(features)):
+            kept = features[:i] + features[i + 1 :]
+            start = [row.coefficients["intercept"]] + [row.coefficients[f] for f in kept]
+            rows.append(fit_one_ref(m, ModelSpec(kept), split, max_iter, tol, "candidate", start))
         usable = [r for r in rows if not r.failed]
         if not usable:
             break
@@ -290,6 +293,27 @@ def stepwise_ref(m, split, max_iter, tol):
         features = row.spec.features
         path.append(row)
     return tuple(path)
+
+
+def scaled_budget(values, split):
+    """A ``_BATCH_VALUES`` of ``values`` at 105 training rows, scaled to
+    ``split``'s, so a budget cuts every case's specs alike."""
+    return max(1, values * split.n_train // 105)
+
+
+def batch_shapes(monkeypatch, call):
+    """The (designs, columns) of each batch ``call`` fits, in order."""
+    shapes = []
+    real = model_select.fit_logistic_batch
+
+    def spy(X, *args):
+        shapes.append(X.shape[::2])
+        return real(X, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_select, "fit_logistic_batch", spy)
+        call()
+    return shapes
 
 
 def outcome(call):
@@ -313,6 +337,18 @@ PARITY_CASES = {
     "nonfinite_validation_unfitted": (150, 1000, ("val", 5), ("separable", "accuracy=")),
     "nonfinite_training": (150, 1000, ("train", 2), ("contains non-finite values",)),
 }
+
+
+def enumerate_ref(m, split, max_iter, tol):
+    """``fit_one_ref`` rows of every subset in binary counter order, where
+    each subset's one-smaller subsets come before it, each from its
+    ``warm_start_ref`` start: the oracle for ``fit_all`` on
+    ``enumerate_subsets``."""
+    rows = []
+    for i, spec in enumerate(enumerate_subsets(m.column_names)):
+        start = warm_start_ref(spec.features, rows)
+        rows.append(fit_one_ref(m, spec, split, max_iter, tol, f"model_{i + 1:03d}", start))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,13 +379,7 @@ def parity_problem(case):
         part, column = nan_cell
         rows = split.val_indices if part == "val" else split.train_indices
         m.values[rows[0], column] = np.nan  # past FeatureMatrix's own check
-    specs = enumerate_subsets(m.column_names)
-    want = outcome(
-        lambda: tuple(
-            fit_one_ref(m, spec, split, max_iter, 1e-8, f"model_{i + 1:03d}")
-            for i, spec in enumerate(specs)
-        )
-    )
+    want = outcome(lambda: enumerate_ref(m, split, max_iter, 1e-8))
     for text in expect:
         assert text in want, (case, text)
     return m, split, max_iter, want
@@ -366,20 +396,37 @@ class TestBatchParity:
         got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
 
-    # 1: one design per batch; 1500: the 105 training rows of most cases
-    # cut sizes 2 to 5 into several uneven batches (15 two-feature specs
-    # into 3 + 4 + 4 + 4); 3000: other cuts (15 into 7 + 8), where the
-    # default _BATCH_VALUES, which test_fit_all_equals_oracle runs, gives
-    # one batch per size.  n_le_k's 7 training rows take one batch per
-    # size from 1500 up.
+    # The budgets are stated for 105 training rows, the split of most
+    # cases, and scaled to each case's (n_le_k has 7): 1 gives one design
+    # per batch; 1500 cuts sizes 2 to 5 into several uneven batches (15
+    # two-feature specs into 3 + 4 + 4 + 4); 3000 cuts them otherwise (15
+    # into 7 + 8); the default _BATCH_VALUES, which
+    # test_fit_all_equals_oracle runs, gives one batch per size.
+    # test_each_budget_cuts_its_own_batches checks that the four differ.
     @pytest.mark.parametrize("values", [1, 1500, 3000])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_batch_size_does_not_change_table(self, case, values, monkeypatch):
         m, split, max_iter, want = parity_problem(case)
-        monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
+        monkeypatch.setattr(model_select, "_BATCH_VALUES", scaled_budget(values, split))
         specs = enumerate_subsets(m.column_names)
         got = outcome(lambda: fit_all(m, specs, split, max_iter=max_iter).rows)
         assert got == want
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_each_budget_cuts_its_own_batches(self, case, monkeypatch):
+        m, split, max_iter, _ = parity_problem(case)
+        specs = enumerate_subsets(m.column_names)
+        shapes = {}
+        for values in (None, 1, 1500, 3000):
+            if values is not None:
+                monkeypatch.setattr(model_select, "_BATCH_VALUES", scaled_budget(values, split))
+            fit = functools.partial(fit_all, m, specs, split, max_iter)
+            shapes[values] = batch_shapes(monkeypatch, lambda: outcome(fit))
+            monkeypatch.undo()
+        assert len({tuple(s) for s in shapes.values()}) == 4, shapes
+        if case in ("hostile", "n_le_k"):  # every two-feature spec is batched
+            pairs = {v: [b for b, k in s if k == 3] for v, s in shapes.items()}
+            assert pairs == {None: [15], 1: [1] * 15, 1500: [3, 4, 4, 4], 3000: [7, 8]}
 
     def test_stacked_scores_equal_per_fit_scores(self):
         # Each fit's scoring error comes from predict_prob (a non-finite
@@ -436,6 +483,145 @@ class TestBatchParity:
         monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
         got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).rows)
         assert got == want
+
+
+def cold_search(monkeypatch):
+    """Make every candidate fit from zeros, as a search without warm
+    starts does: the same solver, with each batch's starts dropped."""
+    real = model_select.fit_logistic_batch
+
+    def cold(X, y, names, max_iter, tol, start, columns_ok):
+        return real(X, y, names, max_iter, tol, None, columns_ok)
+
+    monkeypatch.setattr(model_select, "fit_logistic_batch", cold)
+
+
+def scholar_problem(n, seed):
+    """(matrix, split) of a seeded synthetic scholar set, as ``report``
+    builds them."""
+    m = build_feature_matrix(filter_eligible(make_scholar_dataset(n, seed, None)))
+    return m, make_split(m.n_rows, 0.7, 0)
+
+
+class TestWarmStart:
+    """Warm starts move coefficients within the solver's tolerance and
+    the iteration counts, never the selection."""
+
+    @pytest.mark.parametrize("n", [300, 800, 2000])
+    def test_selects_the_cold_model(self, n, monkeypatch):
+        for seed in range(1, 6):
+            m, split = scholar_problem(n, seed)
+            specs = enumerate_subsets(m.column_names)
+            tables = []
+            for cold in (False, True):
+                if cold:
+                    cold_search(monkeypatch)
+                tables.append((fit_all(m, specs, split), backward_stepwise(m, split)))
+            monkeypatch.undo()
+            (warm, warm_path), (cold, cold_path) = tables
+            best = ((warm.best_row(), cold.best_row()), (warm_path.rows[-1], cold_path.rows[-1]))
+            for got, want in best:
+                assert got.spec == want.spec, (n, seed)
+                assert abs(got.aic - want.aic) <= 1e-12 * abs(want.aic), (n, seed)
+            assert [r.failed for r in warm.rows] == [r.failed for r in cold.rows], (n, seed)
+            assert [r.spec for r in warm_path.rows] == [r.spec for r in cold_path.rows], (n, seed)
+
+    def test_fixture_needs_fewer_iterations(self, fixture_matrix, fixture_split, monkeypatch):
+        specs = enumerate_subsets(fixture_matrix.column_names)
+        sums = []
+        for cold in (False, True):
+            if cold:
+                cold_search(monkeypatch)
+            table = fit_all(fixture_matrix, specs, fixture_split)
+            sums.append(sum(r.iterations for r in table.rows))
+        warm, cold = sums
+        assert warm < cold, sums
+
+    def test_parent_is_best_converged_subset(self):
+        # Among the converged one-smaller subsets of ("a", "b", "c"), the
+        # highest likelihood gives the start, the earlier spec on a tie;
+        # a fit not listed as converged never does, however high its
+        # likelihood.
+        def fit(features, ll):
+            coef = np.arange(len(features) + 1.0)
+            return SimpleNamespace(feature_names=features, log_lik=ll, coef=coef)
+
+        outcomes = [fit(("a", "b"), -5.0), fit(("b", "c"), -4.0), fit(("a", "c"), -4.0)]
+        outcomes.append(fit(("a", "c"), 0.0))
+        converged = {frozenset(f): [i] for i, f in enumerate((("a", "b"), ("b", "c"), ("a", "c")))}
+        assert model_select._parent(("a", "b", "c"), outcomes, converged) is outcomes[1]
+        assert model_select._start(outcomes[1], ("a", "b", "c")) == [0.0, 0.0, 1.0, 2.0]
+        assert model_select._start(outcomes[1], ("c",)) == [0.0, 2.0]
+        assert model_select._start(None, ("a", "b")) == [0.0] * 3
+        assert model_select._parent(("d", "e"), outcomes, converged) is None
+
+
+def near_collinear(scale):
+    """The planted matrix with a column ``near``: s0 plus ``scale`` times
+    noise."""
+    m, names = planted_matrix(n=150, seed=5)
+    rng = np.random.Generator(np.random.PCG64(9))
+    near = m.values[:, 0] + scale * rng.normal(size=m.n_rows)
+    return with_column(m, "near", near), names + ("near",)
+
+
+def with_column(m, name, values):
+    return FeatureMatrix(
+        column_names=m.column_names + (name,),
+        values=np.column_stack([m.values, values]),
+        target=m.target,
+        row_ids=m.row_ids,
+    )
+
+
+def shared_design(case):
+    """(matrix, split, specs, whether the shared design is well posed)."""
+    if case == "hostile":
+        m, split, _, _ = parity_problem(case)
+        return m, split, enumerate_subsets(m.column_names), False
+    if case == "unused_constant":
+        m, names = planted_matrix(n=150, seed=5)
+        m = with_column(m, "const", np.full(m.n_rows, 2.0))
+        well_posed = False
+    else:
+        scale = {"near_collinear": 1e-13, "near_collinear_1e-9": 1e-9}.get(case)
+        m, names = near_collinear(scale) if scale else planted_matrix(n=150, seed=5)
+        well_posed = case != "near_collinear"
+    return m, make_split(m.n_rows, 0.7, 0), enumerate_subsets(names), well_posed
+
+
+class TestColumnChecks:
+    """The constant-column and rank checks run once on the shared training
+    design when it is well posed, and per design otherwise; either way
+    every outcome is the one the per-design checks give."""
+
+    # near_collinear: matrix_rank finds {s0, near} of full rank, but with
+    # less than RANK_MARGIN to spare, so the shared design is not well
+    # posed; at 1e-9 it is, and those fits fail in the Newton solve.
+    @pytest.mark.parametrize(
+        "case", ["near_collinear", "unused_constant", "hostile", "near_collinear_1e-9", "planted"]
+    )
+    def test_outcomes_equal_per_design_checks(self, case, monkeypatch):
+        m, split, specs, well_posed = shared_design(case)
+        assert model_select._Columns.build(m, split).well_posed is well_posed
+        passed = set()
+        real = model_select.fit_logistic_batch
+
+        def spy(X, y, names, max_iter, tol, start, columns_ok):
+            passed.add(columns_ok)
+            return real(X, y, names, max_iter, tol, start, columns_ok)
+
+        monkeypatch.setattr(model_select, "fit_logistic_batch", spy)
+        got = outcome(lambda: fit_all(m, specs, split).rows)
+        assert passed == {well_posed}
+
+        def per_design(X, y, names, max_iter, tol, start, columns_ok):
+            return real(X, y, names, max_iter, tol, start, False)
+
+        monkeypatch.setattr(model_select, "fit_logistic_batch", per_design)
+        assert got == outcome(lambda: fit_all(m, specs, split).rows)
+        if case.startswith("near_collinear"):
+            assert "singular_matrix" in got, case
 
 
 class TestExports:
