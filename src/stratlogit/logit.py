@@ -23,10 +23,8 @@ inference of every design that stopped, one stacked call per step (one
 stacked ``np.linalg.solve`` gives every Newton step or covariance).
 numpy makes the same BLAS or LAPACK call for each slice of a stack as
 for a single 2-D array, and the remaining arithmetic is elementwise
-ufuncs, so a design's fit has the bits it has alone from the same start.
-A fit starts from beta = 0 unless given a start (the subset search
-warm-starts each candidate from a fitted neighbour); ``iterations``
-and ``max_iter`` count from the start.
+ufuncs, so a design's fit has the bits it has alone from the same start
+(beta = 0 unless given; ``iterations`` and ``max_iter`` count from it).
 """
 
 from __future__ import annotations
@@ -269,9 +267,8 @@ def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8, start
     1e-12; hitting ``max_iter`` first returns converged=False (callers
     that need inference must check).  A singular information matrix is
     reported as separation when the coefficients are already large,
-    otherwise as collinearity.  A start of the wrong length or with a
-    non-finite value is a ``DataError``.  This is ``fit_logistic_batch``
-    on a batch of one.
+    otherwise as collinearity.  This is ``fit_logistic_batch`` on a
+    batch of one.
     """
     start = None if start is None else np.asarray(start, dtype=float)[None]
     (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol, start)
@@ -286,15 +283,12 @@ RANK_MARGIN = 100.0
 
 
 def columns_well_posed(X) -> bool:
-    """Whether every design drawn from columns of the (n, K) design ``X``,
-    its intercept among them, passes ``fit_logistic_batch``'s column
-    checks (its ``columns_ok``): ``X`` is finite, no column past the
-    intercept is constant, and sigma_min exceeds ``RANK_MARGIN`` times
-    ``matrix_rank``'s tolerance sigma_max * max(n, K) * eps.  A column
-    subset has sigma_min at least and sigma_max at most those of ``X``,
-    and a tolerance no larger, so it passes its rank check by the same
-    margin: far more than SVD round-off, a few ulps of sigma_max, can
-    take from a computed singular value.
+    """Whether every design of columns of the (n, K) design ``X``, its
+    intercept among them, passes the column checks: ``X`` is finite, has
+    no constant column past the intercept, and sigma_min exceeds
+    ``RANK_MARGIN`` times ``matrix_rank``'s tolerance.  A column subset's
+    sigma_min is no smaller and its sigma_max no larger, so it passes by
+    the same margin, far more than SVD round-off can move a singular value.
     """
     n, K = X.shape
     if n < K or not np.all(np.isfinite(X)) or np.any(np.ptp(X[:, 1:], axis=0) == 0.0):
@@ -312,8 +306,8 @@ def fit_logistic_batch(
     Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
     checks.  Returns, per design, its ``LogitFit`` or the
     ``StratLogitError`` that ``fit_logistic`` raises for it alone from
-    the same start.  ``columns_ok`` skips the constant-column and rank
-    checks, which every design passes (``columns_well_posed``).
+    the same start.  ``columns_ok`` (see ``columns_well_posed``) skips
+    the constant-column and rank checks.
 
     The designs still iterating take each Newton step in lockstep: one
     stacked ``matmul`` each for the score, the information matrix and
@@ -336,13 +330,14 @@ def fit_logistic_batch(
             raise DegenerateInputError(f"fit_logistic: tol must be finite and > 0, got {tol}")
         if start.shape != (n_fits, k):
             raise DataError(f"fit_logistic: start must hold {k} coefficients per design")
+        if not np.all(np.isfinite(start)):
+            raise DataError("fit_logistic: start contains non-finite values")
         if np.all(y == y[0]):
             raise DegenerateInputError("fit_logistic: response has a single class")
     except StratLogitError as exc:
         return [exc] * n_fits
     ll_null = null_log_likelihood(y)
     outcomes = [None] * n_fits
-    finite = np.all(np.isfinite(start), axis=1)
     if columns_ok:
         constant, full_rank = np.zeros((n_fits, 1), dtype=bool), np.ones(n_fits, dtype=bool)
     else:
@@ -351,9 +346,7 @@ def fit_logistic_batch(
         # round-off can let the Newton solve through, so rank-check up front.
         full_rank = np.linalg.matrix_rank(X) == k
     for b in range(n_fits):
-        if not finite[b]:
-            outcomes[b] = DataError("fit_logistic: start contains non-finite values")
-        elif constant[b].any():
+        if constant[b].any():
             name = feature_names[b][int(np.argmax(constant[b]))]
             outcomes[b] = SingularMatrixError(f"fit_logistic: column {name!r} is constant")
         elif not full_rank[b]:

@@ -31,7 +31,7 @@ independent of the batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -103,6 +103,9 @@ class ModelRow:
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
+    # The coefficients the fit started from, intercept first: a lone
+    # ``fit_logistic`` from them reproduces the row's fit bit for bit.
+    start: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def unconverged(self) -> bool:
@@ -212,12 +215,13 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
     n = cols.train.shape[0]
     outcomes = [None] * len(specs)
     scores = [None] * len(specs)
+    starts = [None] * len(specs)
     by_size = {}
     for i, spec in enumerate(specs):
         by_size.setdefault(len(spec.features), []).append(i)
     converged = {}  # feature set -> the specs with it that fitted and converged
     for size, members in sorted(by_size.items()):
-        batch, design_cols, starts = [], [], []
+        batch, design_cols = [], []
         for i in members:
             features = specs[i].features
             design = [0] + [cols.index[f] for f in features]
@@ -229,10 +233,10 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
             batch.append(i)
             design_cols.append(design)
             start = parent if parent is not None else _parent(features, outcomes, converged)
-            starts.append(_start(start, features))
+            starts[i] = _start(start, features)
         if not batch:
             continue
-        design_cols, starts = np.array(design_cols), np.array(starts)
+        design_cols, batch_starts = np.array(design_cols), np.array([starts[i] for i in batch])
         names = [specs[i].features for i in batch]
         per_batch = max(1, _BATCH_VALUES // (n * (size + 1)))
         n_batches = -(-len(batch) // per_batch)
@@ -240,14 +244,14 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             stack = _gather(cols.train, design_cols[lo:hi])
             fitted = fit_logistic_batch(
-                stack, cols.y, names[lo:hi], max_iter, tol, starts[lo:hi], cols.well_posed
+                stack, cols.y, names[lo:hi], max_iter, tol, batch_starts[lo:hi], cols.well_posed
             )
             scored = _score(cols, design_cols[lo:hi, 1:] - 1, fitted)
             for i, outcome, score in zip(batch[lo:hi], fitted, scored):
                 outcomes[i], scores[i] = outcome, score
                 if isinstance(outcome, LogitFit) and outcome.converged:
                     converged.setdefault(frozenset(specs[i].features), []).append(i)
-    rows = [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
+    rows = [_row(cols, *args) for args in zip(specs, ids, outcomes, scores, starts)]
     return rows, outcomes
 
 
@@ -262,14 +266,14 @@ def _parent(features, outcomes, converged) -> Optional[LogitFit]:
     return outcomes[max(found, key=lambda i: (outcomes[i].log_lik, -i))]
 
 
-def _start(fit: Optional[LogitFit], features) -> list:
+def _start(fit: Optional[LogitFit], features) -> tuple:
     """Starting coefficients for ``features``: ``fit``'s intercept and its
     coefficient of each feature it has, 0 for the others (all 0 without
     a fit)."""
     if fit is None:
-        return [0.0] * (len(features) + 1)
+        return (0.0,) * (len(features) + 1)
     by_name = dict(zip(fit.feature_names, fit.coef[1:].tolist()))
-    return [float(fit.coef[0])] + [by_name.get(f, 0.0) for f in features]
+    return (float(fit.coef[0]), *(by_name.get(f, 0.0) for f in features))
 
 
 def _score(cols: _Columns, val_cols, outcomes) -> list:
@@ -305,10 +309,11 @@ def _score(cols: _Columns, val_cols, outcomes) -> list:
     return scores
 
 
-def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
-    """A spec's table row: its fit and validation ``score``, or its
-    failure.  A scoring error is raised."""
+def _row(cols: _Columns, spec, model_id, outcome, score, start) -> ModelRow:
+    """A spec's table row: its fit from ``start`` and validation
+    ``score``, or its failure.  A scoring error is raised."""
     base = dict(
+        start=start,
         model_id=model_id,
         spec=spec,
         n_train=cols.train.shape[0],

@@ -238,14 +238,18 @@ def _rows(indices) -> np.ndarray:
     return np.asarray(indices, dtype=int)
 
 
-def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None) -> LogitFit:
+def fit_features(
+    cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None, start=None
+) -> LogitFit:
     """Fit stage: ``features`` (default every column) on the training
-    rows, with the fit's cross-quantity identities re-checked.  An
-    unconverged fit is a NotConvergedError: no later stage reports one."""
+    rows from ``start`` (default zeros), with the fit's cross-quantity
+    identities re-checked.  An unconverged fit is a NotConvergedError:
+    no later stage reports one."""
     fit = fit_logistic(
         DesignMatrix.from_features(fm, features, rows=_rows(split.train_indices)),
         max_iter=cfg.max_iter,
         tol=cfg.tol,
+        start=start,
     )
     check_converged(fit, "fit_features")
     verify_fit_identities(fit)
@@ -255,7 +259,8 @@ def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None)
 def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
     """Select stage: (table in report order, best row, best-row refit).
 
-    The refit must reproduce its table row's AIC.
+    The refit starts where the row's fit started, so it must reproduce
+    the row's AIC.
     """
     if cfg.selection == "enumerate":
         table = fit_all(
@@ -269,7 +274,7 @@ def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
     else:
         ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]
-    best_fit = fit_features(cfg, fm, split, best_row.spec.features)
+    best_fit = fit_features(cfg, fm, split, best_row.spec.features, best_row.start)
     if abs(best_fit.aic - best_row.aic) > 1e-9 * max(1.0, abs(best_row.aic)):
         raise InvariantBreachError("best-model refit disagrees with its table row")
     return ordered, best_row, best_fit

@@ -63,19 +63,19 @@ GOLDEN = {
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
         "importance_full.csv": "158aff9f1250d5ed128bf7bd7978a5f5b028d7aa9b179f22394dce7ea82582e1",
-        "importance_optimized.csv": "8045c19d3fa3324169d9cb06fe7224950c2bfb5aedfc0c2a39bf40e7a26b8469",
+        "importance_optimized.csv": "34241f0ab2f54ca579fd9ad3e032d205686eded3ad5f80f625186d69dfb01a08",
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
-        "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
+        "inference_optimized.csv": "f563c278b0aab827c626b56f0bcc62fec96ed2a2a91e288dcac05319db9c273b",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "c7ceb5d9e3cbe2c0c20a2c8c076ae675314a828e5d55dd73a10af4959e43d7dc",
-        "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
+        "report.json": "6c1bcfc2ebb66c011581fe69fc0ac87095bb4b07329d24135371d1d26657a4f3",
+        "roc.csv": "7074add8a62e5a5d615b57e79a00a1a120cc12d403bdf708be86c107b4eb96e2",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
-        "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
+        "shap_optimized.csv": "e92cec13306ea4cec009a7438c18e8f62a682f9eda69236c94ff4e1e2f9bb6b2",
         "trend_AD.csv": "bf1914100879db61bcccfa3cf3373a2f55d05eacd43567796cd570efe7c0e025",
-        "trend_AW.csv": "51752f6d77ec8eb31d5cf44a50e3bd0d0c3d029e9860692ef3e150eff1f66729",
-        "trend_C.csv": "8d949708b379e6adc4021ba33961d5e5efb4552b02f16e6a45efff54307b3c0c",
-        "trend_CA.csv": "f8ea1c9fa523fbba8c0f1017b1ce52b78a312b3240129216447f09ba46d58eae",
-        "trend_FGR.csv": "faa33b107596abc59b266b457ca6d39487d944850555058483743e09f0bd9938",
+        "trend_AW.csv": "b750cd285842d573e402d4352e7ed3b2dd5da980e8394bac62d649e74d2d0f30",
+        "trend_C.csv": "6ecc2e6e3c75e73683b490b1323eb8878bb4e0bb32f698d6c3c26e13c43e7f06",
+        "trend_CA.csv": "1854ef46f38fa9e97d244f5870b771f1fbdbdc5dbd0d7eb8091c5cc2bedf2197",
+        "trend_FGR.csv": "a7e5d114cbfb103b6ff9f71f9484767ae6f960878da44857143804ec6be37e2c",
         "trend_FR.csv": "b095633cb5cafd039cf1b0634904a75feed53be5a810d5be4c2c6e9155e07de1",
         "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
         "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
@@ -89,19 +89,19 @@ GOLDEN = {
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
         "features.csv": "b7f9e68c75510636af684750e5014746d579efc1ceac0d37d13d0c313811e956",
         "importance_full.csv": "158aff9f1250d5ed128bf7bd7978a5f5b028d7aa9b179f22394dce7ea82582e1",
-        "importance_optimized.csv": "8045c19d3fa3324169d9cb06fe7224950c2bfb5aedfc0c2a39bf40e7a26b8469",
+        "importance_optimized.csv": "1bbd7f5d1274eea492486df7c0af4c98f674471241a6ac2e958874307c08cec1",
         "inference_full.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
-        "inference_optimized.csv": "9f8b7ad4ab229a4f1dbb857c3624f81485b2578deda87fa39e8f2bd3e7196053",
+        "inference_optimized.csv": "66edc771a5f243c3e29bd6c4932bcc72e0c211d96c501eb03dea186d0ecb2442",
         "metrics.csv": "a0881fc313a9d0777da4d67d6e15f99abfa14e3565f874b964ab0a5cab70555f",
-        "report.json": "ec3dae131a0a17676ca20fc344cf3afd3490bb257d853d8ec25ec3b246b17814",
-        "roc.csv": "0ca044065a7becee87605adda7a60fd38d3fe4011e8de719fa2e0f5b263881ec",
+        "report.json": "3f5c37f7bb749227408806eefdb184bb2ee77f7c04ca86dea96951771c774b42",
+        "roc.csv": "d1e28417e002fcabd1bfd534764933f09e031559fa78c294ac825560fdc9eabf",
         "shap_full.csv": "a3f6f2999d0b61cb0327cca72a7f0b9a27b9242deb2bf59a3a91b7117638063f",
-        "shap_optimized.csv": "3208d4f9031d07c9c8022ff3acd57c6272854e235358ef51cd7226b2efbb0ffc",
+        "shap_optimized.csv": "0ccc621a764389240730083a342236f7e10705a07ec65b9f299f5b10e051f1c6",
         "trend_AD.csv": "bf1914100879db61bcccfa3cf3373a2f55d05eacd43567796cd570efe7c0e025",
-        "trend_AW.csv": "51752f6d77ec8eb31d5cf44a50e3bd0d0c3d029e9860692ef3e150eff1f66729",
-        "trend_C.csv": "8d949708b379e6adc4021ba33961d5e5efb4552b02f16e6a45efff54307b3c0c",
-        "trend_CA.csv": "f8ea1c9fa523fbba8c0f1017b1ce52b78a312b3240129216447f09ba46d58eae",
-        "trend_FGR.csv": "faa33b107596abc59b266b457ca6d39487d944850555058483743e09f0bd9938",
+        "trend_AW.csv": "83fdf1722f22e8b91566ad7638bf786dac7572c10de294334d6d848f0b17a2bd",
+        "trend_C.csv": "6ecc2e6e3c75e73683b490b1323eb8878bb4e0bb32f698d6c3c26e13c43e7f06",
+        "trend_CA.csv": "1854ef46f38fa9e97d244f5870b771f1fbdbdc5dbd0d7eb8091c5cc2bedf2197",
+        "trend_FGR.csv": "358a00d3e99574f5cbb47ee5acd57064b7ebe31d8d0181b4ef529c55069cea2c",
         "trend_FR.csv": "b095633cb5cafd039cf1b0634904a75feed53be5a810d5be4c2c6e9155e07de1",
         "trend_P.csv": "d031936018d5e3076468dee0bf2f59a8f8e26622fc5226d90afe0ecd0531c975",
         "trend_PC.csv": "f0cf05af766f98ffb3ebfa25470a1880d12c6bed84a3a56e8e6f59a0d0f241e4",
@@ -169,22 +169,22 @@ GOLDEN = {
         "descriptive_stats.csv": "472df5ca58f798149878214f62bf442a9c4d71e9692f9763de9e22d792a3f2e4",
         "features.csv": "5856b0546a0b64890f798aa36d37469afc5b784a3af16cd688d62c65a6173ee1",
         "importance_full.csv": "a0be19ebb8916ab4aa17f5378d8ceb1341c442e8ae66e6ef52c40e81e9dd8d3e",
-        "importance_optimized.csv": "d1d6672b1d9d502fb3e4cfc46098c2d40515a38e6a9b9ae8b799c70a072e6962",
+        "importance_optimized.csv": "3efcc1dd2bcef02aae4d8f2acd2177ddfc48c318347952fce72a794815169d2c",
         "inference_full.csv": "00ea9ce70eaf609232cd197e658f72475f155f19d894bfc0b747e309f21e55bf",
-        "inference_optimized.csv": "c63631cfc1c03e25a41cf688fce32728703cf3cb74b3032f25203cdf1c411128",
+        "inference_optimized.csv": "43cac0153938bc1f531a225d2112c47bfe2f811254c890ceea15d57fae0c0553",
         "metrics.csv": "9e87bc1c9c04bd586d4e5dea8affd8535f09fc70e9cf95c7282fa88717c87f6f",
-        "report.json": "79989d3ef078f00355a5237cc886a8e960b06c6d4403cd3896a12fed2d12841b",
-        "roc.csv": "40c2b15f7053878a5b96ec479895697f37a7cb5ac53b0641fc920b255463d5c5",
+        "report.json": "fd12350c272711f86127a9646679503a37da0bbc9c13ab71a4fdc84428577a18",
+        "roc.csv": "9f34b20d9a51aa2e8957db09de77b9effa4d625049d137ddbb2d219879ea5475",
         "shap_full.csv": "c309a78f9b02a6c90e10b8783232cb0fc73c1b2a7f7669da66acb9c0aa7bb11d",
-        "shap_optimized.csv": "8d173af917035a152e84ee4d04fc9fb643a31894e36a8620ae3da6133d1c55fc",
-        "trend_AD.csv": "e73118d4fc926b4c1aa439aa17b51256d79de87e9541766700f9a3ce9053ecad",
+        "shap_optimized.csv": "2194be4286e6ef4a485e46ccbb21ed7bbc27ba32be38667fc321a705e6c82c7e",
+        "trend_AD.csv": "ae240014e2ea2e220a205762a0391884486ef15e1626cd4a8c6e8894db44f0a0",
         "trend_AW.csv": "03fcf4aa88d3d905b917941212153e70df5dc36029b16ae3e71b69c6d0107de3",
-        "trend_C.csv": "80aa4ce7f45bf17bd3366ff790b9daf27e182da901309b1cdce15d657126948b",
-        "trend_CA.csv": "4d7bee29293f89f1e3da69ea933cef0088522b3df5a754bd6c664f3e00e45b45",
-        "trend_FGR.csv": "3ff4fc484afa65aebd6bf293a1ada2f5de3b85f805e3734520d75c63d3b1b662",
-        "trend_FR.csv": "ea6d3e517ac8755e4544298bb7ef8a2dcbd677d064659e630b0070c3804762e7",
-        "trend_P.csv": "aa5bc0cf5bfd7b5756e49b64ef2393844070c90329c6bde6bb24cd3d6cf49897",
-        "trend_PC.csv": "6bde1f66b036c76fff7bf454dfca3a6a3733c2283962173eb9ee6a8f41e33671",
+        "trend_C.csv": "c21a06eb866947ecbbe87643d88daafd0b585d7a42493e5335cf8ff19165db42",
+        "trend_CA.csv": "be0149809c384c10f3bdee3047dd4e615a54d338ff3a662a05cc93186b32acb3",
+        "trend_FGR.csv": "8e9c0e2cb81fa185a64b774f3b3e55dbfb54623cf35ac9e8e9f4a9e6b9e70f9f",
+        "trend_FR.csv": "6430db7abea66c50bf3cf4dba677949feeb21a66b7c8a0eaef0297e0c48a2afb",
+        "trend_P.csv": "d7144ec0738236d34b88d977277c4a9a50142c874de4c284ae1c79c4447fe57e",
+        "trend_PC.csv": "90d349da69ddea92c001720d76d41d0f898c3edaa8de58feed63d41daeeddf9f",
         "trend_TD.csv": "e096c606f1abef39a9fcc7d39431f89708d2a2ea2b0abbad957f84b7c3d02e52",
         "vif.csv": "527ee28c0b318006d9bbb4bc443bdeba15bdb3b552d0ccf7102f6e244c700c24",
     },

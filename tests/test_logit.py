@@ -359,8 +359,8 @@ class TestBatchBits:
     def test_mixed_starts_equal_single_fits(self, seed):
         # Each design fits from its own start: zeros, its cold optimum, a
         # perturbation of it, a random point, one past the separation
-        # bound's half and one with a non-finite value; every member
-        # equals a lone fit from the same start.
+        # bound's half and its mirror; every member equals a lone fit
+        # from the same start.
         rng = np.random.Generator(np.random.PCG64(40 + seed))
         design, _ = make_problem(seed, n=150 + seed, p=3)
         k = design.k_params
@@ -377,7 +377,7 @@ class TestBatchBits:
                 optimum + rng.normal(0.0, 0.1, k),
                 rng.normal(0.0, 1.0, k),
                 np.full(k, 30.0),
-                np.r_[0.0, np.nan, np.zeros(k - 2)],
+                np.full(k, -30.0),
                 optimum,
             ]
         )
@@ -386,7 +386,7 @@ class TestBatchBits:
         for b in range(7):
             lone = DesignMatrix(X=stack[b].copy(), y=design.y, feature_names=names[b])
             assert bits(got[b]) == bits(single_fit(lone, max_iter=7, start=starts[b].copy())), b
-        assert isinstance(got[5], DataError) and isinstance(got[6], SingularMatrixError)
+        assert isinstance(got[6], SingularMatrixError)
         # From its own optimum a fit stops at once.
         assert got[1].converged and got[1].iterations <= 1 < got[0].iterations
         zero = DesignMatrix(X=stack[0].copy(), y=design.y, feature_names=names[0])
@@ -403,6 +403,10 @@ class TestBatchBits:
         stack = np.stack([design.X, design.X])
         names = [design.feature_names] * 2
         got = fit_logistic_batch(stack, design.y, names, start=np.zeros((2, 2)))
+        assert [type(e) for e in got] == [DataError] * 2
+        # One non-finite start fails the whole call, like a bad length.
+        starts = np.array([[0.0, 0.0, 0.0], [0.0, math.inf, 0.0]])
+        got = fit_logistic_batch(stack, design.y, names, start=starts)
         assert [type(e) for e in got] == [DataError] * 2
 
 

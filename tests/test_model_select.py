@@ -550,9 +550,9 @@ class TestWarmStart:
         outcomes.append(fit(("a", "c"), 0.0))
         converged = {frozenset(f): [i] for i, f in enumerate((("a", "b"), ("b", "c"), ("a", "c")))}
         assert model_select._parent(("a", "b", "c"), outcomes, converged) is outcomes[1]
-        assert model_select._start(outcomes[1], ("a", "b", "c")) == [0.0, 0.0, 1.0, 2.0]
-        assert model_select._start(outcomes[1], ("c",)) == [0.0, 2.0]
-        assert model_select._start(None, ("a", "b")) == [0.0] * 3
+        assert model_select._start(outcomes[1], ("a", "b", "c")) == (0.0, 0.0, 1.0, 2.0)
+        assert model_select._start(outcomes[1], ("c",)) == (0.0, 2.0)
+        assert model_select._start(None, ("a", "b")) == (0.0,) * 3
         assert model_select._parent(("d", "e"), outcomes, converged) is None
 
 

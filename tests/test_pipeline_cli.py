@@ -112,6 +112,27 @@ class TestRunPipeline:
         aics = [row.aic for row in table]
         assert aics == sorted(aics, reverse=True)
 
+    @pytest.mark.parametrize(
+        "selection,max_iter,tol",
+        [
+            ("enumerate", 1000, 1e-8),
+            ("enumerate", 5, 1e-8),
+            ("enumerate", 1000, 0.1),
+            ("stepwise", 1000, 1e-8),
+            ("stepwise", 1000, 0.1),
+        ],
+    )
+    def test_best_refit_reproduces_its_row(self, selection, max_iter, tol):
+        cfg = RunConfig(input_path=SCHOLARS, selection=selection, max_iter=max_iter, tol=tol)
+        _, dataset = pipeline.load_dataset(cfg)
+        fm = pipeline.build_indicators(cfg, dataset)
+        split = pipeline.split_rows(cfg, fm)
+        _, best_row, best_fit = pipeline.select_model(cfg, fm, split)
+        assert best_row.start is not None and any(best_row.start)  # a warm start
+        assert best_fit.iterations == best_row.iterations
+        assert best_fit.aic == best_row.aic
+        assert best_fit.coef.tolist() == list(best_row.coefficients.values())
+
     def test_trend_entries_flag_dropped_features(self, stepwise_report):
         d = report_payload(stepwise_report)
         kept = set(d["selection"]["best"]["features"])
@@ -437,6 +458,34 @@ class TestCliErrors:
         assert err.startswith("error[not_converged]") and "Traceback" not in err
         assert "below the intercept-only log-likelihood" in err and "smaller --tol" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--select", "enumerate", "--max-iter", "5"],
+            ["report", "--select", "enumerate", "--tol", "0.1"],
+            ["report", "--select", "stepwise", "--tol", "0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_best_refit_is_its_row(self, argv, tmp_path):
+        # The search's fits start warm, and a cold fit of the best model
+        # needs 7 iterations at the default tolerance, or stops elsewhere
+        # within a loose one. The refit starts where the row's fit did, so
+        # the run succeeds and the optimized model's coefficients are the
+        # best row's.
+        out = tmp_path / "out"
+        assert main([*argv, "--input", SCHOLARS, "--out", str(out)]) == 0
+        summary = out / ("selection.json" if argv[0] == "select" else "report.json")
+        with open(summary, encoding="utf-8") as handle:
+            selection = json.load(handle)
+        best_id = selection.get("selection", selection)["best"]["model_id"]
+        rows = read_comparison_csv(out / "comparison.csv")
+        (best,) = [row for row in rows if row["model_id"] == best_id]
+        if argv[0] == "report":
+            with open(out / "inference_optimized.csv", newline="", encoding="utf-8") as handle:
+                refit = {row["feature"]: float(row["coef"]) for row in csv.DictReader(handle)}
+            assert refit == {f: best["coefficients"][f] for f in best["features"]}
 
     def test_data_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
