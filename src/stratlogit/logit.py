@@ -24,7 +24,8 @@ stacked ``np.linalg.solve`` gives every Newton step or covariance).
 numpy makes the same BLAS or LAPACK call for each slice of a stack as
 for a single 2-D array, and the remaining arithmetic is elementwise
 ufuncs, so a design's fit has the bits it has alone from the same start
-(beta = 0 unless given; ``iterations`` and ``max_iter`` count from it).
+(``fit_logistic`` starts at beta = 0; ``iterations`` and ``max_iter``
+count from the start).
 """
 
 from __future__ import annotations
@@ -258,9 +259,8 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
     )
 
 
-def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8, start=None) -> LogitFit:
-    """Maximum likelihood fit by damped Newton iterations from ``start``
-    (k coefficients, intercept first; default zeros).
+def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8) -> LogitFit:
+    """Maximum likelihood fit by damped Newton iterations from beta = 0.
 
     Convergence is declared when the max-norm of the score drops to
     ``tol`` or the relative log-likelihood improvement falls below
@@ -270,8 +270,7 @@ def fit_logistic(d: DesignMatrix, max_iter: int = 1000, tol: float = 1e-8, start
     otherwise as collinearity.  This is ``fit_logistic_batch`` on a
     batch of one.
     """
-    start = None if start is None else np.asarray(start, dtype=float)[None]
-    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol, start)
+    (out,) = fit_logistic_batch(d.X[None], d.y, [d.feature_names], max_iter, tol)
     if isinstance(out, StratLogitError):
         raise out
     return out
@@ -301,12 +300,12 @@ def fit_logistic_batch(
     X, y, feature_names, max_iter: int = 1000, tol: float = 1e-8, start=None, columns_ok=False
 ) -> list:
     """Fit a stack of designs ``X`` (B, n, k) that share the response ``y``,
-    each from its row of ``start`` (B, k; default zeros).
+    each from its row of ``start`` (B, k, finite; default zeros).
 
     Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
     checks.  Returns, per design, its ``LogitFit`` or the
-    ``StratLogitError`` that ``fit_logistic`` raises for it alone from
-    the same start.  ``columns_ok`` (see ``columns_well_posed``) skips
+    ``StratLogitError`` that fitting it alone, as a stack of one, from the
+    same start gives.  ``columns_ok`` (see ``columns_well_posed``) skips
     the constant-column and rank checks.
 
     The designs still iterating take each Newton step in lockstep: one
@@ -328,10 +327,6 @@ def fit_logistic_batch(
             raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
         if not math.isfinite(tol) or tol <= 0:
             raise DegenerateInputError(f"fit_logistic: tol must be finite and > 0, got {tol}")
-        if start.shape != (n_fits, k):
-            raise DataError(f"fit_logistic: start must hold {k} coefficients per design")
-        if not np.all(np.isfinite(start)):
-            raise DataError("fit_logistic: start contains non-finite values")
         if np.all(y == y[0]):
             raise DegenerateInputError("fit_logistic: response has a single class")
     except StratLogitError as exc:

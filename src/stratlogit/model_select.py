@@ -103,9 +103,8 @@ class ModelRow:
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
-    # The coefficients the fit started from, intercept first: a lone
-    # ``fit_logistic`` from them reproduces the row's fit bit for bit.
-    start: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # The fit the row was built from; None when fitting raised.
+    fit: Optional[LogitFit] = field(default=None, compare=False, repr=False)
 
     @property
     def unconverged(self) -> bool:
@@ -198,9 +197,8 @@ def _gather(columns, design_cols) -> np.ndarray:
     return stack
 
 
-def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
-    """(rows, outcomes): the table rows of ``specs``, in their order, named
-    by ``ids``, and each spec's ``LogitFit`` or error.
+def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> list:
+    """The table rows of ``specs``, in their order, named by ``ids``.
 
     Each fit starts (``_start``) from the fit ``parent`` when given, else
     from its spec's ``_parent`` among ``specs``.  The specs are fitted
@@ -215,13 +213,12 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
     n = cols.train.shape[0]
     outcomes = [None] * len(specs)
     scores = [None] * len(specs)
-    starts = [None] * len(specs)
     by_size = {}
     for i, spec in enumerate(specs):
         by_size.setdefault(len(spec.features), []).append(i)
     converged = {}  # feature set -> the specs with it that fitted and converged
     for size, members in sorted(by_size.items()):
-        batch, design_cols = [], []
+        batch, design_cols, starts = [], [], []
         for i in members:
             features = specs[i].features
             design = [0] + [cols.index[f] for f in features]
@@ -233,10 +230,10 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
             batch.append(i)
             design_cols.append(design)
             start = parent if parent is not None else _parent(features, outcomes, converged)
-            starts[i] = _start(start, features)
+            starts.append(_start(start, features))
         if not batch:
             continue
-        design_cols, batch_starts = np.array(design_cols), np.array([starts[i] for i in batch])
+        design_cols, starts = np.array(design_cols), np.array(starts)
         names = [specs[i].features for i in batch]
         per_batch = max(1, _BATCH_VALUES // (n * (size + 1)))
         n_batches = -(-len(batch) // per_batch)
@@ -244,15 +241,14 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> tuple:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             stack = _gather(cols.train, design_cols[lo:hi])
             fitted = fit_logistic_batch(
-                stack, cols.y, names[lo:hi], max_iter, tol, batch_starts[lo:hi], cols.well_posed
+                stack, cols.y, names[lo:hi], max_iter, tol, starts[lo:hi], cols.well_posed
             )
             scored = _score(cols, design_cols[lo:hi, 1:] - 1, fitted)
             for i, outcome, score in zip(batch[lo:hi], fitted, scored):
                 outcomes[i], scores[i] = outcome, score
                 if isinstance(outcome, LogitFit) and outcome.converged:
                     converged.setdefault(frozenset(specs[i].features), []).append(i)
-    rows = [_row(cols, *args) for args in zip(specs, ids, outcomes, scores, starts)]
-    return rows, outcomes
+    return [_row(cols, *args) for args in zip(specs, ids, outcomes, scores)]
 
 
 def _parent(features, outcomes, converged) -> Optional[LogitFit]:
@@ -309,11 +305,10 @@ def _score(cols: _Columns, val_cols, outcomes) -> list:
     return scores
 
 
-def _row(cols: _Columns, spec, model_id, outcome, score, start) -> ModelRow:
-    """A spec's table row: its fit from ``start`` and validation
-    ``score``, or its failure.  A scoring error is raised."""
+def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
+    """A spec's table row: its fit and validation ``score``, or its
+    failure.  A scoring error is raised."""
     base = dict(
-        start=start,
         model_id=model_id,
         spec=spec,
         n_train=cols.train.shape[0],
@@ -335,6 +330,7 @@ def _row(cols: _Columns, spec, model_id, outcome, score, start) -> ModelRow:
     for i, name in enumerate(fit.feature_names, start=1):
         coefficients[name] = float(fit.coef[i])
     base.update(
+        fit=fit,
         k_params=fit.k_params,
         converged=fit.converged,
         iterations=fit.iterations,
@@ -387,7 +383,7 @@ def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> 
     _validate_features(m, specs)
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
-    rows, _ = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
+    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
     return ComparisonTable(rows=tuple(rows))
 
 
@@ -404,7 +400,7 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
     current = ModelSpec(features=tuple(m.column_names))
     cols = _Columns.build(m, split)
     step = 0
-    (current_row,), (current_fit,) = _fit_rows(cols, [current], ["step_000"], max_iter, tol)
+    (current_row,) = _fit_rows(cols, [current], ["step_000"], max_iter, tol)
     if current_row.failed:
         error = NotConvergedError if current_row.unconverged else DegenerateInputError
         raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
@@ -414,19 +410,19 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
             ModelSpec(tuple(f for i, f in enumerate(current.features) if i != drop_idx))
             for drop_idx in range(len(current.features))
         ]
-        best = None
-        rows, fits = _fit_rows(
-            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, current_fit
+        best_cand = None
+        rows = _fit_rows(
+            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, current_row.fit
         )
-        for j, row in enumerate(rows):
+        for row in rows:
             if row.failed:
                 continue
-            if best is None or row.aic < rows[best].aic:
-                best = j
-        if best is None or rows[best].aic >= current_row.aic:
+            if best_cand is None or row.aic < best_cand.aic:
+                best_cand = row
+        if best_cand is None or best_cand.aic >= current_row.aic:
             break
         step += 1
-        current_row = replace(rows[best], model_id=f"step_{step:03d}")
-        current, current_fit = current_row.spec, fits[best]
+        current_row = replace(best_cand, model_id=f"step_{step:03d}")
+        current = current_row.spec
         path.append(current_row)
     return ComparisonTable(rows=tuple(path))

@@ -8,7 +8,7 @@ subcommands:
     describe    describe_indicators  descriptive stats, correlations, VIF
     split       split_rows           seeded train/validation partition
     fit         fit_features         one feature subset on the training rows
-    select      select_model         AIC subset search plus the best-row refit
+    select      select_model         AIC subset search and its best fit
     evaluate    evaluate_fit         one fit scored on the validation rows
     attribute   attribute_fit        one fit's attributions and their ranking
 
@@ -238,18 +238,14 @@ def _rows(indices) -> np.ndarray:
     return np.asarray(indices, dtype=int)
 
 
-def fit_features(
-    cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None, start=None
-) -> LogitFit:
+def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None) -> LogitFit:
     """Fit stage: ``features`` (default every column) on the training
-    rows from ``start`` (default zeros), with the fit's cross-quantity
-    identities re-checked.  An unconverged fit is a NotConvergedError:
-    no later stage reports one."""
+    rows, with the fit's cross-quantity identities re-checked.  An
+    unconverged fit is a NotConvergedError: no later stage reports one."""
     fit = fit_logistic(
         DesignMatrix.from_features(fm, features, rows=_rows(split.train_indices)),
         max_iter=cfg.max_iter,
         tol=cfg.tol,
-        start=start,
     )
     check_converged(fit, "fit_features")
     verify_fit_identities(fit)
@@ -257,11 +253,9 @@ def fit_features(
 
 
 def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
-    """Select stage: (table in report order, best row, best-row refit).
-
-    The refit starts where the row's fit started, so it must reproduce
-    the row's AIC.
-    """
+    """Select stage: (table in report order, best row, the best row's
+    fit), with the fit's cross-quantity identities re-checked.  The best
+    row is a converged fit."""
     if cfg.selection == "enumerate":
         table = fit_all(
             fm,
@@ -274,10 +268,8 @@ def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
     else:
         ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]
-    best_fit = fit_features(cfg, fm, split, best_row.spec.features, best_row.start)
-    if abs(best_fit.aic - best_row.aic) > 1e-9 * max(1.0, abs(best_row.aic)):
-        raise InvariantBreachError("best-model refit disagrees with its table row")
-    return ordered, best_row, best_fit
+    verify_fit_identities(best_row.fit)
+    return ordered, best_row, best_row.fit
 
 
 def evaluate_fit(fm: FeatureMatrix, split: Split, fit: LogitFit) -> tuple:

@@ -23,52 +23,49 @@ from .indicators import percentile_rank
 from .ingest import Dataset, Provenance, ScholarRecord
 
 
-def _labels(followers, h_index) -> np.ndarray:
-    f_pct = percentile_rank(followers)
-    h_pct = percentile_rank(h_index)
-    return (f_pct - h_pct > 0).astype(np.int64)
+def _order(rows, key) -> np.ndarray:
+    """The indices of the true ``rows``, ascending by ``key``, then index."""
+    idx = np.flatnonzero(rows)
+    return idx[np.argsort(key[idx], kind="stable")]
 
 
 def _calibrate_labels(followers, h_index, target_ones) -> np.ndarray:
     """Swap follower counts between rows until exactly ``target_ones``
-    rows are labelled 1."""
+    rows are labelled 1.
+
+    A swap keeps the multiset of counts, so rows i and j trade follower
+    percentile ranks and no other row's label moves: the swap leaves
+    ones - labels[i] - labels[j] + (f_pct[j] > h_pct[i]) + (f_pct[i] > h_pct[j])
+    rows labelled 1.  Each pass takes the first donor, then the first of
+    its receivers, whose swap strictly reduces the distance to the target.
+    """
     followers = followers.copy()
+    h_pct = percentile_rank(h_index)
     for _ in range(10000):
-        labels = _labels(followers, h_index)
+        f_pct = percentile_rank(followers)
+        margin = f_pct - h_pct
+        labels = (margin > 0).astype(np.int64)
         ones = int(labels.sum())
         if ones == target_ones:
             return followers
-        f_pct = percentile_rank(followers)
-        h_pct = percentile_rank(h_index)
-        margin = f_pct - h_pct
         if ones > target_ones:
             # Flip a barely-1 row to 0 by handing its followers to a row
             # whose h rank is high enough to absorb them and stay 0.
-            donors = sorted(np.flatnonzero(labels == 1), key=lambda i: (margin[i], i))
-            receivers = sorted(
-                np.flatnonzero(labels == 0), key=lambda j: (-h_pct[j], j)
-            )
+            donors, receivers = _order(labels == 1, margin), _order(labels == 0, -h_pct)
         else:
-            donors = sorted(np.flatnonzero(labels == 0), key=lambda i: (-margin[i], i))
-            receivers = sorted(
-                np.flatnonzero(labels == 1), key=lambda j: (h_pct[j], j)
-            )
-        moved = False
+            donors, receivers = _order(labels == 0, -margin), _order(labels == 1, h_pct)
         for i in donors:
-            for j in receivers:
-                candidate = followers.copy()
-                candidate[i], candidate[j] = candidate[j], candidate[i]
-                new_ones = int(_labels(candidate, h_index).sum())
-                if abs(new_ones - target_ones) < abs(ones - target_ones):
-                    followers = candidate
-                    moved = True
-                    break
-            if moved:
-                break
-        if not moved:
-            raise DegenerateInputError(
-                "label calibration stalled; choose another seed"
+            swapped = (
+                ones - labels[i] - labels[receivers]
+                + (f_pct[receivers] > h_pct[i]) + (f_pct[i] > h_pct[receivers])
             )
+            better = np.flatnonzero(np.abs(swapped - target_ones) < abs(ones - target_ones))
+            if better.size:
+                j = receivers[better[0]]
+                followers[i], followers[j] = followers[j], followers[i]
+                break
+        else:
+            raise DegenerateInputError("label calibration stalled; choose another seed")
     raise DegenerateInputError("label calibration did not converge")
 
 

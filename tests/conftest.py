@@ -12,9 +12,15 @@ from hypothesis import settings
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc
 
-from stratlogit.errors import ConfigError, DataError, SingularMatrixError, StratLogitError
+from stratlogit.errors import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    SingularMatrixError,
+    StratLogitError,
+)
 from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
-from stratlogit.indicators import build_feature_matrix
+from stratlogit.indicators import build_feature_matrix, percentile_rank
 from stratlogit.ingest import filter_eligible, parse_dataset
 from stratlogit.logit import (
     DesignMatrix,
@@ -23,7 +29,7 @@ from stratlogit.logit import (
     _log_likelihood_eta,
     _singular_error,
     coefficient_inference,
-    fit_logistic,
+    fit_logistic_batch,
     information_criteria,
     pseudo_r2,
     sigmoid,
@@ -287,10 +293,23 @@ def warm_start_ref(features, rows):
     )
 
 
+def fit_from(design, max_iter=1000, tol=1e-8, start=None) -> LogitFit:
+    """``design``'s lone fit from ``start`` (default zeros): a stack of one
+    through ``fit_logistic_batch``, its error raised, which is what
+    ``fit_logistic`` does from zeros."""
+    start = None if start is None else np.asarray(start, dtype=float)[None]
+    (out,) = fit_logistic_batch(
+        design.X[None], design.y, [design.feature_names], max_iter, tol, start
+    )
+    if isinstance(out, StratLogitError):
+        raise out
+    return out
+
+
 def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow:
-    """One candidate's table row from its own ``DesignMatrix`` and
-    ``fit_logistic`` call from ``start``: the oracle for
-    ``model_select``'s batched fits."""
+    """One candidate's table row from its own ``DesignMatrix`` and lone
+    fit from ``start`` (``fit_from``): the oracle for ``model_select``'s
+    batched fits."""
     train_idx = np.asarray(split.train_indices, dtype=int)
     val_idx = np.asarray(split.val_indices, dtype=int)
     base = dict(
@@ -306,7 +325,7 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow
         **{f: None for f in METRIC_FIELDS},
     )
     try:
-        fit = fit_logistic(
+        fit = fit_from(
             DesignMatrix.from_features(m, spec.features, rows=train_idx),
             max_iter=max_iter,
             tol=tol,
@@ -480,6 +499,48 @@ def brandes_ref(nodes, adj):
     for key in btw:
         btw[key] /= 2.0
     return btw
+
+
+def labels_ref(followers, h_index) -> np.ndarray:
+    f_pct = percentile_rank(followers)
+    h_pct = percentile_rank(h_index)
+    return (f_pct - h_pct > 0).astype(np.int64)
+
+
+def calibrate_labels_ref(followers, h_index, target_ones) -> np.ndarray:
+    """Swap follower counts between rows until exactly ``target_ones``
+    rows are labelled 1, trying one swap at a time and relabelling every
+    row per trial: the oracle for ``synth._calibrate_labels``."""
+    followers = followers.copy()
+    for _ in range(10000):
+        labels = labels_ref(followers, h_index)
+        ones = int(labels.sum())
+        if ones == target_ones:
+            return followers
+        f_pct = percentile_rank(followers)
+        h_pct = percentile_rank(h_index)
+        margin = f_pct - h_pct
+        if ones > target_ones:
+            donors = sorted(np.flatnonzero(labels == 1), key=lambda i: (margin[i], i))
+            receivers = sorted(np.flatnonzero(labels == 0), key=lambda j: (-h_pct[j], j))
+        else:
+            donors = sorted(np.flatnonzero(labels == 0), key=lambda i: (-margin[i], i))
+            receivers = sorted(np.flatnonzero(labels == 1), key=lambda j: (h_pct[j], j))
+        moved = False
+        for i in donors:
+            for j in receivers:
+                candidate = followers.copy()
+                candidate[i], candidate[j] = candidate[j], candidate[i]
+                new_ones = int(labels_ref(candidate, h_index).sum())
+                if abs(new_ones - target_ones) < abs(ones - target_ones):
+                    followers = candidate
+                    moved = True
+                    break
+            if moved:
+                break
+        if not moved:
+            raise DegenerateInputError("label calibration stalled; choose another seed")
+    raise DegenerateInputError("label calibration did not converge")
 
 
 def make_problem(seed, n=300, p=4, beta_scale=1.0):

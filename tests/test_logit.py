@@ -18,6 +18,7 @@ from scipy import optimize
 
 from conftest import (
     finish_fit_ref,
+    fit_from,
     gradient_ref,
     log_likelihood_ref,
     make_problem,
@@ -217,9 +218,11 @@ def bits(outcome):
     }
 
 
-def single_fit(design, **kwargs):
+def single_fit(design, start=None, **kwargs):
     try:
-        return fit_logistic(design, **kwargs)
+        if start is None:
+            return fit_logistic(design, **kwargs)
+        return fit_from(design, start=start, **kwargs)
     except StratLogitError as exc:
         return exc
 
@@ -391,23 +394,6 @@ class TestBatchBits:
         assert got[1].converged and got[1].iterations <= 1 < got[0].iterations
         zero = DesignMatrix(X=stack[0].copy(), y=design.y, feature_names=names[0])
         assert bits(got[0]) == bits(single_fit(zero, max_iter=7))  # the default start
-
-    def test_start_validation(self):
-        design, _ = make_problem(2, n=60, p=2)
-        for start in ([0.0, 0.0], np.zeros(4), np.zeros((1, 3)), 0.0):
-            with pytest.raises(DataError, match="start must hold 3 coefficients"):
-                fit_logistic(design, start=start)
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DataError, match="start contains non-finite values"):
-                fit_logistic(design, start=[0.0, value, 0.0])
-        stack = np.stack([design.X, design.X])
-        names = [design.feature_names] * 2
-        got = fit_logistic_batch(stack, design.y, names, start=np.zeros((2, 2)))
-        assert [type(e) for e in got] == [DataError] * 2
-        # One non-finite start fails the whole call, like a bad length.
-        starts = np.array([[0.0, 0.0, 0.0], [0.0, math.inf, 0.0]])
-        got = fit_logistic_batch(stack, design.y, names, start=starts)
-        assert [type(e) for e in got] == [DataError] * 2
 
 
 def column_checks_pass(X) -> bool:

@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 from conftest import (
     DATA,
     ROOT,
+    calibrate_labels_ref,
     comparison_to_dicts_ref,
     read_comparison_csv,
     read_roc_csv,
     to_json_ref,
 )
-from stratlogit import pipeline
+from stratlogit import pipeline, synth
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
 from stratlogit.emit import report_payload, to_json, write_report_files, write_select_files
-from stratlogit.errors import ConfigError, PipelineError
+from stratlogit.errors import ConfigError, DegenerateInputError, PipelineError
 from stratlogit.indicators import FEATURE_COLUMNS
 from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
 from stratlogit.pipeline import RunConfig, run_pipeline
@@ -128,10 +129,26 @@ class TestRunPipeline:
         fm = pipeline.build_indicators(cfg, dataset)
         split = pipeline.split_rows(cfg, fm)
         _, best_row, best_fit = pipeline.select_model(cfg, fm, split)
-        assert best_row.start is not None and any(best_row.start)  # a warm start
+        assert best_fit is best_row.fit
         assert best_fit.iterations == best_row.iterations
         assert best_fit.aic == best_row.aic
         assert best_fit.coef.tolist() == list(best_row.coefficients.values())
+
+    @pytest.mark.parametrize("selection", pipeline.SELECTION_MODES)
+    def test_select_makes_no_second_fit(self, selection, monkeypatch):
+        # The full model is the run's one lone fit; the selected model is
+        # its table row's fit from the search.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].feature_names)
+            return real(*args, **kwargs)
+
+        real = pipeline.fit_logistic
+        monkeypatch.setattr(pipeline, "fit_logistic", counted)
+        report = run_pipeline(RunConfig(input_path=SCHOLARS, selection=selection))
+        assert calls == [tuple(FEATURE_COLUMNS)]
+        assert report.best_fit is report.best_row.fit
 
     def test_trend_entries_flag_dropped_features(self, stepwise_report):
         d = report_payload(stepwise_report)
@@ -229,6 +246,24 @@ class TestFixtureProvenance:
         parsed = parse_dataset(SCHOLARS)
         assert len(parsed.records) == 459
         assert parsed.records == generated.records
+
+    @pytest.mark.parametrize("n", [40, 80, 120])
+    def test_label_calibration_equals_oracle(self, n):
+        # Each swap's label count comes from the two rows' traded ranks;
+        # the oracle relabels every row per trial.  Some cases stall.
+        for seed in range(5):
+            records = make_scholar_dataset(n, seed, target_increase=None).records
+            followers = np.array([r.followers_current for r in records])
+            h_index = np.array([r.h_index for r in records])
+            for target in (n // 4, n // 2, 3 * n // 4):
+                try:
+                    want = calibrate_labels_ref(followers, h_index, target)
+                except DegenerateInputError as exc:
+                    with pytest.raises(DegenerateInputError, match=f"^{exc}$"):
+                        synth._calibrate_labels(followers, h_index, target)
+                    continue
+                got = synth._calibrate_labels(followers, h_index, target)
+                assert got.tolist() == want.tolist(), (seed, target)
 
     def test_edge_csv_matches_generator(self):
         from stratlogit.network import build_graph, read_edge_list
@@ -471,9 +506,8 @@ class TestCliErrors:
     def test_best_refit_is_its_row(self, argv, tmp_path):
         # The search's fits start warm, and a cold fit of the best model
         # needs 7 iterations at the default tolerance, or stops elsewhere
-        # within a loose one. The refit starts where the row's fit did, so
-        # the run succeeds and the optimized model's coefficients are the
-        # best row's.
+        # within a loose one. The optimized model is the row's own fit, so
+        # the run succeeds and its coefficients are the best row's.
         out = tmp_path / "out"
         assert main([*argv, "--input", SCHOLARS, "--out", str(out)]) == 0
         summary = out / ("selection.json" if argv[0] == "select" else "report.json")
