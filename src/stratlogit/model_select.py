@@ -103,8 +103,9 @@ class ModelRow:
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
-    # The fit the row was built from; None when fitting raised.
+    # The fit the row was built from, or the error fitting raised.
     fit: Optional[LogitFit] = field(default=None, compare=False, repr=False)
+    error: Optional[StratLogitError] = field(default=None, compare=False, repr=False)
 
     @property
     def unconverged(self) -> bool:
@@ -112,7 +113,7 @@ class ModelRow:
         or below the intercept-only likelihood (a ``NotConvergedError``)."""
         if self.iterations is not None:
             return not self.converged
-        return self.failure is not None and self.failure.startswith(f"{NotConvergedError.code}:")
+        return isinstance(self.error, NotConvergedError)
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
         **{f: None for f in METRIC_FIELDS},
     )
     if isinstance(outcome, StratLogitError):
-        base["failure"] = f"{outcome.code}: {outcome}"
+        base.update(failure=f"{outcome.code}: {outcome}", error=outcome)
         return ModelRow(**base)
     if isinstance(score, StratLogitError):
         raise score
@@ -395,14 +396,16 @@ def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) 
     the lowest-AIC candidate is accepted while it strictly improves on
     the current model, stopping otherwise (or at one remaining feature).
     Deletion ties go to the earliest column.  The path records the
-    accepted models only, starting with the full fit.
+    accepted models only, starting with the full fit.  A full fit that
+    raised is raised again with its error's class; one that stopped at
+    its iteration cap is a ``NotConvergedError``.
     """
     current = ModelSpec(features=tuple(m.column_names))
     cols = _Columns.build(m, split)
     step = 0
     (current_row,) = _fit_rows(cols, [current], ["step_000"], max_iter, tol)
     if current_row.failed:
-        error = NotConvergedError if current_row.unconverged else DegenerateInputError
+        error = NotConvergedError if current_row.error is None else type(current_row.error)
         raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
     path = [current_row]
     while len(current.features) > 1:

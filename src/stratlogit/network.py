@@ -16,16 +16,20 @@ then the dependencies from the deepest level up, each level scattered
 with ``np.bincount``.
 
 Per-source cache: ``girvan_newman`` keeps each source's hop distances
-and its row of edge contributions in an n-by-m float64 array (n*m*8
-bytes: 0.59 MB at 120 nodes and 611 edges).  After edge (i, j) is cut,
-only sources of the one or two components that held it are looked at,
-and of those only the ones with ``dist[s, i] != dist[s, j]`` rerun, in
-one batched pass per component.  When the distances are equal, the
-edge joins two nodes on one BFS level: it never discovers a node and
-never adds to a path count, so that source's distances, path counts,
-dependencies and contributions are the same without it.  A bridge has
-its endpoints on different levels for every source of its component,
-so a split reruns both pieces.
+(-1 outside its component) and its row of edge contributions in an
+n-by-m float64 array (n*m*8 bytes: 0.59 MB at 120 nodes and 611 edges).
+The component that held a cut edge (i, j) is the set of nodes row
+``dist[i]`` reaches, and of its sources only the ones with
+``dist[s, i] != dist[s, j]`` rerun, in one batched pass.  When the
+distances are equal, the edge joins two nodes on one BFS level: it
+never discovers a node and never adds to a path count, so that source's
+distances, path counts, dependencies and contributions are the same
+without it.  The cut splits the component exactly when every source
+reruns and no other live edge joins the nodes nearer i than j to the
+rest: a bridge leaves each node of i's side nearer i and each node of
+j's side nearer j, with only the bridge between the sides, while an
+i-j path that survives the cut must leave i's side by another edge.
+Each part then reruns all its sources.
 
 Determinism: path counts are integers, exact in any summation order
 while they stay below 2**53, so the matrix product's order, and with it
@@ -174,44 +178,23 @@ def read_edge_list(path, delimiter: str = ",") -> list:
         return rows
 
 
-def _int_graph(g: CollabGraph) -> tuple:
-    """Nodes numbered by their index in the sorted ``g.nodes``, edges by
-    their index in ``g.edges``.
-
-    Returns (ends, adj): ``ends[e]`` is edge e's (lower, higher) node
-    pair and ``adj[v]`` is v's sorted list of (neighbour, edge id).  The
-    rank order is the names' order, so edge id order is lexicographic
-    edge order.
-    """
-    rank = {name: i for i, name in enumerate(g.nodes)}
-    ends = [(rank[u], rank[v]) for u, v, _ in g.edges]
-    adj = [[] for _ in rank]
-    for e, (i, j) in enumerate(ends):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    for nbrs in adj:
-        nbrs.sort()
-    return ends, adj
-
-
-def _components(nodes, adj) -> list:
-    """Connected components holding ``nodes``, as sorted node lists
-    ordered by least node."""
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for v in comp:  # comp grows while it is walked: a FIFO queue
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+def _components(n, ends) -> list:
+    """Connected components of the graph on node ranks ``range(n)`` with
+    the m-by-2 edge ends ``ends``, as sorted node lists ordered by least
+    node.  Each label, a node of its own component, falls to its
+    neighbours' least label and then to its own label's label until none
+    moves, so each component ends labelled by its least node."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, ends[:, 0], label[ends[:, 1]])
+        np.minimum.at(low, ends[:, 1], label[ends[:, 0]])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
 # Entries of a batch's sources-by-directed-edges table: each batched
@@ -387,53 +370,53 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
             f"girvan_newman: target_communities must be in 1..{g.n_nodes}, "
             f"got {target_communities}"
         )
-    ends, adj = _int_graph(g)
+    rank = {name: r for r, name in enumerate(g.nodes)}
+    ends = np.array([(rank[u], rank[v]) for u, v, _ in g.edges])
+    n = g.n_nodes
     m = g.total_weight
     # Modularity is taken on the original graph's edges.
-    edge_ends = np.array(ends)
     weights = np.array([w for _, _, w in g.edges])
-    comps = _components(range(len(adj)), adj)
-    sums = [_community_sums(c, len(adj), edge_ends, weights) for c in comps]
+    comps = _components(n, ends)
+    sums = [_community_sums(c, n, ends, weights) for c in comps]
     dendrogram = [_partition_of(g, m, comps, sums, step=0, removed_edge=None)]
-    count = len(comps)
     step = 0
-    alive = np.ones(len(ends), dtype=bool)
-    dist = np.full((len(adj), len(adj)), -1)
-    contrib = np.zeros((len(adj), len(ends)))
-    btw = np.empty(len(ends))
+    alive = np.ones(g.n_edges, dtype=bool)
+    dist = np.full((n, n), -1)
+    contrib = np.zeros((n, g.n_edges))
+    btw = np.empty(g.n_edges)
     for comp in comps:
         comp = np.array(comp)
-        _refresh(comp, comp, edge_ends, alive, dist, contrib, btw)
-    while step < len(ends) and (target_communities is None or count < target_communities):
+        _refresh(comp, comp, ends, alive, dist, contrib, btw)
+    while step < g.n_edges and (target_communities is None or len(comps) < target_communities):
         cut = _cut_edge(btw)
         i, j = ends[cut]
-        adj[i].remove((j, cut))
-        adj[j].remove((i, cut))
         alive[cut] = False
         btw[cut] = -np.inf
         step += 1
         # Shortest paths change only inside the component that held the
         # cut edge, and there only for sources that had i and j on
         # different BFS levels; every other source's row stands.
-        touched = _components([i, j], adj)
-        for comp in touched:
-            comp = np.array(comp)
-            rerun = comp[dist[comp, i] != dist[comp, j]]
-            _refresh(comp, rerun, edge_ends, alive, dist, contrib, btw)
-        if len(touched) > 1:
-            # The cut split one component in two; the list stays ordered
-            # by least node, as _components orders it.  Only the two
-            # parts' modularity sums change.
-            first, second = touched
-            k = bisect.bisect_left(comps, first[0], key=lambda c: c[0])
-            comps[k], sums[k] = first, _community_sums(first, len(adj), edge_ends, weights)
-            k = bisect.bisect(comps, second[0], key=lambda c: c[0])
-            comps.insert(k, second)
-            sums.insert(k, _community_sums(second, len(adj), edge_ends, weights))
-            count = len(comps)
-            dendrogram.append(
-                _partition_of(g, m, comps, sums, step=step, removed_edge=g.edges[cut][:2])
-            )
+        comp = np.flatnonzero(dist[i] >= 0)
+        rerun = comp[dist[comp, i] != dist[comp, j]]
+        near = dist[i] < dist[j]
+        if len(rerun) < len(comp) or (alive & (near[ends[:, 0]] != near[ends[:, 1]])).any():
+            _refresh(comp, rerun, ends, alive, dist, contrib, btw)
+            continue
+        # The cut was a bridge: the component splits into the nodes nearer
+        # i and the rest, and the list stays ordered by least node.  Only
+        # the two parts' modularity sums change.
+        side = near[comp]
+        first, second = comp[side == side[0]], comp[side != side[0]]
+        for part in (first, second):
+            _refresh(part, part, ends, alive, dist, contrib, btw)
+        k = bisect.bisect_left(comps, first[0], key=lambda c: c[0])
+        comps[k], sums[k] = first.tolist(), _community_sums(first, n, ends, weights)
+        k = bisect.bisect(comps, second[0], key=lambda c: c[0])
+        comps.insert(k, second.tolist())
+        sums.insert(k, _community_sums(second, n, ends, weights))
+        dendrogram.append(
+            _partition_of(g, m, comps, sums, step=step, removed_edge=g.edges[cut][:2])
+        )
     best = dendrogram[0]
     for p in dendrogram[1:]:
         if p.modularity > best.modularity:

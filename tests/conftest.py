@@ -35,7 +35,7 @@ from stratlogit.logit import (
     sigmoid,
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
-from stratlogit.network import _components, _int_graph, _q, _refresh
+from stratlogit.network import _q, _refresh
 from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -332,7 +332,7 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow
             start=start,
         )
     except StratLogitError as exc:
-        base["failure"] = f"{exc.code}: {exc}"
+        base.update(failure=f"{exc.code}: {exc}", error=exc)
         return ModelRow(**base)
     coefficients = {"intercept": float(fit.coef[0])}
     for i, name in enumerate(fit.feature_names, start=1):
@@ -373,11 +373,52 @@ def adjacency(g):
     return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
 
+def int_adjacency(g) -> tuple:
+    """(ends, adj) of ``g`` numbered as ``network`` numbers it: nodes by
+    their index in the sorted ``g.nodes``, edges by their index in
+    ``g.edges``.  ``ends`` is the m-by-2 array of each edge's (lower,
+    higher) node pair and ``adj[v]`` is v's sorted list of (neighbour,
+    edge id).  The rank order is the names' order, so edge id order is
+    lexicographic edge order."""
+    rank = {name: i for i, name in enumerate(g.nodes)}
+    ends = [(rank[u], rank[v]) for u, v, _ in g.edges]
+    adj = [[] for _ in rank]
+    for e, (i, j) in enumerate(ends):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    for nbrs in adj:
+        nbrs.sort()
+    return np.array(ends), adj
+
+
+def reference_components(nodes, adj):
+    """Connected components as sorted node lists, ordered by least node;
+    ``adj`` maps each node to its neighbours."""
+    seen = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        queue = deque([start])
+        seen.add(start)
+        comp = []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
 def source_pass_ref(s, adj, row) -> list:
-    """Brandes' pass for source ``s`` over ``network._int_graph``'s
-    adjacency, one source at a time: breadth-first search, then the
-    dependency accumulation in reverse visit order.  The oracle for the
-    batched passes of ``network._source_passes``.
+    """Brandes' pass for source ``s`` over ``int_adjacency``'s adjacency,
+    one source at a time: breadth-first search, then the dependency
+    accumulation in reverse visit order.  The oracle for the batched
+    passes of ``network._source_passes``.
 
     ``row``, an array indexed by edge id, is overwritten with the
     contribution of each edge of s's shortest-path DAG (0 elsewhere).
@@ -418,19 +459,19 @@ def source_pass_ref(s, adj, row) -> list:
 def batched_passes(g):
     """(adj, dist, contrib, btw): ``network``'s batched source passes run
     once for every node of ``g``, as ``girvan_newman`` runs them before
-    its first cut.  ``adj`` is ``_int_graph``'s adjacency, ``dist`` the
+    its first cut.  ``adj`` is ``int_adjacency``'s adjacency, ``dist`` the
     n-by-n hop distances, ``contrib`` the n-by-m rows of edge
     contributions and ``btw`` the edge betweenness, all by node rank and
     edge id."""
-    ends, adj = _int_graph(g)
+    ends, adj = int_adjacency(g)
     n = len(adj)
     dist = np.full((n, n), -1)
     contrib = np.zeros((n, len(ends)))
     btw = np.empty(len(ends))
     alive = np.ones(len(ends), dtype=bool)
-    for comp in _components(range(n), adj):
+    for comp in reference_components(range(n), [[w for w, _ in nbrs] for nbrs in adj]):
         comp = np.array(comp)
-        _refresh(comp, comp, np.array(ends), alive, dist, contrib, btw)
+        _refresh(comp, comp, ends, alive, dist, contrib, btw)
     return adj, dist, contrib, btw
 
 

@@ -20,7 +20,9 @@ from conftest import (
     batched_passes,
     brandes_ref,
     edge_betweenness,
+    int_adjacency,
     modularity_ref,
+    reference_components,
     source_pass_ref,
 )
 from stratlogit import network
@@ -95,26 +97,26 @@ def random_graph(seed, max_nodes=12):
     return build_graph(rows)
 
 
-def reference_components(nodes, adj):
-    """Connected components as sorted node lists, ordered by least node."""
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+def many_components(seed, count=30):
+    """``count`` node-disjoint connected random graphs of 4 to 10 nodes
+    each (a random path plus each other pair with probability 0.3), with
+    shuffled names, so each component's ranks interleave with the
+    others'."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sizes = rng.integers(4, 11, count)
+    names = [f"v{x:03d}" for x in rng.permutation(int(sizes.sum()))]
+    rows = []
+    base = 0
+    for k in sizes.tolist():
+        order = (base + rng.permutation(k)).tolist()
+        rows += [(names[a], names[b]) for a, b in zip(order, order[1:])]
+        rows += [
+            (names[base + a], names[base + b])
+            for a, b in itertools.combinations(range(k), 2)
+            if rng.random() < 0.3
+        ]
+        base += k
+    return build_graph(rows)
 
 
 def reference_partition(g, comps, step, removed_edge):
@@ -529,6 +531,56 @@ class TestGirvanNewman:
                 {edge: b for edge, b in zip(names, scores) if b > -np.inf}
             ) == names[want]
 
+    @pytest.mark.parametrize("k", [4, 6, 10])
+    def test_even_cycle_cut_reruns_every_source_without_a_split(self, k, monkeypatch):
+        # An even cycle is bipartite, so every source has the ends of every
+        # edge on different levels, as it has a bridge's; but its first cut
+        # leaves a path.  The edge test tells the two apart.
+        g = build_graph([(f"c{v:02d}", f"c{(v + 1) % k:02d}") for v in range(k)])
+        refreshed, scores = [], []
+        real_refresh, real_cut = network._refresh, network._cut_edge
+
+        def refresh(comp, sources, *args):
+            refreshed.append((comp.tolist(), sources.tolist()))
+            real_refresh(comp, sources, *args)
+
+        def cut_edge(btw):
+            scores.append(btw.copy())
+            return real_cut(btw)
+
+        monkeypatch.setattr(network, "_refresh", refresh)
+        monkeypatch.setattr(network, "_cut_edge", cut_edge)
+        dendrogram, _ = girvan_newman(g, target_communities=2)
+        everyone = list(range(k))
+        # the passes before the first cut, then the first cut's
+        assert refreshed[:2] == [(everyone, everyone)] * 2
+        assert [p.step for p in dendrogram] == [0, 2]
+        assert g.edges[0][:2] == ("c00", "c01")
+        path = build_graph(g.edges[1:])
+        want = brandes_ref(path.nodes, adjacency(path))
+        assert list(want) == [edge[:2] for edge in g.edges[1:]]
+        assert scores[1][0] == -np.inf
+        assert_allclose(scores[1][1:], list(want.values()), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", [*range(5), "long-path"])
+    def test_components_equal_networkx(self, seed):
+        # The seeded graphs gain three isolated ranks past their own and
+        # have their ranks shuffled, so no edge lists its lower end first;
+        # the long path's ranks fall along it, so the least label must
+        # travel its whole length.
+        nx = pytest.importorskip("networkx")
+        if seed == "long-path":
+            n, ends = 64, np.array([(v + 1, v) for v in range(63)])
+        else:
+            g = many_components(seed)
+            n = g.n_nodes + 3
+            ends = np.random.Generator(np.random.PCG64(seed)).permutation(n)[int_adjacency(g)[0]]
+        graph = nx.Graph(ends.tolist())
+        graph.add_nodes_from(range(n))
+        want = sorted((sorted(c) for c in nx.connected_components(graph)), key=lambda c: c[0])
+        assert len(want) == (1 if seed == "long-path" else 33)
+        assert network._components(n, ends) == want
+
     def test_target_stops_early(self):
         g = two_triangles_with_bridge()
         dendrogram, _ = girvan_newman(g, target_communities=2)
@@ -568,6 +620,13 @@ class TestGirvanNewman:
             pytest.param(lambda: gn120(7), id="planted4x30"),
             pytest.param(lambda: gn120(6), id="planted4x30-seed6"),
             pytest.param(lambda: gn120(9), id="planted4x30-seed9"),
+            pytest.param(
+                lambda: build_graph(
+                    [(f"a{i:02d}", f"b{i:02d}") for i in range(40)] + [("p0", "p1"), ("p1", "p2")]
+                ),
+                id="40edges-and-a-path",
+            ),
+            pytest.param(lambda: many_components(seed=3), id="30components"),
         ],
     )
     def test_matches_whole_graph_recompute(self, make_graph):

@@ -482,6 +482,28 @@ class TestCliErrors:
         assert "1 iterations" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["fit"], ["select", "--select", "stepwise"]], ids=" ".join)
+    def test_collinear_design_exit_4(self, argv, tmp_path, capsys):
+        # citations = 3 * publications with per_cited blank: the full design
+        # is rank deficient, a numerical error whether it is fitted alone
+        # or as the stepwise search's start.
+        with open(SCHOLARS, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        for row in rows:
+            row.update(citations=str(3 * int(row["publications"])), per_cited="")
+        path = tmp_path / "collinear.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(path), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[singular_matrix]") and "Traceback" not in err
+        assert "rank deficient" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", FITTING_COMMANDS, ids=" ".join)
     def test_fit_below_null_exit_4(self, argv, tmp_path, capsys):
         # At this tolerance every fit stops at beta = 0, before its first
