@@ -202,7 +202,7 @@ def cmd_fit(args) -> int:
 def cmd_select(args) -> int:
     cfg = _config(args)
     fm, split = _split(cfg)
-    table, best_row, _ = select_model(cfg, fm, split)
+    table, best_row = select_model(cfg, fm, split, fit_features(cfg, fm, split))
     write_select_files(cfg.out_dir, cfg.selection, table, best_row)
     print(
         f"{len(table.rows)} models in comparison.csv ({cfg.selection}); "

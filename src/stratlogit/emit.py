@@ -280,7 +280,7 @@ def _models(report) -> tuple:
     """(key, fit, attributions, ranking) of the report's two models."""
     return (
         ("full", report.full_fit, report.full_shap, report.full_importance),
-        ("optimized", report.best_fit, report.optimized_shap, report.optimized_importance),
+        ("optimized", report.best_row.fit, report.optimized_shap, report.optimized_importance),
     )
 
 

@@ -23,10 +23,11 @@ on the calling thread: the Newton loop is bound by the interpreter lock,
 and worker threads slowed both report searches.  Each fit is
 warm-started, under enumeration from the candidate's best-fitting
 one-smaller subset (the nesting Furnival & Wilson 1974 exploit), under
-stepwise search from the current model.  Results are ordered by the
-input spec list, and every fit and score is bit-identical to fitting and
-scoring its design alone from the same start, so the table content is
-independent of the batching.
+stepwise search from the current model; the all-feature row is the
+caller's lone fit from zeros, not refitted, so a run fits each model
+once.  Results are ordered by the input spec list, and every fit and
+score is bit-identical to fitting and scoring its design alone from the
+same start, so the table content is independent of the batching.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _gather(columns, design_cols) -> np.ndarray:
     return stack
 
 
-def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> list:
+def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None, full=None) -> list:
     """The table rows of ``specs``, in their order, named by ``ids``.
 
     Each fit starts (``_start``) from the fit ``parent`` when given, else
@@ -206,8 +207,9 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> list:
     size by size, ascending, so every parent is fitted before its size
     is batched; one size's specs are cut into contiguous batches of at
     most ``_BATCH_VALUES`` values each.  Each batch gathers its stack of
-    designs from the training columns, fits it through
-    ``fit_logistic_batch`` and scores it with ``_score``.  The rows are
+    designs from the training columns and fits it through
+    ``fit_logistic_batch``, except that a lone spec with ``full``'s
+    features takes ``full``; it is scored with ``_score``.  The rows are
     built in spec order after every fit, so the first spec's scoring
     error is the one raised.
     """
@@ -240,10 +242,13 @@ def _fit_rows(cols: _Columns, specs, ids, max_iter, tol, parent=None) -> list:
         n_batches = -(-len(batch) // per_batch)
         bounds = np.linspace(0, len(batch), n_batches + 1).astype(int).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            stack = _gather(cols.train, design_cols[lo:hi])
-            fitted = fit_logistic_batch(
-                stack, cols.y, names[lo:hi], max_iter, tol, starts[lo:hi], cols.well_posed
-            )
+            if full is not None and names[lo:hi] == [full.feature_names]:
+                fitted = [full]
+            else:
+                stack = _gather(cols.train, design_cols[lo:hi])
+                fitted = fit_logistic_batch(
+                    stack, cols.y, names[lo:hi], max_iter, tol, starts[lo:hi], cols.well_posed
+                )
             scored = _score(cols, design_cols[lo:hi, 1:] - 1, fitted)
             for i, outcome, score in zip(batch[lo:hi], fitted, scored):
                 outcomes[i], scores[i] = outcome, score
@@ -376,56 +381,47 @@ def enumerate_subsets(column_names) -> list:
     return specs
 
 
-def fit_all(m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> ComparisonTable:
-    """Fit every spec on the training rows, score on validation rows."""
+def fit_all(
+    m, specs, split: Split, max_iter: int = 1000, tol: float = 1e-8, full=None
+) -> ComparisonTable:
+    """Fit every spec on the training rows, score on validation rows; a
+    lone spec of its size with ``full``'s features takes ``full``."""
     specs = list(specs)
     if not specs:
         raise ConfigError("fit_all: no model specs given")
     _validate_features(m, specs)
     width = max(3, len(str(len(specs))))
     ids = [f"model_{i + 1:0{width}d}" for i in range(len(specs))]
-    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol)
+    rows = _fit_rows(_Columns.build(m, split), specs, ids, max_iter, tol, full=full)
     return ComparisonTable(rows=tuple(rows))
 
 
-def backward_stepwise(m, split: Split, max_iter: int = 1000, tol: float = 1e-8) -> ComparisonTable:
-    """Greedy backward deletion from the full model.
+def backward_stepwise(
+    m, split: Split, full: LogitFit, max_iter: int = 1000, tol: float = 1e-8
+) -> ComparisonTable:
+    """Greedy backward deletion from ``full``, a converged lone fit (the
+    fit stage's fit of every column), which is not refitted.
 
     At each step every single-feature deletion is refit, as one batch,
     each from the current model's coefficients without the deleted one;
     the lowest-AIC candidate is accepted while it strictly improves on
     the current model, stopping otherwise (or at one remaining feature).
     Deletion ties go to the earliest column.  The path records the
-    accepted models only, starting with the full fit.  A full fit that
-    raised is raised again with its error's class; one that stopped at
-    its iteration cap is a ``NotConvergedError``.
+    accepted models only, starting with ``full``'s row.
     """
-    current = ModelSpec(features=tuple(m.column_names))
     cols = _Columns.build(m, split)
-    step = 0
-    (current_row,) = _fit_rows(cols, [current], ["step_000"], max_iter, tol)
-    if current_row.failed:
-        error = NotConvergedError if current_row.error is None else type(current_row.error)
-        raise error(f"backward_stepwise: starting model unusable ({current_row.failure})")
-    path = [current_row]
-    while len(current.features) > 1:
-        candidates = [
-            ModelSpec(tuple(f for i, f in enumerate(current.features) if i != drop_idx))
-            for drop_idx in range(len(current.features))
-        ]
-        best_cand = None
-        rows = _fit_rows(
-            cols, candidates, ["candidate"] * len(candidates), max_iter, tol, current_row.fit
-        )
-        for row in rows:
-            if row.failed:
-                continue
-            if best_cand is None or row.aic < best_cand.aic:
-                best_cand = row
-        if best_cand is None or best_cand.aic >= current_row.aic:
+    start = ModelSpec(features=full.feature_names)
+    (current,) = _fit_rows(cols, [start], ["step_000"], max_iter, tol, full=full)
+    path = [current]
+    while len(current.spec.features) > 1:
+        features = current.spec.features
+        candidates = [ModelSpec(features[:i] + features[i + 1 :]) for i in range(len(features))]
+        ids = ["candidate"] * len(candidates)
+        rows = _fit_rows(cols, candidates, ids, max_iter, tol, current.fit)
+        usable = [row for row in rows if not row.failed]
+        best = min(usable, key=lambda row: row.aic, default=None)  # the first of ties
+        if best is None or best.aic >= current.aic:
             break
-        step += 1
-        current_row = replace(best_cand, model_id=f"step_{step:03d}")
-        current = current_row.spec
-        path.append(current_row)
+        current = replace(best, model_id=f"step_{len(path):03d}")
+        path.append(current)
     return ComparisonTable(rows=tuple(path))

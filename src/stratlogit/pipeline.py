@@ -8,7 +8,7 @@ subcommands:
     describe    describe_indicators  descriptive stats, correlations, VIF
     split       split_rows           seeded train/validation partition
     fit         fit_features         one feature subset on the training rows
-    select      select_model         AIC subset search and its best fit
+    select      select_model         AIC subset search from the full fit
     evaluate    evaluate_fit         one fit scored on the validation rows
     attribute   attribute_fit        one fit's attributions and their ranking
 
@@ -139,7 +139,6 @@ class AnalysisReport:
     full_fit: LogitFit
     comparison: ComparisonTable
     best_row: ModelRow
-    best_fit: LogitFit
     confusion: ConfusionMatrix
     metrics: ClassificationMetrics
     roc: RocCurve
@@ -157,7 +156,7 @@ def _verify_report(report: AnalysisReport) -> None:
     fm = report.feature_matrix
     for shap, fit in (
         (report.full_shap, report.full_fit),
-        (report.optimized_shap, report.best_fit),
+        (report.optimized_shap, report.best_row.fit),
     ):
         cols = [fm.column(name) for name in shap.feature_names]
         X = np.column_stack(cols)
@@ -252,24 +251,19 @@ def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None)
     return fit
 
 
-def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split) -> tuple:
-    """Select stage: (table in report order, best row, the best row's
-    fit), with the fit's cross-quantity identities re-checked.  The best
-    row is a converged fit."""
+def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split, full: LogitFit) -> tuple:
+    """Select stage: (table in report order, best row), with the best
+    row's converged fit re-checked for its cross-quantity identities.
+    ``full``, the fit stage's fit, is the all-feature row, not refitted."""
     if cfg.selection == "enumerate":
-        table = fit_all(
-            fm,
-            enumerate_subsets(fm.column_names),
-            split,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
+        specs = enumerate_subsets(fm.column_names)
+        table = fit_all(fm, specs, split, max_iter=cfg.max_iter, tol=cfg.tol, full=full)
         ordered, best_row = table.sorted_by_aic(), table.best_row()
     else:
-        ordered = backward_stepwise(fm, split, max_iter=cfg.max_iter, tol=cfg.tol)
+        ordered = backward_stepwise(fm, split, full, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]
     verify_fit_identities(best_row.fit)
-    return ordered, best_row, best_row.fit
+    return ordered, best_row
 
 
 def evaluate_fit(fm: FeatureMatrix, split: Split, fit: LogitFit) -> tuple:
@@ -329,13 +323,13 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     description = stage("describe", describe_indicators, fm)
     split = stage("split", split_rows, cfg, fm)
     full_fit = stage("fit", fit_features, cfg, fm, split)
-    comparison, best_row, best_fit = stage("select", select_model, cfg, fm, split)
-    cm, mets, roc = stage("evaluate", evaluate_fit, fm, split, best_fit)
+    comparison, best_row = stage("select", select_model, cfg, fm, split, full_fit)
+    cm, mets, roc = stage("evaluate", evaluate_fit, fm, split, best_row.fit)
 
     def _attribute():
         background = training_means(fm, split)
         full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
-        opt_shap, opt_rank = attribute_fit(fm, background, best_fit, "optimized")
+        opt_shap, opt_rank = attribute_fit(fm, background, best_row.fit, "optimized")
         trends = {
             name: trend_compare(full_shap, opt_shap, name, fm.column(name))
             for name in fm.column_names
@@ -355,7 +349,6 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         full_fit=full_fit,
         comparison=comparison,
         best_row=best_row,
-        best_fit=best_fit,
         confusion=cm,
         metrics=mets,
         roc=roc,

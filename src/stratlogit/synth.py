@@ -69,18 +69,24 @@ def _calibrate_labels(followers, h_index, target_ones) -> np.ndarray:
     raise DegenerateInputError("label calibration did not converge")
 
 
+_SCALED = object()
+
+
 def make_scholar_dataset(
     n: int = 459,
     seed: int = 20240801,
-    target_increase: int | None = 226,
+    target_increase: int | None = _SCALED,
 ) -> Dataset:
     """Synthetic scholar table with an exact label-1 count.
 
-    ``target_increase`` of None skips calibration and keeps whatever
-    balance the draw produced.
+    ``target_increase`` defaults to the fixture's share, 226 of 459 rows,
+    rounded at ``n``; None skips calibration and keeps whatever balance
+    the draw produced.
     """
     if n < 4:
         raise DegenerateInputError(f"make_scholar_dataset: n must be >= 4, got {n}")
+    if target_increase is _SCALED:
+        target_increase = round(226 * n / 459)
     if target_increase is not None and not (0 < target_increase < n):
         raise DegenerateInputError(
             f"make_scholar_dataset: target_increase {target_increase} outside 1..{n - 1}"

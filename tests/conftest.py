@@ -36,6 +36,7 @@ from stratlogit.logit import (
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
 from stratlogit.network import _q, _refresh
+from stratlogit.pipeline import RunConfig, fit_features
 from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -304,6 +305,12 @@ def fit_from(design, max_iter=1000, tol=1e-8, start=None) -> LogitFit:
     if isinstance(out, StratLogitError):
         raise out
     return out
+
+
+def full_fit(m, split, max_iter=1000, tol=1e-8) -> LogitFit:
+    """The fit stage's lone fit of every column of ``m`` on the training
+    rows, from zeros: the all-feature row a search is given."""
+    return fit_features(RunConfig(input_path="", max_iter=max_iter, tol=tol), m, split)
 
 
 def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow:

@@ -18,6 +18,7 @@ from conftest import (
     DATA,
     adjacency,
     edge_betweenness,
+    full_fit,
     gradient_ref,
     kernel_shap,
     log_likelihood_ref,
@@ -194,7 +195,7 @@ def test_06_search_coherence():
             split = make_split(m.n_rows, train_fraction=0.7, seed=run)
             table = fit_all(m, enumerate_subsets(m.column_names), split)
             enum_best = table.best_row().aic
-            path = backward_stepwise(m, split).rows
+            path = backward_stepwise(m, split, full_fit(m, split)).rows
             step_best = path[-1].aic
             check(
                 f,

@@ -545,7 +545,7 @@ def repeating_report(scholar_csv):
     coef[3] = -5e-324
     full_fit = replace(report.full_fit, coef=coef)
     full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
-    opt_shap, opt_rank = attribute_fit(fm, background, report.best_fit, "optimized")
+    opt_shap, opt_rank = attribute_fit(fm, background, report.best_row.fit, "optimized")
     return replace(
         report,
         feature_matrix=fm,

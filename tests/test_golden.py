@@ -57,7 +57,7 @@ INPUTS = {"report-synth2000-stepwise": write_synth2000}
 
 GOLDEN = {
     "report-enumerate": {
-        "comparison.csv": "e9ebcac1d3963d6c411d2c97c4df240102e6777daa7801672fb048f53e3ae959",
+        "comparison.csv": "cfc0e0437bddd8ae39678fe426ca404adeb4ffd645e8c50f1fb730930b014a39",
         "confusion.csv": "30e133442f7ff4381af9b68f91262e9f5c43008e93e15091baa4e9eacfc433de",
         "correlation.csv": "d3c49cb04924a588b9f41d5cf3d884847660b3a8002f88223fe86dfc1cbd6ad3",
         "descriptive_stats.csv": "38a4041e36cc715ef3c0c217ddfe22363c7f5516736d91f2281b9b6b4273bb5c",
@@ -126,7 +126,7 @@ GOLDEN = {
         "inference.csv": "1210c4d8b5b2a11b2cada5d712cbff63946e5c7ae6e999c928dc45a00354c09b",
     },
     "select-enumerate": {
-        "comparison.csv": "e9ebcac1d3963d6c411d2c97c4df240102e6777daa7801672fb048f53e3ae959",
+        "comparison.csv": "cfc0e0437bddd8ae39678fe426ca404adeb4ffd645e8c50f1fb730930b014a39",
         "selection.json": "6b8285b0d73432f6f0991ae2c6ce8a8c73fe2b43193efc3962ea09ebb087709a",
     },
     "select-stepwise": {

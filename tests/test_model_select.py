@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_one_ref, gather_ref, warm_start_ref
+from conftest import fit_one_ref, full_fit, gather_ref, warm_start_ref
 from stratlogit import model_select
 from stratlogit.emit import write_comparison_csv
 from stratlogit.errors import (
@@ -100,6 +100,19 @@ class TestFitAll:
             assert r.k_params == len(r.spec.features) + 1
             assert set(r.coefficients) == {"intercept", *r.spec.features}
             assert r.aic == pytest.approx(2 * r.k_params - 2 * r.log_lik)
+
+    def test_full_fit_is_the_all_feature_row(self):
+        # The given full fit is the all-feature row, scored as a fitted row
+        # is; it is no candidate's warm start, so no other row moves.
+        m, names = planted_matrix(noise_cols=3)
+        split = make_split(m.n_rows, train_fraction=0.7, seed=0)
+        specs = enumerate_subsets(names)
+        full = full_fit(m, split)
+        table = fit_all(m, specs, split, full=full)
+        *rows, last = table.rows
+        assert last.fit is full
+        assert repr(last) == repr(fit_one_ref(m, specs[-1], split, 1000, 1e-8, last.model_id))
+        assert repr(rows) == repr(list(fit_all(m, specs, split).rows[:-1]))
 
     def test_unknown_column_rejected_upfront(self):
         m, _ = planted_matrix()
@@ -215,9 +228,11 @@ class TestStepwise:
     def test_prunes_noise_keeps_signal(self):
         m, _ = planted_matrix(n=400, seed=3, noise_cols=4)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        path = backward_stepwise(m, split).rows
+        full = full_fit(m, split)
+        path = backward_stepwise(m, split, full).rows
         assert {"s0", "s1"} <= set(path[-1].spec.features)
         assert path[0].model_id == "step_000"
+        assert path[0].fit is full  # the start is given, not refitted
         assert len(path[0].spec.features) == 6
         # strictly improving AIC along the accepted path
         aics = [r.aic for r in path]
@@ -232,12 +247,14 @@ class TestStepwise:
             split = make_split(m.n_rows, train_fraction=0.7, seed=seed)
             table = fit_all(m, enumerate_subsets(names), split)
             best_enum = table.best_row().aic
-            assert backward_stepwise(m, split).rows[-1].aic >= best_enum - 1e-9
+            path = backward_stepwise(m, split, full_fit(m, split)).rows
+            assert path[-1].aic >= best_enum - 1e-9
 
     def test_starts_from_every_column(self):
         m, _ = planted_matrix(n=200, seed=8, noise_cols=3)
         split = make_split(m.n_rows, train_fraction=0.7, seed=0)
-        path = backward_stepwise(restrict(m, ("s0", "noise0")), split).rows
+        sub = restrict(m, ("s0", "noise0"))
+        path = backward_stepwise(sub, split, full_fit(sub, split)).rows
         assert path[0].spec.features == ("s0", "noise0")
         assert set(path[-1].spec.features) <= {"s0", "noise0"}
 
@@ -251,9 +268,10 @@ class TestStepwise:
             row_ids=tuple(f"r{i}" for i in range(60)),
         )
         split = make_split(60, train_fraction=0.7, seed=0)
-        # The collinear start is a singular fit, as it is when fitted alone.
-        with pytest.raises(SingularMatrixError, match="starting model unusable"):
-            backward_stepwise(m, split)
+        # The collinear start is a singular fit in the fit stage, so there
+        # is no start to search from.
+        with pytest.raises(SingularMatrixError, match="rank deficient"):
+            full_fit(m, split)
 
 
 def restrict(m, names):
@@ -271,12 +289,11 @@ def restrict(m, names):
 def stepwise_ref(m, split, max_iter, tol):
     """Backward deletion over ``fit_one_ref`` rows, one candidate at a
     time, each from the current row's coefficients without the deleted
-    one: the oracle for ``backward_stepwise``."""
+    one, after the fit stage's full fit: the oracle for
+    ``backward_stepwise``."""
+    full_fit(m, split, max_iter, tol)  # an unusable start fails here
     features = tuple(m.column_names)
     row = fit_one_ref(m, ModelSpec(features), split, max_iter, tol, "step_000")
-    if row.failed:
-        error = NotConvergedError if row.error is None else type(row.error)
-        raise error(f"backward_stepwise: starting model unusable ({row.failure})")
     path = [row]
     while len(features) > 1:
         rows = []
@@ -482,7 +499,9 @@ class TestBatchParity:
             m = restrict(m, start)
         want = outcome(lambda: stepwise_ref(m, split, max_iter, 1e-8))
         monkeypatch.setattr(model_select, "_BATCH_VALUES", values)
-        got = outcome(lambda: backward_stepwise(m, split, max_iter=max_iter).rows)
+        got = outcome(
+            lambda: backward_stepwise(m, split, full_fit(m, split, max_iter), max_iter).rows
+        )
         assert got == want
 
 
@@ -517,7 +536,8 @@ class TestWarmStart:
             for cold in (False, True):
                 if cold:
                     cold_search(monkeypatch)
-                tables.append((fit_all(m, specs, split), backward_stepwise(m, split)))
+                full = full_fit(m, split)
+                tables.append((fit_all(m, specs, split), backward_stepwise(m, split, full)))
             monkeypatch.undo()
             (warm, warm_path), (cold, cold_path) = tables
             best = ((warm.best_row(), cold.best_row()), (warm_path.rows[-1], cold_path.rows[-1]))

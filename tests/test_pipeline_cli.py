@@ -24,12 +24,12 @@ from conftest import (
     read_roc_csv,
     to_json_ref,
 )
-from stratlogit import pipeline, synth
+from stratlogit import logit, model_select, pipeline, synth
 from stratlogit.attribution import lowess
 from stratlogit.cli import main
 from stratlogit.emit import report_payload, to_json, write_report_files, write_select_files
 from stratlogit.errors import ConfigError, DegenerateInputError, PipelineError
-from stratlogit.indicators import FEATURE_COLUMNS
+from stratlogit.indicators import FEATURE_COLUMNS, build_feature_matrix
 from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
@@ -113,11 +113,14 @@ class TestRunPipeline:
         aics = [row.aic for row in table]
         assert aics == sorted(aics, reverse=True)
 
+    # 8 is the fewest iterations at which the lone full fit from zeros
+    # converges on the fixture, so the fit stage passes the cap and the
+    # warm-started candidates run under it.
     @pytest.mark.parametrize(
         "selection,max_iter,tol",
         [
             ("enumerate", 1000, 1e-8),
-            ("enumerate", 5, 1e-8),
+            ("enumerate", 8, 1e-8),
             ("enumerate", 1000, 0.1),
             ("stepwise", 1000, 1e-8),
             ("stepwise", 1000, 0.1),
@@ -128,27 +131,40 @@ class TestRunPipeline:
         _, dataset = pipeline.load_dataset(cfg)
         fm = pipeline.build_indicators(cfg, dataset)
         split = pipeline.split_rows(cfg, fm)
-        _, best_row, best_fit = pipeline.select_model(cfg, fm, split)
-        assert best_fit is best_row.fit
+        full = pipeline.fit_features(cfg, fm, split)
+        _, best_row = pipeline.select_model(cfg, fm, split, full)
+        best_fit = best_row.fit
         assert best_fit.iterations == best_row.iterations
         assert best_fit.aic == best_row.aic
         assert best_fit.coef.tolist() == list(best_row.coefficients.values())
 
     @pytest.mark.parametrize("selection", pipeline.SELECTION_MODES)
     def test_select_makes_no_second_fit(self, selection, monkeypatch):
-        # The full model is the run's one lone fit; the selected model is
-        # its table row's fit from the search.
-        calls = []
+        # The full model is the run's one lone fit and the search's
+        # all-feature row; the selected model is its table row's fit from
+        # the search. Every design is fitted once: the 511 subsets, or the
+        # full model and the 35 deletions of the stepwise steps.
+        calls, designs = [], []
 
         def counted(*args, **kwargs):
             calls.append(args[0].feature_names)
             return real(*args, **kwargs)
 
-        real = pipeline.fit_logistic
+        def counted_batch(X, *args, **kwargs):
+            designs.append(len(X))
+            return real_batch(X, *args, **kwargs)
+
+        real, real_batch = pipeline.fit_logistic, logit.fit_logistic_batch
         monkeypatch.setattr(pipeline, "fit_logistic", counted)
-        report = run_pipeline(RunConfig(input_path=SCHOLARS, selection=selection))
+        monkeypatch.setattr(logit, "fit_logistic_batch", counted_batch)
+        monkeypatch.setattr(model_select, "fit_logistic_batch", counted_batch)
+        report = run_pipeline(RunConfig(input_path=SCHOLARS, selection=selection, seed=7))
         assert calls == [tuple(FEATURE_COLUMNS)]
-        assert report.best_fit is report.best_row.fit
+        assert sum(designs) == {"enumerate": 511, "stepwise": 36}[selection]
+        (full_row,) = [
+            row for row in report.comparison.rows if row.spec.features == tuple(FEATURE_COLUMNS)
+        ]
+        assert full_row.fit is report.full_fit
 
     def test_trend_entries_flag_dropped_features(self, stepwise_report):
         d = report_payload(stepwise_report)
@@ -246,6 +262,12 @@ class TestFixtureProvenance:
         parsed = parse_dataset(SCHOLARS)
         assert len(parsed.records) == 459
         assert parsed.records == generated.records
+
+    def test_default_label_count_scales_with_n(self):
+        # The default keeps the fixture's 226 of 459 label-1 rows as a
+        # share: round(226 * 2000 / 459) = 985.
+        ds = make_scholar_dataset(n=2000, seed=1)
+        assert int(build_feature_matrix(filter_eligible(ds)).target.sum()) == 985
 
     @pytest.mark.parametrize("n", [40, 80, 120])
     def test_label_calibration_equals_oracle(self, n):
@@ -470,23 +492,36 @@ class TestCliErrors:
             err = capsys.readouterr().err
             assert err.startswith("error[config_error]") and str(out) in err
 
-    @pytest.mark.parametrize("argv", FITTING_COMMANDS, ids=" ".join)
-    def test_unconverged_fit_exit_4(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [pytest.param(argv, "1", id=" ".join(argv)) for argv in FITTING_COMMANDS]
+        + [
+            pytest.param(
+                ["select", "--select", "enumerate"],
+                "5",
+                id="select --select enumerate --max-iter 5",
+            )
+        ],
+    )
+    def test_unconverged_fit_exit_4(self, argv, cap, tmp_path, capsys):
         # One Newton step cannot converge on the fixture: every command that
-        # fits refuses to report a point that is not the maximum.
+        # fits refuses to report a point that is not the maximum. The lone
+        # full fit from zeros needs 8, and select makes it before its
+        # search, so select fails at 5 too, though its warm-started
+        # candidates would converge.
         out = tmp_path / "out"
-        rc = main([*argv, "--input", SCHOLARS, "--max-iter", "1", "--out", str(out)])
+        rc = main([*argv, "--input", SCHOLARS, "--max-iter", cap, "--out", str(out)])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error[not_converged]") and "Traceback" not in err
-        assert "1 iterations" in err
+        assert f"{cap} iterations" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["fit"], ["select", "--select", "stepwise"]], ids=" ".join)
     def test_collinear_design_exit_4(self, argv, tmp_path, capsys):
         # citations = 3 * publications with per_cited blank: the full design
-        # is rank deficient, a numerical error whether it is fitted alone
-        # or as the stepwise search's start.
+        # is rank deficient, a numerical error of the lone full fit that
+        # select makes before its search, as fit does.
         with open(SCHOLARS, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         for row in rows:
@@ -519,7 +554,7 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["select", "--select", "enumerate", "--max-iter", "5"],
+            ["select", "--select", "enumerate", "--tol", "0.1"],
             ["report", "--select", "enumerate", "--tol", "0.1"],
             ["report", "--select", "stepwise", "--tol", "0.1"],
         ],
@@ -527,9 +562,9 @@ class TestCliErrors:
     )
     def test_best_refit_is_its_row(self, argv, tmp_path):
         # The search's fits start warm, and a cold fit of the best model
-        # needs 7 iterations at the default tolerance, or stops elsewhere
-        # within a loose one. The optimized model is the row's own fit, so
-        # the run succeeds and its coefficients are the best row's.
+        # stops elsewhere within a loose tolerance. The optimized model is
+        # the row's own fit, so the run succeeds and its coefficients are
+        # the best row's.
         out = tmp_path / "out"
         assert main([*argv, "--input", SCHOLARS, "--out", str(out)]) == 0
         summary = out / ("selection.json" if argv[0] == "select" else "report.json")
@@ -660,6 +695,25 @@ class TestCliSubcommands:
         assert sel["n_models"] == n_models
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith(f"{n_models} models in comparison.csv ({mode}); best "), line
+
+    @pytest.mark.parametrize("mode", pipeline.SELECTION_MODES)
+    def test_one_full_model_per_run(self, mode, tmp_path):
+        # The fit stage's lone fit is the search's all-feature row, so
+        # comparison.csv holds fit's model to the bit, as report.json does.
+        for argv in (["fit"], ["report", "--select", mode], ["select", "--select", mode]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--input", SCHOLARS, "--out", str(out)]) == 0
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text(encoding="utf-8"))
+        report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+        full_model = report["full_model"]
+        assert {k: v for k, v in full_model.items() if k != "model_id"} == {
+            k: v for k, v in fit.items() if k != "model_id"
+        }
+        for command in ("report", "select"):
+            rows = read_comparison_csv(tmp_path / command / "comparison.csv")
+            (row,) = [r for r in rows if r["features"] == list(FEATURE_COLUMNS)]
+            assert row["coefficients"] == fit["coefficients"]
+            assert row["iterations"] == fit["iterations"]
 
     def test_attribute_importance_equals_report(self, tmp_path, stepwise_report):
         # One model, two paths: the same importance and trend bits.
