@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateInputError, NotConvergedError, StratLogitError
+from .errors import ConfigError, DataError, StratLogitError
 from .evaluate import (
     ConfusionMatrix,
     Split,
@@ -104,17 +104,8 @@ class ModelRow:
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
-    # The fit the row was built from, or the error fitting raised.
+    # The fit the row was built from; None on a failed row.
     fit: Optional[LogitFit] = field(default=None, compare=False, repr=False)
-    error: Optional[StratLogitError] = field(default=None, compare=False, repr=False)
-
-    @property
-    def unconverged(self) -> bool:
-        """A fit that stopped short of its maximum: at its iteration cap,
-        or below the intercept-only likelihood (a ``NotConvergedError``)."""
-        if self.iterations is not None:
-            return not self.converged
-        return isinstance(self.error, NotConvergedError)
 
 
 @dataclass(frozen=True)
@@ -123,21 +114,12 @@ class ComparisonTable:
 
     def sorted_by_aic(self) -> "ComparisonTable":
         """Usable rows ascending by AIC (ties: fewer parameters, then
-        id); failed rows trail in their original order."""
+        id); failed rows trail in their original order.  Under
+        ``enumerate`` the first row is the selected model."""
         ok = [r for r in self.rows if not r.failed]
         bad = [r for r in self.rows if r.failed]
         ok.sort(key=lambda r: (r.aic, r.k_params, r.model_id))
         return ComparisonTable(rows=tuple(ok + bad))
-
-    def best_row(self) -> ModelRow:
-        ordered = self.sorted_by_aic().rows
-        if ordered and not ordered[0].failed:
-            return ordered[0]
-        if ordered and all(r.unconverged for r in ordered):
-            raise NotConvergedError(
-                f"comparison table has no usable fit: every candidate {ordered[0].failure}"
-            )
-        raise DegenerateInputError("comparison table has no usable fit")
 
 
 def _validate_features(m, specs) -> None:
@@ -327,7 +309,7 @@ def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
         **{f: None for f in METRIC_FIELDS},
     )
     if isinstance(outcome, StratLogitError):
-        base.update(failure=f"{outcome.code}: {outcome}", error=outcome)
+        base.update(failure=f"{outcome.code}: {outcome}")
         return ModelRow(**base)
     if isinstance(score, StratLogitError):
         raise score

@@ -179,7 +179,7 @@ def _verify_report(report: AnalysisReport) -> None:
     if mets.accuracy != (cm.tp + cm.tn) / cm.total:
         raise InvariantBreachError("accuracy inconsistent with confusion matrix")
     for row in report.comparison.rows:
-        if row.failed or row.aic is None:
+        if row.failed:
             continue
         want = 2.0 * row.k_params - 2.0 * row.log_lik
         if abs(row.aic - want) > 1e-9 * max(1.0, abs(want)):
@@ -254,11 +254,14 @@ def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None)
 def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split, full: LogitFit) -> tuple:
     """Select stage: (table in report order, best row), with the best
     row's converged fit re-checked for its cross-quantity identities.
-    ``full``, the fit stage's fit, is the all-feature row, not refitted."""
+    ``full``, the fit stage's fit, is the all-feature row, not refitted,
+    so the best row is the sorted table's first under ``enumerate`` and
+    the path's last under ``stepwise``."""
     if cfg.selection == "enumerate":
         specs = enumerate_subsets(fm.column_names)
         table = fit_all(fm, specs, split, max_iter=cfg.max_iter, tol=cfg.tol, full=full)
-        ordered, best_row = table.sorted_by_aic(), table.best_row()
+        ordered = table.sorted_by_aic()
+        best_row = ordered.rows[0]
     else:
         ordered = backward_stepwise(fm, split, full, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]

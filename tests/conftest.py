@@ -339,7 +339,7 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow
             start=start,
         )
     except StratLogitError as exc:
-        base.update(failure=f"{exc.code}: {exc}", error=exc)
+        base.update(failure=f"{exc.code}: {exc}")
         return ModelRow(**base)
     coefficients = {"intercept": float(fit.coef[0])}
     for i, name in enumerate(fit.feature_names, start=1):

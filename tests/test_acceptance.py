@@ -194,7 +194,7 @@ def test_06_search_coherence():
             m = _planted_problem(run, p)
             split = make_split(m.n_rows, train_fraction=0.7, seed=run)
             table = fit_all(m, enumerate_subsets(m.column_names), split)
-            enum_best = table.best_row().aic
+            enum_best = table.sorted_by_aic().rows[0].aic
             path = backward_stepwise(m, split, full_fit(m, split)).rows
             step_best = path[-1].aic
             check(

@@ -17,7 +17,6 @@ from stratlogit.errors import (
     ConfigError,
     DataError,
     DegenerateInputError,
-    NotConvergedError,
     SingularMatrixError,
     StratLogitError,
 )
@@ -152,7 +151,7 @@ class TestTableOrdering:
         aics = [r.aic for r in ok]
         assert aics == sorted(aics)
         assert all(r.failed for r in ordered[len(ok):])
-        assert table.best_row().aic == aics[0]
+        assert table.sorted_by_aic().rows[0].aic == aics[0]
 
     def test_aic_ties_break_on_fewer_params(self):
         spec_a = ModelSpec(features=("a",))
@@ -183,46 +182,6 @@ class TestTableOrdering:
         ordered = ComparisonTable(rows=rows).sorted_by_aic().rows
         assert [r.model_id for r in ordered] == ["model_002", "model_001"]
 
-    def test_all_failed_table_has_no_best(self):
-        from stratlogit.model_select import ModelRow
-
-        row = ModelRow(
-            model_id="model_001",
-            spec=ModelSpec(features=("a",)),
-            n_train=10,
-            k_params=None,
-            converged=False,
-            iterations=None,
-            failed=True,
-            failure="separation: boom",
-            coefficients=None,
-            log_lik=None,
-            log_lik_null=None,
-            pseudo_r2=None,
-            llr_p=None,
-            aic=None,
-            bic=None,
-            accuracy=None,
-            precision=None,
-            recall=None,
-            f1=None,
-        )
-        with pytest.raises(DegenerateInputError):
-            ComparisonTable(rows=(row,)).best_row()
-        # Every candidate stopped unconverged: a numerical failure, as a
-        # lone unconverged fit is, unless another failure is among them.
-        stopped = replace(
-            row,
-            model_id="model_002",
-            k_params=2,
-            iterations=1,
-            failure="not converged in 1 iterations",
-        )
-        with pytest.raises(NotConvergedError, match="every candidate not converged in 1"):
-            ComparisonTable(rows=(stopped, replace(stopped, model_id="model_003"))).best_row()
-        with pytest.raises(DegenerateInputError):
-            ComparisonTable(rows=(stopped, row)).best_row()
-
 
 class TestStepwise:
     def test_prunes_noise_keeps_signal(self):
@@ -246,7 +205,7 @@ class TestStepwise:
             m, names = planted_matrix(n=200, seed=seed, noise_cols=3)
             split = make_split(m.n_rows, train_fraction=0.7, seed=seed)
             table = fit_all(m, enumerate_subsets(names), split)
-            best_enum = table.best_row().aic
+            best_enum = table.sorted_by_aic().rows[0].aic
             path = backward_stepwise(m, split, full_fit(m, split)).rows
             assert path[-1].aic >= best_enum - 1e-9
 
@@ -540,7 +499,10 @@ class TestWarmStart:
                 tables.append((fit_all(m, specs, split), backward_stepwise(m, split, full)))
             monkeypatch.undo()
             (warm, warm_path), (cold, cold_path) = tables
-            best = ((warm.best_row(), cold.best_row()), (warm_path.rows[-1], cold_path.rows[-1]))
+            best = (
+                (warm.sorted_by_aic().rows[0], cold.sorted_by_aic().rows[0]),
+                (warm_path.rows[-1], cold_path.rows[-1]),
+            )
             for got, want in best:
                 assert got.spec == want.spec, (n, seed)
                 assert abs(got.aic - want.aic) <= 1e-12 * abs(want.aic), (n, seed)

@@ -696,6 +696,40 @@ class TestCliSubcommands:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith(f"{n_models} models in comparison.csv ({mode}); best "), line
 
+    # At seed 0 with --max-iter 7 --tol 1.0 the full fit converges in 6
+    # iterations and two warm-started subsets stop at the cap.
+    CAPPED = ["--seed", "0", "--max-iter", "7", "--tol", "1.0"]
+
+    @pytest.mark.parametrize("command", ["select", "report"])
+    def test_failed_candidates_leave_the_best_usable_row(self, command, tmp_path):
+        out = tmp_path / "out"
+        argv = [command, "--select", "enumerate", *self.CAPPED]
+        assert main([*argv, "--input", SCHOLARS, "--out", str(out)]) == 0
+        rows = read_comparison_csv(out / "comparison.csv")
+        failed = [(r["model_id"], "+".join(r["features"])) for r in rows if r["failed"]]
+        assert failed == [("model_084", "FGR+CA+C"), ("model_116", "FGR+CA+P+C")]
+        assert all(r["failure"] == "not converged in 7 iterations" for r in rows if r["failed"])
+        summary = out / ("selection.json" if command == "select" else "report.json")
+        best = json.loads(summary.read_text(encoding="utf-8"))
+        best = best.get("selection", best)["best"]
+        assert (best["model_id"], best["features"]) == ("model_348", ["FGR", "FR", "CA", "C", "AW"])
+        assert best["aic"] == 322.3558313069913
+        usable = [r for r in rows if not r["failed"]]
+        assert rows[0]["model_id"] == "model_348"
+        assert rows[0]["aic"] == min(r["aic"] for r in usable)
+
+    @pytest.mark.parametrize("mode", pipeline.SELECTION_MODES)
+    def test_best_row_is_read_off_the_ordered_table(self, mode):
+        cfg = RunConfig(input_path=SCHOLARS, selection=mode, seed=0, max_iter=7, tol=1.0)
+        _, dataset = pipeline.load_dataset(cfg)
+        fm = pipeline.build_indicators(cfg, dataset)
+        split = pipeline.split_rows(cfg, fm)
+        full = pipeline.fit_features(cfg, fm, split)
+        assert full.iterations == 6
+        ordered, best_row = pipeline.select_model(cfg, fm, split, full)
+        assert best_row is ordered.rows[0 if mode == "enumerate" else -1]
+        assert not best_row.failed
+
     @pytest.mark.parametrize("mode", pipeline.SELECTION_MODES)
     def test_one_full_model_per_run(self, mode, tmp_path):
         # The fit stage's lone fit is the search's all-feature row, so
