@@ -31,5 +31,5 @@ from .errors import (  # noqa: F401
 )
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix  # noqa: F401
 from .ingest import Dataset, ScholarRecord, filter_eligible, parse_dataset  # noqa: F401
-from .logit import DesignMatrix, LogitFit, fit_logistic, inference_table  # noqa: F401
+from .logit import DesignMatrix, LogitFit, fit_logistic  # noqa: F401
 from .pipeline import AnalysisReport, RunConfig, run_pipeline  # noqa: F401

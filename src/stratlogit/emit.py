@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DegenerateInputError
-from .logit import inference_table
+from .logit import check_converged
 from .model_select import METRIC_FIELDS
 
 UNDEFINED = "undefined"
@@ -239,14 +239,14 @@ def _metric(value):
 def fit_payload(fit, model_id: str) -> dict:
     """Coefficients, inference rows and fit statistics of one model."""
     params = ("intercept", *fit.feature_names)
+    names, *values = _inference_columns(fit, "fit_payload")
+    inference = zip(names, *(v.tolist() for v in values))
     return {
         "model_id": model_id,
         "features": list(fit.feature_names),
         "coefficients": dict(zip(params, fit.coef.tolist())),
         "std_err": dict(zip(params, fit.std_err.tolist())),
-        "inference": [
-            {f: getattr(r, f) for f in INFERENCE_FIELDS} for r in inference_table(fit)
-        ],
+        "inference": [dict(zip(INFERENCE_FIELDS, row)) for row in inference],
         "log_lik": fit.log_lik,
         "log_lik_null": fit.log_lik_null,
         "pseudo_r2": fit.pseudo_r2,
@@ -333,7 +333,7 @@ def report_payload(report, trends=None) -> dict:
         "config": cfg.echo(),
         "dataset": {
             "source": report.dataset.provenance.source,
-            "rows_read": report.dataset_raw.provenance.rows_read,
+            "rows_read": report.dataset.provenance.rows_read,
             "rows_eligible": len(report.dataset.records),
         },
         "descriptive_stats": stats,
@@ -418,10 +418,18 @@ def write_comparison_csv(table, path) -> None:
     write_csv(path, ["row"] + [m.model_id for m in models], list(zip(*rows)))
 
 
+def _inference_columns(fit, caller: str) -> list:
+    """The columns of ``INFERENCE_FIELDS`` of a converged fit, read off its
+    arrays with one row per feature (the intercept is not reported);
+    NotConvergedError, naming ``caller``, for an unconverged fit."""
+    check_converged(fit, caller)
+    arrays = (fit.coef, fit.std_err, fit.z, fit.p_two_sided, fit.exp_b, fit.wald)
+    return [fit.feature_names, *(a[1:] for a in arrays)]
+
+
 def write_inference_csv(fit, path) -> None:
     """Per-feature inference rows of a converged fit."""
-    rows = inference_table(fit)
-    write_csv(path, INFERENCE_FIELDS, [[getattr(r, f) for r in rows] for f in INFERENCE_FIELDS])
+    write_csv(path, INFERENCE_FIELDS, _inference_columns(fit, "write_inference_csv"))
 
 
 def write_shap_values_csv(shap, row_ids, path, texts=None) -> None:

@@ -211,14 +211,13 @@ def roc_auc(scores, labels) -> RocCurve:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("roc_auc: need both classes to sweep a curve")
-    points = [(0.0, 0.0)]
-    thresholds = [None]
-    for t in np.unique(s)[::-1]:
-        pred = s >= t
-        tpr = float(np.sum(pred & (y == 1))) / n_pos
-        fpr = float(np.sum(pred & (y == 0))) / n_neg
-        points.append((fpr, tpr))
-        thresholds.append(float(t))
+    # Each distinct score is a site; the rows at or above a threshold are
+    # the sites from the top down to it, so its counts are cumulative sums.
+    distinct, site = np.unique(s, return_inverse=True)
+    tp = np.cumsum(np.bincount(site[y == 1], minlength=distinct.size)[::-1])
+    fp = np.cumsum(np.bincount(site[y == 0], minlength=distinct.size)[::-1])
+    points = [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
+    thresholds = [None, *distinct[::-1].tolist()]
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0

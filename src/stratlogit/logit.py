@@ -20,7 +20,7 @@ are reported as separation rather than returned as garbage.
 Fits run as stacks of designs (``fit_logistic_batch``; ``fit_logistic``
 is a stack of one): the Newton steps, then the covariance and the
 inference of every design that stopped, one stacked call per step (one
-stacked ``np.linalg.solve`` gives every Newton step or covariance).
+stacked ``solve_spd`` gives every Newton step or covariance).
 numpy makes the same BLAS or LAPACK call for each slice of a stack as
 for a single 2-D array, and the remaining arithmetic is elementwise
 ufuncs, so a design's fit has the bits it has alone from the same start
@@ -124,17 +124,6 @@ class CoefficientInference:
     p_two_sided: np.ndarray
     exp_b: np.ndarray
     wald: np.ndarray
-
-
-@dataclass(frozen=True)
-class InferenceRow:
-    feature: str
-    coef: float
-    std_err: float
-    z: float
-    p_two_sided: float
-    exp_b: float
-    wald: float
 
 
 @dataclass(frozen=True)
@@ -310,14 +299,14 @@ def fit_logistic_batch(
 
     The designs still iterating take each Newton step in lockstep: one
     stacked ``matmul`` each for the score, the information matrix and
-    every line-search trial, and one stacked Cholesky check and solve
-    (``_newton_steps``).  numpy makes the same BLAS call for each slice of
-    a stacked ``matmul`` as for a single 2-D design, and LAPACK factors
-    and solves each slice alone, so every fit is bit-identical to fitting
-    its design alone.  A design leaves the stack when it converges,
-    reaches ``max_iter`` or fails, and step halving re-evaluates only the
-    designs whose trial step was refused.  The designs that stopped are
-    finished together, as one stack (``_finish_fits``).
+    every line-search trial, and one stacked ``solve_spd`` (``_solve_stack``).
+    numpy makes the same BLAS call for each slice of a stacked ``matmul``
+    as for a single 2-D design, and LAPACK factors and solves each slice
+    alone, so every fit is bit-identical to fitting its design alone.  A
+    design leaves the stack when it converges, reaches ``max_iter`` or
+    fails, and step halving re-evaluates only the designs whose trial step
+    was refused.  The designs that stopped are finished together, as one
+    stack (``_finish_fits``).
     """
     X = np.ascontiguousarray(X, dtype=float)
     n_fits, _, k = X.shape
@@ -383,14 +372,13 @@ def fit_logistic_batch(
             break
         w = p * (1.0 - p)
         hessian = np.matmul(Xs.transpose(0, 2, 1), Xs * w[:, :, None])
-        step, errors = _newton_steps(hessian, grad[:, :, None], beta)
+        solved, step, errors = _solve_stack(hessian, grad[:, :, None], beta)
         step = step[:, :, 0]
-        failed = np.array([e is not None for e in errors], dtype=bool)
-        if failed.any():
-            for i in np.flatnonzero(failed):
-                outcomes[live[i]] = errors[i]
-            keep = ~failed
-            live, Xs, beta, eta, ll, step = (a[keep] for a in (live, Xs, beta, eta, ll, step))
+        if solved.size < live.size:
+            for i, exc in enumerate(errors):
+                if exc is not None:
+                    outcomes[live[i]] = exc
+            live, Xs, beta, eta, ll = (a[solved] for a in (live, Xs, beta, eta, ll))
 
         # Step halving: each design halves its own step until the
         # log-likelihood does not decrease, at most 60 times.
@@ -464,29 +452,19 @@ def _singular_error(beta, exc) -> StratLogitError:
     return err
 
 
-def _newton_steps(hessian, rhs, beta) -> tuple:
-    """(solutions, errors): each design's ``hessian[i]^-1 rhs[i]`` for a
-    (B, k, m) stack ``rhs`` (Newton steps with m = 1, covariances with
-    identity right-hand sides), or in ``errors[i]`` the error the fit then
-    fails with.  A stacked Cholesky checks that every matrix is positive
-    definite, then one stacked ``np.linalg.solve`` solves them all; if
-    either fails, ``solve_spd``, the same solve on one slice, finds which."""
-    if np.all(np.isfinite(hessian)) and np.all(np.isfinite(rhs)):
-        try:
-            np.linalg.cholesky(hessian)
-            return np.linalg.solve(hessian, rhs), [None] * len(rhs)
-        except np.linalg.LinAlgError:
-            pass  # a factor or solve failed: solve_spd one by one finds which
-    out = np.empty(rhs.shape)
-    errors = [None] * len(rhs)
-    for i in range(len(rhs)):
-        try:
-            out[i] = solve_spd(hessian[i], rhs[i])
-        except SingularMatrixError as exc:
+def _solve_stack(hessian, rhs, beta) -> tuple:
+    """(solved, solutions, errors) of each design's ``hessian[i] x = rhs[i]``
+    for a (B, k, m) stack ``rhs`` (Newton steps with m = 1, covariances
+    with identity right-hand sides): ``solve_spd`` of the stack as one
+    call (``stacked_call``), whose ``solutions`` are those of the rows
+    ``solved``.  Every other row's ``errors`` entry holds the error its
+    fit fails with, a singular matrix read by ``_singular_error``."""
+    errors = [None] * len(hessian)
+    solved, out = stacked_call(solve_spd, range(len(hessian)), errors, hessian, rhs)
+    for i, exc in enumerate(errors):
+        if isinstance(exc, SingularMatrixError):
             errors[i] = _singular_error(beta[i], exc)
-        except StratLogitError as exc:
-            errors[i] = exc
-    return out, errors
+    return solved, out, errors
 
 
 def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
@@ -496,9 +474,9 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     ``outcomes``.
 
     One stacked ``matmul`` gives the information matrices, one stacked
-    Cholesky check and solve (``_newton_steps`` with identity right-hand
-    sides) the covariances, and elementwise ufuncs the inference, so
-    every number is the one a design finished alone gets.
+    ``solve_spd`` (``_solve_stack`` with identity right-hand sides) the
+    covariances, and elementwise ufuncs the inference, so every number is
+    the one a design finished alone gets.
     Each design's errors are checked in the order a lone fit checks them:
     the solve, a non-positive variance, the likelihood ratio statistic
     (a fit that stopped below the intercept-only likelihood, for any k,
@@ -516,16 +494,15 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     w = p * (1.0 - p)
     hessian = np.matmul(Xf.transpose(0, 2, 1), Xf * w[:, :, None])
     identity = np.broadcast_to(np.eye(k), hessian.shape)
-    cov, errors = _newton_steps(hessian, identity, beta)
+    live, cov, errors = _solve_stack(hessian, identity, beta)
     var = np.diagonal(cov, axis1=1, axis2=2)
-    live = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
-    nonpositive = np.any(var[live] <= 0, axis=1)
+    nonpositive = np.any(var <= 0, axis=1)
     for i in live[nonpositive]:
         errors[i] = SingularMatrixError("fit_logistic: non-positive coefficient variance")
     live = live[~nonpositive]
     # Rows that failed keep placeholder values, never computed on.
     std_err = np.ones_like(beta)
-    std_err[live] = np.sqrt(var[live])
+    std_err[live] = np.sqrt(var[~nonpositive])
 
     llr_stat, llr_p = np.zeros(len(index)), np.ones(len(index))
     for i in live.tolist():
@@ -607,28 +584,6 @@ def check_converged(fit: LogitFit, caller: str) -> None:
             f"{caller}: fit did not converge in {fit.iterations} iterations "
             f"(final negative log-likelihood {fit.final_neg_loglik:.6f})"
         )
-
-
-def inference_table(fit: LogitFit) -> tuple:
-    """Per-feature inference rows (intercept omitted, as reported).
-
-    Refuses an unconverged fit (``check_converged``).
-    """
-    check_converged(fit, "inference_table")
-    rows = []
-    for i, name in enumerate(fit.feature_names, start=1):
-        rows.append(
-            InferenceRow(
-                feature=name,
-                coef=float(fit.coef[i]),
-                std_err=float(fit.std_err[i]),
-                z=float(fit.z[i]),
-                p_two_sided=float(fit.p_two_sided[i]),
-                exp_b=float(fit.exp_b[i]),
-                wald=float(fit.wald[i]),
-            )
-        )
-    return tuple(rows)
 
 
 def verify_fit_identities(fit: LogitFit) -> None:

@@ -131,7 +131,6 @@ class AnalysisReport:
     """Every stage result of one run; ``emit`` lays them out as files."""
 
     config: RunConfig
-    dataset_raw: Dataset
     dataset: Dataset
     feature_matrix: FeatureMatrix
     description: tuple
@@ -321,7 +320,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         completed.append(name)
         return result
 
-    dataset_raw, dataset = stage("ingest", load_dataset, cfg)
+    _, dataset = stage("ingest", load_dataset, cfg)
     fm = stage("indicators", build_indicators, cfg, dataset)
     description = stage("describe", describe_indicators, fm)
     split = stage("split", split_rows, cfg, fm)
@@ -344,7 +343,6 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     )
     report = AnalysisReport(
         config=cfg,
-        dataset_raw=dataset_raw,
         dataset=dataset,
         feature_matrix=fm,
         description=description,

@@ -165,20 +165,22 @@ def vif(values, names) -> np.ndarray:
 
 
 def solve_spd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
+    """Solve ``a @ x = b`` for symmetric positive definite ``a``: one
+    (k, k) system, with ``b`` of shape (k,) or (k, m), or a (B, k, k)
+    stack of them, with ``b`` of shape (B, k, m).
 
     A Cholesky factorisation checks that ``a`` is positive definite, and
     ``np.linalg.solve`` solves the system: numpy makes that LAPACK call
-    once per slice of a stack, so ``a`` alone gets the bits it gets as a
-    slice of a stacked solve.  Raises SingularMatrixError when the
-    factorisation or the solve fails, which callers interpret as
-    collinearity (or separation, higher up).
+    once per slice of a stack, so a system gets the same bits alone as
+    in any stack.  Raises SingularMatrixError when the factorisation or
+    the solve fails (for a stack, of any slice), which callers interpret
+    as collinearity (or separation, higher up).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DataError("solve_spd: matrix must be square")
-    if b.shape[0] != a.shape[0]:
+    if (a.ndim, b.ndim) not in ((2, 1), (2, 2), (3, 3)) or b.shape[: a.ndim - 1] != a.shape[:-1]:
         raise DataError("solve_spd: right-hand side length mismatch")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise DataError("solve_spd: non-finite input")

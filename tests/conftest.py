@@ -19,7 +19,14 @@ from stratlogit.errors import (
     SingularMatrixError,
     StratLogitError,
 )
-from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
+from stratlogit.evaluate import (
+    ConfusionMatrix,
+    RocCurve,
+    classify,
+    make_split,
+    metrics,
+    predict_prob,
+)
 from stratlogit.indicators import build_feature_matrix, percentile_rank
 from stratlogit.ingest import filter_eligible, parse_dataset
 from stratlogit.logit import (
@@ -178,6 +185,35 @@ def read_roc_csv(path) -> tuple:
     return points, tuple(float(t) if t else None for _, _, t in rows)
 
 
+def roc_auc_ref(scores, labels) -> RocCurve:
+    """One operating point per distinct score, each counted by rescanning
+    every score: the old loop of ``evaluate.roc_auc``, kept as its oracle."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise DataError("roc_auc: scores and labels must be matching 1-D vectors")
+    if not np.all(np.isfinite(s)):
+        raise DataError("roc_auc: non-finite scores")
+    if not np.all((y == 0) | (y == 1)):
+        raise DataError("roc_auc: labels must be 0/1")
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateInputError("roc_auc: need both classes to sweep a curve")
+    points = [(0.0, 0.0)]
+    thresholds = [None]
+    for t in np.unique(s)[::-1]:
+        pred = s >= t
+        tpr = float(np.sum(pred & (y == 1))) / n_pos
+        fpr = float(np.sum(pred & (y == 0))) / n_neg
+        points.append((fpr, tpr))
+        thresholds.append(float(t))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return RocCurve(points=tuple(points), thresholds=tuple(thresholds), auc=auc)
+
+
 def gather_ref(columns, design_cols):
     """stack[b, r, j] = columns[r, design_cols[b, j]] by one broadcast fancy
     index: the oracle for ``model_select._gather``."""
@@ -270,6 +306,17 @@ def finish_fit_ref(
         final_neg_loglik=-ll,
         loglik_path=path,
     )
+
+
+def inference_rows_ref(fit) -> list:
+    """One [feature, coef, std_err, z, p_two_sided, exp_b, wald] row per
+    feature (the intercept is not reported), built a value at a time from
+    the fit's arrays: the oracle for the inference columns ``emit`` reads
+    off a ``LogitFit``."""
+    arrays = (fit.coef, fit.std_err, fit.z, fit.p_two_sided, fit.exp_b, fit.wald)
+    return [
+        [name, *(float(a[i]) for a in arrays)] for i, name in enumerate(fit.feature_names, start=1)
+    ]
 
 
 def warm_start_ref(features, rows):

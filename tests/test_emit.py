@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     comparison_to_dicts_ref,
+    inference_rows_ref,
     make_problem,
     read_comparison_csv,
     read_roc_csv,
@@ -34,7 +35,7 @@ from stratlogit.attribution import (
 from stratlogit.evaluate import ConfusionMatrix, metrics, roc_auc
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.ingest import COLUMNS, parse_dataset, write_dataset_csv
-from stratlogit.logit import fit_logistic, inference_table
+from stratlogit.logit import fit_logistic
 from stratlogit.model_select import (
     METRIC_FIELDS,
     ComparisonTable,
@@ -381,7 +382,7 @@ class TestRowTables:
             tmp_path,
             lambda p: emit.write_inference_csv(fit, p),
             emit.INFERENCE_FIELDS,
-            ([getattr(r, f) for f in emit.INFERENCE_FIELDS] for r in inference_table(fit)),
+            inference_rows_ref(fit),
         )
 
     @pytest.mark.parametrize("hostile", [False, True])
@@ -601,10 +602,7 @@ def report_files_ref(report, out) -> None:
         ),
     }
     for key, fit, shap, ranking in emit._models(report):
-        tables[f"inference_{key}.csv"] = (
-            emit.INFERENCE_FIELDS,
-            [[getattr(r, f) for f in emit.INFERENCE_FIELDS] for r in inference_table(fit)],
-        )
+        tables[f"inference_{key}.csv"] = (emit.INFERENCE_FIELDS, inference_rows_ref(fit))
         tables[f"shap_{key}.csv"] = (
             ["scholar_id", *shap.feature_names],
             ([rid] + row for rid, row in zip(fm.row_ids, shap.values.tolist())),

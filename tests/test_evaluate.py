@@ -1,10 +1,14 @@
 """Split, prediction, confusion metrics and ROC/AUC."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import make_problem
+from conftest import make_problem, roc_auc_ref
 from stratlogit.errors import ConfigError, DataError, DegenerateInputError
 from stratlogit.evaluate import (
     ConfusionMatrix,
@@ -172,3 +176,46 @@ class TestRoc:
             roc_auc(np.linspace(0, 1, 5), np.ones(5, dtype=np.int64))
         with pytest.raises(DataError):
             roc_auc(np.array([0.1, 0.2, 0.3]), np.array([0, 1]))
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(1, 60),
+        levels=st.integers(1, 80),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_curve_equals_rescanning_loop(self, n, levels, p, seed):
+        # Scores on a grid of ``levels`` values: one level ties every row,
+        # few force ties, many leave most scores distinct.  A draw with a
+        # single class meets the same refusal.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scores = rng.integers(0, levels, size=n) / levels - 0.5
+        labels = (rng.random(n) < p).astype(np.int64)
+        try:
+            want = roc_auc_ref(scores, labels)
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                roc_auc(scores, labels)
+            return
+        got = roc_auc(scores, labels)
+        assert got == want
+        assert repr(got) == repr(want)  # to the bit: repr tells -0.0 from 0.0
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            ([], []),
+            ([0.1, 0.2, 0.3], [0, 1]),
+            ([[0.1, 0.2]], [[0, 1]]),
+            ([0.1, np.nan], [0, 1]),
+            ([0.1, np.inf], [0, 1]),
+            ([0.1, 0.2], [0, 2]),
+            ([0.1, 0.2], [1, 1]),
+            ([0.1, 0.2], [0, 0]),
+        ],
+    )
+    def test_refusals_equal_rescanning_loop(self, scores, labels):
+        with pytest.raises((DataError, DegenerateInputError)) as want:
+            roc_auc_ref(scores, labels)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            roc_auc(scores, labels)

@@ -24,7 +24,7 @@ from conftest import (
     make_problem,
     sigmoid_ref,
 )
-from stratlogit import logit
+from stratlogit import emit, logit
 from stratlogit.errors import (
     DataError,
     DegenerateInputError,
@@ -42,7 +42,6 @@ from stratlogit.logit import (
     coefficient_inference,
     fit_logistic,
     fit_logistic_batch,
-    inference_table,
     information_criteria,
     null_log_likelihood,
     pseudo_r2,
@@ -189,13 +188,16 @@ class TestFailureModes:
         with pytest.raises(DegenerateInputError):
             fit_logistic(bad)
 
-    def test_iteration_cap_returns_unconverged(self):
+    def test_iteration_cap_returns_unconverged(self, tmp_path):
         design, _ = make_problem(11, n=300, p=4)
         fit = fit_logistic(design, max_iter=1)
         assert not fit.converged
         assert fit.iterations == 1
-        with pytest.raises(NotConvergedError):
-            inference_table(fit)
+        with pytest.raises(NotConvergedError, match="fit_payload"):
+            emit.fit_payload(fit, "fit")
+        with pytest.raises(NotConvergedError, match="write_inference_csv"):
+            emit.write_inference_csv(fit, tmp_path / "inference.csv")
+        assert not (tmp_path / "inference.csv").exists()
 
     def test_parameter_validation(self):
         design, _ = make_problem(1, n=50, p=2)
@@ -204,6 +206,52 @@ class TestFailureModes:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DegenerateInputError):
                 fit_logistic(design, tol=tol)
+
+
+class TestStepSolveFailures:
+    """A Newton step whose solve fails mid-iteration: the design leaves
+    the stack with the error a lone fit gets, and the rest go on."""
+
+    x = np.linspace(-1.0, 1.0, 20)
+    y = np.where(x > 0, 1.0, 0.0)
+    y[-1] = 0.0
+    z = np.random.default_rng(0).normal(size=20)
+
+    def test_saturated_start_is_separation_and_neighbour_unchanged(self):
+        # From slope 2e4 every weight is exactly 0 while the score is
+        # not: a singular step read as separation, as the slope is large.
+        X = np.stack(
+            [np.column_stack([np.ones(20), self.x]), np.column_stack([np.ones(20), self.z])]
+        )
+        start = np.array([[0.0, 20000.0], [0.0, 0.0]])
+        sep, fit = fit_logistic_batch(X, self.y, [("x",), ("z",)], start=start)
+        assert isinstance(sep, SeparationError)
+        assert str(sep) == (
+            "fit_logistic: information matrix singular with large coefficients "
+            "(max |beta| = 2e+04); classes look separable"
+        )
+        lone = fit_logistic(DesignMatrix(X=X[1].copy(), y=self.y, feature_names=("z",)))
+        assert bits(fit) == bits(lone)
+        assert fit.coef.tolist() == [-0.4864501346033667, -1.4090020807104409]
+        assert fit.iterations == 5
+
+    def test_collinear_step_on_trusted_columns_is_singular(self):
+        # columns_ok skips the rank check, so the step's solve finds it.
+        X = np.column_stack([np.ones(20), self.z, 2.0 * self.z])
+        (out,) = fit_logistic_batch(X[None], self.y, [("z", "z2")], columns_ok=True)
+        assert isinstance(out, SingularMatrixError)
+        assert str(out) == "fit_logistic: solve_spd: not positive definite (Singular matrix)"
+
+    def test_overflowing_information_is_data_error(self):
+        X = np.column_stack([np.ones(20), 1e200 * self.z])
+        with np.errstate(over="ignore"):
+            (out,) = fit_logistic_batch(X[None], self.y, [("z",)], columns_ok=True)
+            (checked,) = fit_logistic_batch(X[None], self.y, [("z",)])
+        assert isinstance(out, DataError)
+        assert str(out) == "solve_spd: non-finite input"
+        # Without columns_ok the rank check answers first.
+        assert isinstance(checked, SingularMatrixError)
+        assert "rank deficient" in str(checked)
 
 
 def bits(outcome):
@@ -605,11 +653,11 @@ class TestFitOutputs:
     def test_inference_table_covers_features(self):
         design, _ = make_problem(23, n=300, p=4)
         fit = fit_logistic(design)
-        rows = inference_table(fit)
-        assert [r.feature for r in rows] == list(design.feature_names)
+        rows = emit.fit_payload(fit, "fit")["inference"]
+        assert [r["feature"] for r in rows] == list(design.feature_names)
         for i, r in enumerate(rows, start=1):
-            assert r.coef == fit.coef[i]
-            assert r.wald == pytest.approx(r.z**2, rel=1e-15)
+            assert r["coef"] == fit.coef[i]
+            assert r["wald"] == pytest.approx(r["z"] ** 2, rel=1e-15)
 
     def test_tampered_fit_fails_verification(self):
         design, _ = make_problem(29, n=200, p=3)

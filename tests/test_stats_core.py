@@ -195,6 +195,12 @@ class TestSolveSpd:
             solve_spd(np.ones((2, 3)), np.ones(2))
         with pytest.raises(DataError):
             solve_spd(np.eye(2), np.ones(3))
+        stack = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for b in (np.ones((3, 2)), np.ones((2, 2, 1)), np.ones((3, 3, 1)), np.ones(2)):
+            with pytest.raises(DataError):
+                solve_spd(stack, b)
+        with pytest.raises(DataError):
+            solve_spd(np.ones((1, 3, 2, 2)), np.ones((1, 3, 2, 1)))
 
     # A system drawn as the solver meets it: an information matrix X'WX on
     # columns whose scales span 10^(log_cond / 2), as an unscaled design's
@@ -248,6 +254,22 @@ class TestSolveSpd:
         assert got.shape == want.shape and got.dtype == want.dtype
         gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert gap <= 4.0 * np.linalg.cond(a) * np.finfo(float).eps
+
+    @settings(max_examples=100)
+    @given(**SYSTEMS)
+    def test_stack_slices_equal_lone_solves(self, **draw):
+        # Each slice of a stack gets the bits it gets alone, and one slice
+        # that is not positive definite fails the whole stack.
+        a, b = self.system(**draw)
+        b = b.reshape(len(b), -1)
+        stack_a = np.stack([a, 2.0 * a, a + np.eye(len(a))])
+        stack_b = np.stack([b, b, -b])
+        got = solve_spd(stack_a, stack_b)
+        for i in range(3):
+            assert np.array_equal(got[i], solve_spd(stack_a[i], stack_b[i])), i
+        stack_a[1] = -stack_a[1]
+        with pytest.raises(SingularMatrixError):
+            solve_spd(stack_a, stack_b)
 
     def test_empty_system(self):
         got = solve_spd(np.empty((0, 0)), np.empty(0))
