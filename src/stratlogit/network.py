@@ -13,11 +13,14 @@ lexicographic edge order.  ``_source_passes`` runs Brandes' passes for
 a batch of sources at once: a breadth-first search a level at a time,
 path counts from the frontier times the component's adjacency matrix,
 then the dependencies from the deepest level up, each level scattered
-with ``np.bincount``.
+with ``np.bincount``.  A batch holds as many sources as fit
+``_BATCH_ENTRIES`` sources-by-directed-edges entries, and at least
+``_MIN_BATCH`` (8) sources, so that a large graph still batches.
 
 Per-source cache: ``girvan_newman`` keeps each source's hop distances
-(-1 outside its component) and its row of edge contributions in an
-n-by-m float64 array (n*m*8 bytes: 0.59 MB at 120 nodes and 611 edges).
+(-1 outside its component) in an n-by-n int32 array and its row of edge
+contributions in an n-by-m float64 array (n*n*4 + n*m*8 bytes: 0.64 MB
+at 120 nodes and 611 edges, 192 MB at 2000 nodes and 10,982 edges).
 The component that held a cut edge (i, j) is the set of nodes row
 ``dist[i]`` reaches, and of its sources only the ones with
 ``dist[s, i] != dist[s, j]`` rerun, in one batched pass.  When the
@@ -29,7 +32,11 @@ reruns and no other live edge joins the nodes nearer i than j to the
 rest: a bridge leaves each node of i's side nearer i and each node of
 j's side nearer j, with only the bridge between the sides, while an
 i-j path that survives the cut must leave i's side by another edge.
-Each part then reruns all its sources.
+On a split every source reruns, in one refresh of the old component,
+whose bits equal those of one refresh per part: each source's search
+stays inside its own part, a source in the other part adds an exact
++0.0 to an edge's column sum, and path counts and ``np.bincount`` sums
+keep their order within each row.
 
 Determinism: path counts are integers, exact in any summation order
 while they stay below 2**53, so the matrix product's order, and with it
@@ -46,12 +53,13 @@ Modularity keeps, per community, the weight of the original graph's
 edges inside it and of those leaving it.  A split recomputes both sums
 for its two parts only, from boolean masks over the edge arrays, each a
 left fold in edge-id order: the order in which one walk over the whole
-graph's edges adds them, so every Q has the bits of that walk.
+graph's edges adds them, so every Q has the bits of that walk.  Each
+recorded partition is read off an array of community ids by node rank,
+which a split updates in place.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -200,6 +208,10 @@ def _components(n, ends) -> list:
 # Entries of a batch's sources-by-directed-edges table: each batched
 # pass holds a few temporaries of at most this many values.
 _BATCH_ENTRIES = 1 << 14
+# Sources per batch on a graph too large for the entry budget to hold
+# this many: one source's search reads the whole dense adjacency at
+# every level, as a batch's does.
+_MIN_BATCH = 8
 # A cut takes the lexicographically smallest edge whose betweenness is
 # within this relative distance of the largest.
 _TIE_RTOL = 1e-12
@@ -224,12 +236,13 @@ def _source_passes(sources, comp, ends, eids, dist, contrib) -> None:
     adjacency = np.zeros((k, k))
     adjacency[a, b] = adjacency[b, a] = 1.0
     # Both directions of each edge: tail -> head, edge id.
-    tail, head, edge = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(eids, 2)
-    per_batch = max(1, _BATCH_ENTRIES // max(1, len(edge)))
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    edge = np.concatenate([eids, eids])
+    per_batch = max(_MIN_BATCH, _BATCH_ENTRIES // max(1, len(edge)))
     for lo in range(0, len(sources), per_batch):
         batch = sources[lo:lo + per_batch]
         rows = np.arange(len(batch))
-        d = np.full((len(batch), k), -1)
+        d = np.full((len(batch), k), -1, dtype=np.int32)
         d[rows, local[batch]] = 0
         sigma = np.zeros((len(batch), k))
         sigma[rows, local[batch]] = 1.0
@@ -262,7 +275,7 @@ def _source_passes(sources, comp, ends, eids, dist, contrib) -> None:
             c[start:stop] = ratio[start:stop] * (1.0 + delta[at_w[start:stop]])
             delta += np.bincount(at_v[start:stop], c[start:stop], len(delta))
         dist[batch] = -1
-        dist[np.ix_(batch, comp)] = d
+        dist[batch[:, None], comp] = d
         contrib[batch] = 0.0
         contrib[batch[r], edge[t]] = c
 
@@ -276,7 +289,7 @@ def _refresh(comp, sources, ends, alive, dist, contrib, btw) -> None:
     eids = np.flatnonzero(alive & inside[ends[:, 0]])
     if len(sources):
         _source_passes(sources, comp, ends, eids, dist, contrib)
-    btw[eids] = contrib[np.ix_(comp, eids)].sum(axis=0) / 2.0
+    btw[eids] = contrib[comp[:, None], eids].sum(axis=0) / 2.0
 
 
 def _cut_edge(btw) -> int:
@@ -338,16 +351,18 @@ def _community_sums(comp, n_nodes, ends, weights) -> tuple:
     return intra, cross
 
 
-def _partition_of(g, m, comps, sums, step, removed_edge) -> Partition:
-    """The partition of ``g`` (total edge weight ``m``) into ``comps``,
-    lists of node ranks whose (intra, cross) weights are ``sums``."""
-    assignment = {}
-    for cid, comp in enumerate(comps):
-        for i in comp:
-            assignment[g.nodes[i]] = cid
+def _partition_of(names, label, m, sums, step, removed_edge) -> Partition:
+    """The partition of the nodes ``names`` (an object array by node
+    rank) into the communities ``label`` (ids by node rank) whose (intra,
+    cross) weights are ``sums``, on a graph of total edge weight ``m``.
+    The assignment lists the nodes by community, then by rank, and its
+    values share one int object per community: ``tolist`` would make one
+    per node for every id past CPython's cached small ints."""
+    order = np.argsort(label, kind="stable")
+    ids = list(range(len(sums)))
     return Partition(
-        assignment=assignment,
-        n_communities=len(comps),
+        assignment=dict(zip(names[order].tolist(), map(ids.__getitem__, label[order].tolist()))),
+        n_communities=len(sums),
         modularity=_q(sums, m),
         step=step,
         removed_edge=removed_edge,
@@ -378,16 +393,21 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
     weights = np.array([w for _, _, w in g.edges])
     comps = _components(n, ends)
     sums = [_community_sums(c, n, ends, weights) for c in comps]
-    dendrogram = [_partition_of(g, m, comps, sums, step=0, removed_edge=None)]
-    step = 0
     alive = np.ones(g.n_edges, dtype=bool)
-    dist = np.full((n, n), -1)
+    dist = np.full((n, n), -1, dtype=np.int32)
     contrib = np.zeros((n, g.n_edges))
     btw = np.empty(g.n_edges)
-    for comp in comps:
+    # Communities are numbered in the order of their least nodes, and
+    # ``label`` holds each node rank's community id.
+    label = np.empty(n, dtype=np.int64)
+    for cid, comp in enumerate(comps):
         comp = np.array(comp)
+        label[comp] = cid
         _refresh(comp, comp, ends, alive, dist, contrib, btw)
-    while step < g.n_edges and (target_communities is None or len(comps) < target_communities):
+    names = np.array(g.nodes, dtype=object)
+    dendrogram = [_partition_of(names, label, m, sums, step=0, removed_edge=None)]
+    step = 0
+    while step < g.n_edges and (target_communities is None or len(sums) < target_communities):
         cut = _cut_edge(btw)
         i, j = ends[cut]
         alive[cut] = False
@@ -399,23 +419,26 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
         comp = np.flatnonzero(dist[i] >= 0)
         rerun = comp[dist[comp, i] != dist[comp, j]]
         near = dist[i] < dist[j]
-        if len(rerun) < len(comp) or (alive & (near[ends[:, 0]] != near[ends[:, 1]])).any():
-            _refresh(comp, rerun, ends, alive, dist, contrib, btw)
+        split = len(rerun) == len(comp) and not (
+            alive & (near[ends[:, 0]] != near[ends[:, 1]])
+        ).any()
+        _refresh(comp, rerun, ends, alive, dist, contrib, btw)
+        if not split:
             continue
         # The cut was a bridge: the component splits into the nodes nearer
-        # i and the rest, and the list stays ordered by least node.  Only
-        # the two parts' modularity sums change.
+        # i and the rest.  The part with the old least node keeps its id.
+        # The other part's id is one past the largest id of the nodes
+        # below its least node, and the ids from there on move up one.
+        # Only the two parts' modularity sums change.
         side = near[comp]
         first, second = comp[side == side[0]], comp[side != side[0]]
-        for part in (first, second):
-            _refresh(part, part, ends, alive, dist, contrib, btw)
-        k = bisect.bisect_left(comps, first[0], key=lambda c: c[0])
-        comps[k], sums[k] = first.tolist(), _community_sums(first, n, ends, weights)
-        k = bisect.bisect(comps, second[0], key=lambda c: c[0])
-        comps.insert(k, second.tolist())
+        sums[label[first[0]]] = _community_sums(first, n, ends, weights)
+        k = int(label[:second[0]].max()) + 1
         sums.insert(k, _community_sums(second, n, ends, weights))
+        label[label >= k] += 1
+        label[second] = k
         dendrogram.append(
-            _partition_of(g, m, comps, sums, step=step, removed_edge=g.edges[cut][:2])
+            _partition_of(names, label, m, sums, step=step, removed_edge=g.edges[cut][:2])
         )
     best = dendrogram[0]
     for p in dendrogram[1:]:

@@ -1,6 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
 import csv
+import importlib.util
 import json
 import math
 import pathlib
@@ -48,6 +49,11 @@ from stratlogit.stats_core import chisq_sf, solve_spd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+
+# scripts/compare_gn.py, whose graph generators the network tests share.
+_spec = importlib.util.spec_from_file_location("compare_gn", ROOT / "scripts" / "compare_gn.py")
+compare_gn = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_gn)
 
 # Every property test runs the same examples on every run, with no time
 # limit and no example database; each test sets only its max_examples.
@@ -527,6 +533,15 @@ def batched_passes(g):
         comp = np.array(comp)
         _refresh(comp, comp, ends, alive, dist, contrib, btw)
     return adj, dist, contrib, btw
+
+
+def split_refresh_ref(first, second, ends, alive, dist, contrib, btw) -> None:
+    """The refresh after a cut splits a component into the sorted node
+    rank arrays ``first`` and ``second``, one ``network._refresh`` per
+    part with all its sources: the oracle for ``girvan_newman``'s one
+    refresh of the old component."""
+    for part in (first, second):
+        _refresh(part, part, ends, alive, dist, contrib, btw)
 
 
 def edge_betweenness(g):

@@ -19,11 +19,13 @@ from conftest import (
     adjacency,
     batched_passes,
     brandes_ref,
+    compare_gn,
     edge_betweenness,
     int_adjacency,
     modularity_ref,
     reference_components,
     source_pass_ref,
+    split_refresh_ref,
 )
 from stratlogit import network
 from stratlogit.emit import write_dendrogram_json, write_json, write_partition_csv
@@ -85,38 +87,11 @@ def brute_betweenness(g):
 
 
 def random_graph(seed, max_nodes=12):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    k = int(rng.integers(3, max_nodes + 1))
-    names = [f"n{i:02d}" for i in range(k)]
-    rows = []
-    for a, b in itertools.combinations(names, 2):
-        if rng.random() < 0.35:
-            rows.append((a, b))
-    if not rows:
-        rows = [(names[0], names[1])]
-    return build_graph(rows)
+    return build_graph(compare_gn.random_rows(seed, max_nodes))
 
 
 def many_components(seed, count=30):
-    """``count`` node-disjoint connected random graphs of 4 to 10 nodes
-    each (a random path plus each other pair with probability 0.3), with
-    shuffled names, so each component's ranks interleave with the
-    others'."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    sizes = rng.integers(4, 11, count)
-    names = [f"v{x:03d}" for x in rng.permutation(int(sizes.sum()))]
-    rows = []
-    base = 0
-    for k in sizes.tolist():
-        order = (base + rng.permutation(k)).tolist()
-        rows += [(names[a], names[b]) for a, b in zip(order, order[1:])]
-        rows += [
-            (names[base + a], names[base + b])
-            for a, b in itertools.combinations(range(k), 2)
-            if rng.random() < 0.3
-        ]
-        base += k
-    return build_graph(rows)
+    return build_graph(compare_gn.component_rows(seed, count))
 
 
 def reference_partition(g, comps, step, removed_edge):
@@ -368,11 +343,20 @@ class TestEdgeBetweenness:
         ]
         + [pytest.param(lambda: gn120(7), id="planted4x30")],
     )
-    # 1: one source per batch; the default holds every source of a
-    # random graph in one batch and cuts planted4x30's into batches of 13.
-    @pytest.mark.parametrize("entries", [1, network._BATCH_ENTRIES])
-    def test_batched_rows_match_one_source_passes(self, make_graph, entries, monkeypatch):
+    # 1: one source per batch; floor: a budget of one entry, so the
+    # floor of _MIN_BATCH sources binds; the default holds every source
+    # of a random graph in one batch and cuts planted4x30's into batches
+    # of 13, where the floor does not bind.
+    @pytest.mark.parametrize(
+        "entries, min_batch",
+        [(1, 1), (1, network._MIN_BATCH), (network._BATCH_ENTRIES, network._MIN_BATCH)],
+        ids=["1", "floor", str(network._BATCH_ENTRIES)],
+    )
+    def test_batched_rows_match_one_source_passes(
+        self, make_graph, entries, min_batch, monkeypatch
+    ):
         monkeypatch.setattr(network, "_BATCH_ENTRIES", entries)
+        monkeypatch.setattr(network, "_MIN_BATCH", min_batch)
         g = make_graph()
         adj, dist, contrib, _ = batched_passes(g)
         row = np.empty(g.n_edges)
@@ -561,6 +545,67 @@ class TestGirvanNewman:
         assert list(want) == [edge[:2] for edge in g.edges[1:]]
         assert scores[1][0] == -np.inf
         assert_allclose(scores[1][1:], list(want.values()), rtol=1e-12, atol=0)
+
+    def test_bridge_cut_reruns_the_old_component_once(self, monkeypatch):
+        # A bridge cut reruns every source of the component it splits in
+        # one refresh of the whole old component, not one per part.
+        g = two_triangles_with_bridge()
+        refreshed = []
+        real_refresh = network._refresh
+
+        def refresh(comp, sources, *args):
+            refreshed.append((comp.tolist(), sources.tolist()))
+            real_refresh(comp, sources, *args)
+
+        monkeypatch.setattr(network, "_refresh", refresh)
+        dendrogram, _ = girvan_newman(g, target_communities=2)
+        assert [(p.step, p.removed_edge) for p in dendrogram] == [(0, None), (1, ("c", "d"))]
+        everyone = list(range(6))
+        # the passes before the first cut, then the bridge cut's
+        assert refreshed == [(everyone, everyone)] * 2
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [pytest.param(lambda seed=seed: gn120(seed), id=f"planted4x30-seed{seed}") for seed in range(6)]
+        + [
+            pytest.param(
+                lambda: build_graph([(f"p{v:02d}", f"p{v + 1:02d}") for v in range(29)]), id="path30"
+            ),
+            pytest.param(
+                lambda: build_graph(
+                    [(f"a{i:02d}", f"b{i:02d}") for i in range(40)] + [("p0", "p1"), ("p1", "p2")]
+                ),
+                id="40edges-and-a-path",
+            ),
+        ],
+    )
+    def test_split_refresh_bits_equal_per_part_refreshes(self, make_graph, monkeypatch):
+        # After every cut that splits a component, the one refresh of the
+        # old component leaves the hop distances, the contribution rows and
+        # the betweenness bit-equal to a refresh of each part.
+        g = make_graph()
+        real_refresh = network._refresh
+        splits = []
+
+        def refresh(comp, sources, ends, alive, dist, contrib, btw):
+            want = dist.copy(), contrib.copy(), btw.copy()
+            real_refresh(comp, sources, ends, alive, dist, contrib, btw)
+            adj = {v: [] for v in comp.tolist()}
+            for a, b in ends[alive & np.isin(ends[:, 0], comp)].tolist():
+                adj[a].append(b)
+                adj[b].append(a)
+            parts = reference_components(comp.tolist(), adj)
+            if len(parts) == 1:
+                return
+            assert len(parts) == 2 and sources.tolist() == comp.tolist()
+            split_refresh_ref(*map(np.array, parts), ends, alive, *want)
+            for got, ref in zip((dist, contrib, btw), want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            splits.append(parts)
+
+        monkeypatch.setattr(network, "_refresh", refresh)
+        dendrogram, _ = girvan_newman(g)
+        assert len(splits) == len(dendrogram) - 1 > 0
 
     @pytest.mark.parametrize("seed", [*range(5), "long-path"])
     def test_components_equal_networkx(self, seed):
