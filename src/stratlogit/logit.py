@@ -19,13 +19,14 @@ are reported as separation rather than returned as garbage.
 
 Fits run as stacks of designs (``fit_logistic_batch``; ``fit_logistic``
 is a stack of one): the Newton steps, then the covariance and the
-inference of every design that stopped, one stacked call per step (one
-stacked ``solve_spd`` gives every Newton step or covariance).
-numpy makes the same BLAS or LAPACK call for each slice of a stack as
-for a single 2-D array, and the remaining arithmetic is elementwise
-ufuncs, so a design's fit has the bits it has alone from the same start
-(``fit_logistic`` starts at beta = 0; ``iterations`` and ``max_iter``
-count from the start).
+likelihood ratio p-value of every design that stopped, one stacked call
+per step (one stacked ``solve_spd`` gives every Newton step or
+covariance).  numpy makes the same BLAS or LAPACK call for each slice of
+a stack as for a single 2-D array, and the remaining arithmetic is
+elementwise ufuncs, so a design's fit has the bits it has alone from the
+same start (``fit_logistic`` starts at beta = 0; ``iterations`` and
+``max_iter`` count from the start).  A ``LogitFit`` stores what the
+solver found; every other statistic is derived from it when read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import (
     DataError,
     DegenerateInputError,
-    InvariantBreachError,
     NotConvergedError,
     SeparationError,
     SingularMatrixError,
@@ -128,36 +128,47 @@ class CoefficientInference:
 
 @dataclass(frozen=True)
 class LogitFit:
-    """Fitted model with per-coefficient and model-level statistics.
+    """What a fit found, and the statistics derived from it.
 
-    ``coef`` and friends are aligned as [intercept, *feature_names].
-    ``loglik_path`` holds the accepted log-likelihood after every
-    Newton step, for convergence diagnostics.
+    Stored: ``coef`` and ``std_err``, aligned as [intercept,
+    *feature_names]; the model and intercept-only log-likelihoods;
+    ``loglik_path``, the accepted log-likelihood after every Newton step,
+    for convergence diagnostics; and ``llr_p``, whose tail sum is computed
+    and checked once, when the fit is made.  Derived on read, each by the
+    module's formula for it: ``z``, ``p_two_sided``, ``exp_b`` and
+    ``wald`` (``coefficient_inference``), ``llr_stat`` (``_llr_stat``, 0
+    for the intercept-only model), ``pseudo_r2`` and ``aic``/``bic``
+    (``information_criteria``).  So no statistic can disagree with the
+    numbers it comes from, and none raises on a fit that
+    ``fit_logistic_batch`` returns (see ``_finish_fits``).  Being
+    properties, they cannot be set by ``dataclasses.replace``.
     """
 
     feature_names: tuple
     coef: np.ndarray
     std_err: np.ndarray
-    z: np.ndarray
-    p_two_sided: np.ndarray
-    exp_b: np.ndarray
-    wald: np.ndarray
     log_lik: float
     log_lik_null: float
-    pseudo_r2: float
-    llr_stat: float
     llr_p: float
-    aic: float
-    bic: float
     n_obs: int
     iterations: int
     converged: bool
-    final_neg_loglik: float
     loglik_path: tuple
 
     @property
     def k_params(self) -> int:
         return len(self.coef)
+
+    z = property(lambda self: coefficient_inference(self.coef, self.std_err).z)
+    p_two_sided = property(lambda self: coefficient_inference(self.coef, self.std_err).p_two_sided)
+    exp_b = property(lambda self: coefficient_inference(self.coef, self.std_err).exp_b)
+    wald = property(lambda self: coefficient_inference(self.coef, self.std_err).wald)
+    llr_stat = property(
+        lambda self: _llr_stat(self.log_lik, self.log_lik_null) if self.k_params > 1 else 0.0
+    )
+    pseudo_r2 = property(lambda self: pseudo_r2(self.log_lik, self.log_lik_null))
+    aic = property(lambda self: information_criteria(self.log_lik, self.k_params, self.n_obs)[0])
+    bic = property(lambda self: information_criteria(self.log_lik, self.k_params, self.n_obs)[1])
 
 
 def sigmoid(eta) -> np.ndarray:
@@ -227,13 +238,11 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
 
     Identities: z = coef/se, Exp(B) = exp(coef), Wald = z^2, and the
     p-value is the two-sided normal tail of z.  ``coef`` and ``std_err``
-    are one model's vectors or a stack of them, one model per row; every
-    formula is elementwise, so a row of a stack gets the bits it gets
-    alone.
+    are one model's vectors.
     """
     coef = np.asarray(coef, dtype=float)
     se = np.asarray(std_err, dtype=float)
-    if coef.shape != se.shape or coef.ndim not in (1, 2):
+    if coef.shape != se.shape or coef.ndim != 1:
         raise DataError("coefficient_inference: coef/std_err shape mismatch")
     if not np.all(np.isfinite(coef)) or not np.all(np.isfinite(se)):
         raise DataError("coefficient_inference: non-finite input")
@@ -242,7 +251,7 @@ def coefficient_inference(coef, std_err) -> CoefficientInference:
     z = coef / se
     return CoefficientInference(
         z=z,
-        p_two_sided=np.array([two_sided_p(v) for v in z.ravel().tolist()]).reshape(z.shape),
+        p_two_sided=np.array([two_sided_p(v) for v in z.tolist()]),
         exp_b=np.exp(coef),
         wald=z * z,
     )
@@ -468,20 +477,23 @@ def _solve_stack(hessian, rhs, beta) -> tuple:
 
 
 def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
-    """Covariance and inference for the designs in ``stopped``, whose
-    iterations stopped at (batch index, beta, eta = X @ beta, ll, path,
-    iterations, converged), as one stack; each outcome goes into
-    ``outcomes``.
+    """Standard errors and likelihood ratio p-value of the designs in
+    ``stopped``, whose iterations stopped at (batch index, beta, eta =
+    X @ beta, ll, path, iterations, converged), as one stack; each
+    outcome goes into ``outcomes``.
 
     One stacked ``matmul`` gives the information matrices, one stacked
     ``solve_spd`` (``_solve_stack`` with identity right-hand sides) the
-    covariances, and elementwise ufuncs the inference, so every number is
-    the one a design finished alone gets.
+    covariances and one stacked ``chisq_sf`` the p-values, so every
+    number is the one a design finished alone gets.
     Each design's errors are checked in the order a lone fit checks them:
-    the solve, a non-positive variance, the likelihood ratio statistic
-    (a fit that stopped below the intercept-only likelihood, for any k,
-    is a ``NotConvergedError``), ``information_criteria``,
-    ``coefficient_inference``, ``pseudo_r2``.
+    the solve, a non-positive or non-finite variance, the likelihood
+    ratio statistic (a fit that stopped below the intercept-only
+    likelihood, for any k, is a ``NotConvergedError``), ``chisq_sf``.
+    A design that passes them has finite coefficients, finite positive
+    standard errors and a finite log-likelihood at most 0 and not below
+    ``pseudo_r2``'s floor, so its ``LogitFit`` derives every statistic
+    without raising.
     """
     if not stopped:
         return
@@ -496,63 +508,41 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
     identity = np.broadcast_to(np.eye(k), hessian.shape)
     live, cov, errors = _solve_stack(hessian, identity, beta)
     var = np.diagonal(cov, axis1=1, axis2=2)
-    nonpositive = np.any(var <= 0, axis=1)
-    for i in live[nonpositive]:
-        errors[i] = SingularMatrixError("fit_logistic: non-positive coefficient variance")
-    live = live[~nonpositive]
+    usable = np.all((var > 0) & np.isfinite(var), axis=1)
+    for i in live[~usable]:
+        errors[i] = SingularMatrixError(
+            "fit_logistic: non-positive or non-finite coefficient variance"
+        )
+    live = live[usable]
     # Rows that failed keep placeholder values, never computed on.
     std_err = np.ones_like(beta)
-    std_err[live] = np.sqrt(var[~nonpositive])
+    std_err[live] = np.sqrt(var[usable])
 
     llr_stat, llr_p = np.zeros(len(index)), np.ones(len(index))
     for i in live.tolist():
         try:
-            stat = _llr_stat(ll[i], ll_null)  # an intercept-only fit is checked, not tested
-            if k > 1:
-                llr_stat[i] = stat
+            llr_stat[i] = _llr_stat(ll[i], ll_null)  # an intercept-only fit is checked, not tested
         except StratLogitError as exc:
             errors[i] = exc
     if k > 1:
         live, p_live = stacked_call(lambda x: chisq_sf(x, k - 1), live, errors, llr_stat)
         llr_p[live] = p_live
-    criteria = {}
-    for i in live.tolist():
-        try:
-            criteria[i] = information_criteria(ll[i], k, n)
-        except StratLogitError as exc:
-            errors[i] = exc
-    live, inf = stacked_call(coefficient_inference, live, errors, beta, std_err)
-    llr_stat, llr_p = llr_stat.tolist(), llr_p.tolist()
-    row_of = {i: j for j, i in enumerate(live.tolist())}  # design -> its row of inf
+    llr_p = llr_p.tolist()
     for i, b in enumerate(index):
         outcomes[b] = errors[i]
-        if i not in row_of:
-            continue
-        j = row_of[i]
-        try:
+        if errors[i] is None:
             outcomes[b] = LogitFit(
                 feature_names=feature_names[b],
                 coef=beta[i],
                 std_err=std_err[i],
-                z=inf.z[j],
-                p_two_sided=inf.p_two_sided[j],
-                exp_b=inf.exp_b[j],
-                wald=inf.wald[j],
                 log_lik=ll[i],
                 log_lik_null=ll_null,
-                pseudo_r2=pseudo_r2(ll[i], ll_null),
-                llr_stat=llr_stat[i],
                 llr_p=llr_p[i],
-                aic=criteria[i][0],
-                bic=criteria[i][1],
                 n_obs=n,
                 iterations=iterations[i],
                 converged=converged[i],
-                final_neg_loglik=-ll[i],
                 loglik_path=paths[i],
             )
-        except StratLogitError as exc:
-            outcomes[b] = exc
 
 
 def stacked_call(fn, rows, errors, *stacks) -> tuple:
@@ -582,37 +572,5 @@ def check_converged(fit: LogitFit, caller: str) -> None:
     if not fit.converged:
         raise NotConvergedError(
             f"{caller}: fit did not converge in {fit.iterations} iterations "
-            f"(final negative log-likelihood {fit.final_neg_loglik:.6f})"
+            f"(final negative log-likelihood {-fit.log_lik:.6f})"
         )
-
-
-def verify_fit_identities(fit: LogitFit) -> None:
-    """Re-check the cross-quantity identities on a finished fit.
-
-    Raises InvariantBreachError on any failure; used before reports are
-    written so a bad build cannot emit internally inconsistent numbers.
-    """
-    k, n = fit.k_params, fit.n_obs
-    checks = [
-        ("aic", fit.aic, 2.0 * k - 2.0 * fit.log_lik, 1e-9),
-        ("bic", fit.bic, k * math.log(n) - 2.0 * fit.log_lik, 1e-9),
-        ("pseudo_r2", fit.pseudo_r2, 1.0 - fit.log_lik / fit.log_lik_null, 1e-12),
-        ("final_neg_loglik", fit.final_neg_loglik, -fit.log_lik, 0.0),
-    ]
-    for name, got, want, rel in checks:
-        if abs(got - want) > rel * max(1.0, abs(want)):
-            raise InvariantBreachError(f"{name}: stored {got} != recomputed {want}")
-    for i in range(k):
-        z = fit.coef[i] / fit.std_err[i]
-        if abs(fit.z[i] - z) > 1e-12 * max(1.0, abs(z)):
-            raise InvariantBreachError(f"z[{i}] inconsistent with coef/std_err")
-        if abs(fit.wald[i] - fit.z[i] ** 2) > 1e-9 * max(1.0, fit.z[i] ** 2):
-            raise InvariantBreachError(f"wald[{i}] inconsistent with z^2")
-        if abs(fit.exp_b[i] - math.exp(fit.coef[i])) > 1e-12 * max(
-            1.0, math.exp(fit.coef[i])
-        ):
-            raise InvariantBreachError(f"exp_b[{i}] inconsistent with exp(coef)")
-        if abs(fit.p_two_sided[i] - two_sided_p(fit.z[i])) > 1e-12:
-            raise InvariantBreachError(f"p_two_sided[{i}] inconsistent with z")
-    if not np.all(np.diff(np.array(fit.loglik_path)) >= 0):
-        raise InvariantBreachError("log-likelihood decreased during fitting")

@@ -61,13 +61,7 @@ from .evaluate import (
 )
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix
 from .ingest import Dataset, filter_eligible, parse_dataset
-from .logit import (
-    DesignMatrix,
-    LogitFit,
-    check_converged,
-    fit_logistic,
-    verify_fit_identities,
-)
+from .logit import DesignMatrix, LogitFit, check_converged, fit_logistic
 from .model_select import (
     ComparisonTable,
     ModelRow,
@@ -150,8 +144,9 @@ class AnalysisReport:
 
 
 def _verify_report(report: AnalysisReport) -> None:
-    """Cross-stage identities re-checked before anything is written; each
-    fit's own identities were checked by its fit stage."""
+    """Cross-stage identities re-checked before anything is written.  A
+    fit's statistics are derived from its coefficients and
+    log-likelihood when read, so they need no check."""
     fm = report.feature_matrix
     for shap, fit in (
         (report.full_shap, report.full_fit),
@@ -177,12 +172,6 @@ def _verify_report(report: AnalysisReport) -> None:
         raise InvariantBreachError("confusion total does not match validation size")
     if mets.accuracy != (cm.tp + cm.tn) / cm.total:
         raise InvariantBreachError("accuracy inconsistent with confusion matrix")
-    for row in report.comparison.rows:
-        if row.failed:
-            continue
-        want = 2.0 * row.k_params - 2.0 * row.log_lik
-        if abs(row.aic - want) > 1e-9 * max(1.0, abs(want)):
-            raise InvariantBreachError(f"comparison row {row.model_id}: AIC mismatch")
     for v in report.metrics.__dict__.values():
         if v is not None and not (0.0 <= v <= 1.0):
             raise InvariantBreachError(f"classification metric outside [0, 1]: {v}")
@@ -238,24 +227,22 @@ def _rows(indices) -> np.ndarray:
 
 def fit_features(cfg: RunConfig, fm: FeatureMatrix, split: Split, features=None) -> LogitFit:
     """Fit stage: ``features`` (default every column) on the training
-    rows, with the fit's cross-quantity identities re-checked.  An
-    unconverged fit is a NotConvergedError: no later stage reports one."""
+    rows.  An unconverged fit is a NotConvergedError: no later stage
+    reports one."""
     fit = fit_logistic(
         DesignMatrix.from_features(fm, features, rows=_rows(split.train_indices)),
         max_iter=cfg.max_iter,
         tol=cfg.tol,
     )
     check_converged(fit, "fit_features")
-    verify_fit_identities(fit)
     return fit
 
 
 def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split, full: LogitFit) -> tuple:
-    """Select stage: (table in report order, best row), with the best
-    row's converged fit re-checked for its cross-quantity identities.
-    ``full``, the fit stage's fit, is the all-feature row, not refitted,
-    so the best row is the sorted table's first under ``enumerate`` and
-    the path's last under ``stepwise``."""
+    """Select stage: (table in report order, best row).  ``full``, the
+    fit stage's fit, is the all-feature row, not refitted, so the best
+    row is the sorted table's first under ``enumerate`` and the path's
+    last under ``stepwise``."""
     if cfg.selection == "enumerate":
         specs = enumerate_subsets(fm.column_names)
         table = fit_all(fm, specs, split, max_iter=cfg.max_iter, tol=cfg.tol, full=full)
@@ -264,7 +251,6 @@ def select_model(cfg: RunConfig, fm: FeatureMatrix, split: Split, full: LogitFit
     else:
         ordered = backward_stepwise(fm, split, full, max_iter=cfg.max_iter, tol=cfg.tol)
         best_row = ordered.rows[-1]
-    verify_fit_identities(best_row.fit)
     return ordered, best_row
 
 

@@ -36,10 +36,7 @@ from stratlogit.logit import (
     _llr_stat,
     _log_likelihood_eta,
     _singular_error,
-    coefficient_inference,
     fit_logistic_batch,
-    information_criteria,
-    pseudo_r2,
     sigmoid,
 )
 from stratlogit.model_select import METRIC_FIELDS, ModelRow
@@ -267,7 +264,8 @@ def log_likelihood_ref(beta, X, y) -> float:
 def finish_fit_ref(
     X, y, feature_names, beta, eta, ll, path, iterations, converged, ll_null
 ) -> LogitFit:
-    """Covariance and inference for one design whose iterations stopped at
+    """Standard errors and likelihood ratio p-value (the stored fields of a
+    ``LogitFit``) for one design whose iterations stopped at
     ``beta`` (``eta = X @ beta``, log-likelihood ``ll``), from its own 2-D
     arrays: the oracle for ``logit``'s stacked finish."""
     n, k = X.shape
@@ -279,37 +277,22 @@ def finish_fit_ref(
     except SingularMatrixError as exc:
         raise _singular_error(beta, exc) from exc
     var = np.diag(cov).copy()
-    if np.any(var <= 0):
-        raise SingularMatrixError("fit_logistic: non-positive coefficient variance")
+    if not np.all((var > 0) & np.isfinite(var)):
+        raise SingularMatrixError("fit_logistic: non-positive or non-finite coefficient variance")
     std_err = np.sqrt(var)
 
-    df = k - 1
     llr_stat = _llr_stat(ll, ll_null)  # also checks an intercept-only fit
-    if df > 0:
-        llr_p = chisq_sf(llr_stat, df)
-    else:
-        llr_stat, llr_p = 0.0, 1.0
-    aic, bic = information_criteria(ll, k, n)
-    inf = coefficient_inference(beta, std_err)
+    llr_p = chisq_sf(llr_stat, k - 1) if k > 1 else 1.0
     return LogitFit(
         feature_names=feature_names,
         coef=beta,
         std_err=std_err,
-        z=inf.z,
-        p_two_sided=inf.p_two_sided,
-        exp_b=inf.exp_b,
-        wald=inf.wald,
         log_lik=ll,
         log_lik_null=ll_null,
-        pseudo_r2=pseudo_r2(ll, ll_null),
-        llr_stat=llr_stat,
         llr_p=llr_p,
-        aic=aic,
-        bic=bic,
         n_obs=n,
         iterations=iterations,
         converged=converged,
-        final_neg_loglik=-ll,
         loglik_path=path,
     )
 
