@@ -49,12 +49,24 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DegenerateInputError
 from .logit import check_converged
-from .model_select import METRIC_FIELDS
 
 UNDEFINED = "undefined"
 INFERENCE_FIELDS = ("feature", "coef", "std_err", "z", "p_two_sided", "exp_b", "wald")
 # The rows of comparison.csv between its features and its coefficients.
 COMPARISON_FIELDS = ("n_train", "k_params", "converged", "iterations", "failed", "failure")
+# The rows of comparison.csv after its coefficients.
+METRIC_FIELDS = (
+    "log_lik",
+    "log_lik_null",
+    "pseudo_r2",
+    "llr_p",
+    "aic",
+    "bic",
+    "accuracy",
+    "precision",
+    "recall",
+    "f1",
+)
 
 
 # The csv module quotes a cell holding its delimiter, its quote character

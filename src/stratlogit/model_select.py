@@ -32,13 +32,14 @@ same start, so the table content is independent of the batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, StratLogitError
 from .evaluate import (
+    ClassificationMetrics,
     ConfusionMatrix,
     Split,
     check_finite_features,
@@ -54,19 +55,6 @@ from .logit import stacked_call, stacked_matvec
 # in this module.
 from .logit import fit_logistic  # noqa: F401
 
-METRIC_FIELDS = (
-    "log_lik",
-    "log_lik_null",
-    "pseudo_r2",
-    "llr_p",
-    "aic",
-    "bic",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -81,31 +69,64 @@ class ModelSpec:
             raise ConfigError(f"ModelSpec: duplicate features in {self.features}")
 
 
-@dataclass(frozen=True)
+def _view(source: str, name: str) -> property:
+    """The attribute ``name`` of a row's ``source``, read when read; None
+    on a row without one."""
+
+    def read(row):
+        owner = getattr(row, source)
+        return None if owner is None else getattr(owner, name)
+
+    return property(read)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelRow:
-    """One fitted candidate: spec, fit summary and validation metrics."""
+    """One candidate: its spec and training row count, and its ``fit`` with
+    that fit's validation ``score``, or the ``error`` text of the
+    ``StratLogitError`` its fit raised.
+
+    Every other value is read off the fit or the score when read, and is
+    None without them (``converged`` is False), so none can disagree with
+    the fit or be set by ``dataclasses.replace``.  ``failure`` is the
+    error, or the iteration count an unconverged fit stopped at.  The
+    values live in the fit, so rows compare by identity (``eq=False``).
+    """
 
     model_id: str
     spec: ModelSpec
     n_train: int
-    k_params: Optional[int]
-    converged: bool
-    iterations: Optional[int]
-    failed: bool
-    failure: Optional[str]
-    coefficients: Optional[dict]
-    log_lik: Optional[float]
-    log_lik_null: Optional[float]
-    pseudo_r2: Optional[float]
-    llr_p: Optional[float]
-    aic: Optional[float]
-    bic: Optional[float]
-    accuracy: Optional[float]
-    precision: Optional[float]
-    recall: Optional[float]
-    f1: Optional[float]
-    # The fit the row was built from; None on a failed row.
-    fit: Optional[LogitFit] = field(default=None, compare=False, repr=False)
+    fit: Optional[LogitFit] = None
+    error: Optional[str] = None
+    score: Optional[ClassificationMetrics] = None
+
+    k_params = _view("fit", "k_params")
+    iterations = _view("fit", "iterations")
+    log_lik = _view("fit", "log_lik")
+    log_lik_null = _view("fit", "log_lik_null")
+    pseudo_r2 = _view("fit", "pseudo_r2")
+    llr_p = _view("fit", "llr_p")
+    aic = _view("fit", "aic")
+    bic = _view("fit", "bic")
+    accuracy = _view("score", "accuracy")
+    precision = _view("score", "precision")
+    recall = _view("score", "recall")
+    f1 = _view("score", "f1")
+    converged = property(lambda row: row.fit is not None and row.fit.converged)
+    failed = property(lambda row: not row.converged)
+
+    @property
+    def failure(self) -> Optional[str]:
+        if self.fit is None:
+            return self.error
+        return None if self.fit.converged else f"not converged in {self.fit.iterations} iterations"
+
+    @property
+    def coefficients(self) -> Optional[dict]:
+        """The fit's ``coef`` by name, intercept first."""
+        if self.fit is None:
+            return None
+        return dict(zip(("intercept", *self.fit.feature_names), self.fit.coef.tolist()))
 
 
 @dataclass(frozen=True)
@@ -294,49 +315,14 @@ def _score(cols: _Columns, val_cols, outcomes) -> list:
 
 
 def _row(cols: _Columns, spec, model_id, outcome, score) -> ModelRow:
-    """A spec's table row: its fit and validation ``score``, or its
-    failure.  A scoring error is raised."""
-    base = dict(
-        model_id=model_id,
-        spec=spec,
-        n_train=cols.train.shape[0],
-        k_params=None,
-        converged=False,
-        iterations=None,
-        failed=True,
-        failure=None,
-        coefficients=None,
-        **{f: None for f in METRIC_FIELDS},
-    )
+    """A spec's table row from its fit and validation ``score``, or from
+    the error its fit raised.  A scoring error is raised."""
+    n_train = cols.train.shape[0]
     if isinstance(outcome, StratLogitError):
-        base.update(failure=f"{outcome.code}: {outcome}")
-        return ModelRow(**base)
+        return ModelRow(model_id, spec, n_train, error=f"{outcome.code}: {outcome}")
     if isinstance(score, StratLogitError):
         raise score
-    fit = outcome
-    coefficients = {"intercept": float(fit.coef[0])}
-    for i, name in enumerate(fit.feature_names, start=1):
-        coefficients[name] = float(fit.coef[i])
-    base.update(
-        fit=fit,
-        k_params=fit.k_params,
-        converged=fit.converged,
-        iterations=fit.iterations,
-        failed=not fit.converged,
-        failure=None if fit.converged else f"not converged in {fit.iterations} iterations",
-        coefficients=coefficients,
-        log_lik=fit.log_lik,
-        log_lik_null=fit.log_lik_null,
-        pseudo_r2=fit.pseudo_r2,
-        llr_p=fit.llr_p,
-        aic=fit.aic,
-        bic=fit.bic,
-        accuracy=score.accuracy,
-        precision=score.precision,
-        recall=score.recall,
-        f1=score.f1,
-    )
-    return ModelRow(**base)
+    return ModelRow(model_id, spec, n_train, fit=outcome, score=score)
 
 
 # Widest column set ``enumerate_subsets`` accepts: 2^15 - 1 subsets.

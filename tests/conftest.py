@@ -13,6 +13,7 @@ from hypothesis import settings
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc
 
+from stratlogit.emit import METRIC_FIELDS
 from stratlogit.errors import (
     ConfigError,
     DataError,
@@ -39,7 +40,7 @@ from stratlogit.logit import (
     fit_logistic_batch,
     sigmoid,
 )
-from stratlogit.model_select import METRIC_FIELDS, ModelRow
+from stratlogit.model_select import ModelRow
 from stratlogit.network import _q, _refresh
 from stratlogit.pipeline import RunConfig, fit_features
 from stratlogit.stats_core import chisq_sf, solve_spd
@@ -128,23 +129,39 @@ def write_csv_ref(path, header, rows) -> None:
 
 
 def comparison_to_dicts_ref(table) -> list:
-    """JSON-friendly row dicts of a ComparisonTable, in table order: the
-    oracle for what comparison.csv reads back to."""
-    return [
-        {
-            "model_id": r.model_id,
-            "features": list(r.spec.features),
-            "n_train": r.n_train,
-            "k_params": r.k_params,
-            "converged": r.converged,
-            "iterations": r.iterations,
-            "failed": r.failed,
-            "failure": r.failure,
-            "coefficients": dict(r.coefficients) if r.coefficients else None,
-            **{f: getattr(r, f) for f in METRIC_FIELDS},
-        }
-        for r in table.rows
-    ]
+    """JSON-friendly row dicts of a ComparisonTable, in table order, every
+    value read off the row's own fit and score (or its error text): the
+    oracle for what comparison.csv reads back to and for ``ModelRow``'s
+    view of its fit."""
+    dicts = []
+    for r in table.rows:
+        row = {"model_id": r.model_id, "features": list(r.spec.features), "n_train": r.n_train}
+        fit, score = r.fit, r.score
+        if fit is None:
+            row.update(k_params=None, converged=False, iterations=None, failed=True)
+            row.update(failure=r.error, coefficients=None, **dict.fromkeys(METRIC_FIELDS))
+        else:
+            names = ("intercept", *fit.feature_names)
+            row.update(
+                k_params=len(fit.coef),
+                converged=fit.converged,
+                iterations=fit.iterations,
+                failed=not fit.converged,
+                failure=None if fit.converged else f"not converged in {fit.iterations} iterations",
+                coefficients={name: float(c) for name, c in zip(names, fit.coef)},
+                log_lik=fit.log_lik,
+                log_lik_null=fit.log_lik_null,
+                pseudo_r2=fit.pseudo_r2,
+                llr_p=fit.llr_p,
+                aic=fit.aic,
+                bic=fit.bic,
+                accuracy=score.accuracy,
+                precision=score.precision,
+                recall=score.recall,
+                f1=score.f1,
+            )
+        dicts.append(row)
+    return dicts
 
 
 def read_comparison_csv(path) -> list:
@@ -351,22 +368,10 @@ def full_fit(m, split, max_iter=1000, tol=1e-8) -> LogitFit:
 
 def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow:
     """One candidate's table row from its own ``DesignMatrix`` and lone
-    fit from ``start`` (``fit_from``): the oracle for ``model_select``'s
-    batched fits."""
+    fit from ``start`` (``fit_from``), scored by ``predict_prob``: the
+    oracle for ``model_select``'s batched fits."""
     train_idx = np.asarray(split.train_indices, dtype=int)
     val_idx = np.asarray(split.val_indices, dtype=int)
-    base = dict(
-        model_id=model_id,
-        spec=spec,
-        n_train=len(train_idx),
-        k_params=None,
-        converged=False,
-        iterations=None,
-        failed=True,
-        failure=None,
-        coefficients=None,
-        **{f: None for f in METRIC_FIELDS},
-    )
     try:
         fit = fit_from(
             DesignMatrix.from_features(m, spec.features, rows=train_idx),
@@ -375,36 +380,32 @@ def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow
             start=start,
         )
     except StratLogitError as exc:
-        base.update(failure=f"{exc.code}: {exc}")
-        return ModelRow(**base)
-    coefficients = {"intercept": float(fit.coef[0])}
-    for i, name in enumerate(fit.feature_names, start=1):
-        coefficients[name] = float(fit.coef[i])
+        return ModelRow(model_id, spec, len(train_idx), error=f"{exc.code}: {exc}")
     block = np.column_stack([m.column(name)[val_idx] for name in spec.features])
     mets = metrics(
         ConfusionMatrix.from_predictions(
             m.target[val_idx], classify(predict_prob(fit, block))
         )
     )
-    base.update(
-        k_params=fit.k_params,
-        converged=fit.converged,
-        iterations=fit.iterations,
-        failed=not fit.converged,
-        failure=None if fit.converged else f"not converged in {fit.iterations} iterations",
-        coefficients=coefficients,
-        log_lik=fit.log_lik,
-        log_lik_null=fit.log_lik_null,
-        pseudo_r2=fit.pseudo_r2,
-        llr_p=fit.llr_p,
-        aic=fit.aic,
-        bic=fit.bic,
-        accuracy=mets.accuracy,
-        precision=mets.precision,
-        recall=mets.recall,
-        f1=mets.f1,
+    return ModelRow(model_id, spec, len(train_idx), fit=fit, score=mets)
+
+
+def made_fit(features, coef, log_lik=-5.0) -> LogitFit:
+    """A converged ``LogitFit`` with coefficients ``coef`` made by hand, for
+    a table whose cells a test pins: unit standard errors, a null
+    log-likelihood of -6, 10 observations and 4 iterations."""
+    return LogitFit(
+        feature_names=tuple(features),
+        coef=np.array(coef, dtype=float),
+        std_err=np.ones(len(coef)),
+        log_lik=log_lik,
+        log_lik_null=-6.0,
+        llr_p=0.5,
+        n_obs=10,
+        iterations=4,
+        converged=True,
+        loglik_path=(log_lik,),
     )
-    return ModelRow(**base)
 
 
 def adjacency(g):

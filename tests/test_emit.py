@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     comparison_to_dicts_ref,
     inference_rows_ref,
+    made_fit,
     make_problem,
     read_comparison_csv,
     read_roc_csv,
@@ -32,12 +33,11 @@ from stratlogit.attribution import (
     mean_abs_importance,
     trend_compare,
 )
-from stratlogit.evaluate import ConfusionMatrix, metrics, roc_auc
+from stratlogit.evaluate import ClassificationMetrics, ConfusionMatrix, metrics, roc_auc
 from stratlogit.indicators import FeatureMatrix
 from stratlogit.ingest import COLUMNS, parse_dataset, write_dataset_csv
 from stratlogit.logit import fit_logistic
 from stratlogit.model_select import (
-    METRIC_FIELDS,
     ComparisonTable,
     ModelRow,
     ModelSpec,
@@ -294,7 +294,7 @@ def comparison_rows_ref(table) -> list:
         elif key == "coefficients":
             rows += [[f"coef_{n}"] + [c and c.get(n) for c in values] for n in names]
             continue
-        elif key in METRIC_FIELDS:
+        elif key in emit.METRIC_FIELDS:
             values = [emit.UNDEFINED if v is None and ok else v for v, ok in zip(values, fitted)]
         if key != "model_id":
             rows.append([key] + values)
@@ -317,33 +317,19 @@ def hostile_fit():
 def failed_and_undefined_table():
     """A comparison table of a fitted candidate with undefined metrics and
     a failed one, both with hostile feature names and texts."""
-    scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
+    features = HOSTILE_NAMES[:2]
     fitted = ModelRow(
-        model_id="model_001",
-        spec=ModelSpec(features=HOSTILE_NAMES[:2]),
-        n_train=10,
-        k_params=3,
-        converged=True,
-        iterations=4,
-        failed=False,
-        failure=None,
-        coefficients={"intercept": 0.25, HOSTILE_NAMES[0]: -1.5, HOSTILE_NAMES[1]: 5e-324},
-        precision=None,
-        recall=0.0,
-        f1=None,
-        **dict.fromkeys(scores, 0.1),
+        "model_001",
+        ModelSpec(features=features),
+        10,
+        fit=made_fit(features, [0.25, -1.5, 5e-324]),
+        score=ClassificationMetrics(accuracy=0.1, precision=None, recall=0.0, f1=None),
     )
     failed = ModelRow(
-        model_id="model_002",
-        spec=ModelSpec(features=HOSTILE_NAMES[2:5]),
-        n_train=10,
-        k_params=None,
-        converged=False,
-        iterations=None,
-        failed=True,
-        failure='separation: "b", then\r\nmore',
-        coefficients=None,
-        **dict.fromkeys(scores + ("precision", "recall", "f1")),
+        "model_002",
+        ModelSpec(features=HOSTILE_NAMES[2:5]),
+        10,
+        error='separation: "b", then\r\nmore',
     )
     return ComparisonTable(rows=(fitted, failed))
 

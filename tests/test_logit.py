@@ -329,14 +329,9 @@ class TestBatchBits:
                 assert np.array_equal(got[b], block[b].copy() @ coef[b, 1:].copy()), (size, b)
 
     def test_stacked_ufuncs_equal_row_calls(self):
-        # Elementwise calls on a stack: Exp(B), and the finish's
-        # likelihood-ratio p-values.
+        # Elementwise calls on a stack: the finish's likelihood-ratio
+        # p-values.
         rng = np.random.Generator(np.random.PCG64(5))
-        for k in range(1, 17):
-            coef = rng.normal(size=(37, k)) * rng.uniform(0.01, 40.0, size=(37, 1))
-            got = np.exp(coef)
-            for b in range(37):
-                assert np.array_equal(got[b], np.exp(coef[b].copy())), (k, b)
         for df in range(1, 16):
             x = np.concatenate([[0.0, 1e-300, 1e3], rng.uniform(0.0, 300.0, 40)])
             got = chisq_sf(x, df)

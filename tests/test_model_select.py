@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_one_ref, full_fit, gather_ref, warm_start_ref
+from conftest import (
+    comparison_to_dicts_ref,
+    fit_one_ref,
+    full_fit,
+    gather_ref,
+    made_fit,
+    warm_start_ref,
+)
 from stratlogit import model_select
 from stratlogit.emit import write_comparison_csv
 from stratlogit.errors import (
@@ -20,12 +27,20 @@ from stratlogit.errors import (
     SingularMatrixError,
     StratLogitError,
 )
-from stratlogit.evaluate import ConfusionMatrix, classify, make_split, metrics, predict_prob
+from stratlogit.evaluate import (
+    ClassificationMetrics,
+    ConfusionMatrix,
+    classify,
+    make_split,
+    metrics,
+    predict_prob,
+)
 from stratlogit.indicators import FeatureMatrix, build_feature_matrix
 from stratlogit.ingest import filter_eligible
 from stratlogit.logit import DesignMatrix, fit_logistic
 from stratlogit.model_select import (
     ComparisonTable,
+    ModelRow,
     ModelSpec,
     backward_stepwise,
     enumerate_subsets,
@@ -110,8 +125,10 @@ class TestFitAll:
         table = fit_all(m, specs, split, full=full)
         *rows, last = table.rows
         assert last.fit is full
-        assert repr(last) == repr(fit_one_ref(m, specs[-1], split, 1000, 1e-8, last.model_id))
-        assert repr(rows) == repr(list(fit_all(m, specs, split).rows[:-1]))
+        assert rows_repr([last]) == rows_repr(
+            [fit_one_ref(m, specs[-1], split, 1000, 1e-8, last.model_id)]
+        )
+        assert rows_repr(rows) == rows_repr(fit_all(m, specs, split).rows[:-1])
 
     def test_unknown_column_rejected_upfront(self):
         m, _ = planted_matrix()
@@ -154,33 +171,85 @@ class TestTableOrdering:
         assert table.sorted_by_aic().rows[0].aic == aics[0]
 
     def test_aic_ties_break_on_fewer_params(self):
+        # Log-likelihoods -0.5 at k = 3 and -1.5 at k = 2 both give AIC 7.0.
         spec_a = ModelSpec(features=("a",))
         spec_ab = ModelSpec(features=("a", "b"))
-        base = dict(
-            n_train=10,
-            converged=True,
-            iterations=3,
-            failed=False,
-            failure=None,
-            coefficients={"intercept": 0.0},
-            log_lik=-5.0,
-            log_lik_null=-6.0,
-            pseudo_r2=0.1,
-            llr_p=0.5,
-            bic=1.0,
-            accuracy=0.5,
-            precision=None,
-            recall=None,
-            f1=None,
-        )
-        from stratlogit.model_select import ModelRow
-
         rows = (
-            ModelRow(model_id="model_001", spec=spec_ab, k_params=3, aic=7.0, **base),
-            ModelRow(model_id="model_002", spec=spec_a, k_params=2, aic=7.0, **base),
+            ModelRow("model_001", spec_ab, 10, fit=made_fit(spec_ab.features, [0.0] * 3, -0.5)),
+            ModelRow("model_002", spec_a, 10, fit=made_fit(spec_a.features, [0.0] * 2, -1.5)),
         )
+        assert [(r.aic, r.k_params) for r in rows] == [(7.0, 3), (7.0, 2)]
         ordered = ComparisonTable(rows=rows).sorted_by_aic().rows
         assert [r.model_id for r in ordered] == ["model_002", "model_001"]
+
+
+# ModelRow's views of its fit and of its validation score.
+FIT_VIEWS = (
+    "k_params",
+    "converged",
+    "iterations",
+    "log_lik",
+    "log_lik_null",
+    "pseudo_r2",
+    "llr_p",
+    "aic",
+    "bic",
+)
+SCORE_VIEWS = ("accuracy", "precision", "recall", "f1")
+
+
+class TestRowView:
+    """A row stores its fit, score or error; every statistic it shows is
+    read off them, to the bit, and none can be set apart from them."""
+
+    def check_view(self, rows):
+        seen = set()
+        for row in rows:
+            fit, score = row.fit, row.score
+            if fit is None:
+                seen.add("error")
+                assert row.error and score is None, row.model_id
+                for name in FIT_VIEWS + SCORE_VIEWS + ("coefficients",):
+                    want = False if name == "converged" else None
+                    assert getattr(row, name) is want, (row.model_id, name)
+                assert (row.failed, row.failure) == (True, row.error)
+                continue
+            seen.add("converged" if fit.converged else "not converged")
+            assert row.error is None
+            for source, names in ((fit, FIT_VIEWS), (score, SCORE_VIEWS)):
+                for name in names:
+                    assert repr(getattr(row, name)) == repr(getattr(source, name)), name
+            assert list(row.coefficients) == ["intercept", *fit.feature_names]
+            assert np.array(list(row.coefficients.values())).tobytes() == fit.coef.tobytes()
+            assert row.failed == (not fit.converged)
+            text = None if fit.converged else f"not converged in {fit.iterations} iterations"
+            assert row.failure == text
+        return seen
+
+    def test_fixture_enumerate_table(self, fixture_matrix, fixture_split):
+        specs = enumerate_subsets(fixture_matrix.column_names)
+        table = fit_all(fixture_matrix, specs, fixture_split)
+        assert len(table.rows) == 511
+        assert "converged" in self.check_view(table.rows)
+
+    @pytest.mark.parametrize("case", ["hostile", "max_iter_2", "nonfinite_validation_unfitted"])
+    def test_parity_case_table(self, case):
+        m, split, max_iter, _ = parity_problem(case)
+        rows = fit_all(m, enumerate_subsets(m.column_names), split, max_iter=max_iter).rows
+        seen = self.check_view(rows)
+        want = {"hostile": "converged", "max_iter_2": "not converged"}.get(case, "error")
+        assert {want, "error"} <= seen, seen
+
+    def test_statistics_cannot_be_replaced(self):
+        spec = ModelSpec(features=("a",))
+        row = ModelRow("model_001", spec, 10, fit=made_fit(spec.features, [0.25, -1.5]))
+        for name in FIT_VIEWS + SCORE_VIEWS + ("failed", "failure", "coefficients"):
+            with pytest.raises(TypeError):
+                replace(row, **{name: 1.0})
+        renamed = replace(row, model_id="step_001")
+        assert renamed.fit is row.fit and renamed.aic == row.aic
+        # Rows compare by identity: their statistics live in the fit.
+        assert renamed != row and row == row
 
 
 class TestStepwise:
@@ -293,13 +362,20 @@ def batch_shapes(monkeypatch, call):
     return shapes
 
 
+def rows_repr(rows) -> str:
+    """Every value of ``rows``, as ``comparison_to_dicts_ref`` reads them
+    off each row's fit and score, in one repr (every float to the bit)."""
+    return repr(comparison_to_dicts_ref(ComparisonTable(rows=tuple(rows))))
+
+
 def outcome(call):
-    """repr of what ``call`` returns (every float to the bit), or the
-    class and text of the StratLogitError it raises."""
+    """``rows_repr`` of the tuple of rows ``call`` returns (repr of anything
+    else), or the class and text of the StratLogitError it raises."""
     try:
-        return repr(call())
+        got = call()
     except StratLogitError as exc:
         return f"{type(exc).__name__}: {exc}"
+    return rows_repr(got) if isinstance(got, tuple) else repr(got)
 
 
 # case: (rows, max_iter, (split part, column) of a NaN cell or None, text
@@ -310,8 +386,8 @@ PARITY_CASES = {
     "n_le_k": (10, 1000, None, ("need more observations",)),
     "nonfinite_validation": (150, 1000, ("val", 0), ("predict_prob: non-finite features",)),
     # Every candidate with the NaN's column fails to fit, so none is
-    # scored and the table comes back ("accuracy=" is in its repr).
-    "nonfinite_validation_unfitted": (150, 1000, ("val", 5), ("separable", "accuracy=")),
+    # scored and the table comes back ("'accuracy': " is in its repr).
+    "nonfinite_validation_unfitted": (150, 1000, ("val", 5), ("separable", "'accuracy': ")),
     "nonfinite_training": (150, 1000, ("train", 2), ("contains non-finite values",)),
 }
 
@@ -637,36 +713,14 @@ class TestExports:
         assert got == [r.aic for r in table.rows]
 
     def test_undefined_metric_and_failed_fit_cells(self, tmp_path):
-        from stratlogit.model_select import ModelRow
-
-        scores = ("log_lik", "log_lik_null", "pseudo_r2", "llr_p", "aic", "bic", "accuracy")
         fitted = ModelRow(
-            model_id="model_001",
-            spec=ModelSpec(features=("a",)),
-            n_train=10,
-            k_params=2,
-            converged=True,
-            iterations=4,
-            failed=False,
-            failure=None,
-            coefficients={"intercept": 0.25, "a": -1.5},
-            precision=None,
-            recall=None,
-            f1=None,
-            **dict.fromkeys(scores, 0.5),
+            "model_001",
+            ModelSpec(features=("a",)),
+            10,
+            fit=made_fit(("a",), [0.25, -1.5]),
+            score=ClassificationMetrics(accuracy=0.5, precision=None, recall=None, f1=None),
         )
-        failed = ModelRow(
-            model_id="model_002",
-            spec=ModelSpec(features=("a", "b")),
-            n_train=10,
-            k_params=None,
-            converged=False,
-            iterations=None,
-            failed=True,
-            failure="separation: boom",
-            coefficients=None,
-            **dict.fromkeys(scores + ("precision", "recall", "f1")),
-        )
+        failed = ModelRow("model_002", ModelSpec(features=("a", "b")), 10, error="separation: boom")
         out = tmp_path / "comparison.csv"
         write_comparison_csv(ComparisonTable(rows=(fitted, failed)), out)
         with open(out, newline="") as handle:
