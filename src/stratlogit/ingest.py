@@ -1,12 +1,15 @@
 """Scholar record ingestion.
 
-Reads the activity CSV (one row per scholar account), validates every
-cell, applies the two eligibility screens, and writes the normalized
-table back out so downstream stages can be re-run from a clean file.
+Reads the activity CSV (one row per scholar account) through
+``read_csv``, the reader of every CSV input, which hands over cells by
+header name only; validates every cell, applies the two eligibility
+screens, and writes the normalized table back out so downstream stages
+can be re-run from a clean file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import sys
@@ -136,22 +139,57 @@ def _parse_bool(raw: str, row: int, column: str) -> bool:
     raise CellParseError(row, column, raw, "expected one of 0, 1, true, false")
 
 
-def csv_rows(handle, path, delimiter: str):
-    """The rows of the CSV text file ``handle``, opened from ``path``.
+@contextlib.contextmanager
+def read_csv(path, delimiter: str, columns, optional=()):
+    """(header, rows) of the CSV input at ``path``, read inside the
+    ``with`` block: the stripped header names, and (row number, cells)
+    for each row with a non-blank cell, numbered from 1 with blank rows
+    counted.  ``cells`` maps each name in ``columns`` to the raw cell
+    under it ("" past the row's end or for an absent ``optional`` one);
+    no other cell is read.
 
-    Bytes that are not UTF-8, or a record the csv module refuses, raise
-    DataError naming ``path``.
+    A UTF-8 byte order mark before the header is skipped.  A delimiter
+    that is not one character is a ConfigError, and a header without a
+    column not in ``optional`` a MissingColumnError.  An unopenable or
+    empty file, a header naming a column twice, and bytes that are not
+    UTF-8 or a record the csv module refuses are a DataError naming it.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     try:
-        yield from csv.reader(handle, delimiter=delimiter)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    except csv.Error as exc:
-        raise DataError(f"{path}: malformed CSV ({exc})") from exc
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            header = [name.strip() for name in header]
+            for name in columns:
+                if header.count(name) > 1:
+                    raise DataError(f"{path}: header names column {name!r} more than once")
+            missing = [name for name in columns if name not in header and name not in optional]
+            if missing:
+                raise MissingColumnError(f"{path}: missing required columns {missing}")
+            # An absent optional column's position is past every row.
+            where = [
+                (name, header.index(name) if name in header else sys.maxsize) for name in columns
+            ]
+            yield header, (
+                (row_num, {name: cells[i] if i < len(cells) else "" for name, i in where})
+                for row_num, cells in enumerate(reader, start=1)
+                if any(map(str.strip, cells))
+            )
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV ({exc})") from exc
 
 
 def parse_dataset(path, delimiter: str = ",") -> Dataset:
-    """Parse the scholar activity CSV at ``path``.
+    """Parse the scholar activity CSV at ``path`` (``read_csv``).
 
     Blank ``followers_historical`` defaults to 0; blank ``per_cited`` is
     derived as citations divided by publications (0 when there are no
@@ -161,67 +199,29 @@ def parse_dataset(path, delimiter: str = ",") -> Dataset:
 
     Data rows are numbered from 1 in every error message.
     """
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read input file {path}: {exc}") from exc
-
-    with handle:
-        reader = csv_rows(handle, path, delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        index = {}
-        for i, name in enumerate(header):
-            name = name.strip()
-            if name in index and name in COLUMNS:
-                raise DataError(f"{path}: header names column {name!r} more than once")
-            index[name] = i
-        positions = {}
-        missing = []
-        for name in COLUMNS:
-            if name in index:
-                positions[name] = index[name]
-            elif name in OPTIONAL_COLUMNS:
-                positions[name] = None
-            else:
-                missing.append(name)
-        if missing:
-            raise MissingColumnError(f"{path}: missing required columns {missing}")
-
-        records = []
-        seen = {}
-        for row_num, cells in enumerate(reader, start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-
-            def cell(name):
-                pos = positions[name]
-                if pos is None or pos >= len(cells):
-                    return ""
-                return cells[pos]
-
-            values = {"scholar_id": cell("scholar_id").strip()}
+    records = []
+    seen = {}
+    with read_csv(path, delimiter, COLUMNS, OPTIONAL_COLUMNS) as (_, rows):
+        for row_num, cells in rows:
+            values = {"scholar_id": cells["scholar_id"].strip()}
             if not values["scholar_id"]:
-                raise CellParseError(row_num, "scholar_id", cell("scholar_id"), "must be non-empty")
+                raise CellParseError(
+                    row_num, "scholar_id", cells["scholar_id"], "must be non-empty"
+                )
             for name in _INT_COLUMNS:
-                raw = cell(name)
+                raw = cells[name]
                 if name == "followers_historical" and not raw.strip():
                     values[name] = 0
                 else:
                     values[name] = _parse_int(raw, row_num, name)
-            raw_pc = cell("per_cited")
-            if raw_pc.strip():
-                values["per_cited"] = _parse_float(raw_pc, row_num, "per_cited")
-            elif values["publications"] > 0:
-                values["per_cited"] = values["citations"] / values["publications"]
+            publications = values["publications"]
+            derived = values["citations"] / publications if publications else 0.0
+            if cells["per_cited"].strip():
+                values["per_cited"] = _parse_float(cells["per_cited"], row_num, "per_cited")
             else:
-                values["per_cited"] = 0.0
+                values["per_cited"] = derived
             for name in _BOOL_COLUMNS:
-                values[name] = _parse_bool(cell(name), row_num, name)
+                values[name] = _parse_bool(cells[name], row_num, name)
 
             if values["followers_historical"] > values["followers_current"]:
                 raise RecordInvariantError(
@@ -229,14 +229,14 @@ def parse_dataset(path, delimiter: str = ",") -> Dataset:
                     "followers_historical exceeds followers_current "
                     f"({values['followers_historical']} > {values['followers_current']})",
                 )
-            if raw_pc.strip() and values["publications"] > 0:
-                derived = values["citations"] / values["publications"]
-                if not math.isclose(values["per_cited"], derived, rel_tol=1e-6, abs_tol=1e-9):
-                    raise RecordInvariantError(
-                        row_num,
-                        f"per_cited {values['per_cited']} disagrees with "
-                        f"citations/publications {derived}",
-                    )
+            if publications and not math.isclose(
+                values["per_cited"], derived, rel_tol=1e-6, abs_tol=1e-9
+            ):
+                raise RecordInvariantError(
+                    row_num,
+                    f"per_cited {values['per_cited']} disagrees with "
+                    f"citations/publications {derived}",
+                )
             sid = values["scholar_id"]
             if sid in seen:
                 raise DuplicateIdError(

@@ -31,6 +31,7 @@ solver found; every other statistic is derived from it when read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,10 +139,11 @@ class LogitFit:
     module's formula for it: ``z``, ``p_two_sided``, ``exp_b`` and
     ``wald`` (``coefficient_inference``), ``llr_stat`` (``_llr_stat``, 0
     for the intercept-only model), ``pseudo_r2`` and ``aic``/``bic``
-    (``information_criteria``).  So no statistic can disagree with the
-    numbers it comes from, and none raises on a fit that
-    ``fit_logistic_batch`` returns (see ``_finish_fits``).  Being
-    properties, they cannot be set by ``dataclasses.replace``.
+    (``information_criteria``, whose pair is computed once per fit).  So
+    no statistic can disagree with the numbers it comes from, and none
+    raises on a fit that ``fit_logistic_batch`` returns (see
+    ``_finish_fits``).  Being properties, they cannot be set by
+    ``dataclasses.replace``.
     """
 
     feature_names: tuple
@@ -167,8 +169,11 @@ class LogitFit:
         lambda self: _llr_stat(self.log_lik, self.log_lik_null) if self.k_params > 1 else 0.0
     )
     pseudo_r2 = property(lambda self: pseudo_r2(self.log_lik, self.log_lik_null))
-    aic = property(lambda self: information_criteria(self.log_lik, self.k_params, self.n_obs)[0])
-    bic = property(lambda self: information_criteria(self.log_lik, self.k_params, self.n_obs)[1])
+    _criteria = functools.cached_property(
+        lambda self: information_criteria(self.log_lik, self.k_params, self.n_obs)
+    )
+    aic = property(lambda self: self._criteria[0])
+    bic = property(lambda self: self._criteria[1])
 
 
 def sigmoid(eta) -> np.ndarray:
@@ -547,13 +552,18 @@ def _finish_fits(X, y, feature_names, stopped, ll_null, outcomes) -> None:
 
 def stacked_call(fn, rows, errors, *stacks) -> tuple:
     """(live, ``fn`` of the rows ``live`` of ``stacks`` as one call), where
-    ``live`` are the ``rows`` whose ``errors`` entry is still None.  When
-    that call raises, ``fn`` runs on each live row alone: a row that
+    ``live`` are the ``rows`` whose ``errors`` entry is still None; when
+    that is every row of the stacks, ``fn`` gets the stacks themselves.
+    When that call raises, ``fn`` runs on each live row alone: a row that
     raises gets its own error in ``errors`` and leaves ``live``, and the
     rest run as one call again."""
-    live = np.array([i for i in rows if errors[i] is None], dtype=int)
+    if len(rows) == len(stacks[0]) and not any(errors):
+        live, live_stacks = np.arange(len(rows)), stacks
+    else:
+        live = np.array([i for i in rows if errors[i] is None], dtype=int)
+        live_stacks = [s[live] for s in stacks]
     try:
-        return live, fn(*(s[live] for s in stacks))
+        return live, fn(*live_stacks)
     except StratLogitError:
         pass
     for i in live:

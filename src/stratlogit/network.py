@@ -1,5 +1,8 @@
 """Co-authorship graph, edge betweenness and community detection.
 
+``read_edge_list`` reads the edge list through ``ingest.read_csv`` and
+checks only the edge list's own rules.
+
 The divisive community algorithm repeatedly removes the edge carrying
 the most shortest-path traffic (Brandes accumulation over hop-count
 paths) and records a partition each time the component count grows.
@@ -74,7 +77,7 @@ from .errors import (
     DataError,
     DegenerateInputError,
 )
-from .ingest import csv_rows
+from .ingest import read_csv
 
 
 @dataclass(frozen=True)
@@ -138,52 +141,35 @@ def build_graph(edge_rows) -> CollabGraph:
     )
 
 
+_EDGE_COLUMNS = ("author_a", "author_b", "weight")
+
+
 def read_edge_list(path, delimiter: str = ",") -> list:
-    """Read a CSV edge list with header author_a,author_b[,weight]."""
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read edge list {path}: {exc}") from exc
-    with handle:
-        reader = csv_rows(handle, path, delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty edge list, expected a header row") from None
-        if header[:2] != ["author_a", "author_b"] or (
-            len(header) == 3 and header[2] != "weight"
-        ) or len(header) > 3:
-            raise DataError(
-                f"{path}: expected header author_a,author_b[,weight], got {header}"
-            )
-        rows = []
-        for row_num, cells in enumerate(reader, start=1):
-            if not cells or all(not c.strip() for c in cells):
+    """The CSV edge list at ``path`` (``read_csv``), as (a, b) for an
+    unweighted edge and (a, b, weight) for a weighted one.  The header
+    names ``author_a``, ``author_b`` and optionally ``weight``, in any
+    order, and no other column; a blank or absent weight means weight 1.
+    """
+    edges = []
+    with read_csv(path, delimiter, _EDGE_COLUMNS, ("weight",)) as (header, rows):
+        if not set(header) <= set(_EDGE_COLUMNS):
+            raise DataError(f"{path}: expected header author_a,author_b[,weight], got {header}")
+        for row_num, cells in rows:
+            a, b, raw = cells["author_a"].strip(), cells["author_b"].strip(), cells["weight"]
+            for name, end in (("author_a", a), ("author_b", b)):
+                if not end:
+                    raise CellParseError(row_num, name, cells[name], "must be non-empty")
+            if not raw.strip():
+                edges.append((a, b))
                 continue
-            if len(cells) < 2:
-                raise CellParseError(row_num, "author_b", "", "missing endpoint")
-            a, b = cells[0].strip(), cells[1].strip()
-            if not a:
-                raise CellParseError(row_num, "author_a", cells[0], "must be non-empty")
-            if not b:
-                raise CellParseError(row_num, "author_b", cells[1], "must be non-empty")
-            if len(cells) >= 3 and cells[2].strip():
-                try:
-                    w = float(cells[2])
-                except ValueError:
-                    raise CellParseError(
-                        row_num, "weight", cells[2], "expected a number"
-                    ) from None
-                if not 0 < w < math.inf:
-                    raise CellParseError(
-                        row_num, "weight", cells[2], "must be finite and > 0"
-                    )
-                rows.append((a, b, w))
-            else:
-                rows.append((a, b))
-        return rows
+            try:
+                w = float(raw)
+            except ValueError:
+                raise CellParseError(row_num, "weight", raw, "expected a number") from None
+            if not 0 < w < math.inf:
+                raise CellParseError(row_num, "weight", raw, "must be finite and > 0")
+            edges.append((a, b, w))
+    return edges
 
 
 def _components(n, ends) -> list:

@@ -1,5 +1,7 @@
 """CSV ingestion: parsing, validation, screening, round-trips."""
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,9 @@ from stratlogit.errors import (
 )
 from stratlogit.ingest import (
     COLUMNS,
+    Dataset,
+    Provenance,
+    ScholarRecord,
     filter_eligible,
     parse_dataset,
     write_dataset_csv,
@@ -282,3 +287,78 @@ class TestHostileBytes:
                 read(str(path))
             except StratLogitError:
                 pass
+
+
+# Text that must survive a write and a read: separators, quotes, line
+# ends and non-ASCII letters inside a cell, no whitespace around it (the
+# readers strip ids and endpoints).
+_NAMES = st.text(
+    st.sampled_from([",", ";", '"', "\r", "\n", " ", "\t", "é", "中", "\u2028", "\x00"])
+    | st.characters(codec="utf-8", exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+).filter(lambda s: s == s.strip())
+_COUNTS = st.integers(0, 10**18)
+
+
+@st.composite
+def scholar_records(draw):
+    """Records that ``parse_dataset`` accepts: unique ids, historical
+    followers at most current ones, ``per_cited`` derived."""
+    records = []
+    for sid in draw(st.lists(_NAMES, max_size=6, unique=True)):
+        current, publications, citations = draw(_COUNTS), draw(_COUNTS), draw(_COUNTS)
+        records.append(
+            ScholarRecord(
+                scholar_id=sid,
+                account_days=draw(_COUNTS),
+                post_count=draw(_COUNTS),
+                followers_current=current,
+                followers_historical=draw(st.integers(0, current)),
+                followed_count=draw(_COUNTS),
+                publications=publications,
+                citations=citations,
+                per_cited=citations / publications if publications else 0.0,
+                amount_weight=draw(_COUNTS),
+                h_index=draw(_COUNTS),
+                professional_declaration=draw(st.booleans()),
+                science_dedicated=draw(st.booleans()),
+            )
+        )
+    return tuple(records)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200, database=None, derandomize=True)
+    @given(records=scholar_records(), bom=st.booleans())
+    def test_scholar_table(self, records, bom, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "records.csv"
+        write_dataset_csv(Dataset(records, Provenance("drawn", len(records))), path)
+        if bom:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        parsed = parse_dataset(path)
+        assert parsed.records == records
+        assert parsed.provenance.rows_read == len(records)
+
+    @settings(max_examples=200, database=None, derandomize=True)
+    @given(
+        edges=st.lists(
+            st.tuples(
+                _NAMES,
+                _NAMES,
+                st.none()
+                | st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=6,
+        ),
+        order=st.permutations(["author_a", "author_b", "weight"]),
+    )
+    def test_edge_list(self, edges, order, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "edges.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(order)
+            for a, b, w in edges:
+                cells = {"author_a": a, "author_b": b, "weight": "" if w is None else w}
+                writer.writerow([cells[name] for name in order])
+        assert read_edge_list(path) == [(a, b) if w is None else (a, b, w) for a, b, w in edges]

@@ -444,6 +444,39 @@ class TestBatchBits:
         assert bits(got[0]) == bits(single_fit(zero, max_iter=7))  # the default start
 
 
+class TestStackedCall:
+    @staticmethod
+    def row_sums(calls):
+        def fn(stack):
+            calls.append(stack)
+            if (stack < 0).any():
+                raise DataError("negative entry")
+            return stack.sum(axis=-1)
+
+        return fn
+
+    def test_whole_stack_passed_as_it_is(self):
+        stack, calls = np.arange(12.0).reshape(4, 3), []
+        live, out = logit.stacked_call(self.row_sums(calls), range(4), [None] * 4, stack)
+        assert live.tolist() == [0, 1, 2, 3] and out.tolist() == [3.0, 12.0, 21.0, 30.0]
+        assert len(calls) == 1 and calls[0] is stack
+
+    @pytest.mark.parametrize("rows, failed", [([0, 2, 3], ()), (range(4), (1,))])
+    def test_part_of_the_stack_is_copied(self, rows, failed):
+        stack, calls = np.arange(12.0).reshape(4, 3), []
+        errors = [DataError("failed before") if i in failed else None for i in range(4)]
+        live, out = logit.stacked_call(self.row_sums(calls), rows, errors, stack)
+        assert live.tolist() == [0, 2, 3] and out.tolist() == [3.0, 21.0, 30.0]
+        assert len(calls) == 1 and calls[0] is not stack
+
+    def test_failing_row_gets_its_own_error(self):
+        stack, calls, errors = np.arange(12.0).reshape(4, 3), [], [None] * 4
+        stack[1, 0] = -1.0
+        live, out = logit.stacked_call(self.row_sums(calls), range(4), errors, stack)
+        assert live.tolist() == [0, 2, 3] and out.tolist() == [3.0, 21.0, 30.0]
+        assert isinstance(errors[1], DataError) and errors.count(None) == 3
+
+
 class TestFitGuarantees:
     """What every LogitFit that ``fit_logistic_batch`` returns holds, so
     that its derived statistics need no run-time check."""
@@ -699,6 +732,20 @@ class TestFitOutputs:
         assert 0.0 <= fit.llr_p <= 1.0
         with pytest.raises(TypeError):  # derived, so not a field to replace
             dataclasses.replace(fit, aic=0.0)
+
+    def test_criteria_computed_once_per_fit(self, monkeypatch):
+        design, _ = make_problem(21, n=350, p=4)
+        fit = fit_logistic(design)
+        calls = []
+        monkeypatch.setattr(
+            logit, "information_criteria", lambda *a: calls.append(a) or information_criteria(*a)
+        )
+        assert (fit.aic, fit.bic, fit.aic, fit.bic)[2:] == information_criteria(fit.log_lik, 5, 350)
+        assert calls == [(fit.log_lik, 5, 350)]
+        # A replaced fit derives its own pair, not its source's.
+        lower = dataclasses.replace(fit, log_lik=fit.log_lik - 1.0)
+        assert (lower.aic, lower.bic) == information_criteria(fit.log_lik - 1.0, 5, 350)
+        assert len(calls) == 2
 
     def test_std_err_matches_observed_information(self):
         design, _ = make_problem(17, n=500, p=3)

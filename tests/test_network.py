@@ -28,12 +28,14 @@ from conftest import (
     split_refresh_ref,
 )
 from stratlogit import network
+from stratlogit.cli import main
 from stratlogit.emit import write_dendrogram_json, write_json, write_partition_csv
 from stratlogit.errors import (
     CellParseError,
     ConfigError,
     DataError,
     DegenerateInputError,
+    MissingColumnError,
 )
 from stratlogit.network import (
     _TIE_RTOL,
@@ -812,10 +814,10 @@ class TestEdgeListIo:
     def test_reads_with_and_without_weight(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text(
-            "author_a,author_b,weight\nx,y,2.5\ny,z,\n\nz,x,1\n", encoding="utf-8"
+            "author_a,author_b,weight\nx,y,2.5\ny,z,\n\nz,x,1\nx,z, \ny,x\n", encoding="utf-8"
         )
         rows = read_edge_list(path)
-        assert rows == [("x", "y", 2.5), ("y", "z"), ("z", "x", 1.0)]
+        assert rows == [("x", "y", 2.5), ("y", "z"), ("z", "x", 1.0), ("x", "z"), ("y", "x")]
         two_col = tmp_path / "edges2.csv"
         two_col.write_text("author_a,author_b\nx,y\n", encoding="utf-8")
         assert read_edge_list(two_col) == [("x", "y")]
@@ -823,11 +825,49 @@ class TestEdgeListIo:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst\nx,y\n", encoding="utf-8")
-        with pytest.raises(DataError):
+        with pytest.raises(MissingColumnError):
             read_edge_list(path)
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("header", ["author_a,author_b,year", "author_a,author_b,weight,"])
+    def test_unknown_column_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\nx,y,1,\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected header") as info:
+            read_edge_list(path)
+        assert not isinstance(info.value, MissingColumnError)
+
+    def test_column_named_twice_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("author_a,author_b,author_b\nx,y,z\n", encoding="utf-8")
+        with pytest.raises(DataError, match="more than once"):
+            read_edge_list(path)
+
+    def test_cell_under_no_column_is_never_read(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("author_a,author_b\nx,y,3\ny,z,0.5,junk\nz,x,\n", encoding="utf-8")
+        assert read_edge_list(path) == [("x", "y"), ("y", "z"), ("z", "x")]
+
+    def test_reordered_header_read_by_name(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("weight, author_b ,author_a\n2.5,y,x\n,z,y\n", encoding="utf-8")
+        assert read_edge_list(path) == [("x", "y", 2.5), ("y", "z")]
+
+    def test_unlabeled_weights_leave_communities_unchanged(self, tmp_path, edges_csv):
+        """A varying cell after each edge, under no header column, moved
+        the best modularity (0.6421 to 0.6306) when it was read by position."""
+        header, *lines = pathlib.Path(edges_csv).read_text(encoding="utf-8").splitlines()
+        extra = tmp_path / "extra.csv"
+        lines = [f"{line},{i % 5 + 1}\n" for i, line in enumerate(lines)]
+        extra.write_text(header + "\n" + "".join(lines), encoding="utf-8")
+        for source, out in ((edges_csv, "plain"), (extra, "extra")):
+            args = ["communities", "--coauthor-edges", str(source), "--out", str(tmp_path / out)]
+            assert main(args) == 0
+        for name in ("partition.csv", "dendrogram.json"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "extra" / name).read_bytes() == plain
 
     def test_cell_errors_carry_position(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -836,7 +876,7 @@ class TestEdgeListIo:
             read_edge_list(path)
         assert "row 1" in str(info.value) and "weight" in str(info.value)
         path.write_text("author_a,author_b\nx\n", encoding="utf-8")
-        with pytest.raises(CellParseError):
+        with pytest.raises(CellParseError, match="row 1, column author_b: must be non-empty"):
             read_edge_list(path)
         for weight in ("-2", "inf", "nan", "1e999"):
             path.write_text(f"author_a,author_b,weight\nx,y,{weight}\n", encoding="utf-8")
