@@ -14,11 +14,11 @@ needs, through the same ``stratlogit.pipeline`` functions as
     report       report.json plus the CSV side files of every stage
 
 ``fit``, ``evaluate`` and ``attribute`` use the ``--features`` subset
-(default all) where the report uses the selected model.  Flag values
-are validated as one RunConfig, and ``--out`` is checked, before any
-input is read.  This module parses arguments and prints one summary
-line; it builds no payload, and every file, with its layout, is written
-by ``stratlogit.emit``.
+(default all) where the report uses the selected model.  A flag that
+sets a RunConfig field takes the field's default, and every flag value,
+``--out`` included, is checked before any input is read.  This module
+parses arguments and prints one summary line; it builds no payload, and
+every file, with its layout, is written by ``stratlogit.emit``.
 
 Exit codes: 0 success, 2 configuration, 3 data, 4 numerical,
 5 internal invariant breach.
@@ -50,8 +50,9 @@ from .emit import (
 from .errors import ConfigError, PipelineError, StratLogitError
 from .indicators import FEATURE_COLUMNS
 from .ingest import write_dataset_csv
-from .network import build_graph, girvan_newman, read_edge_list
+from .network import build_graph, check_target_communities, girvan_newman, read_edge_list
 from .pipeline import (
+    SELECTION_MODES,
     RunConfig,
     attribute_fit,
     build_indicators,
@@ -67,38 +68,40 @@ from .pipeline import (
 )
 
 
+def _add_field_arg(p, flag, field, text, **kwargs):
+    """``flag`` setting the RunConfig field ``field``, with the field's
+    default and that default's type."""
+    default = RunConfig.__dataclass_fields__[field].default
+    p.add_argument(
+        flag,
+        dest=field,
+        type=type(default),
+        default=default,
+        help=f"{text} (default %(default)s)",
+        **kwargs,
+    )
+
+
 def _add_input_args(p):
     p.add_argument("--input", dest="input_path", required=True, help="scholar activity CSV")
-    p.add_argument("--delimiter", default=",", help="CSV delimiter (default ,)")
+    _add_field_arg(p, "--delimiter", "delimiter", "CSV delimiter")
 
 
 def _add_weight_args(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="composite weight of post density")
-    p.add_argument("--beta", type=float, default=1.0, help="composite weight of followers/followed")
+    _add_field_arg(p, "--alpha", "alpha", "composite weight of post density")
+    _add_field_arg(p, "--beta", "beta", "composite weight of followers/followed")
 
 
 def _add_model_args(p):
     _add_weight_args(p)
-    p.add_argument(
-        "--train-frac",
-        dest="train_fraction",
-        type=float,
-        default=0.7,
-        help="training fraction (default 0.7)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
-    p.add_argument("--max-iter", type=int, default=1000, help="solver iteration cap")
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient convergence tolerance")
+    _add_field_arg(p, "--train-frac", "train_fraction", "training fraction")
+    _add_field_arg(p, "--seed", "seed", "split seed")
+    _add_field_arg(p, "--max-iter", "max_iter", "solver iteration cap")
+    _add_field_arg(p, "--tol", "tol", "gradient convergence tolerance")
 
 
 def _add_select_arg(p):
-    p.add_argument(
-        "--select",
-        dest="selection",
-        choices=["enumerate", "stepwise"],
-        default="enumerate",
-        help="search strategy (default enumerate)",
-    )
+    _add_field_arg(p, "--select", "selection", "search strategy", choices=SELECTION_MODES)
 
 
 def _add_out_arg(p):
@@ -142,13 +145,11 @@ def _check_out(out_dir) -> None:
 
 
 def _config(args) -> RunConfig:
-    """The validated RunConfig of a subcommand's flags; a field the
-    subcommand has no flag for keeps its default."""
-    cfg = RunConfig(
+    """The RunConfig of a subcommand's flags, checked as it is made; a
+    field the subcommand has no flag for keeps its default."""
+    return RunConfig(
         **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
-    cfg.validate()
-    return cfg
 
 
 def _split(cfg):
@@ -163,14 +164,14 @@ def _fit(args):
     features = _parse_features(args.features)
     cfg = _config(args)
     fm, split = _split(cfg)
-    return cfg, fm, split, fit_features(cfg, fm, split, features)
+    return fm, split, fit_features(cfg, fm, split, features)
 
 
 def cmd_ingest(args) -> int:
     cfg = _config(args)
     raw, eligible = load_dataset(cfg)
     kept = raw if args.keep_ineligible else eligible
-    path = out_path(cfg.out_dir, "normalized.csv")
+    path = out_path(args.out_dir, "normalized.csv")
     write_dataset_csv(kept, path)
     print(f"read {raw.provenance.rows_read} rows, kept {len(kept.records)}, wrote {path}")
     return 0
@@ -181,7 +182,7 @@ def cmd_describe(args) -> int:
     _, dataset = load_dataset(cfg)
     fm = build_indicators(cfg, dataset)
     description = describe_indicators(fm)
-    write_describe_files(cfg.out_dir, fm, description)
+    write_describe_files(args.out_dir, fm, description)
     print(
         f"described {len(fm.column_names)} variables over {fm.n_rows} rows "
         f"(mean VIF {float(np.mean(description[2]))!r})"
@@ -190,8 +191,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, _, _, fit = _fit(args)
-    write_fit_files(cfg.out_dir, fit)
+    _, _, fit = _fit(args)
+    write_fit_files(args.out_dir, fit)
     print(
         f"fit {'+'.join(fit.feature_names)} on {fit.n_obs} rows: converged={fit.converged} "
         f"iterations={fit.iterations} loglik={fit.log_lik!r} aic={fit.aic!r}"
@@ -203,7 +204,7 @@ def cmd_select(args) -> int:
     cfg = _config(args)
     fm, split = _split(cfg)
     table, best_row = select_model(cfg, fm, split, fit_features(cfg, fm, split))
-    write_select_files(cfg.out_dir, cfg.selection, table, best_row)
+    write_select_files(args.out_dir, cfg.selection, table, best_row)
     print(
         f"{len(table.rows)} models in comparison.csv ({cfg.selection}); "
         f"best {'+'.join(best_row.spec.features)} aic={best_row.aic!r}"
@@ -212,9 +213,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, fm, split, fit = _fit(args)
+    fm, split, fit = _fit(args)
     cm, mets, roc = evaluate_fit(fm, split, fit)
-    write_evaluate_files(cfg.out_dir, cm, mets, roc)
+    write_evaluate_files(args.out_dir, cm, mets, roc)
     print(
         f"evaluated {'+'.join(fit.feature_names)} on {split.n_val} held-out rows: "
         f"accuracy={mets.accuracy!r} auc={roc.auc!r}"
@@ -223,12 +224,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    cfg, fm, split, fit = _fit(args)
+    fm, split, fit = _fit(args)
     shap, ranking = attribute_fit(fm, training_means(fm, split), fit, "attributed")
-    write_shap_values_csv(shap, fm.row_ids, out_path(cfg.out_dir, "shap_values.csv"))
-    write_importance_csv(ranking, out_path(cfg.out_dir, "importance.csv"))
+    write_shap_values_csv(shap, fm.row_ids, out_path(args.out_dir, "shap_values.csv"))
+    write_importance_csv(ranking, out_path(args.out_dir, "importance.csv"))
     for name, curve in trend_curves(fm, shap).items():
-        path = out_path(cfg.out_dir, f"trend_{name}.csv")
+        path = out_path(args.out_dir, f"trend_{name}.csv")
         write_trend_csv(curve.x, {"attribution": curve.y}, path)
     top = ranking.entries[0]
     print(
@@ -239,6 +240,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_communities(args) -> int:
+    check_target_communities(args.target_communities)
     edges = read_edge_list(args.coauthor_edges, delimiter=args.delimiter)
     graph = build_graph(edges)
     dendrogram, best = girvan_newman(graph, target_communities=args.target_communities)
@@ -254,12 +256,11 @@ def cmd_communities(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _config(args)
-    report = run_pipeline(cfg)
-    written = write_report_files(report, cfg.out_dir)
+    report = run_pipeline(_config(args))
+    written = write_report_files(report, args.out_dir)
     best = report.best_row
     print(
-        f"wrote {len(written)} files to {cfg.out_dir}; best model "
+        f"wrote {len(written)} files to {args.out_dir}; best model "
         f"{'+'.join(best.spec.features)} aic={best.aic!r}"
     )
     return 0
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="divisive communities of the co-author graph")
     p.add_argument("--coauthor-edges", required=True, help="edge list CSV")
-    p.add_argument("--delimiter", default=",", help="CSV delimiter (default ,)")
+    _add_field_arg(p, "--delimiter", "delimiter", "CSV delimiter")
     p.add_argument(
         "--target-communities",
         type=int,

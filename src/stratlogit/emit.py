@@ -43,6 +43,7 @@ import json
 import math
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 
@@ -342,7 +343,7 @@ def report_payload(report, trends=None) -> dict:
         trends = _trend_texts(report, *_column_texts(report))
     return {
         "tool": {"name": "stratlogit", "version": __version__},
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "dataset": {
             "source": report.dataset.provenance.source,
             "rows_read": report.dataset.provenance.rows_read,

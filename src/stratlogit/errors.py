@@ -3,14 +3,17 @@
 Every error raised on purpose by this package derives from StratLogitError
 and carries an ``exit_code`` used by the command line front end:
 
-    2  configuration errors (bad flag values, unknown feature names, an
-       output path that cannot be written)
+    2  configuration errors (bad flag values, a bad parameter passed to a
+       library call such as ``fit_logistic`` or ``make_split``, unknown
+       feature names, an output path that cannot be written)
     3  data errors (unreadable input, schema violations, degenerate inputs)
     4  numerical errors (separation, singular systems, non-convergence)
     5  internal invariant breaches detected during report emission
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class StratLogitError(Exception):
@@ -25,6 +28,16 @@ class ConfigError(StratLogitError):
 
     exit_code = 2
     code = "config_error"
+
+
+def require_number(name: str, value, integer: bool = False) -> None:
+    """ConfigError unless ``value`` is a real number, or with ``integer``
+    an integer (a Python or numpy one); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        kind = "an integer" if integer else "a real number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 class DataError(StratLogitError):

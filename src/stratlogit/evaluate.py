@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateInputError
+from .errors import ConfigError, DataError, DegenerateInputError, require_number
 from .logit import LogitFit, sigmoid
 
 _PROB_FLOOR = 1e-300
@@ -38,23 +38,31 @@ class Split:
         return len(self.val_indices)
 
 
-def make_split(n: int, train_fraction: float = 0.7, seed: int = 0) -> Split:
-    """Shuffle 0..n-1 with a PCG64 generator and cut once.
-
-    The train size is round-half-up of ``train_fraction * n``.  Both
-    partitions must be non-empty, and the seed non-negative.  The same
-    (n, fraction, seed) triple always produces the same split; the
-    generator is pinned to PCG64 so the partition is stable across
-    platforms and library versions.
-    """
-    if n < 2:
-        raise DegenerateInputError(f"make_split: need at least 2 rows, got {n}")
+def check_split_params(train_fraction, seed) -> None:
+    """``make_split``'s rule for its parameters, which needs no rows:
+    ``train_fraction`` a real number in (0, 1), ``seed`` an integer >= 0."""
+    require_number("make_split: train_fraction", train_fraction)
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(
             f"make_split: train_fraction must be in (0, 1), got {train_fraction}"
         )
+    require_number("make_split: seed", seed, integer=True)
     if seed < 0:
         raise ConfigError(f"make_split: seed must be >= 0, got {seed}")
+
+
+def make_split(n: int, train_fraction: float = 0.7, seed: int = 0) -> Split:
+    """Shuffle 0..n-1 with a PCG64 generator and cut once.
+
+    The train size is round-half-up of ``train_fraction * n``, and both
+    partitions must be non-empty; ``check_split_params`` checks the
+    parameters.  The same (n, fraction, seed) triple always produces the
+    same split; the generator is pinned to PCG64 so the partition is
+    stable across platforms and library versions.
+    """
+    if n < 2:
+        raise DegenerateInputError(f"make_split: need at least 2 rows, got {n}")
+    check_split_params(train_fraction, seed)
     n_train = int(train_fraction * n + 0.5)
     if n_train < 1 or n_train >= n:
         raise DegenerateInputError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateInputError
+from .errors import ConfigError, DataError, DegenerateInputError, require_number
 
 FEATURE_COLUMNS = ("AD", "TD", "FGR", "FR", "CA", "P", "C", "PC", "AW")
 
@@ -41,6 +41,7 @@ class CompositeWeights:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             v = getattr(self, name)
+            require_number(f"composite weight {name}", v)
             if not math.isfinite(v) or v < 0:
                 raise ConfigError(f"composite weight {name} must be finite and >= 0, got {v}")
 

@@ -139,6 +139,12 @@ def _parse_bool(raw: str, row: int, column: str) -> bool:
     raise CellParseError(row, column, raw, "expected one of 0, 1, true, false")
 
 
+def check_delimiter(delimiter) -> None:
+    """``read_csv``'s rule: a ConfigError unless ``delimiter`` is one character."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
+
+
 @contextlib.contextmanager
 def read_csv(path, delimiter: str, columns, optional=()):
     """(header, rows) of the CSV input at ``path``, read inside the
@@ -149,13 +155,12 @@ def read_csv(path, delimiter: str, columns, optional=()):
     no other cell is read.
 
     A UTF-8 byte order mark before the header is skipped.  A delimiter
-    that is not one character is a ConfigError, and a header without a
+    that fails ``check_delimiter`` is a ConfigError, and a header without a
     column not in ``optional`` a MissingColumnError.  An unopenable or
     empty file, a header naming a column twice, and bytes that are not
     UTF-8 or a record the csv module refuses are a DataError naming it.
     """
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
+    check_delimiter(delimiter)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:

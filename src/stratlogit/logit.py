@@ -38,12 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateInputError,
     NotConvergedError,
     SeparationError,
     SingularMatrixError,
     StratLogitError,
+    require_number,
 )
 from .stats_core import chisq_sf, solve_spd, two_sided_p
 
@@ -299,6 +301,17 @@ def columns_well_posed(X) -> bool:
     return bool(sv[-1] > RANK_MARGIN * sv[0] * max(n, K) * np.finfo(float).eps)
 
 
+def check_solver_params(max_iter, tol) -> None:
+    """The solver's rule for its parameters: a ConfigError unless
+    ``max_iter`` is an integer >= 1 and ``tol`` a finite real number > 0."""
+    require_number("fit_logistic: max_iter", max_iter, integer=True)
+    if max_iter < 1:
+        raise ConfigError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
+    require_number("fit_logistic: tol", tol)
+    if not math.isfinite(tol) or tol <= 0:
+        raise ConfigError(f"fit_logistic: tol must be finite and > 0, got {tol}")
+
+
 def fit_logistic_batch(
     X, y, feature_names, max_iter: int = 1000, tol: float = 1e-8, start=None, columns_ok=False
 ) -> list:
@@ -308,8 +321,8 @@ def fit_logistic_batch(
     Each ``X[b]`` with ``feature_names[b]`` must pass the ``DesignMatrix``
     checks.  Returns, per design, its ``LogitFit`` or the
     ``StratLogitError`` that fitting it alone, as a stack of one, from the
-    same start gives.  ``columns_ok`` (see ``columns_well_posed``) skips
-    the constant-column and rank checks.
+    same start gives; a bad ``max_iter`` or ``tol`` is raised.  ``columns_ok``
+    (see ``columns_well_posed``) skips the constant-column and rank checks.
 
     The designs still iterating take each Newton step in lockstep: one
     stacked ``matmul`` each for the score, the information matrix and
@@ -325,15 +338,9 @@ def fit_logistic_batch(
     X = np.ascontiguousarray(X, dtype=float)
     n_fits, _, k = X.shape
     start = np.zeros((n_fits, k)) if start is None else np.asarray(start, dtype=float)
-    try:
-        if max_iter < 1:
-            raise DegenerateInputError(f"fit_logistic: max_iter must be >= 1, got {max_iter}")
-        if not math.isfinite(tol) or tol <= 0:
-            raise DegenerateInputError(f"fit_logistic: tol must be finite and > 0, got {tol}")
-        if np.all(y == y[0]):
-            raise DegenerateInputError("fit_logistic: response has a single class")
-    except StratLogitError as exc:
-        return [exc] * n_fits
+    check_solver_params(max_iter, tol)
+    if np.all(y == y[0]):
+        return [DegenerateInputError("fit_logistic: response has a single class")] * n_fits
     ll_null = null_log_likelihood(y)
     outcomes = [None] * n_fits
     if columns_ok:

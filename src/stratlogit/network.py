@@ -355,6 +355,15 @@ def _partition_of(names, label, m, sums, step, removed_edge) -> Partition:
     )
 
 
+def check_target_communities(target_communities) -> None:
+    """``girvan_newman``'s rule for ``target_communities`` that needs no
+    graph: a ConfigError unless it is None or >= 1."""
+    if target_communities is not None and target_communities < 1:
+        raise ConfigError(
+            f"girvan_newman: target_communities must be >= 1, got {target_communities}"
+        )
+
+
 def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> tuple:
     """Divisive community detection by repeated betweenness cuts.
 
@@ -364,9 +373,10 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
     wins ties).  Stops at edge exhaustion or once the component count
     reaches ``target_communities``.
     """
+    check_target_communities(target_communities)
     if g.n_edges == 0:
         raise DegenerateInputError("girvan_newman: graph has no edges")
-    if target_communities is not None and not (1 <= target_communities <= g.n_nodes):
+    if target_communities is not None and target_communities > g.n_nodes:
         raise ConfigError(
             f"girvan_newman: target_communities must be in 1..{g.n_nodes}, "
             f"got {target_communities}"

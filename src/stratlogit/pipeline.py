@@ -12,6 +12,8 @@ subcommands:
     evaluate    evaluate_fit         one fit scored on the validation rows
     attribute   attribute_fit        one fit's attributions and their ranking
 
+The stages read their parameters from one RunConfig, which checks
+each value when it is made by the rule of the function that applies it.
 ``run_pipeline`` runs them for the full and the selected model and
 returns their results as one AnalysisReport.  This module computes
 only: it writes no file and builds no output layout.  ``emit`` owns
@@ -28,8 +30,7 @@ completed (a partial result existed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .evaluate import (
     ConfusionMatrix,
     RocCurve,
     Split,
+    check_split_params,
     classify,
     make_split,
     metrics,
@@ -60,8 +62,8 @@ from .evaluate import (
     roc_auc,
 )
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix
-from .ingest import Dataset, filter_eligible, parse_dataset
-from .logit import DesignMatrix, LogitFit, check_converged, fit_logistic
+from .ingest import Dataset, check_delimiter, filter_eligible, parse_dataset
+from .logit import DesignMatrix, LogitFit, check_converged, check_solver_params, fit_logistic
 from .model_select import (
     ComparisonTable,
     ModelRow,
@@ -76,10 +78,11 @@ SELECTION_MODES = ("enumerate", "stepwise")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; validated before any file is touched."""
+    """The parameters of one analysis, checked when the config is made:
+    each value by the rule of the function that applies it, so a bad one
+    is a ConfigError before any file is touched."""
 
     input_path: str
-    out_dir: Optional[str] = None
     alpha: float = 1.0
     beta: float = 1.0
     train_fraction: float = 0.7
@@ -89,35 +92,17 @@ class RunConfig:
     selection: str = "enumerate"
     delimiter: str = ","
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.input_path:
             raise ConfigError("input_path must be set")
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not math.isfinite(self.tol) or self.tol <= 0:
-            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        CompositeWeights(self.alpha, self.beta)
+        check_split_params(self.train_fraction, self.seed)
+        check_solver_params(self.max_iter, self.tol)
         if self.selection not in SELECTION_MODES:
             raise ConfigError(
                 f"selection must be one of {SELECTION_MODES}, got {self.selection!r}"
             )
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
-
-    def echo(self) -> dict:
-        """Analytic parameters only; output location is not analysis."""
-        data = asdict(self)
-        data.pop("out_dir")
-        return data
+        check_delimiter(self.delimiter)
 
 
 @dataclass(frozen=True)
@@ -295,7 +280,6 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     Raises PipelineError on the first failing stage; the exit code of
     the underlying error is preserved for the command line front end.
     """
-    cfg.validate()
     completed = []
 
     def stage(name, fn, *args):

@@ -363,7 +363,8 @@ def fit_from(design, max_iter=1000, tol=1e-8, start=None) -> LogitFit:
 def full_fit(m, split, max_iter=1000, tol=1e-8) -> LogitFit:
     """The fit stage's lone fit of every column of ``m`` on the training
     rows, from zeros: the all-feature row a search is given."""
-    return fit_features(RunConfig(input_path="", max_iter=max_iter, tol=tol), m, split)
+    cfg = RunConfig(input_path="unread.csv", max_iter=max_iter, tol=tol)
+    return fit_features(cfg, m, split)
 
 
 def fit_one_ref(m, spec, split, max_iter, tol, model_id, start=None) -> ModelRow:

@@ -66,6 +66,15 @@ class TestSplit:
         with pytest.raises(ConfigError, match="seed"):
             make_split(50, train_fraction=0.7, seed=-1)
 
+    def test_wrongly_typed_parameters(self):
+        for frac in ("0.7", None, True):
+            with pytest.raises(ConfigError, match="train_fraction must be a real number"):
+                make_split(10, frac, 0)
+        for seed in (1.5, "1", True, None):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                make_split(10, 0.7, seed)
+        assert make_split(10, np.float32(0.5), np.int64(3)) == make_split(10, 0.5, 3)
+
     def test_empty_partition_rejected(self):
         with pytest.raises(DegenerateInputError):
             make_split(3, train_fraction=0.9, seed=0)

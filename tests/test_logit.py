@@ -26,6 +26,7 @@ from conftest import (
 )
 from stratlogit import emit, logit
 from stratlogit.errors import (
+    ConfigError,
     DataError,
     DegenerateInputError,
     NotConvergedError,
@@ -198,12 +199,15 @@ class TestFailureModes:
         assert not (tmp_path / "inference.csv").exists()
 
     def test_parameter_validation(self):
+        # A bad solver parameter is a configuration error, not a data error.
         design, _ = make_problem(1, n=50, p=2)
-        with pytest.raises(DegenerateInputError):
-            fit_logistic(design, max_iter=0)
-        for tol in (0.0, math.inf, math.nan):
-            with pytest.raises(DegenerateInputError):
+        for max_iter in (0, 2.5, True, "10"):
+            with pytest.raises(ConfigError, match="max_iter"):
+                fit_logistic(design, max_iter=max_iter)
+        for tol in (0.0, math.inf, math.nan, "1e-8", None):
+            with pytest.raises(ConfigError, match="tol"):
                 fit_logistic(design, tol=tol)
+        assert fit_logistic(design, max_iter=np.int64(50), tol=np.float32(1e-6)).converged
 
 
 class TestStepSolveFailures:
@@ -395,16 +399,17 @@ class TestBatchBits:
         design, _ = make_problem(3, n=60, p=2)
         stack = np.stack([design.X, design.X[::-1].copy()])
         names = [design.feature_names] * 2
-        for kwargs, y in [
-            (dict(max_iter=0), design.y),
-            (dict(tol=0.0), design.y),
-            (dict(tol=math.inf), design.y),
-            ({}, np.ones(60)),
-        ]:
-            got = fit_logistic_batch(stack, y, names, **kwargs)
-            assert [type(e) for e in got] == [DegenerateInputError] * 2
-            with pytest.raises(DegenerateInputError, match=str(got[0])):
-                fit_logistic(DesignMatrix(X=design.X, y=y, feature_names=names[0]), **kwargs)
+        got = fit_logistic_batch(stack, np.ones(60), names)
+        assert [type(e) for e in got] == [DegenerateInputError] * 2
+        with pytest.raises(DegenerateInputError, match=str(got[0])):
+            fit_logistic(DesignMatrix(X=design.X, y=np.ones(60), feature_names=names[0]))
+        # A bad solver parameter is raised for the whole call, by both.
+        for kwargs in (dict(max_iter=0), dict(tol=0.0), dict(tol=math.inf)):
+            with pytest.raises(ConfigError) as batch:
+                fit_logistic_batch(stack, design.y, names, **kwargs)
+            with pytest.raises(ConfigError) as lone:
+                fit_logistic(design, **kwargs)
+            assert str(batch.value) == str(lone.value)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_starts_equal_single_fits(self, seed):

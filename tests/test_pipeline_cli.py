@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,17 +21,20 @@ from conftest import (
     ROOT,
     calibrate_labels_ref,
     comparison_to_dicts_ref,
+    make_problem,
     read_comparison_csv,
     read_roc_csv,
     to_json_ref,
 )
 from stratlogit import logit, model_select, pipeline, synth
 from stratlogit.attribution import lowess
-from stratlogit.cli import main
+from stratlogit.cli import _config, build_parser, main
 from stratlogit.emit import report_payload, to_json, write_report_files, write_select_files
-from stratlogit.errors import ConfigError, DegenerateInputError, PipelineError
-from stratlogit.indicators import FEATURE_COLUMNS, build_feature_matrix
+from stratlogit.errors import ConfigError, DegenerateInputError, PipelineError, StratLogitError
+from stratlogit.evaluate import make_split
+from stratlogit.indicators import FEATURE_COLUMNS, CompositeWeights, build_feature_matrix
 from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
+from stratlogit.logit import fit_logistic
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
 
@@ -178,6 +182,35 @@ class TestRunPipeline:
                 assert entry["missing_from"] == ["optimized"]
                 assert entry["optimized"] is None
 
+    # Each bad value with the call that applies it: RunConfig checks the
+    # value by that call's own rule, so both raise the same error.
+    @pytest.mark.parametrize(
+        "field, value, apply",
+        [
+            ("alpha", -1.0, lambda v: CompositeWeights(alpha=v)),
+            ("beta", math.nan, lambda v: CompositeWeights(beta=v)),
+            ("alpha", "1", lambda v: CompositeWeights(alpha=v)),
+            ("train_fraction", 1.0, lambda v: make_split(10, v, 0)),
+            ("seed", -1, lambda v: make_split(10, 0.7, v)),
+            ("seed", 1.5, lambda v: make_split(10, 0.7, v)),
+            ("max_iter", 0, lambda v: fit_logistic(make_problem(0, n=40)[0], max_iter=v)),
+            ("max_iter", 2.5, lambda v: fit_logistic(make_problem(0, n=40)[0], max_iter=v)),
+            ("tol", math.inf, lambda v: fit_logistic(make_problem(0, n=40)[0], tol=v)),
+            ("delimiter", ";;", lambda v: parse_dataset(SCHOLARS, delimiter=v)),
+        ],
+    )
+    def test_config_error_matches_the_applying_call(self, field, value, apply):
+        with pytest.raises(StratLogitError) as made:
+            RunConfig(input_path=SCHOLARS, **{field: value})
+        with pytest.raises(StratLogitError) as applied:
+            apply(value)
+        assert type(made.value) is type(applied.value) is ConfigError
+        assert str(made.value) == str(applied.value)
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["report", "--input", SCHOLARS, "--out", "out"])
+        assert _config(args) == RunConfig(input_path=SCHOLARS)
+
     def test_config_validation_runs_before_stages(self):
         with pytest.raises(ConfigError):
             run_pipeline(RunConfig(input_path=SCHOLARS, train_fraction=1.5))
@@ -217,15 +250,6 @@ class TestDeterminism:
         a = to_json(report_payload(run_pipeline(cfg)))
         b = to_json(report_payload(run_pipeline(cfg)))
         assert a == b
-
-    def test_out_dir_does_not_leak_into_report(self):
-        a = run_pipeline(
-            RunConfig(input_path=SCHOLARS, selection="stepwise", out_dir="/tmp/a")
-        )
-        b = run_pipeline(
-            RunConfig(input_path=SCHOLARS, selection="stepwise", out_dir="/tmp/b")
-        )
-        assert to_json(report_payload(a)) == to_json(report_payload(b))
 
     def test_config_echo_has_no_threads_key(self, stepwise_report):
         # The search runs on one thread, so the report echoes no thread count.
@@ -355,6 +379,7 @@ class TestCliErrors:
             ("describe", ["--delimiter", ";;"]),
             ("fit", ["--delimiter", ";;"]),
             ("communities", ["--delimiter", ";;"]),
+            ("communities", ["--target-communities", "0"]),
             ("fit", ["--max-iter", "0"]),
             ("fit", ["--tol", "-1"]),
             ("evaluate", ["--max-iter", "0"]),
