@@ -1,6 +1,7 @@
 """Derived activity indicators and the stratification mobility target.
 
-Each scholar record is expanded into nine model features:
+Each scholar record is expanded into nine model features, every one an
+expression over whole columns read once off the records as doubles:
 
     AD   account age in days (taken as-is)
     TD   post density: posts per day of account age
@@ -22,6 +23,7 @@ target definition only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,12 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateInputError, require_number
 
 FEATURE_COLUMNS = ("AD", "TD", "FGR", "FR", "CA", "P", "C", "PC", "AW")
+
+# The record fields the features and the target are computed from.
+_raw_fields = operator.attrgetter(
+    "account_days", "post_count", "followers_current", "followers_historical",
+    "followed_count", "publications", "citations", "per_cited", "amount_weight", "h_index",
+)
 
 
 @dataclass(frozen=True)
@@ -80,42 +88,6 @@ class FeatureMatrix:
         return self.values[:, j]
 
 
-def post_density(post_count: int, account_days: int) -> float:
-    if account_days <= 0:
-        raise DegenerateInputError(
-            f"post_density: account_days must be > 0, got {account_days}"
-        )
-    return post_count / account_days
-
-
-def follower_growth_rate(current: int, historical: int, interval_days: int) -> float:
-    if interval_days <= 0:
-        raise DegenerateInputError(
-            f"follower_growth_rate: interval must be > 0, got {interval_days}"
-        )
-    if historical > current:
-        raise DegenerateInputError(
-            f"follower_growth_rate: historical count {historical} exceeds current {current}"
-        )
-    return (current - historical) / interval_days
-
-
-def following_ratio(followed: int, followers: int) -> float:
-    if followers <= 0:
-        raise DegenerateInputError(
-            f"following_ratio: followers must be > 0, got {followers}"
-        )
-    return followed / followers
-
-
-def composite_activity(td: float, followers: int, followed: int, w: CompositeWeights) -> float:
-    if followed <= 0:
-        raise DegenerateInputError(
-            f"composite_activity: followed must be > 0, got {followed}"
-        )
-    return w.alpha * td + w.beta * (followers / followed)
-
-
 def percentile_rank(values) -> np.ndarray:
     """Mid-rank percentile of every value within its own column.
 
@@ -136,56 +108,52 @@ def percentile_rank(values) -> np.ndarray:
     return (less + 0.5 * (ties - 1)) / n
 
 
-def mobility_label(h_rank_pct: float, follower_rank_pct: float) -> int:
-    """1 when the follower percentile strictly exceeds the h-index one."""
-    for name, v in (("h_rank_pct", h_rank_pct), ("follower_rank_pct", follower_rank_pct)):
-        if not (0.0 <= v <= 1.0):
-            raise DegenerateInputError(f"mobility_label: {name} outside [0, 1]: {v}")
-    return 1 if follower_rank_pct - h_rank_pct > 0 else 0
+def mobility_label(h_rank_pct, follower_rank_pct) -> np.ndarray:
+    """Every row's label: 1 where the follower percentile strictly exceeds
+    the h-index one, else 0."""
+    h = np.asarray(h_rank_pct, dtype=float)
+    f = np.asarray(follower_rank_pct, dtype=float)
+    for name, v in (("h_rank_pct", h), ("follower_rank_pct", f)):
+        outside = v[~((v >= 0.0) & (v <= 1.0))]
+        if outside.size:
+            raise DegenerateInputError(f"mobility_label: {name} outside [0, 1]: {outside[0]}")
+    return (f - h > 0).astype(np.int64)
 
 
 def build_feature_matrix(d, weights: CompositeWeights | None = None) -> FeatureMatrix:
     """Expand a Dataset into the nine-column FeatureMatrix plus target.
 
     The growth-rate interval is the account age in days (the full
-    observation window).  Degenerate records are rejected with the
-    scholar id in the message.
+    observation window).  Before any rate is taken, the first record
+    that breaks a rule below (a denominator not > 0 or a shrunk follower
+    count) is rejected, naming its scholar id, the column and the value.
     """
     w = weights or CompositeWeights()
     records = list(d.records)
     if not records:
         raise DegenerateInputError("build_feature_matrix: empty dataset")
-    n = len(records)
-    values = np.empty((n, len(FEATURE_COLUMNS)))
-    for i, r in enumerate(records):
-        try:
-            td = post_density(r.post_count, r.account_days)
-            fgr = follower_growth_rate(
-                r.followers_current, r.followers_historical, r.account_days
-            )
-            fr = following_ratio(r.followed_count, r.followers_current)
-            ca = composite_activity(td, r.followers_current, r.followed_count, w)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"scholar {r.scholar_id}: {exc}") from None
-        values[i] = (
-            float(r.account_days),
-            td,
-            fgr,
-            fr,
-            ca,
-            float(r.publications),
-            float(r.citations),
-            float(r.per_cited),
-            float(r.amount_weight),
-        )
-    h_pct = percentile_rank([r.h_index for r in records])
-    f_pct = percentile_rank([r.followers_current for r in records])
-    target = np.array(
-        [mobility_label(h_pct[i], f_pct[i]) for i in range(n)], dtype=np.int64
+    raw = np.array([_raw_fields(r) for r in records], dtype=float)
+    ad, posts, cur, hist, followed, pubs, cites, pc, aw, h = raw.T
+    rules = (
+        ("account_days", ad <= 0, "> 0"),
+        ("followers_historical", hist > cur, "<= followers_current"),
+        ("followers_current", cur <= 0, "> 0"),
+        ("followed_count", followed <= 0, "> 0"),
     )
+    bad = np.array([mask for _, mask, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        name, _, rule = rules[int(np.argmax(bad[:, i]))]
+        raise DegenerateInputError(
+            f"scholar {records[i].scholar_id}: {name} must be {rule}, "
+            f"got {getattr(records[i], name)}"
+        )
+    td = posts / ad
+    ca = w.alpha * td + w.beta * (cur / followed)
+    values = np.column_stack((ad, td, (cur - hist) / ad, followed / cur, ca, pubs, cites, pc, aw))
     return FeatureMatrix(
         column_names=FEATURE_COLUMNS,
         values=values,
-        target=target,
+        target=mobility_label(percentile_rank(h), percentile_rank(cur)),
         row_ids=tuple(r.scholar_id for r in records),
     )

@@ -138,9 +138,9 @@ class LogitFit:
     ``loglik_path``, the accepted log-likelihood after every Newton step,
     for convergence diagnostics; and ``llr_p``, whose tail sum is computed
     and checked once, when the fit is made.  Derived on read, each by the
-    module's formula for it: ``z``, ``p_two_sided``, ``exp_b`` and
-    ``wald`` (``coefficient_inference``), ``llr_stat`` (``_llr_stat``, 0
-    for the intercept-only model), ``pseudo_r2`` and ``aic``/``bic``
+    module's formula for it: ``z``, ``p_two_sided``, ``exp_b`` and ``wald``
+    (``coefficient_inference``, once per fit), ``llr_stat`` (``_llr_stat``,
+    0 for the intercept-only model), ``pseudo_r2`` and ``aic``/``bic``
     (``information_criteria``, whose pair is computed once per fit).  So
     no statistic can disagree with the numbers it comes from, and none
     raises on a fit that ``fit_logistic_batch`` returns (see
@@ -163,10 +163,13 @@ class LogitFit:
     def k_params(self) -> int:
         return len(self.coef)
 
-    z = property(lambda self: coefficient_inference(self.coef, self.std_err).z)
-    p_two_sided = property(lambda self: coefficient_inference(self.coef, self.std_err).p_two_sided)
-    exp_b = property(lambda self: coefficient_inference(self.coef, self.std_err).exp_b)
-    wald = property(lambda self: coefficient_inference(self.coef, self.std_err).wald)
+    _inference = functools.cached_property(
+        lambda self: coefficient_inference(self.coef, self.std_err)
+    )
+    z = property(lambda self: self._inference.z)
+    p_two_sided = property(lambda self: self._inference.p_two_sided)
+    exp_b = property(lambda self: self._inference.exp_b)
+    wald = property(lambda self: self._inference.wald)
     llr_stat = property(
         lambda self: _llr_stat(self.log_lik, self.log_lik_null) if self.k_params > 1 else 0.0
     )

@@ -76,6 +76,7 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateInputError,
+    require_number,
 )
 from .ingest import read_csv
 
@@ -357,11 +358,13 @@ def _partition_of(names, label, m, sums, step, removed_edge) -> Partition:
 
 def check_target_communities(target_communities) -> None:
     """``girvan_newman``'s rule for ``target_communities`` that needs no
-    graph: a ConfigError unless it is None or >= 1."""
-    if target_communities is not None and target_communities < 1:
-        raise ConfigError(
-            f"girvan_newman: target_communities must be >= 1, got {target_communities}"
-        )
+    graph: a ConfigError unless it is None or an integer >= 1."""
+    if target_communities is not None:
+        require_number("girvan_newman: target_communities", target_communities, integer=True)
+        if target_communities < 1:
+            raise ConfigError(
+                f"girvan_newman: target_communities must be >= 1, got {target_communities}"
+            )
 
 
 def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> tuple:

@@ -93,8 +93,8 @@ class RunConfig:
     delimiter: str = ","
 
     def __post_init__(self):
-        if not self.input_path:
-            raise ConfigError("input_path must be set")
+        if not isinstance(self.input_path, str) or not self.input_path:
+            raise ConfigError(f"input_path must be a non-empty string, got {self.input_path!r}")
         CompositeWeights(self.alpha, self.beta)
         check_split_params(self.train_fraction, self.seed)
         check_solver_params(self.max_iter, self.tol)

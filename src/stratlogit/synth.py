@@ -8,10 +8,11 @@ records byte for byte.
 
 The class balance of the mobility target is calibrated exactly: after
 sampling, pairs of follower counts are swapped between rows until the
-requested number of label-1 records is hit.  Swapping permutes the
-existing values, so the rank structure stays realistic and no other
-row's label moves unexpectedly (each accepted swap must strictly reduce
-the distance to the target count).
+requested number of label-1 records is hit.  Rows are labelled by
+``indicators.mobility_label``, the rule ``build_feature_matrix``
+applies.  Swapping permutes the existing values, so the rank structure
+stays realistic and no other row's label moves unexpectedly (each
+accepted swap must strictly reduce the distance to the target count).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError
-from .indicators import percentile_rank
+from .indicators import mobility_label, percentile_rank
 from .ingest import Dataset, Provenance, ScholarRecord
 
 
@@ -44,7 +45,7 @@ def _calibrate_labels(followers, h_index, target_ones) -> np.ndarray:
     for _ in range(10000):
         f_pct = percentile_rank(followers)
         margin = f_pct - h_pct
-        labels = (margin > 0).astype(np.int64)
+        labels = mobility_label(h_pct, f_pct)
         ones = int(labels.sum())
         if ones == target_ones:
             return followers

@@ -29,7 +29,13 @@ from stratlogit.evaluate import (
     metrics,
     predict_prob,
 )
-from stratlogit.indicators import build_feature_matrix, percentile_rank
+from stratlogit.indicators import (
+    FEATURE_COLUMNS,
+    CompositeWeights,
+    FeatureMatrix,
+    build_feature_matrix,
+    percentile_rank,
+)
 from stratlogit.ingest import filter_eligible, parse_dataset
 from stratlogit.logit import (
     DesignMatrix,
@@ -594,6 +600,46 @@ def brandes_ref(nodes, adj):
     for key in btw:
         btw[key] /= 2.0
     return btw
+
+
+def feature_matrix_ref(d, weights=None) -> FeatureMatrix:
+    """``build_feature_matrix`` one record at a time on Python numbers:
+    each record's rules in their order, then its nine features, then one
+    label per row.  A degenerate record raises DegenerateInputError with
+    the message ``scholar <id>: <column>``."""
+    w = weights or CompositeWeights()
+    records = list(d.records)
+    values = np.empty((len(records), len(FEATURE_COLUMNS)))
+    for i, r in enumerate(records):
+        for column, bad in (
+            ("account_days", r.account_days <= 0),
+            ("followers_historical", r.followers_historical > r.followers_current),
+            ("followers_current", r.followers_current <= 0),
+            ("followed_count", r.followed_count <= 0),
+        ):
+            if bad:
+                raise DegenerateInputError(f"scholar {r.scholar_id}: {column}")
+        td = r.post_count / r.account_days
+        values[i] = (
+            float(r.account_days),
+            td,
+            (r.followers_current - r.followers_historical) / r.account_days,
+            r.followed_count / r.followers_current,
+            w.alpha * td + w.beta * (r.followers_current / r.followed_count),
+            float(r.publications),
+            float(r.citations),
+            float(r.per_cited),
+            float(r.amount_weight),
+        )
+    h_pct = percentile_rank([r.h_index for r in records])
+    f_pct = percentile_rank([r.followers_current for r in records])
+    target = np.array([1 if f - h > 0 else 0 for h, f in zip(h_pct, f_pct)], dtype=np.int64)
+    return FeatureMatrix(
+        column_names=FEATURE_COLUMNS,
+        values=values,
+        target=target,
+        row_ids=tuple(r.scholar_id for r in records),
+    )
 
 
 def labels_ref(followers, h_index) -> np.ndarray:

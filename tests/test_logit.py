@@ -752,6 +752,25 @@ class TestFitOutputs:
         assert (lower.aic, lower.bic) == information_criteria(fit.log_lik - 1.0, 5, 350)
         assert len(calls) == 2
 
+    def test_inference_computed_once_per_fit(self, monkeypatch):
+        design, _ = make_problem(21, n=350, p=4)
+        fit = fit_logistic(design)
+        calls = []
+        monkeypatch.setattr(
+            logit, "coefficient_inference",
+            lambda *a: calls.append(a) or coefficient_inference(*a),
+        )
+        emit.fit_payload(fit, "fit")  # reads z, p_two_sided, exp_b and wald
+        want = coefficient_inference(fit.coef, fit.std_err)
+        for name in ("z", "p_two_sided", "exp_b", "wald"):
+            assert getattr(fit, name).tobytes() == getattr(want, name).tobytes()
+        assert len(calls) == 1
+        assert calls[0][0] is fit.coef and calls[0][1] is fit.std_err
+        # A replaced fit derives its own columns, not its source's.
+        flipped = dataclasses.replace(fit, coef=-fit.coef)
+        assert flipped.z.tobytes() == (-fit.z).tobytes()
+        assert len(calls) == 2
+
     def test_std_err_matches_observed_information(self):
         design, _ = make_problem(17, n=500, p=3)
         fit = fit_logistic(design)

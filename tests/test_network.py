@@ -632,10 +632,9 @@ class TestGirvanNewman:
         g = two_triangles_with_bridge()
         dendrogram, _ = girvan_newman(g, target_communities=2)
         assert dendrogram[-1].n_communities == 2
-        with pytest.raises(ConfigError):
-            girvan_newman(g, target_communities=0)
-        with pytest.raises(ConfigError):
-            girvan_newman(g, target_communities=7)
+        for bad in (0, 7, 2.5, True):
+            with pytest.raises(ConfigError):
+                girvan_newman(g, target_communities=bad)
 
     def test_edgeless_graph_rejected(self):
         g = build_graph([("a", "a")])

@@ -216,8 +216,10 @@ class TestRunPipeline:
             run_pipeline(RunConfig(input_path=SCHOLARS, train_fraction=1.5))
         with pytest.raises(ConfigError):
             run_pipeline(RunConfig(input_path=SCHOLARS, selection="grid"))
-        with pytest.raises(ConfigError):
-            run_pipeline(RunConfig(input_path=""))
+        # open() would take 5 as a file descriptor.
+        for path in ("", 5, SCHOLARS.encode()):
+            with pytest.raises(ConfigError, match="input_path must be a non-empty string"):
+                run_pipeline(RunConfig(input_path=path))
 
     def test_missing_input_fails_in_ingest_stage(self):
         with pytest.raises(PipelineError) as info:
