@@ -26,7 +26,7 @@ def main() -> None:
         writer = csv.writer(fh)
         writer.writerow(["author_a", "author_b"])
         writer.writerows(synth.make_coauthor_edges())
-    print(f"wrote {DATA / 'synthetic_scholars.csv'} ({len(dataset.records)} records)")
+    print(f"wrote {DATA / 'synthetic_scholars.csv'} ({len(dataset.scholar_id)} records)")
     print(f"wrote {DATA / 'coauthor_edges.csv'}")
 
 

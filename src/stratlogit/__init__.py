@@ -30,6 +30,6 @@ from .errors import (  # noqa: F401
     StratLogitError,
 )
 from .indicators import CompositeWeights, FeatureMatrix, build_feature_matrix  # noqa: F401
-from .ingest import Dataset, ScholarRecord, filter_eligible, parse_dataset  # noqa: F401
+from .ingest import Dataset, filter_eligible, parse_dataset  # noqa: F401
 from .logit import DesignMatrix, LogitFit, fit_logistic  # noqa: F401
 from .pipeline import AnalysisReport, RunConfig, run_pipeline  # noqa: F401

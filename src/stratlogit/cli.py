@@ -173,7 +173,7 @@ def cmd_ingest(args) -> int:
     kept = raw if args.keep_ineligible else eligible
     path = out_path(args.out_dir, "normalized.csv")
     write_dataset_csv(kept, path)
-    print(f"read {raw.provenance.rows_read} rows, kept {len(kept.records)}, wrote {path}")
+    print(f"read {raw.provenance.rows_read} rows, kept {len(kept.scholar_id)}, wrote {path}")
     return 0
 
 

@@ -347,7 +347,7 @@ def report_payload(report, trends=None) -> dict:
         "dataset": {
             "source": report.dataset.provenance.source,
             "rows_read": report.dataset.provenance.rows_read,
-            "rows_eligible": len(report.dataset.records),
+            "rows_eligible": len(report.dataset.scholar_id),
         },
         "descriptive_stats": stats,
         "correlation": {"names": list(corr.names), "r": corr.r.tolist()},

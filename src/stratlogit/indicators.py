@@ -1,7 +1,7 @@
 """Derived activity indicators and the stratification mobility target.
 
-Each scholar record is expanded into nine model features, every one an
-expression over whole columns read once off the records as doubles:
+The scholar table's columns are expanded into nine model features,
+every one an expression over whole columns:
 
     AD   account age in days (taken as-is)
     TD   post density: posts per day of account age
@@ -23,7 +23,6 @@ target definition only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,9 @@ from .errors import ConfigError, DataError, DegenerateInputError, require_number
 
 FEATURE_COLUMNS = ("AD", "TD", "FGR", "FR", "CA", "P", "C", "PC", "AW")
 
-# The record fields the features and the target are computed from.
-_raw_fields = operator.attrgetter(
-    "account_days", "post_count", "followers_current", "followers_historical",
-    "followed_count", "publications", "citations", "per_cited", "amount_weight", "h_index",
-)
+# The denominators of the rates: TD and FGR divide by account_days, FR by
+# followers_current and CA by followed_count.
+_DENOMINATORS = ("account_days", "followers_current", "followed_count")
 
 
 @dataclass(frozen=True)
@@ -124,36 +121,31 @@ def build_feature_matrix(d, weights: CompositeWeights | None = None) -> FeatureM
     """Expand a Dataset into the nine-column FeatureMatrix plus target.
 
     The growth-rate interval is the account age in days (the full
-    observation window).  Before any rate is taken, the first record
-    that breaks a rule below (a denominator not > 0 or a shrunk follower
-    count) is rejected, naming its scholar id, the column and the value.
+    observation window).  Before any rate is taken, the first row whose
+    denominator (``_DENOMINATORS``, in order) is not > 0 is rejected,
+    naming its scholar id, the column and the value: these rules bind
+    only the rows that get features, unlike ``Dataset``'s record rules.
     """
     w = weights or CompositeWeights()
-    records = list(d.records)
-    if not records:
+    if not d.scholar_id:
         raise DegenerateInputError("build_feature_matrix: empty dataset")
-    raw = np.array([_raw_fields(r) for r in records], dtype=float)
-    ad, posts, cur, hist, followed, pubs, cites, pc, aw, h = raw.T
-    rules = (
-        ("account_days", ad <= 0, "> 0"),
-        ("followers_historical", hist > cur, "<= followers_current"),
-        ("followers_current", cur <= 0, "> 0"),
-        ("followed_count", followed <= 0, "> 0"),
-    )
-    bad = np.array([mask for _, mask, _ in rules])
+    bad = np.array([getattr(d, name) <= 0 for name in _DENOMINATORS])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
-        name, _, rule = rules[int(np.argmax(bad[:, i]))]
+        name = _DENOMINATORS[int(np.argmax(bad[:, i]))]
         raise DegenerateInputError(
-            f"scholar {records[i].scholar_id}: {name} must be {rule}, "
-            f"got {getattr(records[i], name)}"
+            f"scholar {d.scholar_id[i]}: {name} must be > 0, got {getattr(d, name)[i]}"
         )
-    td = posts / ad
+    ad, cur, followed = (getattr(d, name).astype(float) for name in _DENOMINATORS)
+    td = d.post_count / ad
     ca = w.alpha * td + w.beta * (cur / followed)
-    values = np.column_stack((ad, td, (cur - hist) / ad, followed / cur, ca, pubs, cites, pc, aw))
+    values = np.column_stack((
+        ad, td, (cur - d.followers_historical) / ad, followed / cur, ca,
+        d.publications, d.citations, d.per_cited, d.amount_weight,
+    ))
     return FeatureMatrix(
         column_names=FEATURE_COLUMNS,
         values=values,
-        target=mobility_label(percentile_rank(h), percentile_rank(cur)),
-        row_ids=tuple(r.scholar_id for r in records),
+        target=mobility_label(percentile_rank(d.h_index), percentile_rank(cur)),
+        row_ids=d.scholar_id,
     )

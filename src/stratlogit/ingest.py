@@ -1,19 +1,21 @@
 """Scholar record ingestion.
 
 Reads the activity CSV (one row per scholar account) through
-``read_csv``, the reader of every CSV input, which hands over cells by
-header name only; validates every cell, applies the two eligibility
-screens, and writes the normalized table back out so downstream stages
-can be re-run from a clean file.
+``read_csv``, the reader of every CSV input, into a ``Dataset``, whose
+fields declare each column once; converts each column of cells once and
+checks the record rules (``_first_error``) over whole columns; applies the
+two eligibility screens, and writes the normalized table back out so
+downstream stages can be re-run from a clean file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .emit import write_csv
 from .errors import (
@@ -25,66 +27,35 @@ from .errors import (
     RecordInvariantError,
 )
 
-# Canonical column order of the input and normalized CSV.
-COLUMNS = (
-    "scholar_id",
-    "account_days",
-    "post_count",
-    "followers_current",
-    "followers_historical",
-    "followed_count",
-    "publications",
-    "citations",
-    "per_cited",
-    "amount_weight",
-    "h_index",
-    "professional_declaration",
-    "science_dedicated",
-)
-
-# Columns that may be absent or blank; everything else is required.
-OPTIONAL_COLUMNS = ("followers_historical", "per_cited")
-
-_INT_COLUMNS = (
-    "account_days",
-    "post_count",
-    "followers_current",
-    "followers_historical",
-    "followed_count",
-    "publications",
-    "citations",
-    "amount_weight",
-    "h_index",
-)
-
-_BOOL_COLUMNS = ("professional_declaration", "science_dedicated")
-
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
+# The indicators read counts as doubles, which hold every integer up to
+# 2**53 exactly; so counts are refused beyond it.
+MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
-class ScholarRecord:
-    """One scholar account, fully typed and validated."""
+def per_cited_of(citations, publications) -> np.ndarray:
+    """Citations per publication, 0 without publications: what a blank
+    ``per_cited`` stands for, and what a given one must agree with."""
+    return np.divide(citations, publications, out=np.zeros(len(publications)),
+                     where=publications > 0)
 
-    scholar_id: str
-    account_days: int
-    post_count: int
-    followers_current: int
-    followers_historical: int
-    followed_count: int
-    publications: int
-    citations: int
-    per_cited: float
-    amount_weight: int
-    h_index: int
-    professional_declaration: bool
-    science_dedicated: bool
 
-    @property
-    def eligible(self) -> bool:
-        """Passes both screens: own professional account, science focused."""
-        return self.professional_declaration and self.science_dedicated
+_FLAGS = {"1": True, "true": True, "0": False, "false": False}
+
+# Each kind of column: its type, the conversion of a stripped cell, the
+# reason a cell it refuses is given, and the rules every value must
+# pass, in the order they are checked.
+_KINDS = {
+    "id": (tuple, None, None, ((lambda ids: [not s.strip() for s in ids], "must be non-empty"),)),
+    "count": (np.int64, int, "expected an integer", (
+        (lambda c: c < 0, "must be >= 0"),
+        (lambda c: c > MAX_COUNT, f"must be <= 2**53 = {MAX_COUNT}"),
+    )),
+    "number": (np.float64, float, "expected a number", (
+        (lambda c: ~np.isfinite(c), "must be finite"),
+        (lambda c: c < 0, "must be >= 0"),
+    )),
+    "flag": (np.bool_, lambda s: _FLAGS[s.lower()], "expected one of 0, 1, true, false", ()),
+}
 
 
 @dataclass(frozen=True)
@@ -93,50 +64,93 @@ class Provenance:
     rows_read: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple
+    """The scholar table, one field per column in the CSV's order.  A
+    table that breaks a record rule is refused as its CSV would be, rows
+    numbered from 1 in table order."""
+
+    scholar_id: tuple = field(metadata={"kind": "id"})
+    account_days: np.ndarray = field(metadata={"kind": "count"})
+    post_count: np.ndarray = field(metadata={"kind": "count"})
+    followers_current: np.ndarray = field(metadata={"kind": "count"})
+    followers_historical: np.ndarray = field(metadata={"kind": "count", "blank": lambda t: 0})
+    followed_count: np.ndarray = field(metadata={"kind": "count"})
+    publications: np.ndarray = field(metadata={"kind": "count"})
+    citations: np.ndarray = field(metadata={"kind": "count"})
+    per_cited: np.ndarray = field(metadata={
+        "kind": "number", "blank": lambda t: per_cited_of(t["citations"], t["publications"])
+    })
+    amount_weight: np.ndarray = field(metadata={"kind": "count"})
+    h_index: np.ndarray = field(metadata={"kind": "count"})
+    professional_declaration: np.ndarray = field(metadata={"kind": "flag"})
+    science_dedicated: np.ndarray = field(metadata={"kind": "flag"})
     provenance: Provenance
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def _parse_int(raw: str, row: int, column: str) -> int:
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise CellParseError(row, column, raw, "expected an integer") from None
-    if value < 0:
-        raise CellParseError(row, column, raw, "must be >= 0")
-    # Every count becomes a float in the indicators; a larger one overflows.
-    if value > sys.float_info.max:
-        raise CellParseError(row, column, raw, "too large for a float")
-    return value
+    def __post_init__(self):
+        n = len(self.scholar_id)
+        for name in COLUMNS[1:]:
+            col, dtype = getattr(self, name), _KINDS[SCHEMA[name][0]][0]
+            if not isinstance(col, np.ndarray) or col.dtype != dtype or col.shape != (n,):
+                raise DataError(f"Dataset column {name}: need {n} {dtype.__name__} values")
+        error = _first_error(
+            vars(self), range(1, n + 1), lambda name, i: str(getattr(self, name)[i]), {}
+        )
+        if error is not None:
+            raise error
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        raise CellParseError(row, column, raw, "expected a number") from None
-    if not math.isfinite(value):
-        raise CellParseError(row, column, raw, "must be finite")
-    if value < 0:
-        raise CellParseError(row, column, raw, "must be >= 0")
-    return value
+# Each column's kind and, for an optional one, ``blank``: the value a
+# blank cell stands for, as a function of the table's columns.
+SCHEMA = {f.name: (f.metadata["kind"], f.metadata.get("blank"))
+          for f in fields(Dataset) if f.metadata}
+COLUMNS = tuple(SCHEMA)
+OPTIONAL_COLUMNS = tuple(name for name, (_, blank) in SCHEMA.items() if blank is not None)
+# A row's cells are checked kind by kind, then its record rules.
+_CHECK_ORDER = sorted(COLUMNS, key=lambda name: list(_KINDS).index(SCHEMA[name][0]))
 
 
-def _parse_bool(raw: str, row: int, column: str) -> bool:
-    token = raw.strip().lower()
-    if token in _TRUE:
-        return True
-    if token in _FALSE:
-        return False
-    raise CellParseError(row, column, raw, "expected one of 0, 1, true, false")
+def _first_error(t, rows, raw, refused):
+    """The error of the first row that fails a check, naming the first
+    check it fails, or None: its cells in ``_CHECK_ORDER``, each for a
+    conversion ``refused`` and then its kind's rules, then the record
+    rules below.  ``t`` maps each column to its values, ``rows`` each
+    position to its row number and ``refused`` a column to the mask of
+    the cells its conversion refused; ``raw(name, i)`` is a cell's text.
+    """
+
+    def cell(name, reason):
+        return lambda i: CellParseError(rows[i], name, raw(name, i), reason)
+
+    checks = []  # (mask of the failing positions, the error naming one)
+    for name in _CHECK_ORDER:
+        _, _, refusal, rules = _KINDS[SCHEMA[name][0]]
+        if name in refused:
+            checks.append((refused[name], cell(name, refusal)))
+        checks += [(test(t[name]), cell(name, reason)) for test, reason in rules]
+    hist, cur = t["followers_historical"], t["followers_current"]
+    checks.append((hist > cur, lambda i: RecordInvariantError(
+        rows[i], f"followers_historical exceeds followers_current ({hist[i]} > {cur[i]})"
+    )))
+    # math.isclose(per_cited, derived, rel_tol=1e-6, abs_tol=1e-9)
+    pc, derived = t["per_cited"], per_cited_of(t["citations"], t["publications"])
+    close = np.abs(pc - derived) <= np.maximum(
+        1e-6 * np.maximum(np.abs(pc), np.abs(derived)), 1e-9
+    )
+    checks.append(((t["publications"] > 0) & ~close, lambda i: RecordInvariantError(
+        rows[i],
+        f"per_cited {float(pc[i])} disagrees with citations/publications {float(derived[i])}",
+    )))
+    ids, first = t["scholar_id"], {}
+    repeats = [first.setdefault(sid, i) != i for i, sid in enumerate(ids)]
+    checks.append((repeats, lambda i: DuplicateIdError(
+        f"duplicate scholar_id {ids[i]!r} on rows {rows[first[ids[i]]]} and {rows[i]}"
+    )))
+    fails = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if np.any(mask)]
+    if fails:
+        i, k = min(fails)
+        return checks[k][1](i)
+    return None
 
 
 def check_delimiter(delimiter) -> None:
@@ -193,75 +207,75 @@ def read_csv(path, delimiter: str, columns, optional=()):
             raise DataError(f"{path}: malformed CSV ({exc})") from exc
 
 
+
+
+def _convert(texts, convert, dtype) -> tuple:
+    """The array of ``convert`` of each text, and the mask of the texts
+    it refuses, which read as ``convert("0")`` (None if it refuses none)."""
+    refused = None
+    try:
+        values = list(map(convert, texts))
+    except (ValueError, KeyError):
+        values, refused = [], np.zeros(len(texts), dtype=bool)
+        for i, text in enumerate(texts):
+            try:
+                values.append(convert(text))
+            except (ValueError, KeyError):
+                values.append(convert("0"))
+                refused[i] = True
+    try:
+        return np.array(values, dtype=dtype), refused
+    except OverflowError:  # a count beyond int64 keeps its side of the count rules
+        return np.array([min(max(v, -1), MAX_COUNT + 1) for v in values], dtype=dtype), refused
+
+
 def parse_dataset(path, delimiter: str = ",") -> Dataset:
     """Parse the scholar activity CSV at ``path`` (``read_csv``).
 
-    Blank ``followers_historical`` defaults to 0; blank ``per_cited`` is
-    derived as citations divided by publications (0 when there are no
-    publications).  When ``per_cited`` is supplied alongside a positive
-    publication count it must agree with the derived ratio to a
-    relative 1e-6.
-
-    Data rows are numbered from 1 in every error message.
+    A blank optional cell stands for its column's ``blank`` value.  The
+    first row that breaks a record rule is named, with the first check
+    it fails (``_first_error``); data rows are numbered from 1.
     """
-    records = []
-    seen = {}
-    with read_csv(path, delimiter, COLUMNS, OPTIONAL_COLUMNS) as (_, rows):
-        for row_num, cells in rows:
-            values = {"scholar_id": cells["scholar_id"].strip()}
-            if not values["scholar_id"]:
-                raise CellParseError(
-                    row_num, "scholar_id", cells["scholar_id"], "must be non-empty"
-                )
-            for name in _INT_COLUMNS:
-                raw = cells[name]
-                if name == "followers_historical" and not raw.strip():
-                    values[name] = 0
-                else:
-                    values[name] = _parse_int(raw, row_num, name)
-            publications = values["publications"]
-            derived = values["citations"] / publications if publications else 0.0
-            if cells["per_cited"].strip():
-                values["per_cited"] = _parse_float(cells["per_cited"], row_num, "per_cited")
-            else:
-                values["per_cited"] = derived
-            for name in _BOOL_COLUMNS:
-                values[name] = _parse_bool(cells[name], row_num, name)
-
-            if values["followers_historical"] > values["followers_current"]:
-                raise RecordInvariantError(
-                    row_num,
-                    "followers_historical exceeds followers_current "
-                    f"({values['followers_historical']} > {values['followers_current']})",
-                )
-            if publications and not math.isclose(
-                values["per_cited"], derived, rel_tol=1e-6, abs_tol=1e-9
-            ):
-                raise RecordInvariantError(
-                    row_num,
-                    f"per_cited {values['per_cited']} disagrees with "
-                    f"citations/publications {derived}",
-                )
-            sid = values["scholar_id"]
-            if sid in seen:
-                raise DuplicateIdError(
-                    f"duplicate scholar_id {sid!r} on rows {seen[sid]} and {row_num}"
-                )
-            seen[sid] = row_num
-            records.append(ScholarRecord(**values))
-
-    return Dataset(
-        records=tuple(records),
-        provenance=Provenance(source=str(path), rows_read=len(records)),
-    )
+    rows, unread = [], None
+    try:
+        with read_csv(path, delimiter, COLUMNS, OPTIONAL_COLUMNS) as (_, cells):
+            rows.extend(cells)
+    except DataError as exc:
+        # A row read before the one that cannot be read may break a rule.
+        unread = exc
+    t, refused = {}, {}
+    for name in _CHECK_ORDER:
+        kind, blank = SCHEMA[name]
+        dtype, convert = _KINDS[kind][:2]
+        texts = [cells[name].strip() for _, cells in rows]
+        if dtype is tuple:
+            t[name] = tuple(texts)
+            continue
+        t[name], mask = _convert([s or "0" for s in texts] if blank else texts, convert, dtype)
+        if mask is not None:
+            refused[name] = mask
+        if blank and "" in texts:
+            t[name] = np.where([not s for s in texts], blank(t), t[name])
+    error = _first_error(t, [n for n, _ in rows], lambda name, i: rows[i][1][name], refused)
+    if error is not None:
+        raise error
+    if unread is not None:
+        raise unread
+    return Dataset(**t, provenance=Provenance(source=str(path), rows_read=len(rows)))
 
 
 def filter_eligible(d: Dataset) -> Dataset:
-    """Keep only records passing both boolean screens."""
-    kept = tuple(r for r in d.records if r.eligible)
-    return Dataset(records=kept, provenance=d.provenance)
+    """Keep only the rows passing both screens: an own professional
+    account, science focused."""
+    keep = d.professional_declaration & d.science_dedicated
+    ids = tuple(sid for sid, kept in zip(d.scholar_id, keep) if kept)
+    return Dataset(ids, *(getattr(d, name)[keep] for name in COLUMNS[1:]), d.provenance)
 
 
 def write_dataset_csv(d: Dataset, path) -> None:
     """Write the normalized canonical CSV; parse(write(d)) reproduces d."""
-    write_csv(path, COLUMNS, [[getattr(r, name) for r in d.records] for name in COLUMNS])
+    # write_csv renders the ids and a float64 array itself, and the
+    # counts and flags as Python values.
+    columns = [getattr(d, name) for name in COLUMNS]
+    columns[1:] = [c if c is d.per_cited else c.tolist() for c in columns[1:]]
+    write_csv(path, COLUMNS, columns)

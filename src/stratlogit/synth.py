@@ -4,7 +4,7 @@ Generates a plausible scholar activity table (all counts positive where
 the indicator preconditions demand it, both eligibility flags set) and
 a planted-community co-authorship edge list.  Every draw comes from a
 seeded PCG64 generator, so the same arguments always reproduce the same
-records byte for byte.
+table byte for byte; the drawn columns are the Dataset's columns.
 
 The class balance of the mobility target is calibrated exactly: after
 sampling, pairs of follower counts are swapped between rows until the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .indicators import mobility_label, percentile_rank
-from .ingest import Dataset, Provenance, ScholarRecord
+from .ingest import Dataset, Provenance, per_cited_of
 
 
 def _order(rows, key) -> np.ndarray:
@@ -115,29 +115,20 @@ def make_scholar_dataset(
     followed = np.maximum(1, np.floor(rng.lognormal(4.5, 1.0, n))).astype(np.int64)
     if target_increase is not None:
         followers = _calibrate_labels(followers, h_index, target_increase)
-    records = []
-    for i in range(n):
-        pubs = int(publications[i])
-        cites = int(citations[i])
-        records.append(
-            ScholarRecord(
-                scholar_id=f"S{i + 1:04d}",
-                account_days=int(account_days[i]),
-                post_count=int(posts[i]),
-                followers_current=int(followers[i]),
-                followers_historical=0,
-                followed_count=int(followed[i]),
-                publications=pubs,
-                citations=cites,
-                per_cited=cites / pubs if pubs > 0 else 0.0,
-                amount_weight=int(amount_weight[i]),
-                h_index=int(h_index[i]),
-                professional_declaration=True,
-                science_dedicated=True,
-            )
-        )
     return Dataset(
-        records=tuple(records),
+        scholar_id=tuple(f"S{i + 1:04d}" for i in range(n)),
+        account_days=account_days,
+        post_count=posts,
+        followers_current=followers,
+        followers_historical=np.zeros(n, dtype=np.int64),
+        followed_count=followed,
+        publications=publications,
+        citations=citations,
+        per_cited=per_cited_of(citations, publications),
+        amount_weight=amount_weight,
+        h_index=h_index,
+        professional_declaration=np.ones(n, dtype=bool),
+        science_dedicated=np.ones(n, dtype=bool),
         provenance=Provenance(source=f"synthetic(seed={seed}, n={n})", rows_read=n),
     )
 

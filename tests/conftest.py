@@ -15,9 +15,12 @@ from scipy.special import gammaincc
 
 from stratlogit.emit import METRIC_FIELDS
 from stratlogit.errors import (
+    CellParseError,
     ConfigError,
     DataError,
     DegenerateInputError,
+    DuplicateIdError,
+    RecordInvariantError,
     SingularMatrixError,
     StratLogitError,
 )
@@ -36,7 +39,15 @@ from stratlogit.indicators import (
     build_feature_matrix,
     percentile_rank,
 )
-from stratlogit.ingest import filter_eligible, parse_dataset
+from stratlogit.ingest import (
+    COLUMNS,
+    SCHEMA,
+    Dataset,
+    Provenance,
+    filter_eligible,
+    parse_dataset,
+    read_csv,
+)
 from stratlogit.logit import (
     DesignMatrix,
     LogitFit,
@@ -92,6 +103,120 @@ def fixture_matrix(fixture_dataset):
 @pytest.fixture(scope="session")
 def fixture_split(fixture_matrix):
     return make_split(fixture_matrix.n_rows, 0.7, 0)
+
+
+_DTYPES = {"count": np.int64, "number": np.float64, "flag": bool}
+
+
+def make_dataset(rows, source="test") -> Dataset:
+    """The Dataset of ``rows``, each a dict of one row's values by column."""
+    return Dataset(
+        **{
+            name: tuple(r[name] for r in rows)
+            if kind == "id"
+            else np.array([r[name] for r in rows], dtype=_DTYPES[kind])
+            for name, (kind, _) in SCHEMA.items()
+        },
+        provenance=Provenance(source, len(rows)),
+    )
+
+
+def dataset_rows(d) -> list:
+    """The rows of the Dataset ``d``, each a dict of Python values by column."""
+    columns = (getattr(d, name) for name in COLUMNS)
+    return [
+        dict(zip(COLUMNS, values))
+        for values in zip(*(c if isinstance(c, tuple) else c.tolist() for c in columns))
+    ]
+
+
+def _parse_int_ref(raw: str, row: int, column: str) -> int:
+    try:
+        value = int(raw.strip())
+    except ValueError:
+        raise CellParseError(row, column, raw, "expected an integer") from None
+    if value < 0:
+        raise CellParseError(row, column, raw, "must be >= 0")
+    if value > 2**53:
+        raise CellParseError(row, column, raw, f"must be <= 2**53 = {2**53}")
+    return value
+
+
+def _parse_float_ref(raw: str, row: int, column: str) -> float:
+    try:
+        value = float(raw.strip())
+    except ValueError:
+        raise CellParseError(row, column, raw, "expected a number") from None
+    if not math.isfinite(value):
+        raise CellParseError(row, column, raw, "must be finite")
+    if value < 0:
+        raise CellParseError(row, column, raw, "must be >= 0")
+    return value
+
+
+def _parse_bool_ref(raw: str, row: int, column: str) -> bool:
+    token = raw.strip().lower()
+    if token in ("1", "true"):
+        return True
+    if token in ("0", "false"):
+        return False
+    raise CellParseError(row, column, raw, "expected one of 0, 1, true, false")
+
+
+_INT_COLUMNS = tuple(name for name, (kind, _) in SCHEMA.items() if kind == "count")
+_BOOL_COLUMNS = tuple(name for name, (kind, _) in SCHEMA.items() if kind == "flag")
+
+
+def parse_dataset_ref(path, delimiter=",") -> list:
+    """``parse_dataset`` one row at a time: the rows, each a dict of
+    Python values by column, or the error of the first row that breaks a
+    rule, its own checks taken in order."""
+    records = []
+    seen = {}
+    with read_csv(path, delimiter, COLUMNS, ("followers_historical", "per_cited")) as (_, rows):
+        for row_num, cells in rows:
+            values = {"scholar_id": cells["scholar_id"].strip()}
+            if not values["scholar_id"]:
+                raise CellParseError(
+                    row_num, "scholar_id", cells["scholar_id"], "must be non-empty"
+                )
+            for name in _INT_COLUMNS:
+                raw = cells[name]
+                if name == "followers_historical" and not raw.strip():
+                    values[name] = 0
+                else:
+                    values[name] = _parse_int_ref(raw, row_num, name)
+            publications = values["publications"]
+            derived = values["citations"] / publications if publications else 0.0
+            if cells["per_cited"].strip():
+                values["per_cited"] = _parse_float_ref(cells["per_cited"], row_num, "per_cited")
+            else:
+                values["per_cited"] = derived
+            for name in _BOOL_COLUMNS:
+                values[name] = _parse_bool_ref(cells[name], row_num, name)
+
+            if values["followers_historical"] > values["followers_current"]:
+                raise RecordInvariantError(
+                    row_num,
+                    "followers_historical exceeds followers_current "
+                    f"({values['followers_historical']} > {values['followers_current']})",
+                )
+            if publications and not math.isclose(
+                values["per_cited"], derived, rel_tol=1e-6, abs_tol=1e-9
+            ):
+                raise RecordInvariantError(
+                    row_num,
+                    f"per_cited {values['per_cited']} disagrees with "
+                    f"citations/publications {derived}",
+                )
+            sid = values["scholar_id"]
+            if sid in seen:
+                raise DuplicateIdError(
+                    f"duplicate scholar_id {sid!r} on rows {seen[sid]} and {row_num}"
+                )
+            seen[sid] = row_num
+            records.append({name: values[name] for name in COLUMNS})
+    return records
 
 
 def to_json_ref(payload) -> str:
@@ -603,42 +728,37 @@ def brandes_ref(nodes, adj):
 
 
 def feature_matrix_ref(d, weights=None) -> FeatureMatrix:
-    """``build_feature_matrix`` one record at a time on Python numbers:
-    each record's rules in their order, then its nine features, then one
-    label per row.  A degenerate record raises DegenerateInputError with
+    """``build_feature_matrix`` one row at a time on Python numbers:
+    each row's rules in their order, then its nine features, then one
+    label per row.  A degenerate row raises DegenerateInputError with
     the message ``scholar <id>: <column>``."""
     w = weights or CompositeWeights()
-    records = list(d.records)
+    records = dataset_rows(d)
     values = np.empty((len(records), len(FEATURE_COLUMNS)))
     for i, r in enumerate(records):
-        for column, bad in (
-            ("account_days", r.account_days <= 0),
-            ("followers_historical", r.followers_historical > r.followers_current),
-            ("followers_current", r.followers_current <= 0),
-            ("followed_count", r.followed_count <= 0),
-        ):
-            if bad:
-                raise DegenerateInputError(f"scholar {r.scholar_id}: {column}")
-        td = r.post_count / r.account_days
+        for column in ("account_days", "followers_current", "followed_count"):
+            if r[column] <= 0:
+                raise DegenerateInputError(f"scholar {r['scholar_id']}: {column}")
+        td = r["post_count"] / r["account_days"]
         values[i] = (
-            float(r.account_days),
+            float(r["account_days"]),
             td,
-            (r.followers_current - r.followers_historical) / r.account_days,
-            r.followed_count / r.followers_current,
-            w.alpha * td + w.beta * (r.followers_current / r.followed_count),
-            float(r.publications),
-            float(r.citations),
-            float(r.per_cited),
-            float(r.amount_weight),
+            (r["followers_current"] - r["followers_historical"]) / r["account_days"],
+            r["followed_count"] / r["followers_current"],
+            w.alpha * td + w.beta * (r["followers_current"] / r["followed_count"]),
+            float(r["publications"]),
+            float(r["citations"]),
+            float(r["per_cited"]),
+            float(r["amount_weight"]),
         )
-    h_pct = percentile_rank([r.h_index for r in records])
-    f_pct = percentile_rank([r.followers_current for r in records])
+    h_pct = percentile_rank([r["h_index"] for r in records])
+    f_pct = percentile_rank([r["followers_current"] for r in records])
     target = np.array([1 if f - h > 0 else 0 for h, f in zip(h_pct, f_pct)], dtype=np.int64)
     return FeatureMatrix(
         column_names=FEATURE_COLUMNS,
         values=values,
         target=target,
-        row_ids=tuple(r.scholar_id for r in records),
+        row_ids=tuple(r["scholar_id"] for r in records),
     )
 
 

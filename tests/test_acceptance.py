@@ -22,6 +22,7 @@ from conftest import (
     gradient_ref,
     kernel_shap,
     log_likelihood_ref,
+    make_dataset,
     make_problem,
     modularity_ref,
     sigmoid_ref,
@@ -35,7 +36,6 @@ from stratlogit.errors import (
 )
 from stratlogit.evaluate import roc_auc
 from stratlogit.indicators import FeatureMatrix, build_feature_matrix
-from stratlogit.ingest import Dataset, Provenance, ScholarRecord
 from stratlogit.logit import (
     DesignMatrix,
     coefficient_inference,
@@ -457,11 +457,11 @@ def _record(i, **overrides):
         science_dedicated=True,
     )
     base.update(overrides)
-    return ScholarRecord(**base)
+    return base
 
 
 def _tiny_dataset(records):
-    return Dataset(records=tuple(records), provenance=Provenance("fuzz", len(records)))
+    return make_dataset(records, "fuzz")
 
 
 def test_12_degenerate_input_contract():

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     comparison_to_dicts_ref,
+    dataset_rows,
     inference_rows_ref,
     made_fit,
+    make_dataset,
     make_problem,
     read_comparison_csv,
     read_roc_csv,
@@ -452,18 +454,16 @@ class TestRowTables:
         )
 
     def test_normalized_dataset_with_hostile_ids(self, fixture_dataset, tmp_path):
-        records = fixture_dataset.records[: len(HOSTILE_NAMES)]
-        ds = replace(
-            fixture_dataset,
-            records=tuple(replace(r, scholar_id=i) for r, i in zip(records, HOSTILE_NAMES)),
-        )
+        rows = dataset_rows(fixture_dataset)[: len(HOSTILE_NAMES)]
+        rows = [{**r, "scholar_id": i} for r, i in zip(rows, HOSTILE_NAMES)]
+        ds = make_dataset(rows)
         equal_to_rows(
             tmp_path,
             lambda p: write_dataset_csv(ds, p),
             COLUMNS,
-            ([getattr(r, name) for name in COLUMNS] for r in ds.records),
+            ([r[name] for name in COLUMNS] for r in rows),
         )
-        assert parse_dataset(tmp_path / "new.csv").records == ds.records
+        assert dataset_rows(parse_dataset(tmp_path / "new.csv")) == rows
 
 
 # Floats that a column repeats: the edge cases, the largest magnitudes

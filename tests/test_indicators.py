@@ -1,17 +1,16 @@
 """Derived indicators, percentile ranks and the mobility target."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import feature_matrix_ref
+from conftest import feature_matrix_ref, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stratlogit.emit import write_feature_matrix_csv
-from stratlogit.errors import ConfigError, DataError, DegenerateInputError
+from stratlogit.errors import ConfigError, DataError, DegenerateInputError, RecordInvariantError
 from stratlogit.indicators import (
     FEATURE_COLUMNS,
     CompositeWeights,
@@ -20,7 +19,6 @@ from stratlogit.indicators import (
     mobility_label,
     percentile_rank,
 )
-from stratlogit.ingest import Dataset, Provenance, ScholarRecord
 
 
 def record(sid="s1", **overrides):
@@ -40,11 +38,10 @@ def record(sid="s1", **overrides):
         science_dedicated=True,
     )
     values.update(overrides)
-    return ScholarRecord(**values)
+    return values
 
 
-def dataset(records):
-    return Dataset(records=tuple(records), provenance=Provenance("test", len(records)))
+dataset = make_dataset
 
 
 def column(records, name, weights=None):
@@ -72,12 +69,13 @@ class TestIndicatorColumns:
         assert column(records, "FGR").tolist() == [2.0, 1.0]
         with pytest.raises(DegenerateInputError, match=names_record("z", "account_days", 0)):
             build_feature_matrix(dataset([record("z", followers_current=100, account_days=0)]))
+        # A shrunk follower count breaks a record rule, which every
+        # Dataset passes, not only the rows that get features.
         with pytest.raises(
-            DegenerateInputError, match=names_record("z", "followers_historical", 20)
+            RecordInvariantError,
+            match=r"^row 2: followers_historical exceeds followers_current \(20 > 10\)$",
         ):
-            build_feature_matrix(
-                dataset([record("z", followers_current=10, followers_historical=20)])
-            )
+            dataset([record("a"), record("z", followers_current=10, followers_historical=20)])
 
     def test_following_ratio(self):
         records = [
@@ -101,7 +99,7 @@ class TestIndicatorColumns:
     def test_first_record_then_first_rule_is_named(self):
         # account_days is checked before the follower counts, and an
         # earlier record before a later one, whichever rule it breaks.
-        both = record("z", account_days=0, followers_current=0, followers_historical=3)
+        both = record("z", account_days=0, followers_current=0)
         with pytest.raises(DegenerateInputError, match=names_record("z", "account_days", 0)):
             build_feature_matrix(dataset([record("a"), both]))
         with pytest.raises(DegenerateInputError, match=names_record("y", "followed_count", 0)):
@@ -251,10 +249,9 @@ COUNT = st.integers(0, 2**53 - 1)
 RANKED = st.integers(0, 9) | COUNT
 
 
-# One way to break each of the four degenerate-record rules.
+# One way to break each of the three degenerate-record rules.
 BREAKS = (
     lambda r: {"account_days": 0},
-    lambda r: {"followers_historical": r.followers_current + 1},
     lambda r: {"followers_current": 0, "followers_historical": 0},
     lambda r: {"followed_count": 0},
 )
@@ -267,6 +264,7 @@ def drawn_records(draw, max_breaks=0):
     records = []
     for i in range(draw(st.integers(1, 12))):
         cur = draw(st.integers(1, 9) | st.integers(1, 2**53 - 2))
+        pubs, cites = draw(COUNT), draw(COUNT)
         records.append(
             record(
                 f"s{i}",
@@ -275,16 +273,17 @@ def drawn_records(draw, max_breaks=0):
                 followers_current=cur,
                 followers_historical=draw(st.integers(0, cur)),
                 followed_count=draw(st.integers(1, 2**53 - 1)),
-                publications=draw(COUNT),
-                citations=draw(COUNT),
-                per_cited=draw(st.floats(0, 1e12)),
+                publications=pubs,
+                citations=cites,
+                # per_cited must agree with the counts when there are publications
+                per_cited=cites / pubs if pubs else draw(st.floats(0, 1e12)),
                 amount_weight=draw(COUNT),
                 h_index=draw(RANKED),
             )
         )
     rows = st.integers(0, len(records) - 1)
     for i, rule in draw(st.lists(st.tuples(rows, st.sampled_from(BREAKS)), max_size=max_breaks)):
-        records[i] = dataclasses.replace(records[i], **rule(records[i]))
+        records[i] = {**records[i], **rule(records[i])}
     return records
 
 

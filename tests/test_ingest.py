@@ -2,7 +2,9 @@
 
 import csv
 
+import numpy as np
 import pytest
+from conftest import dataset_rows, make_dataset, parse_dataset_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +19,6 @@ from stratlogit.errors import (
 )
 from stratlogit.ingest import (
     COLUMNS,
-    Dataset,
-    Provenance,
-    ScholarRecord,
     filter_eligible,
     parse_dataset,
     write_dataset_csv,
@@ -72,29 +71,28 @@ def row(
 class TestParse:
     def test_happy_path_types(self, tmp_path):
         ds = parse_dataset(write_csv(tmp_path, [row()]))
-        assert len(ds) == 1
-        r = ds.records[0]
-        assert r.scholar_id == "a1"
-        assert r.account_days == 100
-        assert isinstance(r.professional_declaration, bool)
-        assert r.professional_declaration is True
+        assert ds.scholar_id == ("a1",)
+        assert ds.account_days.dtype == np.int64 and ds.account_days.tolist() == [100]
+        assert ds.per_cited.dtype == np.float64
+        assert ds.professional_declaration.dtype == bool
+        assert ds.professional_declaration.tolist() == [True]
         assert ds.provenance.rows_read == 1
 
     def test_per_cited_derived_when_blank(self, tmp_path):
         ds = parse_dataset(write_csv(tmp_path, [row(publications="4", citations="10")]))
-        assert ds.records[0].per_cited == 2.5
+        assert ds.per_cited.tolist() == [2.5]
 
     def test_per_cited_zero_without_publications(self, tmp_path):
         ds = parse_dataset(
             write_csv(tmp_path, [row(publications="0", citations="0")])
         )
-        assert ds.records[0].per_cited == 0.0
+        assert ds.per_cited.tolist() == [0.0]
 
     def test_per_cited_supplied_and_consistent(self, tmp_path):
         ds = parse_dataset(
             write_csv(tmp_path, [row(publications="4", citations="10", per_cited="2.5")])
         )
-        assert ds.records[0].per_cited == 2.5
+        assert ds.per_cited.tolist() == [2.5]
 
     def test_per_cited_conflict_rejected(self, tmp_path):
         path = write_csv(
@@ -111,9 +109,8 @@ class TestParse:
                  row(sid="b", professional="0", science="1")],
             )
         )
-        assert ds.records[0].professional_declaration is True
-        assert ds.records[0].science_dedicated is False
-        assert ds.records[1].professional_declaration is False
+        assert ds.professional_declaration.tolist() == [True, False]
+        assert ds.science_dedicated.tolist() == [False, True]
 
     def test_bad_boolean_rejected(self, tmp_path):
         path = write_csv(tmp_path, [row(professional="yes")])
@@ -138,6 +135,25 @@ class TestParse:
         with pytest.raises(CellParseError, match="citations"):
             parse_dataset(path)
 
+    def test_counts_end_at_2_pow_53(self, tmp_path):
+        # Every count up to 2**53 is an exact double, so the indicators
+        # read it exactly; the next integer is refused.
+        top = str(2**53)
+        ds = parse_dataset(
+            write_csv(tmp_path, [row(followers_current=top, followers_historical=top)])
+        )
+        assert ds.followers_current.tolist() == [2**53]
+        for column in ("followers_current", "h_index"):
+            path = write_csv(tmp_path, [row(**{column: str(2**53 + 1)})])
+            with pytest.raises(CellParseError) as info:
+                parse_dataset(path)
+            assert (info.value.row, info.value.column) == (1, column)
+            assert info.value.reason == "must be <= 2**53 = 9007199254740992"
+        rows = dataset_rows(ds)
+        rows[0]["h_index"] = 2**53 + 1
+        with pytest.raises(CellParseError, match="^row 1, column h_index: must be <= 2"):
+            make_dataset(rows)
+
     def test_missing_column(self, tmp_path):
         header = ",".join(c for c in COLUMNS if c != "citations")
         bad_row = ",".join(["a1"] + ["1"] * (len(COLUMNS) - 2))
@@ -157,7 +173,7 @@ class TestParse:
 
     def test_extra_column_named_twice_accepted(self, tmp_path):
         path = write_csv(tmp_path, [row() + ",x,y"], header=HEADER + ",note,note")
-        assert parse_dataset(path).records[0].post_count == 10
+        assert parse_dataset(path).post_count.tolist() == [10]
 
     def test_optional_columns_may_be_absent(self, tmp_path):
         keep = [c for c in COLUMNS if c not in ("followers_historical", "per_cited")]
@@ -166,8 +182,8 @@ class TestParse:
             ["a1", "100", "10", "50", "20", "4", "8", "3", "2", "1", "1"]
         )
         ds = parse_dataset(write_csv(tmp_path, [line], header=header))
-        assert ds.records[0].followers_historical == 0
-        assert ds.records[0].per_cited == 2.0
+        assert ds.followers_historical.tolist() == [0]
+        assert ds.per_cited.tolist() == [2.0]
 
     def test_duplicate_id(self, tmp_path):
         path = write_csv(tmp_path, [row(sid="dup"), row(sid="dup")])
@@ -181,6 +197,52 @@ class TestParse:
         with pytest.raises(RecordInvariantError, match="row 1"):
             parse_dataset(path)
 
+    def test_record_rule_on_an_earlier_row_wins(self, tmp_path):
+        rows = [row(sid="a"), "", row(sid="b", per_cited="9.0"), row(sid="c", post_count="x")]
+        with pytest.raises(RecordInvariantError, match="^row 3: per_cited 9.0 disagrees"):
+            parse_dataset(write_csv(tmp_path, rows))
+
+    def test_checks_of_a_row_run_in_order(self, tmp_path):
+        # Row 2 breaks every check; mending the named one names the next:
+        # the id, the counts, per_cited, the flags, then the record rules.
+        counts = ["account_days", "post_count", "followers_current", "followers_historical",
+                  "followed_count", "publications", "citations", "amount_weight", "h_index"]
+        cells = dict(zip(COLUMNS, row(sid=" ", per_cited="nan", professional="yes",
+                                      science="no").split(",")), **dict.fromkeys(counts, "-1"))
+        mended = dict(zip(COLUMNS, row(sid="dup", followers_historical="51",
+                                       per_cited="9.0").split(",")))
+        for column in ["scholar_id", *counts, "per_cited", "professional_declaration",
+                       "science_dedicated"]:
+            path = write_csv(tmp_path, [row(sid="dup"), ",".join(cells.values())])
+            with pytest.raises(CellParseError) as info:
+                parse_dataset(path)
+            assert (info.value.row, info.value.column) == (2, column)
+            cells[column] = mended[column]
+        for error, text, column, mend in [
+            (RecordInvariantError, "^row 2: followers_historical exceeds",
+             "followers_historical", "0"),
+            (RecordInvariantError, "^row 2: per_cited 9.0 disagrees", "per_cited", ""),
+            (DuplicateIdError, "on rows 1 and 2$", "scholar_id", "b"),
+        ]:
+            path = write_csv(tmp_path, [row(sid="dup"), ",".join(cells.values())])
+            with pytest.raises(error, match=text):
+                parse_dataset(path)
+            cells[column] = mend
+        path = write_csv(tmp_path, [row(sid="dup"), ",".join(cells.values())])
+        assert parse_dataset(path).scholar_id == ("dup", "b")
+
+    def test_bad_row_before_an_unreadable_one_is_named(self, tmp_path):
+        rows = [row(sid="a", post_count="x"), row(sid='"' + "x" * 200_000)]
+        with pytest.raises(CellParseError, match="row 1, column post_count"):
+            parse_dataset(write_csv(tmp_path, rows))
+
+    def test_dataset_columns_must_have_their_types(self):
+        ds = make_dataset([{**dict.fromkeys(COLUMNS, 1), "scholar_id": "a", "per_cited": 1.0}])
+        for name, bad in (("post_count", ds.post_count.astype(float)),
+                          ("per_cited", ds.per_cited[:0]), ("science_dedicated", [True])):
+            with pytest.raises(DataError, match=f"^Dataset column {name}: need 1 "):
+                type(ds)(**{**vars(ds), name: bad})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             parse_dataset(str(tmp_path / "nope.csv"))
@@ -193,7 +255,7 @@ class TestParse:
 
     def test_blank_lines_skipped(self, tmp_path):
         ds = parse_dataset(write_csv(tmp_path, [row(sid="a"), "", row(sid="b")]))
-        assert [r.scholar_id for r in ds.records] == ["a", "b"]
+        assert ds.scholar_id == ("a", "b")
 
     def test_delimiter_must_be_one_character(self, tmp_path):
         path = write_csv(tmp_path, [row()])
@@ -207,7 +269,7 @@ class TestParse:
         with open(scholar_csv, encoding="utf-8", newline="") as handle:
             path.write_text("\ufeff" + handle.read(), encoding="utf-8", newline="")
         bom, plain = parse_dataset(str(path)), parse_dataset(scholar_csv)
-        assert bom.records == plain.records
+        assert dataset_rows(bom) == dataset_rows(plain)
         assert bom.provenance.rows_read == plain.provenance.rows_read
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
@@ -236,7 +298,7 @@ class TestFilterAndRoundTrip:
             )
         )
         kept = filter_eligible(ds)
-        assert [r.scholar_id for r in kept.records] == ["keep"]
+        assert kept.scholar_id == ("keep",)
         assert kept.provenance.rows_read == 3
 
     def test_round_trip_identity(self, tmp_path):
@@ -252,7 +314,7 @@ class TestFilterAndRoundTrip:
         out = tmp_path / "normalized.csv"
         write_dataset_csv(ds, out)
         again = parse_dataset(str(out))
-        assert again.records == ds.records
+        assert dataset_rows(again) == dataset_rows(ds)
         # serialization is stable under a second round trip
         out2 = tmp_path / "normalized2.csv"
         write_dataset_csv(again, out2)
@@ -261,7 +323,75 @@ class TestFilterAndRoundTrip:
     def test_row_order_preserved(self, tmp_path):
         ids = [f"s{i}" for i in range(10)]
         ds = parse_dataset(write_csv(tmp_path, [row(sid=i) for i in ids]))
-        assert [r.scholar_id for r in ds.records] == ids
+        assert list(ds.scholar_id) == ids
+
+
+# Cell texts that break a cell's rule in some column, or pass at an edge.
+_ODD_TEXTS = ["x", "1.5", "", " ", "nan", "inf", "-1", "-0", " 7 ", "-0.5", "2.5e3", "yes",
+              "TRUE", str(2**53), str(2**53 + 1), "9" * 400]
+
+
+@st.composite
+def scholar_lines(draw):
+    """Data lines of a scholar CSV: a few drawn rows with up to three
+    broken cells or rules (odd cell text, historical above current
+    followers, a conflicting per_cited, a duplicate id), and blank lines
+    between them."""
+    small = st.integers(0, 9).map(str)
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        pubs, cites = draw(st.integers(0, 4)), draw(st.integers(0, 30))
+        given = repr(cites / pubs) if pubs else draw(st.sampled_from(["0.0", "4.5"]))
+        rows.append({
+            **{name: draw(small) for name in COLUMNS},
+            "scholar_id": f"s{i}",
+            "followers_historical": draw(st.sampled_from(["", "0"])),
+            "publications": str(pubs),
+            "citations": str(cites),
+            "per_cited": draw(st.sampled_from(["", given])),
+            "professional_declaration": draw(st.sampled_from(["1", "0", "true", " False"])),
+            "science_dedicated": "1",
+        })
+    which = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        r, edit = rows[draw(which)], draw(st.sampled_from(["cell", "historical", "ratio", "id"]))
+        if edit == "cell":
+            r[draw(st.sampled_from(COLUMNS))] = draw(st.sampled_from(_ODD_TEXTS))
+        elif edit == "historical" and r["followers_current"].isdigit():
+            r["followers_historical"] = str(int(r["followers_current"]) + 1)
+        elif edit == "ratio":
+            r["per_cited"] = "99.5"
+        elif edit == "id":
+            r["scholar_id"] = rows[draw(which)]["scholar_id"]
+    lines = []
+    for r in rows:
+        lines.extend(draw(st.lists(st.sampled_from(["", " , ,"]), max_size=1)))
+        lines.append(",".join(r[name] for name in COLUMNS))
+    return lines
+
+
+def parse_outcome(parse, path):
+    """The rows ``parse`` reads, or its error's type, row, column and text."""
+    try:
+        return parse(path)
+    except StratLogitError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+
+
+class TestAgainstPerRowParser:
+    @settings(max_examples=400)
+    @given(data=st.data(), lines=scholar_lines())
+    def test_same_columns_or_same_first_error(self, data, lines, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "scholars.csv"
+        perm = data.draw(st.permutations(range(len(lines))))
+        got = []
+        for ordered in (lines, [lines[i] for i in perm]):
+            path.write_text("\n".join([HEADER, *ordered]) + "\n", encoding="utf-8")
+            want = parse_outcome(parse_dataset_ref, path)
+            got.append(parse_outcome(lambda p: dataset_rows(parse_dataset(p)), path))
+            assert got[-1] == want
+        if isinstance(got[0], list):  # permuted rows parse to the same rows, permuted
+            assert sorted(got[1], key=str) == sorted(got[0], key=str)
 
 
 # Pieces of hostile CSV text: separators, quotes, line ends, numbers at
@@ -298,18 +428,18 @@ _NAMES = st.text(
     min_size=1,
     max_size=8,
 ).filter(lambda s: s == s.strip())
-_COUNTS = st.integers(0, 10**18)
+_COUNTS = st.integers(0, 2**53)
 
 
 @st.composite
 def scholar_records(draw):
-    """Records that ``parse_dataset`` accepts: unique ids, historical
+    """Rows that ``parse_dataset`` accepts: unique ids, historical
     followers at most current ones, ``per_cited`` derived."""
     records = []
     for sid in draw(st.lists(_NAMES, max_size=6, unique=True)):
         current, publications, citations = draw(_COUNTS), draw(_COUNTS), draw(_COUNTS)
         records.append(
-            ScholarRecord(
+            dict(
                 scholar_id=sid,
                 account_days=draw(_COUNTS),
                 post_count=draw(_COUNTS),
@@ -325,7 +455,7 @@ def scholar_records(draw):
                 science_dedicated=draw(st.booleans()),
             )
         )
-    return tuple(records)
+    return records
 
 
 class TestRoundTripProperties:
@@ -333,11 +463,11 @@ class TestRoundTripProperties:
     @given(records=scholar_records(), bom=st.booleans())
     def test_scholar_table(self, records, bom, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "records.csv"
-        write_dataset_csv(Dataset(records, Provenance("drawn", len(records))), path)
+        write_dataset_csv(make_dataset(records, "drawn"), path)
         if bom:
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         parsed = parse_dataset(path)
-        assert parsed.records == records
+        assert dataset_rows(parsed) == records
         assert parsed.provenance.rows_read == len(records)
 
     @settings(max_examples=200, database=None, derandomize=True)

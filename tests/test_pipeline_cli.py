@@ -21,6 +21,8 @@ from conftest import (
     ROOT,
     calibrate_labels_ref,
     comparison_to_dicts_ref,
+    dataset_rows,
+    make_dataset,
     make_problem,
     read_comparison_csv,
     read_roc_csv,
@@ -33,7 +35,7 @@ from stratlogit.emit import report_payload, to_json, write_report_files, write_s
 from stratlogit.errors import ConfigError, DegenerateInputError, PipelineError, StratLogitError
 from stratlogit.evaluate import make_split
 from stratlogit.indicators import FEATURE_COLUMNS, CompositeWeights, build_feature_matrix
-from stratlogit.ingest import COLUMNS, Dataset, filter_eligible, parse_dataset, write_dataset_csv
+from stratlogit.ingest import COLUMNS, filter_eligible, parse_dataset, write_dataset_csv
 from stratlogit.logit import fit_logistic
 from stratlogit.pipeline import RunConfig, run_pipeline
 from stratlogit.synth import make_coauthor_edges, make_scholar_dataset
@@ -286,8 +288,8 @@ class TestFixtureProvenance:
     def test_scholar_csv_matches_generator(self):
         generated = make_scholar_dataset()
         parsed = parse_dataset(SCHOLARS)
-        assert len(parsed.records) == 459
-        assert parsed.records == generated.records
+        assert len(parsed.scholar_id) == 459
+        assert dataset_rows(parsed) == dataset_rows(generated)
 
     def test_default_label_count_scales_with_n(self):
         # The default keeps the fixture's 226 of 459 label-1 rows as a
@@ -300,9 +302,8 @@ class TestFixtureProvenance:
         # Each swap's label count comes from the two rows' traded ranks;
         # the oracle relabels every row per trial.  Some cases stall.
         for seed in range(5):
-            records = make_scholar_dataset(n, seed, target_increase=None).records
-            followers = np.array([r.followers_current for r in records])
-            h_index = np.array([r.h_index for r in records])
+            ds = make_scholar_dataset(n, seed, target_increase=None)
+            followers, h_index = ds.followers_current, ds.h_index
             for target in (n // 4, n // 2, 3 * n // 4):
                 try:
                     want = calibrate_labels_ref(followers, h_index, target)
@@ -421,23 +422,21 @@ class TestCliErrors:
         assert ("stage=ingest" in err) == (command == "report")
         assert not (tmp_path / "out").exists()
 
-    # A post count this large makes TD's statistics overflow: at 1e307
-    # its standard deviation, at 1e124 the cube in its skewness.
-    @pytest.mark.parametrize("post_count", [10**307, 10**124], ids=["1e307", "1e124"])
+    # Counts end at 2**53, so no count overflows a statistic; a composite
+    # weight this large makes CA's statistics overflow: at 1e305 its
+    # standard deviation, at 1e122 the cube in its skewness.
+    @pytest.mark.parametrize("alpha", ["1e305", "1e122"])
     @pytest.mark.parametrize("command", ["report", "describe"])
     def test_overflowing_statistic_exit_3_in_describe(
-        self, command, post_count, tmp_path, capsys
+        self, command, alpha, tmp_path, capsys
     ):
-        ds = make_scholar_dataset(n=80, seed=1, target_increase=None)
-        records = list(ds.records)
-        records[5] = dataclasses.replace(records[5], post_count=post_count)
-        path = str(tmp_path / "huge.csv")
-        write_dataset_csv(Dataset(records=tuple(records), provenance=ds.provenance), path)
-        rc = main([command, "--input", path, "--out", str(tmp_path / "out")])
+        path = str(tmp_path / "scholars.csv")
+        write_dataset_csv(make_scholar_dataset(n=80, seed=1, target_increase=None), path)
+        rc = main([command, "--input", path, "--alpha", alpha, "--out", str(tmp_path / "out")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data_error]") and "Traceback" not in err
-        assert "of TD is" in err
+        assert "of CA is" in err
         assert ("stage=describe" in err) == (command == "report")
         assert not (tmp_path / "out").exists()
 
@@ -644,6 +643,24 @@ class TestCliSubcommands:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+
+    def test_ingest_keep_ineligible(self, tmp_path, capsys):
+        # Only the rows that get features must pass the indicators' rules,
+        # so an ineligible row with account_days 0 is read, written on
+        # request, and screened out before the indicators.
+        rows = dataset_rows(parse_dataset(SCHOLARS))
+        rows[3].update(account_days=0, science_dedicated=False)
+        path = str(tmp_path / "scholars.csv")
+        write_dataset_csv(make_dataset(rows), path)
+        for flags, out, kept in (([], "eligible", rows[:3] + rows[4:]),
+                                 (["--keep-ineligible"], "all", rows)):
+            assert main(["ingest", *flags, "--input", path, "--out", str(tmp_path / out)]) == 0
+            assert f"read 459 rows, kept {len(kept)}," in capsys.readouterr().out
+            assert dataset_rows(parse_dataset(tmp_path / out / "normalized.csv")) == kept
+        out = tmp_path / "report"
+        assert main(["report", "--select", "stepwise", "--input", path, "--out", str(out)]) == 0
+        dataset = json.loads((out / "report.json").read_text(encoding="utf-8"))["dataset"]
+        assert (dataset["rows_read"], dataset["rows_eligible"]) == (459, 458)
 
     def test_describe(self, tmp_path, capsys):
         rc = main(["describe", "--input", SCHOLARS, "--out", str(tmp_path)])
@@ -854,9 +871,8 @@ class TestTrendCurves:
                     assert cells[float(x)] == {y}, (key, name, x)
 
 
-# Counts at the edges of what ingest accepts: zero, and finite floats up
-# to about 1e300 once they become indicators.
-EXTREME_COUNTS = [0, 1, 10**15, 10**100, 10**300]
+# Counts at the edges of what ingest accepts: zero, and up to 2**53.
+EXTREME_COUNTS = [0, 1, 10**15, 2**53]
 COUNT_COLUMNS = (
     "account_days",
     "post_count",
@@ -878,7 +894,7 @@ def scholar_tables(draw):
     and up to four counts replaced by extreme ones."""
     n = draw(st.integers(40, 60))
     base = make_scholar_dataset(n=n, seed=draw(st.integers(0, 10**6)), target_increase=None)
-    rows = [{name: getattr(r, name) for name in COLUMNS} for r in base.records]
+    rows = dataset_rows(base)
     for i, values in enumerate(rows):
         values["scholar_id"] = f"{draw(hostile_id)}#{i}"
         values["per_cited"] = ""  # derived from the counts
@@ -915,7 +931,7 @@ class TestReportFuzz:
         if rc == 0:
             with open(out / "shap_full.csv", newline="", encoding="utf-8") as handle:
                 ids = [row[0] for row in csv.reader(handle)][1:]
-            assert ids == [r.scholar_id for r in filter_eligible(parse_dataset(path))]
+            assert ids == list(filter_eligible(parse_dataset(path)).scholar_id)
 
 
 def _report_exit(argv):
@@ -936,10 +952,10 @@ class TestShapAdditivityCheck:
     @pytest.mark.parametrize("seed", [1, 8, 10])
     def test_huge_count_is_not_a_breach(self, seed, select, tmp_path):
         base = make_scholar_dataset(n=55, seed=seed, target_increase=None)
-        records = list(base.records)
-        records[seed] = dataclasses.replace(records[seed], account_days=10**12)
+        rows = dataset_rows(base)
+        rows[seed]["account_days"] = 10**12
         path = tmp_path / "scholars.csv"
-        write_dataset_csv(Dataset(records=tuple(records), provenance=base.provenance), path)
+        write_dataset_csv(make_dataset(rows), path)
         rc, err = _report_exit(
             ["report", "--input", str(path), "--out", str(tmp_path / "out"), "--select", select]
         )
