@@ -5,7 +5,8 @@ header row; their bytes are those the csv module's default writer gives.
 ``write_csv`` is the one writer, and it takes a table as columns.  A
 column that is a float array becomes text through ``float_texts``, which
 renders each distinct value of the column once with ``float.__repr__``;
-a column of ``FloatTexts`` is written as it is; any other column goes
+an int64 or bool array is rendered whole, with ``cell``'s texts; a
+column of ``FloatTexts`` is written as it is; any other column goes
 through ``cell``, the one cell rule: a float as ``repr(float(v))``, the
 shortest text that reads back to the same double; a bool as ``1`` or
 ``0``; None as an empty cell; anything else as ``str(v)`` through
@@ -126,7 +127,7 @@ def _write_text(path, text, newline=None) -> None:
 def write_csv(path, header, columns) -> None:
     """``header``, then line i of the cells ``columns[j][i]``, in one write.
 
-    A float array column becomes text through ``float_texts`` and a
+    A float64, int64 or bool array column is rendered whole, and a
     ``FloatTexts`` column is written as it is; every other column, and
     the header, goes through ``cell`` a value at a time.
     """
@@ -135,6 +136,8 @@ def write_csv(path, header, columns) -> None:
         if isinstance(c, FloatTexts)
         else float_texts(c)
         if isinstance(c, np.ndarray) and c.dtype == np.float64
+        else map(str, c.astype(np.int64).tolist())  # a bool as 1 or 0, as cell does
+        if isinstance(c, np.ndarray) and c.dtype in (np.int64, bool)
         else map(cell, c)
         for c in columns
     ]

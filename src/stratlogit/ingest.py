@@ -274,8 +274,4 @@ def filter_eligible(d: Dataset) -> Dataset:
 
 def write_dataset_csv(d: Dataset, path) -> None:
     """Write the normalized canonical CSV; parse(write(d)) reproduces d."""
-    # write_csv renders the ids and a float64 array itself, and the
-    # counts and flags as Python values.
-    columns = [getattr(d, name) for name in COLUMNS]
-    columns[1:] = [c if c is d.per_cited else c.tolist() for c in columns[1:]]
-    write_csv(path, COLUMNS, columns)
+    write_csv(path, COLUMNS, [getattr(d, name) for name in COLUMNS])

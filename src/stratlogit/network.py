@@ -16,9 +16,10 @@ lexicographic edge order.  ``_source_passes`` runs Brandes' passes for
 a batch of sources at once: a breadth-first search a level at a time,
 path counts from the frontier times the component's adjacency matrix,
 then the dependencies from the deepest level up, each level scattered
-with ``np.bincount``.  A batch holds as many sources as fit
-``_BATCH_ENTRIES`` sources-by-directed-edges entries, and at least
-``_MIN_BATCH`` (8) sources, so that a large graph still batches.
+with ``np.bincount``, which adds each (source, tail) pair's
+contributions in ascending directed-edge order.  A batch holds as many
+sources as fit ``_BATCH_ENTRIES`` sources-by-directed-edges entries, and
+at least ``_MIN_BATCH`` (8) sources, so that a large graph still batches.
 
 Per-source cache: ``girvan_newman`` keeps each source's hop distances
 (-1 outside its component) in an n-by-n int32 array and its row of edge
@@ -26,30 +27,30 @@ contributions in an n-by-m float64 array (n*n*4 + n*m*8 bytes: 0.64 MB
 at 120 nodes and 611 edges, 192 MB at 2000 nodes and 10,982 edges).
 The component that held a cut edge (i, j) is the set of nodes row
 ``dist[i]`` reaches, and of its sources only the ones with
-``dist[s, i] != dist[s, j]`` rerun, in one batched pass.  When the
-distances are equal, the edge joins two nodes on one BFS level: it
-never discovers a node and never adds to a path count, so that source's
-distances, path counts, dependencies and contributions are the same
-without it.  The cut splits the component exactly when every source
-reruns and no other live edge joins the nodes nearer i than j to the
-rest: a bridge leaves each node of i's side nearer i and each node of
-j's side nearer j, with only the bridge between the sides, while an
-i-j path that survives the cut must leave i's side by another edge.
-On a split every source reruns, in one refresh of the old component,
-whose bits equal those of one refresh per part: each source's search
-stays inside its own part, a source in the other part adds an exact
-+0.0 to an edge's column sum, and path counts and ``np.bincount`` sums
-keep their order within each row.
+``dist[s, i] != dist[s, j]``, read off rows i and j, rerun, in one
+batched pass.  When the distances are equal, the edge joins two nodes
+on one BFS level: it never discovers a node and never adds to a path
+count, so that source's distances, path counts, dependencies and
+contributions are the same without it.  The cut splits the component
+when, after the refresh, i no longer reaches j.  A bridge leaves every
+source with i and j on different levels, so all of them rerun, in one
+refresh of the old component, whose bits equal those of one refresh per
+part: each source's search stays inside its own part, a source in the
+other part adds an exact +0.0 to an edge's column sum, and path counts
+and ``np.bincount`` sums keep their order within each row.
 
 Determinism: path counts are integers, exact in any summation order
 while they stay below 2**53, so the matrix product's order, and with it
 the BLAS thread count, does not change them.  Dependencies and
 contributions are summed in a fixed order by ``np.bincount``, never by
 BLAS, and nothing walks a set, so betweenness depends on neither the
-BLAS thread count nor the interpreter's hash seed.  Its sums differ from
-those of one pass per source in the last bits, so a cut does not rest
-on exact equality: it takes the lexicographically smallest edge among
-those within ``_TIE_RTOL`` (1e-12) relative of the largest betweenness.
+BLAS thread count nor the interpreter's hash seed.  ``_refresh`` sums
+a C-ordered (sources, edges) gather row after row; a gather of another
+layout, such as ``contrib[comp][:, eids]``, sums in another order.
+Betweenness differs from that of one pass per source in the last bits,
+so a cut does not rest on exact equality: it takes the lexicographically
+smallest edge among those within ``_TIE_RTOL`` (1e-12) relative of the
+largest betweenness.
 Equal inputs give byte-equal outputs in every process.
 
 Modularity keeps, per community, the weight of the original graph's
@@ -208,63 +209,70 @@ def _source_passes(sources, comp, ends, eids, dist, contrib) -> None:
     """Brandes' passes for the node ranks ``sources``, all in the
     component whose sorted node ranks are ``comp`` and whose live edge
     ids are ``eids``; ``ends`` is the m-by-2 array of edge ends.
-
-    Each batch of sources runs one breadth-first search, a level at a
-    time, then the dependency accumulation from the deepest level up.
     Overwrites, for each source s, ``dist[s]`` with the hop distances
     from s (-1 outside the component) and ``contrib[s]``, indexed by
     edge id, with the contribution of each edge of s's shortest-path DAG
-    (0 elsewhere).
-    """
+    (0 elsewhere)."""
     k = len(comp)
-    local = np.full(len(dist), -1)
-    local[comp] = np.arange(k)
-    a, b = local[ends[eids, 0]], local[ends[eids, 1]]
+    # Local ranks; tail -> head is each edge a -> b in ``eids`` order, then b -> a.
+    ab = np.searchsorted(comp, ends.take(eids, 0)).T
+    tail, head = ab.ravel(), ab[::-1].ravel()
     adjacency = np.zeros((k, k))
-    adjacency[a, b] = adjacency[b, a] = 1.0
-    # Both directions of each edge: tail -> head, edge id.
-    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    adjacency[tail, head] = 1.0
     edge = np.concatenate([eids, eids])
+    # Levels stay below k; numpy radix-sorts integers of 16 bits or less.
+    level = np.int16 if k < 1 << 15 else np.int32
     per_batch = max(_MIN_BATCH, _BATCH_ENTRIES // max(1, len(edge)))
     for lo in range(0, len(sources), per_batch):
         batch = sources[lo:lo + per_batch]
-        rows = np.arange(len(batch))
-        d = np.full((len(batch), k), -1, dtype=np.int32)
-        d[rows, local[batch]] = 0
+        size = len(batch) * k
         sigma = np.zeros((len(batch), k))
-        sigma[rows, local[batch]] = 1.0
-        frontier = sigma.copy()
-        level = 0
-        while True:
+        sigma[np.arange(len(batch)), np.searchsorted(comp, batch)] = 1.0
+        unseen = sigma == 0.0
+        # d counts the levels each node stays unseen through.
+        d = np.zeros(sigma.shape, dtype=level)
+        frontier = sigma
+        left, levels = size - len(batch), 0
+        while left:
             # Path counts below 2**53 are exact integers, so this sum does
             # not depend on the order the product adds it in.
             reach = frontier @ adjacency
-            reach[d >= 0] = 0.0
+            reach *= unseen
             found = reach > 0.0
-            if not found.any():
+            count = np.count_nonzero(found)
+            if not count:
                 break
-            level += 1
-            d[found] = level
+            d += unseen
+            unseen ^= found
             sigma += reach
             frontier = reach
-        # The DAG's directed edges (r, t), deepest head level first.
-        r, t = np.nonzero(d[:, head] == d[:, tail] + 1)
-        depth = d[r, head[t]]
-        order = np.argsort(-depth, kind="stable")
-        r, t, depth = r[order], t[order], depth[order]
-        at_v, at_w = r * k + tail[t], r * k + head[t]
-        ratio = sigma.ravel()[at_v] / sigma.ravel()[at_w]
-        delta = np.zeros(len(batch) * k)
-        c = np.empty(len(t))
-        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(t)]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            # A level's heads are complete; its tails all lie one level up.
-            c[start:stop] = ratio[start:stop] * (1.0 + delta[at_w[start:stop]])
-            delta += np.bincount(at_v[start:stop], c[start:stop], len(delta))
+            left -= count
+            levels += 1
+        d[unseen] = -1
+        # The DAG's (directed edge, source) pairs (t, r), deepest head level
+        # first, each level in (t, r) order: each source's in edge order.
+        d_t = d.T.copy()
+        at_head = d_t.take(head, 0)
+        flat = np.flatnonzero(at_head == (d_t + 1).take(tail, 0))
+        key = -at_head.take(flat)
+        order = key.argsort(kind="stable")
+        flat, key = flat.take(order), key.take(order)
+        t, r = np.divmod(flat, len(batch))
+        at_v, at_w = r * k + tail.take(t), r * k + head.take(t)
+        # c: sigma_v / sigma_w, times 1 + delta_w above the deepest level.
+        c = sigma.take(at_v) / sigma.take(at_w)
+        start = 0
+        for stop in key.searchsorted(np.arange(-levels, 0), "right").tolist():
+            # A level's heads are complete; its tails all lie one level up,
+            # and only they get a dependency from it.
+            if start:
+                c[start:stop] *= 1.0 + delta.take(at_w[start:stop])
+            delta = np.bincount(at_v[start:stop], c[start:stop], size)
+            start = stop
         dist[batch] = -1
         dist[batch[:, None], comp] = d
         contrib[batch] = 0.0
-        contrib[batch[r], edge[t]] = c
+        contrib[batch.take(r), edge.take(t)] = c
 
 
 def _refresh(comp, sources, ends, alive, dist, contrib, btw) -> None:
@@ -408,29 +416,25 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
     step = 0
     while step < g.n_edges and (target_communities is None or len(sums) < target_communities):
         cut = _cut_edge(btw)
-        i, j = ends[cut]
+        i, j = ends[cut].tolist()
         alive[cut] = False
         btw[cut] = -np.inf
         step += 1
         # Shortest paths change only inside the component that held the
-        # cut edge, and there only for sources that had i and j on
-        # different BFS levels; every other source's row stands.
+        # cut edge, and there only for the sources with i and j on
+        # different BFS levels, read off rows i and j by symmetry.
         comp = np.flatnonzero(dist[i] >= 0)
-        rerun = comp[dist[comp, i] != dist[comp, j]]
-        near = dist[i] < dist[j]
-        split = len(rerun) == len(comp) and not (
-            alive & (near[ends[:, 0]] != near[ends[:, 1]])
-        ).any()
+        rerun = np.flatnonzero(dist[i] != dist[j])
         _refresh(comp, rerun, ends, alive, dist, contrib, btw)
-        if not split:
+        if dist[i, j] >= 0:
             continue
-        # The cut was a bridge: the component splits into the nodes nearer
-        # i and the rest.  The part with the old least node keeps its id.
-        # The other part's id is one past the largest id of the nodes
-        # below its least node, and the ids from there on move up one.
-        # Only the two parts' modularity sums change.
-        side = near[comp]
-        first, second = comp[side == side[0]], comp[side != side[0]]
+        # The cut was a bridge: i no longer reaches j, and the component
+        # splits into the nodes each reaches.  The part with the old least
+        # node keeps its id.  The other part's id is one past the largest
+        # id of the nodes below its least node, and the ids from there on
+        # move up one.  Only the two parts' modularity sums change.
+        side = dist[comp[0], comp] >= 0
+        first, second = comp[side], comp[~side]
         sums[label[first[0]]] = _community_sums(first, n, ends, weights)
         k = int(label[:second[0]].max()) + 1
         sums.insert(k, _community_sums(second, n, ends, weights))
@@ -439,8 +443,5 @@ def girvan_newman(g: CollabGraph, target_communities: Optional[int] = None) -> t
         dendrogram.append(
             _partition_of(names, label, m, sums, step=step, removed_edge=g.edges[cut][:2])
         )
-    best = dendrogram[0]
-    for p in dendrogram[1:]:
-        if p.modularity > best.modularity:
-            best = p
-    return dendrogram, best
+    # max keeps the first of equal maxima: the earliest partition wins.
+    return dendrogram, max(dendrogram, key=operator.attrgetter("modularity"))

@@ -58,6 +58,7 @@ from stratlogit.logit import (
     sigmoid,
 )
 from stratlogit.model_select import ModelRow
+from stratlogit import network
 from stratlogit.network import _q, _refresh
 from stratlogit.pipeline import RunConfig, fit_features
 from stratlogit.stats_core import chisq_sf, solve_spd
@@ -593,8 +594,8 @@ def reference_components(nodes, adj):
 def source_pass_ref(s, adj, row) -> list:
     """Brandes' pass for source ``s`` over ``int_adjacency``'s adjacency,
     one source at a time: breadth-first search, then the dependency
-    accumulation in reverse visit order.  The oracle for the batched
-    passes of ``network._source_passes``.
+    accumulation in reverse visit order.  The oracle, to 1e-12, for the
+    batched passes of ``network._source_passes``.
 
     ``row``, an array indexed by edge id, is overwritten with the
     contribution of each edge of s's shortest-path DAG (0 elsewhere).
@@ -632,10 +633,11 @@ def source_pass_ref(s, adj, row) -> list:
     return dist
 
 
-def batched_passes(g):
+def batched_passes(g, refresh=_refresh):
     """(adj, dist, contrib, btw): ``network``'s batched source passes run
     once for every node of ``g``, as ``girvan_newman`` runs them before
-    its first cut.  ``adj`` is ``int_adjacency``'s adjacency, ``dist`` the
+    its first cut, one ``refresh`` per component (``network._refresh``
+    unless given).  ``adj`` is ``int_adjacency``'s adjacency, ``dist`` the
     n-by-n hop distances, ``contrib`` the n-by-m rows of edge
     contributions and ``btw`` the edge betweenness, all by node rank and
     edge id."""
@@ -647,8 +649,73 @@ def batched_passes(g):
     alive = np.ones(len(ends), dtype=bool)
     for comp in reference_components(range(n), [[w for w, _ in nbrs] for nbrs in adj]):
         comp = np.array(comp)
-        _refresh(comp, comp, ends, alive, dist, contrib, btw)
+        refresh(comp, comp, ends, alive, dist, contrib, btw)
     return adj, dist, contrib, btw
+
+
+def source_passes_ref(sources, comp, ends, eids, dist, contrib) -> None:
+    """``network._source_passes`` as first written: per batch, the search
+    marks each level with a boolean mask, and the DAG's (source, directed
+    edge) pairs come from ``np.nonzero`` in row order, then a stable sort
+    by depth.  The bit-for-bit oracle for the passes that replaced it;
+    batches are sized by ``network``'s ``_BATCH_ENTRIES`` and
+    ``_MIN_BATCH``, read at the call."""
+    k = len(comp)
+    local = np.full(len(dist), -1)
+    local[comp] = np.arange(k)
+    a, b = local[ends[eids, 0]], local[ends[eids, 1]]
+    adjacency = np.zeros((k, k))
+    adjacency[a, b] = adjacency[b, a] = 1.0
+    # Both directions of each edge: tail -> head, edge id.
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    edge = np.concatenate([eids, eids])
+    per_batch = max(network._MIN_BATCH, network._BATCH_ENTRIES // max(1, len(edge)))
+    for lo in range(0, len(sources), per_batch):
+        batch = sources[lo:lo + per_batch]
+        rows = np.arange(len(batch))
+        d = np.full((len(batch), k), -1, dtype=np.int32)
+        d[rows, local[batch]] = 0
+        sigma = np.zeros((len(batch), k))
+        sigma[rows, local[batch]] = 1.0
+        frontier = sigma.copy()
+        level = 0
+        while True:
+            reach = frontier @ adjacency
+            reach[d >= 0] = 0.0
+            found = reach > 0.0
+            if not found.any():
+                break
+            level += 1
+            d[found] = level
+            sigma += reach
+            frontier = reach
+        # The DAG's directed edges (r, t), deepest head level first.
+        r, t = np.nonzero(d[:, head] == d[:, tail] + 1)
+        depth = d[r, head[t]]
+        order = np.argsort(-depth, kind="stable")
+        r, t, depth = r[order], t[order], depth[order]
+        at_v, at_w = r * k + tail[t], r * k + head[t]
+        ratio = sigma.ravel()[at_v] / sigma.ravel()[at_w]
+        delta = np.zeros(len(batch) * k)
+        c = np.empty(len(t))
+        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(t)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            c[start:stop] = ratio[start:stop] * (1.0 + delta[at_w[start:stop]])
+            delta += np.bincount(at_v[start:stop], c[start:stop], len(delta))
+        dist[batch] = -1
+        dist[batch[:, None], comp] = d
+        contrib[batch] = 0.0
+        contrib[batch[r], edge[t]] = c
+
+
+def refresh_ref(comp, sources, ends, alive, dist, contrib, btw) -> None:
+    """``network._refresh`` over ``source_passes_ref``."""
+    inside = np.zeros(len(dist), dtype=bool)
+    inside[comp] = True
+    eids = np.flatnonzero(alive & inside[ends[:, 0]])
+    if len(sources):
+        source_passes_ref(sources, comp, ends, eids, dist, contrib)
+    btw[eids] = contrib[comp[:, None], eids].sum(axis=0) / 2.0
 
 
 def split_refresh_ref(first, second, ends, alive, dist, contrib, btw) -> None:

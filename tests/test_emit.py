@@ -154,10 +154,15 @@ class TestToJson:
             emit.to_json(payload)
 
 
-# The cells of one column of each kind ``tables`` draws; "array" is a
-# float array, the others lists of values.
+# Integers at the edges of int64 and of the doubles' exact range.
+EDGE_INTS = [0, -1, 1, 2**53, -(2**53), 2**53 + 1, 2**63 - 1, -(2**63)]
+# The cells of one column of each kind ``tables`` draws; the kinds in
+# ``ARRAY_KINDS`` are arrays of that dtype, the others lists of values.
+ARRAY_KINDS = {"array": float, "int64 array": np.int64, "bool array": bool}
 COLUMN_CELLS = {
     "array": any_float,
+    "int64 array": st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS),
+    "bool array": st.booleans(),
     "float": any_float,
     "np.float64": any_float.map(np.float64),
     "int": st.integers() | st.integers(-(10**60), 10**60),
@@ -178,7 +183,7 @@ def tables(draw):
     columns = []
     for kind in kinds:
         values = draw(st.lists(COLUMN_CELLS[kind], min_size=n, max_size=n))
-        columns.append(np.array(values, dtype=float) if kind == "array" else values)
+        columns.append(np.array(values, dtype=ARRAY_KINDS[kind]) if kind in ARRAY_KINDS else values)
     return header, columns
 
 
@@ -194,8 +199,18 @@ class TestWriteCsv:
         header, columns = table
         out = tmp_path_factory.mktemp("cols")
         emit.write_csv(out / "new.csv", header, columns)
-        write_csv_ref(out / "ref.csv", header, zip(*columns))
+        # The reference takes each array's values as Python values.
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        write_csv_ref(out / "ref.csv", header, zip(*values))
         assert file_bytes(out / "new.csv") == file_bytes(out / "ref.csv")
+
+    def test_int64_and_bool_arrays_are_rendered_whole(self, tmp_path):
+        # In decimal and as 1 or 0, as cell renders each value.
+        counts = np.array(EDGE_INTS * 2, dtype=np.int64)
+        flags = np.arange(len(counts)) % 3 == 0
+        emit.write_csv(tmp_path / "new.csv", ["n", "flag"], [counts, flags])
+        write_csv_ref(tmp_path / "ref.csv", ["n", "flag"], zip(counts.tolist(), flags.tolist()))
+        assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
 
     @pytest.mark.parametrize(
         "header, column",

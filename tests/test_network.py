@@ -1,6 +1,7 @@
 """Graph construction, edge betweenness, modularity, and divisive
 community detection, all checked against brute-force oracles."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -24,6 +25,7 @@ from conftest import (
     int_adjacency,
     modularity_ref,
     reference_components,
+    refresh_ref,
     source_pass_ref,
     split_refresh_ref,
 )
@@ -158,6 +160,30 @@ def assert_betweenness_close(g):
     theirs = brandes_ref(g.nodes, adjacency(g))
     assert list(ours) == list(theirs)
     assert_allclose(list(ours.values()), list(theirs.values()), rtol=1e-12, atol=0)
+
+
+def assert_oracle_bytes(g):
+    """The batched passes before the first cut write the bytes of the
+    passes as first written (``refresh_ref``)."""
+    got, want = batched_passes(g)[1:], batched_passes(g, refresh=refresh_ref)[1:]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def cut_scores(g, monkeypatch) -> tuple:
+    """(cuts, SHA-256 of the betweenness bytes handed to ``_cut_edge`` at
+    every cut), ``g`` cut to exhaustion."""
+    digest, cuts = hashlib.sha256(), []
+    real_cut = network._cut_edge
+
+    def cut_edge(btw):
+        digest.update(btw.tobytes())
+        cuts.append(real_cut(btw))
+        return cuts[-1]
+
+    monkeypatch.setattr(network, "_cut_edge", cut_edge)
+    girvan_newman(g)
+    return len(cuts), digest.hexdigest()
 
 
 def gn120(seed):
@@ -366,12 +392,14 @@ class TestEdgeBetweenness:
             assert dist[s].tolist() == source_pass_ref(s, adj, row)
             assert_allclose(contrib[s], row, rtol=1e-12, atol=0)
         assert_betweenness_close(g)
+        assert_oracle_bytes(g)
 
     def test_path_counts_past_2_to_the_53(self):
         # the path count from h00 doubles at every hub, up to 2**60 at h60
         g = build_graph(diamond_chain_rows(60))
         assert g.n_nodes == 181
         assert_betweenness_close(g)
+        assert_oracle_bytes(g)
         fast, _ = girvan_newman(g, target_communities=3)
         slow, _ = reference_girvan_newman(g, target_communities=3)
         assert [(p.step, p.removed_edge, p.modularity.hex()) for p in fast] == [
@@ -608,6 +636,60 @@ class TestGirvanNewman:
         monkeypatch.setattr(network, "_refresh", refresh)
         dendrogram, _ = girvan_newman(g)
         assert len(splits) == len(dendrogram) - 1 > 0
+
+    @pytest.mark.parametrize(
+        "make_graph, target",
+        [
+            pytest.param(lambda: gn120(7), None, id="planted4x30"),
+            pytest.param(
+                lambda: build_graph([(f"p{v:02d}", f"p{v + 1:02d}") for v in range(29)]),
+                None,
+                id="path30",
+            ),
+            pytest.param(lambda: many_components(seed=3), None, id="30components"),
+            # path counts up to 2**60
+            pytest.param(lambda: build_graph(diamond_chain_rows(60)), 3, id="diamond-chain60"),
+        ],
+    )
+    def test_every_refresh_writes_the_oracle_bytes(self, make_graph, target, monkeypatch):
+        # Each refresh, a split's refresh of the old component included,
+        # writes the hop distances, contribution rows and betweenness of
+        # the passes as first written, byte for byte.
+        g = make_graph()
+        real_refresh = network._refresh
+        refreshes = splits = 0
+
+        def refresh(comp, sources, ends, alive, dist, contrib, btw):
+            nonlocal refreshes, splits
+            want = dist.copy(), contrib.copy(), btw.copy()
+            refresh_ref(comp, sources, ends, alive, *want)
+            real_refresh(comp, sources, ends, alive, dist, contrib, btw)
+            for got, ref in zip((dist, contrib, btw), want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            refreshes += 1
+            splits += bool((dist[comp[0], comp] < 0).any())
+
+        monkeypatch.setattr(network, "_refresh", refresh)
+        dendrogram, _ = girvan_newman(g, target_communities=target)
+        assert refreshes == dendrogram[0].n_communities + dendrogram[-1].step
+        assert splits == len(dendrogram) - 1 > 0
+
+    # SHA-256 of the betweenness bytes handed to _cut_edge at every cut, cut
+    # to exhaustion: the benchmark's coauthor-gn120 graph and the bundled
+    # edge list, as the batched passes first wrote them (scripts/compare_gn.py
+    # compares two trees; this pins one).  Betweenness is summed by
+    # np.bincount and a row-by-row column sum, never by BLAS, and path
+    # counts below 2**53 are exact, so the bytes hold under any BLAS
+    # thread count.
+    PINNED_CUT_SCORES = {
+        "gn120": (611, "ea0706a50ad543ece0be0ed83d5ea96a8a3b7e051899fda0077d02fae1c41079"),
+        "fixture": (83, "e61300adcfd53362c10921f5aab67b0383719999e665883ff7f8b7f086f49071"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CUT_SCORES))
+    def test_betweenness_bytes_at_every_cut_are_pinned(self, name, edges_csv, monkeypatch):
+        g = gn120(7) if name == "gn120" else build_graph(read_edge_list(edges_csv))
+        assert cut_scores(g, monkeypatch) == self.PINNED_CUT_SCORES[name]
 
     @pytest.mark.parametrize("seed", [*range(5), "long-path"])
     def test_components_equal_networkx(self, seed):
