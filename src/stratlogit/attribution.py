@@ -1,4 +1,4 @@
-"""Exact additive feature attributions and their trend curves.
+"""Exact additive feature attributions and the rows of their trends.
 
 For a fitted logistic model the attribution of feature j on row i is
 computed on the log-odds scale, where the model is exactly linear, so
@@ -7,17 +7,19 @@ Shapley values have a closed form:
     phi_ij = beta_j * (x_ij - mu_j),        base = beta_0 + beta . mu
 
 with mu the background feature means.  As phi_ij depends on x_ij
-alone, the trend curve of feature j is phi at its sorted distinct
-values.  ``lowess``, a local-linear smoother that returns the same
-line, stays only because the benchmark's traced mode patches it by
-name (``perfbench/spans.py``); nothing in the package calls it.
+alone, the trend of feature j is phi at its sorted distinct values, so
+a trend is the rows that supply its sites: ``trend_compare`` finds them
+once per feature for every model that holds it, and ``emit`` writes
+each column's rendered texts at those rows.  ``lowess``, a local-linear
+smoother that returns the same line, stays only because the benchmark's
+traced mode patches it by name (``perfbench/spans.py``); nothing in the
+package calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -105,42 +107,34 @@ def mean_abs_importance(s: ShapMatrix) -> ImportanceRanking:
 
 @dataclass(frozen=True)
 class TrendCurve:
-    """Attribution ``y`` at the sites ``x``; ``rows``, when known, holds
-    the input row whose value and attribution each site comes from."""
+    """The smoothed ``y`` that ``lowess`` gives at the sites ``x``."""
 
     feature: str
     model_id: str
     x: np.ndarray
     y: np.ndarray
-    rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise DataError("trend curve x/y must be matching 1-D arrays")
-        if self.rows is not None and self.rows.shape != self.x.shape:
-            raise DataError("trend curve rows must match its x sites")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
             raise DataError("trend curve contains non-finite values")
 
 
-def attribution_trend(x, phi, feature: str = "", model_id: str = "") -> TrendCurve:
-    """The attribution ``phi`` at each sorted distinct ``x``, taken from
-    the first row holding it; DataError if rows with equal ``x`` carry
-    different ``phi``."""
-    # + 0.0 turns -0.0 into 0.0, so the row that supplies a site cannot
-    # change the bits written for it.
-    x = np.asarray(x, dtype=float) + 0.0
-    phi = np.asarray(phi, dtype=float) + 0.0
-    if x.shape != phi.shape or x.ndim != 1:
-        raise DataError("attribution_trend: x and phi must be matching 1-D arrays")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(phi)):
-        raise DataError("attribution_trend: non-finite input")
-    sites, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+def trend_compare(feature: str, x, columns) -> np.ndarray:
+    """The rows that supply the trend of ``feature`` against its column
+    ``x``: the first row holding each distinct value of x (-0.0 and 0.0
+    are one), in ascending order.  ``columns`` are the attribution
+    columns of ``feature``, one per model that holds it; DataError if
+    one is not a function of x, DegenerateInputError under two distinct
+    values."""
+    sites, rows, inverse = np.unique(x, return_index=True, return_inverse=True)
     if sites.size < 2:
-        raise DegenerateInputError("attribution_trend: need at least 2 distinct x values")
-    if not np.array_equal(phi[first][inverse], phi):
-        raise DataError(f"attribution_trend: {feature or 'phi'} is not a function of x")
-    return TrendCurve(feature=feature, model_id=model_id, x=sites, y=phi[first], rows=first)
+        raise DegenerateInputError(f"trend_compare: {feature} needs at least 2 distinct values")
+    for phi in columns:
+        if not np.array_equal(phi[rows][inverse], phi):
+            raise DataError(f"trend_compare: attribution of {feature} is not a function of x")
+    return rows
 
 
 def _local_fit(x, y, x0, r) -> float:
@@ -198,46 +192,3 @@ def lowess(
     r = min(n, max(2, math.ceil(frac * n)))
     smoothed = np.array([_local_fit(x, y, x0, r) for x0 in sites])
     return TrendCurve(feature=feature, model_id=model_id, x=sites, y=smoothed)
-
-
-@dataclass(frozen=True)
-class TrendComparison:
-    """Attribution trends of one feature under two models.
-
-    A model that does not use the feature contributes no curve; its id
-    is listed in ``missing_from`` so reports can say why one line is
-    absent instead of silently plotting a single curve.
-    """
-
-    feature: str
-    full_curve: Optional[TrendCurve]
-    optimized_curve: Optional[TrendCurve]
-    missing_from: tuple
-
-
-def trend_compare(
-    full: ShapMatrix,
-    optimized: ShapMatrix,
-    feature: str,
-    feature_values,
-) -> TrendComparison:
-    """Trend of attribution against feature value, per model."""
-    if full.model_id == optimized.model_id:
-        raise DataError("trend_compare: the two models need distinct model_ids")
-    curves = {}
-    missing = []
-    for s in (full, optimized):
-        if feature in s.feature_names:
-            curves[s.model_id] = attribution_trend(
-                feature_values, s.column(feature), feature=feature, model_id=s.model_id
-            )
-        else:
-            missing.append(s.model_id)
-    if len(missing) == 2:
-        raise DataError(f"trend_compare: feature {feature!r} absent from both models")
-    return TrendComparison(
-        feature=feature,
-        full_curve=curves.get(full.model_id),
-        optimized_curve=curves.get(optimized.model_id),
-        missing_from=tuple(missing),
-    )

@@ -36,16 +36,14 @@ import numpy as np
 from . import __version__
 from .emit import (
     out_path,
+    write_attribute_files,
     write_dendrogram_json,
     write_describe_files,
     write_evaluate_files,
     write_fit_files,
-    write_importance_csv,
     write_partition_csv,
     write_report_files,
     write_select_files,
-    write_shap_values_csv,
-    write_trend_csv,
 )
 from .errors import ConfigError, PipelineError, StratLogitError
 from .indicators import FEATURE_COLUMNS
@@ -64,7 +62,7 @@ from .pipeline import (
     select_model,
     split_rows,
     training_means,
-    trend_curves,
+    trend_rows,
 )
 
 
@@ -226,11 +224,7 @@ def cmd_evaluate(args) -> int:
 def cmd_attribute(args) -> int:
     fm, split, fit = _fit(args)
     shap, ranking = attribute_fit(fm, training_means(fm, split), fit, "attributed")
-    write_shap_values_csv(shap, fm.row_ids, out_path(args.out_dir, "shap_values.csv"))
-    write_importance_csv(ranking, out_path(args.out_dir, "importance.csv"))
-    for name, curve in trend_curves(fm, shap).items():
-        path = out_path(args.out_dir, f"trend_{name}.csv")
-        write_trend_csv(curve.x, {"attribution": curve.y}, path)
+    write_attribute_files(args.out_dir, fm, shap, ranking, trend_rows(fm, (shap,)))
     top = ranking.entries[0]
     print(
         f"attributed {len(fit.feature_names)} features over {fm.n_rows} rows; "

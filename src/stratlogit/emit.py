@@ -29,10 +29,13 @@ with ``tolist``, or texts with ``float_texts``.  Each table is written
 once, to its CSV: no JSON file holds a row per candidate, which
 comparison.csv holds, or per ROC point, which roc.csv holds.
 
+A trend is the rows that supply its sites (``pipeline.trend_rows``).
 A report renders each feature column and each attribution column once.
 features.csv, the shap files, every trend file and report.json's
 ``attribution.trends`` take their text from those renderings: a trend's
-x sites and attributions are the texts of the rows that supply them.
+x sites and attributions are the texts at its rows (``_trend_texts``).
+``attribute`` shares these helpers, so for the same model its
+shap_values.csv and trend files hold the report's texts.
 
 Nothing in either format depends on the run, so two runs over the same
 input and configuration write byte-identical files.
@@ -321,19 +324,21 @@ def _site_texts(texts, rows) -> FloatTexts:
     return FloatTexts(sites)
 
 
-def _trend_texts(report, features, shap) -> dict:
-    """{feature: (x, full, optimized)}: the texts of each trend's sites
-    and of each model's attributions there (None for a model without
-    the feature), from the column texts ``_column_texts`` gives."""
-    trends = {}
-    for name, tc in report.trends.items():
-        rows = tc.full_curve.rows
-        full, optimized = (
-            _site_texts(shap[key][name], rows) if name in shap[key] else None
-            for key in ("full", "optimized")
+def _trend_texts(trends, features, shap) -> dict:
+    """{feature: (x, {model key: attributions})}: the texts of the
+    columns ``features`` ({feature: texts}) and ``shap`` ({model key:
+    {feature: texts}}) at the rows of each of ``trends`` ({feature:
+    rows}); None for a model without the feature."""
+    return {
+        name: (
+            _site_texts(features[name], rows),
+            {
+                key: _site_texts(texts[name], rows) if name in texts else None
+                for key, texts in shap.items()
+            },
         )
-        trends[name] = (_site_texts(features[name], rows), full, optimized)
-    return trends
+        for name, rows in trends.items()
+    }
 
 
 def report_payload(report, trends=None) -> dict:
@@ -343,7 +348,7 @@ def report_payload(report, trends=None) -> dict:
     stats, corr, vifs = report.description
     cm, mets, roc = report.confusion, report.metrics, report.roc
     if trends is None:
-        trends = _trend_texts(report, *_column_texts(report))
+        trends = _trend_texts(report.trends, *_column_texts(report))
     return {
         "tool": {"name": "stratlogit", "version": __version__},
         "config": asdict(cfg),
@@ -388,13 +393,8 @@ def report_payload(report, trends=None) -> dict:
                 for key, _, shap, ranking in _models(report)
             },
             "trends": {
-                name: {
-                    "x": x,
-                    "full": full,
-                    "optimized": optimized,
-                    "missing_from": list(report.trends[name].missing_from),
-                }
-                for name, (x, full, optimized) in trends.items()
+                name: {"x": x, **ys, "missing_from": [key for key, y in ys.items() if y is None]}
+                for name, (x, ys) in trends.items()
             },
         },
     }
@@ -448,24 +448,27 @@ def write_inference_csv(fit, path) -> None:
     write_csv(path, INFERENCE_FIELDS, _inference_columns(fit, "write_inference_csv"))
 
 
-def write_shap_values_csv(shap, row_ids, path, texts=None) -> None:
+def write_shap_values_csv(shap, row_ids, path, texts) -> None:
     """One row per scholar, one attribution column per feature; ``texts``
-    are those columns' texts, if already rendered."""
-    columns = shap.values.T if texts is None else texts
-    write_csv(path, ["scholar_id", *shap.feature_names], [row_ids, *columns])
+    are those columns' rendered texts."""
+    write_csv(path, ["scholar_id", *shap.feature_names], [row_ids, *texts])
 
 
 def write_importance_csv(ranking, path) -> None:
     write_csv(path, ["feature", "mean_abs_shap"], list(zip(*ranking.entries)))
 
 
-def write_trend_csv(x, ys: dict, path) -> None:
-    """Trend file: the x sites, then one attribution column per named y.
-
-    A None y (a model without the feature) leaves its column empty.
-    """
-    columns = [x] + [[None] * len(x) if y is None else y for y in ys.values()]
-    write_csv(path, ["x", *ys], columns)
+def write_trend_files(out_dir, trends, headers) -> list:
+    """One trend_<feature>.csv per trend of ``trends``, as ``_trend_texts``
+    gives them: the x sites, then the attributions of each model key k
+    under the header ``headers[k]``, empty for a model without the
+    feature.  Returns the paths written."""
+    paths = []
+    for name, (x, ys) in trends.items():
+        paths.append(out_path(out_dir, f"trend_{name}.csv"))
+        columns = [[None] * len(x) if y is None else y for y in ys.values()]
+        write_csv(paths[-1], ["x", *map(headers.get, ys)], [x, *columns])
+    return paths
 
 
 def write_describe_files(out_dir, fm, description, texts=None) -> list:
@@ -519,13 +522,27 @@ def write_evaluate_files(out_dir, cm, mets, roc) -> list:
     return paths
 
 
+def write_attribute_files(out_dir, fm, shap, ranking, trends) -> list:
+    """The attribute stage's files for the one model of ``shap``: its
+    attributions, its ranking and its ``trends`` ({feature: rows}), with
+    each attribution column rendered once, as a report renders it.
+    Returns the paths written."""
+    texts = dict(zip(shap.feature_names, map(float_texts, shap.values.T)))
+    paths = [out_path(out_dir, name) for name in ("shap_values.csv", "importance.csv")]
+    write_shap_values_csv(shap, fm.row_ids, paths[0], texts.values())
+    write_importance_csv(ranking, paths[1])
+    features = {name: float_texts(fm.column(name)) for name in trends}
+    sites = _trend_texts(trends, features, {"attributed": texts})
+    return paths + write_trend_files(out_dir, sites, {"attributed": "attribution"})
+
+
 def write_report_files(report, out_dir) -> list:
     """Write report.json and the CSV side files of an AnalysisReport;
     returns the paths.  Each feature and attribution column is rendered
     once, for its file and for the trends."""
     fm = report.feature_matrix
     features, shap = _column_texts(report)
-    trends = _trend_texts(report, features, shap)
+    trends = _trend_texts(report.trends, features, shap)
     written = [out_path(out_dir, "report.json")]
     write_json(report_payload(report, trends), written[0])
     written += write_describe_files(out_dir, fm, report.description, features.values())
@@ -540,12 +557,8 @@ def write_report_files(report, out_dir) -> list:
         write_shap_values_csv(attributions, fm.row_ids, paths[1], shap[key].values())
         write_importance_csv(ranking, paths[2])
         written += paths
-    for name, (x, full, optimized) in trends.items():
-        written.append(out_path(out_dir, f"trend_{name}.csv"))
-        write_trend_csv(
-            x, {"attribution_full": full, "attribution_optimized": optimized}, written[-1]
-        )
-    return written
+    headers = {key: f"attribution_{key}" for key in shap}
+    return written + write_trend_files(out_dir, trends, headers)
 
 
 def write_partition_csv(p, path) -> None:

@@ -78,14 +78,6 @@ class DesignMatrix:
             intercept=np.all(X[:, 0] == 1.0),
         )
 
-    @property
-    def n_obs(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def k_params(self) -> int:
-        return self.X.shape[1]
-
     @classmethod
     def from_features(cls, m, features=None, rows=None) -> "DesignMatrix":
         """Assemble a design from FeatureMatrix columns, intercept first.

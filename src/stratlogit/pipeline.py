@@ -11,6 +11,7 @@ subcommands:
     select      select_model         AIC subset search from the full fit
     evaluate    evaluate_fit         one fit scored on the validation rows
     attribute   attribute_fit        one fit's attributions and their ranking
+                trend_rows           the rows that supply each feature's trend
 
 The stages read their parameters from one RunConfig, which checks
 each value when it is made by the rule of the function that applies it.
@@ -37,7 +38,6 @@ import numpy as np
 from .attribution import (
     ImportanceRanking,
     ShapMatrix,
-    attribution_trend,
     linear_shap,
     mean_abs_importance,
     trend_compare,
@@ -125,7 +125,7 @@ class AnalysisReport:
     full_importance: ImportanceRanking
     optimized_shap: ShapMatrix
     optimized_importance: ImportanceRanking
-    trends: dict  # feature -> TrendComparison of the full and optimized model
+    trends: dict  # feature -> the rows that supply its trend's sites
 
 
 def _verify_report(report: AnalysisReport) -> None:
@@ -263,14 +263,16 @@ def attribute_fit(fm: FeatureMatrix, background, fit: LogitFit, model_id: str) -
     return shap, mean_abs_importance(shap)
 
 
-def trend_curves(fm: FeatureMatrix, shap: ShapMatrix) -> dict:
-    """Trend of each attribution column of one model against its feature."""
-    return {
-        name: attribution_trend(
-            fm.column(name), shap.column(name), feature=name, model_id=shap.model_id
-        )
-        for name in shap.feature_names
-    }
+def trend_rows(fm: FeatureMatrix, shaps) -> dict:
+    """Attribute stage's trends: {feature: the rows that supply its
+    sites} for each feature-matrix column that one of the attribution
+    matrices ``shaps`` holds, checked against every one that holds it."""
+    trends = {}
+    for name in fm.column_names:
+        columns = [s.column(name) for s in shaps if name in s.feature_names]
+        if columns:
+            trends[name] = trend_compare(name, fm.column(name), columns)
+    return trends
 
 
 def run_pipeline(cfg: RunConfig) -> AnalysisReport:
@@ -302,10 +304,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         background = training_means(fm, split)
         full_shap, full_rank = attribute_fit(fm, background, full_fit, "full")
         opt_shap, opt_rank = attribute_fit(fm, background, best_row.fit, "optimized")
-        trends = {
-            name: trend_compare(full_shap, opt_shap, name, fm.column(name))
-            for name in fm.column_names
-        }
+        trends = trend_rows(fm, (full_shap, opt_shap))
         return background, full_shap, full_rank, opt_shap, opt_rank, trends
 
     background, full_shap, full_rank, opt_shap, opt_rank, trends = stage(

@@ -226,18 +226,27 @@ def to_json_ref(payload) -> str:
 
 
 def trend_payload_ref(report) -> dict:
-    """report.json's ``attribution.trends`` from the curves' floats, a
-    value at a time: the oracle for the trend texts ``emit`` shares with
-    the CSV files."""
-    return {
-        name: {
-            "x": tc.full_curve.x.tolist(),
-            "full": tc.full_curve.y.tolist(),
-            "optimized": tc.optimized_curve.y.tolist() if tc.optimized_curve else None,
-            "missing_from": list(tc.missing_from),
-        }
-        for name, tc in report.trends.items()
-    }
+    """report.json's ``attribution.trends`` from the feature and
+    attribution columns, a value at a time: each feature's sites are its
+    own ``np.unique`` of the column + 0.0, and a model's attribution at a
+    site is the + 0.0 of the one its rows of that value carry.  The
+    oracle for the trend texts ``emit`` shares with the CSV files."""
+    fm = report.feature_matrix
+    trends = {}
+    for j, name in enumerate(fm.column_names):
+        sites = np.unique(fm.values[:, j] + 0.0)
+        curves = {}
+        for key, shap in (("full", report.full_shap), ("optimized", report.optimized_shap)):
+            curves[key] = None
+            if name in shap.feature_names:
+                phi = shap.values[:, shap.feature_names.index(name)]
+                by_site = {}
+                for x, y in zip(fm.values[:, j].tolist(), phi.tolist()):
+                    assert by_site.setdefault(x + 0.0, y + 0.0) == y + 0.0, (name, x)
+                curves[key] = [by_site[x] for x in sites.tolist()]
+        missing = [key for key, curve in curves.items() if curve is None]
+        trends[name] = {"x": sites.tolist(), **curves, "missing_from": missing}
+    return trends
 
 
 def cell_ref(value) -> str:

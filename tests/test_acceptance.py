@@ -117,10 +117,10 @@ def test_04_mle_recovery_and_gradient():
         for seed in range(20):
             design, _ = make_problem(seed + 500, n=80, p=3)
             rng = np.random.Generator(np.random.PCG64(seed))
-            beta = rng.uniform(-0.8, 0.8, design.k_params)
+            beta = rng.uniform(-0.8, 0.8, design.X.shape[1])
             grad = gradient_ref(beta, design.X, design.y)
-            for j in range(design.k_params):
-                e = np.zeros(design.k_params)
+            for j in range(design.X.shape[1]):
+                e = np.zeros(design.X.shape[1])
                 e[j] = h
                 fd = (
                     log_likelihood_ref(beta + e, design.X, design.y)

@@ -1,5 +1,6 @@
-"""Additive attributions (closed form vs coalition enumeration), their
-trend curves, and the LOWESS oracle against an independent reference."""
+"""Additive attributions (closed form vs coalition enumeration), the
+rows that supply their trends, and the LOWESS oracle against an
+independent reference."""
 
 import math
 
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import kernel_shap, make_problem
+from stratlogit import pipeline
 from stratlogit.attribution import (
     ShapMatrix,
-    attribution_trend,
     linear_shap,
     lowess,
     mean_abs_importance,
     trend_compare,
 )
 from stratlogit.errors import ConfigError, DataError, DegenerateInputError
-from stratlogit.logit import fit_logistic
+from stratlogit.indicators import FeatureMatrix
+from stratlogit.logit import DesignMatrix, fit_logistic
 
 
 def reference_lowess(x, y, frac):
@@ -223,87 +225,36 @@ class TestLowess:
 
 
 class TestTrendCompare:
-    def _two_models(self):
-        design, _ = make_problem(60, n=150, p=4)
-        fit_full = fit_logistic(design)
-        X = design.X[:, 1:]
-        mu = X.mean(axis=0)
-        full = linear_shap(fit_full, X, mu, model_id="full")
-
-        sub_names = design.feature_names[:2]
-        from stratlogit.logit import DesignMatrix
-
-        sub = DesignMatrix(
-            X=design.X[:, :3], y=design.y, feature_names=sub_names
-        )
-        fit_sub = fit_logistic(sub)
-        optimized = linear_shap(fit_sub, X[:, :2], mu[:2], model_id="optimized")
-        return design, full, optimized
-
-    def test_shared_feature_yields_two_curves(self):
-        design, full, optimized = self._two_models()
-        feature = design.feature_names[0]
-        cmp = trend_compare(full, optimized, feature, design.X[:, 1])
-        assert cmp.full_curve is not None
-        assert cmp.optimized_curve is not None
-        assert cmp.missing_from == ()
-        assert cmp.full_curve.model_id == "full"
-
-    def test_feature_dropped_from_one_model(self):
-        design, full, optimized = self._two_models()
-        feature = design.feature_names[3]
-        cmp = trend_compare(full, optimized, feature, design.X[:, 4])
-        assert cmp.full_curve is not None
-        assert cmp.optimized_curve is None
-        assert cmp.missing_from == ("optimized",)
-
-    def test_feature_absent_from_both(self):
-        _, full, optimized = self._two_models()
-        with pytest.raises(DataError):
-            trend_compare(full, optimized, "ghost", np.zeros(150))
-
-    def test_identical_model_ids_rejected(self):
-        design, full, _ = self._two_models()
-        with pytest.raises(DataError):
-            trend_compare(full, full, design.feature_names[0], design.X[:, 1])
-
-    def test_length_mismatch_rejected(self):
-        design, full, optimized = self._two_models()
-        with pytest.raises(DataError):
-            trend_compare(full, optimized, design.feature_names[0], np.zeros(3))
-
-
-class TestAttributionTrend:
-    def test_attribution_at_sorted_distinct_sites(self):
+    def test_rows_supply_the_sorted_distinct_sites(self):
         x = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
-        curve = attribution_trend(x, 2.0 * (x - 2.0), feature="f", model_id="m")
-        assert curve.x.tolist() == [1.0, 2.0, 3.0]
-        assert curve.y.tolist() == [-2.0, 0.0, 2.0]
-        assert (curve.feature, curve.model_id) == ("f", "m")
+        rows = trend_compare("f", x, [2.0 * (x - 2.0), -x])
+        assert rows.tolist() == [1, 3, 0]
+        assert x[rows].tolist() == [1.0, 2.0, 3.0]
 
-    def test_attributions_not_a_function_of_x_rejected(self):
-        values = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, -0.5]])
-        full = ShapMatrix("full", ("a", "b"), values, 0.0)
-        optimized = ShapMatrix("optimized", ("b",), values[:, 1:], 0.0)
+    def test_no_column_gives_the_rows_of_x(self):
+        x = np.array([0.5, -1.0, 0.5])
+        assert trend_compare("f", x, []).tolist() == [1, 0]
+
+    def test_every_column_must_be_a_function_of_x(self):
         x = np.array([1.0, 1.0, 2.0])
-        with pytest.raises(DataError):
-            trend_compare(full, optimized, "a", x)
-        # Column b is a function of the same x, so it is accepted.
-        cmp = trend_compare(full, optimized, "b", x)
-        assert cmp.full_curve.y.tolist() == [0.5, -0.5]
+        good, bad = np.array([0.5, 0.5, -0.5]), np.array([0.5, -0.5, -0.5])
+        assert trend_compare("f", x, [good]).tolist() == [0, 2]
+        for columns in ([bad], [good, bad], [bad, good]):
+            with pytest.raises(DataError, match="f is not a function of x"):
+                trend_compare("f", x, columns)
 
-    def test_validation(self):
-        x = np.linspace(0, 1, 10)
-        with pytest.raises(DataError):
-            attribution_trend(x, x[:-1])
-        with pytest.raises(DataError):
-            attribution_trend(x.reshape(2, 5), x.reshape(2, 5))
-        with pytest.raises(DataError):
-            attribution_trend(x, np.concatenate([x[:-1], [np.nan]]))
-        with pytest.raises(DataError):
-            attribution_trend(np.concatenate([x[:-1], [np.inf]]), x)
-        with pytest.raises(DegenerateInputError):
-            attribution_trend(np.ones(5), np.zeros(5))
+    def test_signed_zeros_are_one_site(self):
+        # A -0.0 row and a 0.0 row are one site, supplied by the first;
+        # a -0.0 attribution beside a 0.0 one is the same attribution.
+        x = np.array([-0.0, 1.0, 0.0, -0.0])
+        phi = np.array([0.0, 2.0, -0.0, 0.0])
+        assert trend_compare("f", x, [phi]).tolist() == [0, 1]
+        assert trend_compare("f", x[[2, 1, 0, 3]], [phi]).tolist() == [0, 1]
+
+    def test_fewer_than_two_sites_rejected(self):
+        for x in (np.ones(5), np.array([-0.0, 0.0, 0.0]), np.array([4.0])):
+            with pytest.raises(DegenerateInputError, match="f needs at least 2"):
+                trend_compare("f", x, [np.zeros(x.size)])
 
     @settings(max_examples=200)
     @given(
@@ -318,11 +269,68 @@ class TestAttributionTrend:
         data=st.data(),
     )
     def test_row_order_does_not_move_bits(self, pool, picks, beta, mu, data):
+        # The rows move with the order, but the site each supplies and its
+        # attribution, as they are written (+ 0.0), keep their bits.
         x = np.array([pool[i % len(pool)] for i in picks])
         assume(np.unique(x).size >= 2)
         phi = (x - mu) * beta
         order = np.array(data.draw(st.permutations(range(x.size))))
-        ref = attribution_trend(x, phi)
-        got = attribution_trend(x[order], phi[order])
-        assert got.x.tobytes() == ref.x.tobytes()
-        assert got.y.tobytes() == ref.y.tobytes()
+        ref = trend_compare("f", x, [phi])
+        got = trend_compare("f", x[order], [phi[order]])
+        for values in (x, phi):
+            want = (values[ref] + 0.0).tobytes()
+            assert (values[order][got] + 0.0).tobytes() == want
+
+
+class TestTrendRows:
+    """``pipeline.trend_rows``, the one per-feature loop of ``report``
+    and ``attribute``."""
+
+    def _two_models(self):
+        design, _ = make_problem(60, n=150, p=4)
+        # Rounded, so that the features repeat values.
+        values = np.round(design.X[:, 1:], 1)
+        fm = FeatureMatrix(
+            column_names=design.feature_names,
+            values=values,
+            target=design.y,
+            row_ids=tuple(f"s{i}" for i in range(150)),
+        )
+        background = values.mean(axis=0)
+        full, _ = pipeline.attribute_fit(fm, background, fit_logistic(design), "full")
+        sub = DesignMatrix(X=design.X[:, :3], y=design.y, feature_names=design.feature_names[:2])
+        optimized, _ = pipeline.attribute_fit(fm, background, fit_logistic(sub), "optimized")
+        return fm, full, optimized
+
+    def test_every_feature_a_model_holds(self):
+        fm, full, optimized = self._two_models()
+        trends = pipeline.trend_rows(fm, (full, optimized))
+        assert list(trends) == list(fm.column_names)
+        assert list(pipeline.trend_rows(fm, (optimized,))) == list(fm.column_names[:2])
+        for name, rows in trends.items():
+            x = fm.column(name)
+            sites, first = np.unique(x, return_index=True)
+            assert rows.tolist() == first.tolist()
+            assert sites.size < x.size, name
+
+    def test_once_per_feature_with_every_column_that_holds_it(self, monkeypatch):
+        fm, full, optimized = self._two_models()
+        calls = []
+
+        def counted(feature, x, columns):
+            calls.append((feature, len(columns)))
+            return trend_compare(feature, x, columns)
+
+        monkeypatch.setattr(pipeline, "trend_compare", counted)
+        pipeline.trend_rows(fm, (full, optimized))
+        assert calls == [("x0", 2), ("x1", 2), ("x2", 1), ("x3", 1)]
+
+    def test_a_column_not_a_function_of_x_is_refused(self):
+        fm, full, optimized = self._two_models()
+        values = optimized.values.copy()
+        _, inverse, counts = np.unique(fm.column("x1"), return_inverse=True, return_counts=True)
+        # A row whose value of x1 another row holds too.
+        values[np.flatnonzero(counts[inverse] > 1)[0], 1] += 1.0
+        broken = ShapMatrix("optimized", optimized.feature_names, values, optimized.base_value)
+        with pytest.raises(DataError, match="x1 is not a function of x"):
+            pipeline.trend_rows(fm, (full, broken))

@@ -33,7 +33,6 @@ from stratlogit.attribution import (
     ShapMatrix,
     linear_shap,
     mean_abs_importance,
-    trend_compare,
 )
 from stratlogit.evaluate import ClassificationMetrics, ConfusionMatrix, metrics, roc_auc
 from stratlogit.indicators import FeatureMatrix
@@ -52,7 +51,7 @@ from stratlogit.pipeline import (
     attribute_fit,
     describe_indicators,
     run_pipeline,
-    trend_curves,
+    trend_rows,
 )
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 1e22, -1.5e-300, 0.1, 123456789.0]
@@ -247,7 +246,8 @@ class TestFloatTables:
             model_id="m", feature_names=("a", "b"), values=np.array(values), base_value=0.0
         )
         out = tmp_path_factory.mktemp("shap")
-        emit.write_shap_values_csv(shap, row_ids, out / "new.csv")
+        texts = [emit.float_texts(c) for c in shap.values.T]
+        emit.write_shap_values_csv(shap, row_ids, out / "new.csv", texts)
         write_csv_ref(
             out / "ref.csv",
             ["scholar_id", "a", "b"],
@@ -284,14 +284,16 @@ class TestFloatTables:
     def test_trend_with_a_missing_curve(self, tmp_path):
         x = np.array(EDGE_FLOATS[2:])
         full = x[::-1] * -3.0
-        ys = {"attribution_full": full, "attribution_optimized": None}
-        emit.write_trend_csv(x, ys, tmp_path / "new.csv")
+        trends = {"f": (x, {"full": full, "optimized": None})}
+        headers = {"optimized": "attribution_optimized", "full": "attribution_full"}
+        (path,) = emit.write_trend_files(tmp_path, trends, headers)
+        assert os.path.basename(path) == "trend_f.csv"
         write_csv_ref(
             tmp_path / "ref.csv",
-            ["x", *ys],
+            ["x", "attribution_full", "attribution_optimized"],
             zip(x.tolist(), full.tolist(), [None] * x.size),
         )
-        assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
+        assert file_bytes(path) == file_bytes(tmp_path / "ref.csv")
 
 
 # Names and ids the csv module must quote: delimiter, quote, CR, LF, CRLF.
@@ -557,10 +559,7 @@ def repeating_report(scholar_csv):
         full_importance=full_rank,
         optimized_shap=opt_shap,
         optimized_importance=opt_rank,
-        trends={
-            name: trend_compare(full_shap, opt_shap, name, fm.column(name))
-            for name in fm.column_names
-        },
+        trends=trend_rows(fm, (full_shap, opt_shap)),
     )
 
 
@@ -609,16 +608,17 @@ def report_files_ref(report, out) -> None:
             ([rid] + row for rid, row in zip(fm.row_ids, shap.values.tolist())),
         )
         tables[f"importance_{key}.csv"] = (["feature", "mean_abs_shap"], ranking.entries)
-    for name, tc in report.trends.items():
-        x, full, opt = tc.full_curve.x, tc.full_curve.y, tc.optimized_curve
+    trends = trend_payload_ref(report)
+    for name, trend in trends.items():
+        x, full, opt = trend["x"], trend["full"], trend["optimized"]
         tables[f"trend_{name}.csv"] = (
             ["x", "attribution_full", "attribution_optimized"],
-            zip(x.tolist(), full.tolist(), opt.y.tolist() if opt else [None] * x.size),
+            zip(x, full, opt or [None] * len(x)),
         )
     for name, (header, rows) in tables.items():
         write_csv_ref(out / name, header, rows)
     payload = emit.report_payload(report)
-    payload["attribution"]["trends"] = trend_payload_ref(report)
+    payload["attribution"]["trends"] = trends
     (out / "report.json").write_text(to_json_ref(payload), encoding="utf-8")
 
 
@@ -632,7 +632,8 @@ class TestSharedRenderings:
         assert signed_zeros(fm.values) > 0 and fm.values[0, 1] == 0.0
         for _, _, shap, _ in emit._models(repeating_report):
             assert signed_zeros(shap.values) > 0, shap.model_id
-        assert repeating_report.trends[fm.column_names[1]].full_curve.x[0] == 0.0
+        # The first site of that feature is supplied by a row holding -0.0.
+        assert np.signbit(fm.values[repeating_report.trends[fm.column_names[1]][0], 1])
         underflow = repeating_report.full_shap.values[:, 2]
         assert np.unique(fm.values[underflow == 0.0, 2]).size > 1 and signed_zeros(underflow) > 1
 
@@ -663,18 +664,26 @@ class TestSharedRenderings:
 
     @pytest.mark.parametrize("key", ["full", "optimized"])
     def test_attribute_files(self, repeating_report, key, tmp_path):
-        # The files ``attribute`` writes: attributions, then one trend file per feature.
+        # The files ``attribute`` writes for one model: its attributions,
+        # its ranking, then one trend file per feature it holds.
         fm = repeating_report.feature_matrix
         shap = getattr(repeating_report, f"{key}_shap")
-        emit.write_shap_values_csv(shap, fm.row_ids, tmp_path / "new.csv")
+        ranking = getattr(repeating_report, f"{key}_importance")
+        out, ref = tmp_path / "new", tmp_path / "ref"
+        written = emit.write_attribute_files(out, fm, shap, ranking, trend_rows(fm, (shap,)))
+        ref.mkdir()
         write_csv_ref(
-            tmp_path / "ref.csv",
+            ref / "shap_values.csv",
             ["scholar_id", *shap.feature_names],
             ([rid] + row for rid, row in zip(fm.row_ids, shap.values.tolist())),
         )
-        assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv")
-        for name, curve in trend_curves(fm, shap).items():
-            emit.write_trend_csv(curve.x, {"attribution": curve.y}, tmp_path / "new.csv")
-            rows = zip(curve.x.tolist(), curve.y.tolist())
-            write_csv_ref(tmp_path / "ref.csv", ["x", "attribution"], rows)
-            assert file_bytes(tmp_path / "new.csv") == file_bytes(tmp_path / "ref.csv"), name
+        write_csv_ref(ref / "importance.csv", ["feature", "mean_abs_shap"], ranking.entries)
+        for name, trend in trend_payload_ref(repeating_report).items():
+            if trend[key] is not None:
+                rows = zip(trend["x"], trend[key])
+                write_csv_ref(ref / f"trend_{name}.csv", ["x", "attribution"], rows)
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(os.path.basename(p) for p in written) == names
+        assert len(names) == 2 + len(shap.feature_names)
+        for name in names:
+            assert file_bytes(out / name) == file_bytes(ref / name), name

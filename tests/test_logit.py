@@ -62,7 +62,7 @@ def scipy_mle(design):
 
     res = optimize.minimize(
         neg_ll,
-        np.zeros(design.k_params),
+        np.zeros(design.X.shape[1]),
         jac=neg_grad,
         method="BFGS",
         options={"gtol": 1e-10, "maxiter": 500},
@@ -419,7 +419,7 @@ class TestBatchBits:
         # from the same start.
         rng = np.random.Generator(np.random.PCG64(40 + seed))
         design, _ = make_problem(seed, n=150 + seed, p=3)
-        k = design.k_params
+        k = design.X.shape[1]
         scale = rng.uniform(0.5, 2.0, (7, 1, k - 1))
         scale[1:3] = 1.0  # the designs started at and near the optimum
         stack = np.stack([design.X] * 7)
@@ -594,10 +594,10 @@ class TestGradient:
         for seed in range(20):
             design, _ = make_problem(seed + 100, n=60, p=3)
             rng = np.random.Generator(np.random.PCG64(seed))
-            beta = rng.uniform(-0.5, 0.5, design.k_params)
+            beta = rng.uniform(-0.5, 0.5, design.X.shape[1])
             grad = gradient_ref(beta, design.X, design.y)
-            for j in range(design.k_params):
-                e = np.zeros(design.k_params)
+            for j in range(design.X.shape[1]):
+                e = np.zeros(design.X.shape[1])
                 e[j] = h
                 fd = (
                     log_likelihood_ref(beta + e, design.X, design.y)

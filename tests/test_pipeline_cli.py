@@ -794,14 +794,18 @@ class TestCliSubcommands:
             assert row["iterations"] == fit["iterations"]
 
     def test_attribute_importance_equals_report(self, tmp_path, stepwise_report):
-        # One model, two paths: the same importance and trend bits.
+        # One model, two paths: the same attribution, importance and trend bits.
         report_files = tmp_path / "report"
         write_report_files(stepwise_report, report_files)
         rc = main(["attribute", "--input", SCHOLARS, "--out", str(tmp_path / "attribute")])
         assert rc == 0
-        assert (tmp_path / "attribute" / "importance.csv").read_bytes() == (
-            report_files / "importance_full.csv"
-        ).read_bytes()
+        for attributed, reported in (
+            ("importance.csv", "importance_full.csv"),
+            ("shap_values.csv", "shap_full.csv"),
+        ):
+            assert (tmp_path / "attribute" / attributed).read_bytes() == (
+                report_files / reported
+            ).read_bytes(), attributed
         for name in FEATURE_COLUMNS:
             attributed = _csv_columns(tmp_path / "attribute" / f"trend_{name}.csv")
             reported = _csv_columns(report_files / f"trend_{name}.csv")
@@ -841,18 +845,17 @@ def trend_report(request, tmp_path_factory):
 class TestTrendCurves:
     def test_closed_form_matches_lowess(self, trend_report):
         report = trend_report
-        for name, tc in report.trends.items():
-            for curve, shap in (
-                (tc.full_curve, report.full_shap),
-                (tc.optimized_curve, report.optimized_shap),
-            ):
-                if curve is None:
+        for name, rows in report.trends.items():
+            x = report.feature_matrix.column(name)
+            for shap in (report.full_shap, report.optimized_shap):
+                if name not in shap.feature_names:
                     continue
-                oracle = lowess(report.feature_matrix.column(name), shap.column(name), frac=2.0 / 3.0)
-                assert np.array_equal(curve.x, oracle.x)
+                phi = shap.column(name)
+                oracle = lowess(x, phi, frac=2.0 / 3.0)
+                assert np.array_equal(x[rows], oracle.x)
                 # Relative to the curve's size: a pointwise relative gap
                 # blows up where the curve crosses zero.
-                gap = float(np.max(np.abs(curve.y - oracle.y)))
+                gap = float(np.max(np.abs(phi[rows] - oracle.y)))
                 scale = float(np.max(np.abs(oracle.y)))
                 assert gap <= 1e-12 * scale, (name, shap.model_id, gap / scale)
 
